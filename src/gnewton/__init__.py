@@ -12,10 +12,10 @@ The ``gnewton`` console script exposes run/audit/rates on top of it.
 from .costs import (AbsPower, BrockettTrace, GrassmannTrace, Quadratic,
                     ShiftedCubic, ambient_gradient, ambient_hessian_vec, value)
 from .errors import (ChartDomainViolation, ConfigError, GnewtonError,
-                     InsufficientData, ManifoldMismatch, NoConvergence,
-                     NotTwiceDifferentiable, OutsideValidityRadius,
-                     ProjectionUndefined, RankDeficient, SchemaError,
-                     SingularHessian)
+                     InfeasiblePoint, InsufficientData, ManifoldMismatch,
+                     NoConvergence, NotTwiceDifferentiable,
+                     OutsideValidityRadius, ProjectionUndefined,
+                     RankDeficient, SchemaError, SingularHessian)
 from .config import (Experiment, build_experiment, compute_truth, load_config,
                      match_truth_signs, near_truth_start)
 from .linalg import polar_factor, symmetric_eigen, symmetric_solve
@@ -31,8 +31,8 @@ from .newton import (DampedNewton, Fixed, Identity, IterationTrace, Jet2,
 from .parametrizations import (AuditReport, Custom1D, ExampleBeta,
                                ParametrizationPair, Projection, QR, Recentred,
                                SphereGeodesic, apply_phi, apply_psi,
-                               audit_conditions, kind_name, kind_valid_on,
-                               pair_label, recentring_rotation,
+                               audit_conditions, curvature_term, kind_name,
+                               kind_valid_on, pair_label, recentring_rotation,
                                second_order_term)
 from .rates import (DEFAULT_CEIL, DEFAULT_FLOOR, RateEstimate, error_sequence,
                     estimate_rate, pooled_rate, usable_pairs)
@@ -46,9 +46,10 @@ __all__ = [
     "DEFAULT_FLOOR", "distance", "error_sequence", "estimate_rate",
     "euclidean", "euclidean_newton_step", "ExampleBeta", "Experiment",
     "Fixed", "generalized_newton_step", "GnewtonError", "grassmann",
-    "GrassmannTrace", "Identity", "InsufficientData", "IterationTrace",
-    "Jet2", "kind_name", "kind_valid_on", "load_config", "ManifoldDescriptor",
-    "ManifoldMismatch", "match_truth_signs", "near_truth_start", "Newton",
+    "GrassmannTrace", "Identity", "InfeasiblePoint", "InsufficientData",
+    "IterationTrace", "Jet2", "kind_name", "kind_valid_on", "load_config",
+    "ManifoldDescriptor", "ManifoldMismatch", "match_truth_signs",
+    "near_truth_start", "Newton",
     "NoConvergence", "NotTwiceDifferentiable", "OutsideValidityRadius",
     "pair_label", "ParametrizationPair", "PathDependent", "Point",
     "polar_factor", "pooled_rate", "project_to_manifold", "Projection",
@@ -60,5 +61,5 @@ __all__ = [
     "StepResult", "stiefel", "symmetric_eigen", "symmetric_solve",
     "TangentBasis", "TangentVector", "tangent_basis", "usable_pairs", "value",
     "apply_phi", "apply_psi", "audit_conditions", "build_experiment",
-    "chart_lift_step", "compute_truth", "__version__",
+    "chart_lift_step", "compute_truth", "curvature_term", "__version__",
 ]

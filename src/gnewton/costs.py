@@ -143,16 +143,20 @@ def ambient_gradient(c, p: Point) -> np.ndarray:
 
 
 def ambient_hessian_vec(c, p: Point, direction) -> np.ndarray:
+    """Ambient Hessian applied to one direction, or to each column of an
+    (ambient_dim x k) block of directions."""
     direction = np.asarray(direction, dtype=float)
     _expect_manifold(c, p)
     if isinstance(c, Quadratic):
         return c.A @ direction
-    if isinstance(c, BrockettTrace):
-        Z = direction.reshape(p.manifold.n, p.manifold.p, order="F")
-        return (2.0 * c.A @ Z @ c.N).flatten(order="F")
-    if isinstance(c, GrassmannTrace):
-        Z = direction.reshape(p.manifold.n, p.manifold.p, order="F")
-        return (2.0 * c.A @ Z).flatten(order="F")
+    if isinstance(c, (BrockettTrace, GrassmannTrace)):
+        # column-major n x p matrices: Z[b] is column b of every direction
+        n, pp = p.manifold.n, p.manifold.p
+        Z = direction.reshape(pp, n, direction.size // (n * pp))
+        HZ = 2.0 * c.A @ Z
+        if isinstance(c, BrockettTrace):
+            HZ = HZ * np.diag(c.N)[:, None, None]
+        return HZ.reshape(direction.shape)
     x = p.ambient[0]
     if isinstance(c, AbsPower):
         if x == 0.0:

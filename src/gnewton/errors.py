@@ -9,6 +9,11 @@ class GnewtonError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InfeasiblePoint(GnewtonError, ValueError):
+    """Coordinates are non-finite, off the manifold, or not tangent: the
+    iterate has left the region where points and steps make sense."""
+
+
 class SingularHessian(GnewtonError):
     """Hessian is singular or too ill-conditioned for a trustworthy solve."""
 

@@ -1,13 +1,12 @@
 """Dense symmetric kernels: solve, polar factor, eigendecomposition.
 
 Everything here is small (dimension <= ~64) and dense. The heavy lifting is
-delegated to LAPACK via numpy/scipy; this module owns the contracts around
-it: symmetry validation, condition thresholds, sign conventions, and the
-error taxonomy.
+delegated to LAPACK via numpy; this module owns the contracts around it:
+symmetry validation, condition thresholds, sign conventions, and the error
+taxonomy.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoConvergence, RankDeficient, SingularHessian
 
@@ -26,18 +25,21 @@ def _as_square_symmetric(A, rtol=SYM_RTOL):
     return A
 
 
+def _spectral_extremes(lam):
+    """|lambda|_max, |lambda|_min and their ratio (inf when singular)."""
+    a = np.abs(lam)
+    lmax, lmin = float(a.max(initial=0.0)), float(a.min(initial=np.inf))
+    return lmax, lmin, (np.inf if lmin == 0.0 else lmax / lmin)
+
+
 def condition_estimate(H) -> float:
     """Spectral condition number estimate |lambda|_max / |lambda|_min."""
-    H = np.asarray(H, dtype=float)
-    lam = np.abs(np.linalg.eigvalsh(H))
-    if lam[-1] == 0.0:
-        return np.inf
-    lmin = lam.min()
-    return np.inf if lmin == 0.0 else float(lam.max() / lmin)
+    return _spectral_extremes(np.linalg.eigh(np.asarray(H, dtype=float))[0])[2]
 
 
-def symmetric_solve(H, b) -> np.ndarray:
-    """Solve H s = b for symmetric H via a pivoted LDL^T factorisation.
+def solve_with_condition(H, b):
+    """Solve H s = b for symmetric H from one eigendecomposition, which also
+    gives the condition estimate. -> (s, condition)
 
     Raises SingularHessian when the spectral condition estimate exceeds
     COND_LIMIT or the smallest |eigenvalue| underflows PIVOT_FLOOR * ||H||.
@@ -47,14 +49,16 @@ def symmetric_solve(H, b) -> np.ndarray:
     if b.shape != (H.shape[0],):
         raise ValueError("rhs length %r does not match matrix dimension %d"
                          % (b.shape, H.shape[0]))
-    lam = np.abs(np.linalg.eigvalsh(H))
-    lmax = float(lam.max())
-    lmin = float(lam.min())
-    if lmax == 0.0 or lmin < PIVOT_FLOOR * lmax or lmax / lmin > COND_LIMIT:
-        raise SingularHessian(
-            "condition estimate %.3e exceeds limits" %
-            (np.inf if lmin == 0.0 else lmax / lmin))
-    return scipy.linalg.solve(H, b, assume_a="sym")
+    lam, V = np.linalg.eigh(H)
+    lmax, lmin, cond = _spectral_extremes(lam)
+    if lmax == 0.0 or lmin < PIVOT_FLOOR * lmax or cond > COND_LIMIT:
+        raise SingularHessian("condition estimate %.3e exceeds limits" % cond)
+    return V @ ((V.T @ b) / lam), cond
+
+
+def symmetric_solve(H, b) -> np.ndarray:
+    """Solve H s = b for symmetric H (see solve_with_condition)."""
+    return solve_with_condition(H, b)[0]
 
 
 def polar_factor(M) -> np.ndarray:

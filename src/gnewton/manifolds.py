@@ -11,7 +11,8 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import ManifoldMismatch, ProjectionUndefined, RankDeficient
+from .errors import (InfeasiblePoint, ManifoldMismatch, ProjectionUndefined,
+                     RankDeficient)
 from .linalg import polar_factor
 from .rng import SplitMix64
 
@@ -96,10 +97,10 @@ class Point:
             raise ValueError("ambient length %r, expected %d"
                              % (x.shape, self.manifold.ambient_dim))
         if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite ambient coordinates")
+            raise InfeasiblePoint("non-finite ambient coordinates")
         resid = _feasibility_residual(self.manifold, x)
         if resid > FEAS_TOL:
-            raise ValueError("infeasible point: residual %.3e" % resid)
+            raise InfeasiblePoint("infeasible point: residual %.3e" % resid)
 
     def as_matrix(self) -> np.ndarray:
         return self.ambient.reshape(self.manifold.n, self.manifold.p, order="F")
@@ -129,12 +130,12 @@ class TangentVector:
         if v.shape != (m.ambient_dim,):
             raise ValueError("ambient length %r, expected %d" % (v.shape, m.ambient_dim))
         if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite tangent coordinates")
+            raise InfeasiblePoint("non-finite tangent coordinates")
         resid = _tangency_residual(m, self.base.ambient, v)
         # absolute at unit scale, relative beyond (huge near-singular
         # steps would otherwise fail on pure rounding)
         if resid > FEAS_TOL * max(1.0, float(np.linalg.norm(v))):
-            raise ValueError("tangency residual %.3e too large" % resid)
+            raise InfeasiblePoint("tangency residual %.3e too large" % resid)
 
     @property
     def norm(self) -> float:
@@ -161,8 +162,9 @@ class TangentBasis:
             raise ValueError("basis columns not orthonormal")
 
 
-def _complete_orthonormal(cols, n: int, want: int):
-    """Extend `cols` (orthonormal ambient vectors) by `want` more columns.
+def _complete_orthonormal(K: np.ndarray, want: int) -> np.ndarray:
+    """Extend the orthonormal columns of the n x k array K by `want` more,
+    returned as an n x want array.
 
     Candidates are the standard basis vectors; each step picks the one with
     the largest residual and re-orthogonalises twice. Pivoting matters: a
@@ -171,57 +173,50 @@ def _complete_orthonormal(cols, n: int, want: int):
     there poison every pullback gradient downstream. Pivot order is a pure
     function of the inputs, so the completion is deterministic.
     """
-    kept = list(cols)
-    out = []
-    resid = [np.eye(n)[i].copy() for i in range(n)]
-    for c in resid:
-        for u in kept:
-            c -= (c @ u) * u
-    chosen = set()
-    while len(out) < want:
-        norms = sorted((-np.linalg.norm(resid[i]), i)
-                       for i in range(n) if i not in chosen)
-        i = norms[0][1]
-        chosen.add(i)
-        v = resid[i]
+    n, k = K.shape
+    Q = np.empty((n, k + want))
+    Q[:, :k] = K
+    resid = np.eye(n) - K @ K.T  # column i: residual of e_i
+    chosen = np.zeros(n, dtype=bool)
+    for j in range(k, k + want):
+        norms = np.linalg.norm(resid, axis=0)
+        norms[chosen] = -1.0
+        i = int(np.argmax(norms))  # ties go to the lowest index
+        chosen[i] = True
+        v = resid[:, i]
         for _ in range(2):
-            for u in kept + out:
-                v = v - (v @ u) * u
+            v = v - Q[:, :j] @ (Q[:, :j].T @ v)
         v = v / np.linalg.norm(v)
-        out.append(v)
-        for j in range(n):
-            if j not in chosen:
-                resid[j] = resid[j] - (resid[j] @ v) * v
-    return out
+        Q[:, j] = v
+        resid -= np.outer(v, v @ resid)
+    return Q[:, k:]
 
 
 def tangent_basis(p: Point) -> TangentBasis:
     """Deterministic orthonormal basis of the tangent (Grassmann: horizontal)
-    space at p, as ambient columns."""
+    space at p, as ambient columns.
+
+    Matrix manifolds list the skew block first (Stiefel only: the pair
+    (i, j), i < j, moves column j along x_i and column i along -x_j), then
+    the normal block: column b moves along the a-th completion vector, b
+    outer, a inner, which in column-major coordinates is kron(I_p, P)."""
     m = p.manifold
     if m.kind == "euclidean":
         return TangentBasis(p, np.eye(m.n))
     if m.kind == "sphere":
-        cols = _complete_orthonormal([p.ambient], m.n, m.n - 1)
-        return TangentBasis(p, np.column_stack(cols))
+        return TangentBasis(p, _complete_orthonormal(p.ambient[:, None],
+                                                     m.n - 1))
     X = p.as_matrix()
     n, pp = m.n, m.p
-    cols = []
-    if m.kind == "stiefel":
-        for i in range(pp):
-            for j in range(i + 1, pp):
-                V = np.zeros_like(X)
-                V[:, j] = X[:, i] / sqrt(2.0)
-                V[:, i] = -X[:, j] / sqrt(2.0)
-                cols.append(V)
-    perp = _complete_orthonormal([X[:, k] for k in range(pp)], n, n - pp)
-    for b in range(pp):
-        for a in range(n - pp):
-            V = np.zeros_like(X)
-            V[:, b] = perp[a]
-            cols.append(V)
-    flat = np.column_stack([V.flatten(order="F") for V in cols])
-    return TangentBasis(p, flat)
+    normal = np.kron(np.eye(pp), _complete_orthonormal(X, n - pp))
+    if m.kind == "grassmann":
+        return TangentBasis(p, normal)
+    i, j = np.triu_indices(pp, 1)
+    skew = np.zeros((n, pp, i.size))
+    skew[:, j, np.arange(i.size)] = X[:, i] / sqrt(2.0)
+    skew[:, i, np.arange(i.size)] = -X[:, j] / sqrt(2.0)
+    return TangentBasis(p, np.hstack([skew.reshape(n * pp, i.size, order="F"),
+                                      normal]))
 
 
 def project_to_manifold(m: ManifoldDescriptor, ambient) -> Point:

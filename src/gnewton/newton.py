@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import ambient_gradient, ambient_hessian_vec, value
-from .errors import (ChartDomainViolation, NotTwiceDifferentiable,
-                     OutsideValidityRadius, ProjectionUndefined,
-                     SingularHessian)
-from .linalg import condition_estimate, symmetric_solve
+from .errors import (ChartDomainViolation, InfeasiblePoint,
+                     NotTwiceDifferentiable, OutsideValidityRadius,
+                     ProjectionUndefined, SingularHessian)
+from .linalg import solve_with_condition, symmetric_solve
 from .manifolds import (Point, TangentBasis, TangentVector, distance,
                         tangent_basis, _complete_orthonormal)
 from .parametrizations import (ParametrizationPair, Projection, apply_psi,
-                               pair_label, second_order_term)
+                               curvature_term, pair_label)
 from .rng import SplitMix64
 
 _EPS = np.finfo(float).eps
@@ -164,40 +164,29 @@ def euclidean_newton_step(j: Jet2) -> np.ndarray:
 def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
     """2-jet of the cost pulled back through phi at the tangent origin.
 
-    The gradient needs no correction (D phi_p(0) = I); the Hessian picks up
-    grad . D^2 phi_p(0)(v_i, v_j), with off-diagonal terms recovered from the
-    diagonal quadratic form by polarisation
-    S(v, w) = 1/4 [S(v + w) - S(v - w)].
+    The gradient needs no correction (D phi_p(0) = I); the Hessian is
+    B^T (ambient Hessian) B plus phi's curvature term
+    C[i, j] = grad . D^2 phi_p(0)(b_i, b_j), which each kind contracts in
+    closed form. A jet that overflows is no usable second derivative.
     """
     B = tangent_basis(p)
     cols = B.columns
-    m = cols.shape[1]
     g_amb = ambient_gradient(c, p)
     grad = cols.T @ g_amb
-
-    hcols = np.column_stack([ambient_hessian_vec(c, p, cols[:, j])
-                             for j in range(m)]) if m else np.zeros((0, 0))
-    H = cols.T @ hcols if m else np.zeros((0, 0))
-
-    svv = [second_order_term(pair, TangentVector(p, cols[:, i])) for i in range(m)]
-    for i in range(m):
-        H[i, i] += g_amb @ svv[i]
-        for j in range(i + 1, m):
-            plus = second_order_term(pair, TangentVector(p, cols[:, i] + cols[:, j]))
-            minus = second_order_term(pair, TangentVector(p, cols[:, i] - cols[:, j]))
-            sij = 0.25 * (plus - minus)
-            corr = g_amb @ sij
-            H[i, j] += corr
-            H[j, i] += corr
+    H = cols.T @ ambient_hessian_vec(c, p, cols)
+    H = H + curvature_term(pair, p, cols, g_amb)
     H = 0.5 * (H + H.T)
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(grad))):
+        raise NotTwiceDifferentiable("non-finite pulled-back jet")
     return Jet2(basis=B, value=value(c, p), gradient=grad, hessian=H)
 
 
 def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResult:
-    """One step of E_f = psi_p . N_{f o phi_p} at p."""
+    """One step of E_f = psi_p . N_{f o phi_p} at p, from one factorisation
+    of the pulled-back Hessian."""
     j = pullback_jet(c, pair, p)
-    cond = condition_estimate(j.hessian)
-    s = euclidean_newton_step(j)
+    x, cond = solve_with_condition(j.hessian, j.gradient)
+    s = -x
     w = TangentVector(p, j.basis.columns @ s)
     nxt = apply_psi(pair, w)
     return StepResult(next=nxt, step_norm=float(np.linalg.norm(s)),
@@ -230,11 +219,12 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
             termination = "SingularHessian"
             break
         except (NotTwiceDifferentiable, ProjectionUndefined,
-                OutsideValidityRadius, ChartDomainViolation, ValueError):
-            # ValueError here is Point/TangentVector validation rejecting a
+                OutsideValidityRadius, ChartDomainViolation, InfeasiblePoint):
+            # InfeasiblePoint is Point/TangentVector validation rejecting a
             # diverged iterate (overflow to non-finite, or a huge ill-
             # conditioned step whose rounding breaks tangency) -- the
-            # iteration has left any region where the maps make sense
+            # iteration has left any region where the maps make sense. Any
+            # other error is a bug and propagates.
             termination = "LeftValidityRegion"
             break
         points.append(res.next)
@@ -328,7 +318,7 @@ def chart_lift_step(method, chart, c, p: Point) -> Point:
     # chart coordinates carry n - 1 degrees of freedom; differencing along an
     # orthonormal basis of the pole's complement keeps every probe point on
     # the chart plane, so the inverse lands on the sphere to rounding
-    B = np.column_stack(_complete_orthonormal([q], n, n - 1))
+    B = _complete_orthonormal(q[:, None], n - 1)
     k = n - 1
 
     def g(s):

@@ -25,23 +25,135 @@ _EPS = np.finfo(float).eps
 PROJECTION_GUARD = 0.1
 
 
+# --- second-order terms ------------------------------------------------------
+#
+# Every kind owns its second-order term twice over, from one formula:
+# `second_order(p, v)` is the ambient vector D^2 phi_p(0)(v, v), and
+# `curvature(p, B, g)` is the m x m matrix C[i, j] = g . D^2 phi_p(0)(b_i, b_j)
+# over the columns b_i of B, which is all a pullback Hessian needs of it.
+# Matrix points and directions are n x p, flattened column-major; a basis
+# is handled as an (m, n, p) stack of direction matrices.
+
+def _as_stack(B: np.ndarray, n: int, p: int) -> np.ndarray:
+    return B.T.reshape(B.shape[1], p, n).transpose(0, 2, 1)
+
+
+def _pair_sums(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """[<S_a, T_b>] over two (m, n, p) stacks, as an m x m matrix."""
+    m, n, p = S.shape
+    return S.reshape(m, n * p) @ T.reshape(m, n * p).T
+
+
+def _sym(A: np.ndarray) -> np.ndarray:
+    return 0.5 * (A + A.T)
+
+
+class _SphereTerms:
+    """What every kind does on the sphere: it bends along -p,
+    D^2 phi_p(0)(v, v) = -|v|^2 p, so over an orthonormal basis
+    C = -(g . p) I."""
+
+    def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
+        nv = float(np.linalg.norm(v))
+        return -(nv * nv) * p.ambient
+
+    def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return -float(g @ p.ambient) * np.eye(B.shape[1])
+
+
+class _LineTerms:
+    """Kinds on the line: the basis is the single column (1,), so C is the
+    second-order term itself, contracted with g."""
+
+    def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return np.array([[float(g @ self.second_order(p, B[:, 0]))]])
+
+
+def _qr_first_order(X: np.ndarray, V: np.ndarray):
+    """First derivatives at t = 0 of QR(X + tV) = Q R, for one direction or
+    a stack of them: Omega = X^T Q' (skew), R' (upper triangular) and Q'."""
+    A = X.T @ V
+    L = np.tril(A, -1)
+    omega = L - np.swapaxes(L, -1, -2)
+    dR = A - omega
+    return omega, dR, V - X @ dR
+
+
 @dataclass(frozen=True)
-class Projection:
+class Projection(_SphereTerms):
     """Closest-point projection of p + v back onto the manifold."""
 
+    def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
+        m = p.manifold
+        if m.kind == "euclidean":
+            return np.zeros(m.ambient_dim)
+        if m.kind == "sphere":
+            return super().second_order(p, v)
+        X = p.as_matrix()
+        V = v.reshape(m.n, m.p, order="F")
+        return (-X @ (V.T @ V)).flatten(order="F")
+
+    def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The Weingarten map V -> -V sym(X^T G) on matrix manifolds."""
+        m = p.manifold
+        if m.kind == "euclidean":
+            return np.zeros((B.shape[1], B.shape[1]))
+        if m.kind == "sphere":
+            return super().curvature(p, B, g)
+        V = _as_stack(B, m.n, m.p)
+        N = p.as_matrix().T @ g.reshape(m.n, m.p, order="F")
+        return -_pair_sums(V @ _sym(N), V)
+
 
 @dataclass(frozen=True)
-class SphereGeodesic:
+class SphereGeodesic(_SphereTerms):
     """Great-circle map cos(|v|) p + sin(|v|) v/|v| (sphere only)."""
 
 
 @dataclass(frozen=True)
-class QR:
-    """Orthonormal factor of p + v with positive-diagonal R."""
+class QR(_SphereTerms):
+    """Orthonormal factor of p + v with positive-diagonal R.
+
+    On the sphere (one column) QR is normalisation. On matrix manifolds
+    differentiating X + tV = Q R twice at t = 0, with Q^T Q = I and R upper
+    triangular, gives Q'' = X K - 2 (I - X X^T) Q' R', where K = X^T Q'' has
+    strict lower part tril(-2 Omega R', -1) and K + K^T = -2 Q'^T Q'.
+    """
+
+    def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
+        m = p.manifold
+        if m.kind == "sphere":
+            return super().second_order(p, v)
+        X = p.as_matrix()
+        V = v.reshape(m.n, m.p, order="F")
+        omega, dR, dQ = _qr_first_order(X, V)
+        M = dQ.T @ dQ
+        L = np.tril(-2.0 * omega @ dR, -1)
+        K = L - L.T + np.triu(-2.0 * M, 1) - np.diag(np.diag(M))
+        perp = V - X @ (X.T @ V)
+        return (X @ K - 2.0 * perp @ dR).flatten(order="F")
+
+    def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """g . Q'' = <N, K> - 2 <(I - X X^T) G, Q' R'> with N = X^T G, where
+        <N, K> = -2 <E, Omega R'> - <F, Q'^T Q'> for E the strict lower part
+        of N - N^T and F the upper part of N with its strict part doubled."""
+        m = p.manifold
+        if m.kind == "sphere":
+            return super().curvature(p, B, g)
+        X = p.as_matrix()
+        G = g.reshape(m.n, m.p, order="F")
+        omega, dR, dQ = _qr_first_order(X, _as_stack(B, m.n, m.p))
+        N = X.T @ G
+        E = np.tril(N - N.T, -1)
+        F = np.triu(N) + np.triu(N, 1)
+        dRt = np.swapaxes(dR, -1, -2)
+        T = (-2.0 * _pair_sums(omega, E @ dRt)
+             - _pair_sums(dQ, dQ @ F.T + 2.0 * (G - X @ N) @ dRt))
+        return _sym(T)
 
 
 @dataclass(frozen=True)
-class Custom1D:
+class Custom1D(_LineTerms):
     """One-dimensional map y -> x + t + sum_k c_k t^k with t the tangent
     displacement; coeffs[k-1] multiplies t^k, so a nonzero first entry
     deliberately breaks D phi(0) = I (used to exercise the audit)."""
@@ -50,17 +162,30 @@ class Custom1D:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
+    def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
+        c2 = self.coeffs[1] if len(self.coeffs) >= 2 else 0.0
+        t = v[0]
+        return np.array([2.0 * c2 * t * t])
+
 
 @dataclass(frozen=True)
-class ExampleBeta:
+class ExampleBeta(_LineTerms):
     """One-dimensional family x + t + (beta/x) t^2, the identity at x = 0."""
     beta: float
 
+    def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
+        x = p.ambient[0]
+        if x == 0.0:
+            return np.zeros(1)
+        t = v[0]
+        return np.array([2.0 * (self.beta / x) * t * t])
+
 
 @dataclass(frozen=True)
-class Recentred:
+class Recentred(_SphereTerms):
     """Sphere pair obtained by rotating a base pair anchored at e1: the map
-    at p is g . base_{e1}(g^T v) for a seeded rotation g with g e1 = p."""
+    at p is g . base_{e1}(g^T v) for a seeded rotation g with g e1 = p.
+    Rotation keeps the base's second-order term, which is the sphere's."""
     base: object
     rotation_seed: int = 0
 
@@ -114,12 +239,11 @@ def recentring_rotation(kind: Recentred, p: Point) -> np.ndarray:
     The stabiliser of e1 leaves g underdetermined; the seed picks a fixed
     rotation of the completion columns."""
     n = p.manifold.n
-    cols = _complete_orthonormal([p.ambient], n, n - 1)
     if n > 1:
         rng = SplitMix64(kind.rotation_seed)
         G = rng.gaussians((n - 1) * (n - 1)).reshape(n - 1, n - 1, order="F")
         R = polar_factor(G)
-        C = np.column_stack(cols) @ R
+        C = _complete_orthonormal(p.ambient[:, None], n - 1) @ R
         return np.column_stack([p.ambient, C])
     return p.ambient.reshape(1, 1).copy()
 
@@ -210,45 +334,24 @@ def apply_psi(pair: ParametrizationPair, v: TangentVector) -> Point:
     return _apply_kind(pair.psi, v)
 
 
-def _second_order_kind(kind, v: TangentVector) -> np.ndarray:
-    """Quadratic Taylor coefficient D^2 phi_p(0)(v, v) in ambient coordinates."""
-    p = v.base
-    m = p.manifold
-    nv = float(np.linalg.norm(v.ambient))
-    if nv == 0.0:
-        return np.zeros(m.ambient_dim)
-
-    if isinstance(kind, (SphereGeodesic, Recentred)):
-        return -(nv * nv) * p.ambient
-    if isinstance(kind, Projection):
-        if m.kind == "euclidean":
-            return np.zeros(m.ambient_dim)
-        if m.kind == "sphere":
-            return -(nv * nv) * p.ambient
-        X = p.as_matrix()
-        V = v.as_matrix()
-        return (-X @ (V.T @ V)).flatten(order="F")
-    if isinstance(kind, Custom1D):
-        c2 = kind.coeffs[1] if len(kind.coeffs) >= 2 else 0.0
-        t = v.ambient[0]
-        return np.array([2.0 * c2 * t * t])
-    if isinstance(kind, ExampleBeta):
-        x = p.ambient[0]
-        if x == 0.0:
-            return np.zeros(1)
-        t = v.ambient[0]
-        return np.array([2.0 * (kind.beta / x) * t * t])
-
-    # central finite differences on the unit direction, rescaled
-    u = TangentVector(p, v.ambient / nv)
-    h = _EPS ** 0.25 / max(1.0, nv)
-    plus = _apply_kind(kind, TangentVector(p, h * u.ambient)).ambient
-    minus = _apply_kind(kind, TangentVector(p, -h * u.ambient)).ambient
-    return ((plus - 2.0 * p.ambient + minus) / (h * h)) * (nv * nv)
+def _phi_on(pair: ParametrizationPair, m: ManifoldDescriptor):
+    if not kind_valid_on(pair.phi, m):
+        raise ManifoldMismatch("%s is not valid on %s"
+                               % (kind_name(pair.phi), m.kind))
+    return pair.phi
 
 
 def second_order_term(pair: ParametrizationPair, v: TangentVector) -> np.ndarray:
-    return _second_order_kind(pair.phi, v)
+    """Quadratic Taylor coefficient D^2 phi_p(0)(v, v) in ambient coordinates."""
+    p = v.base
+    return _phi_on(pair, p.manifold).second_order(p, v.ambient)
+
+
+def curvature_term(pair: ParametrizationPair, p: Point, B: np.ndarray,
+                   g: np.ndarray) -> np.ndarray:
+    """C[i, j] = g . D^2 phi_p(0)(b_i, b_j) over the columns of B: the term
+    the ambient gradient g adds to a Hessian pulled back through phi."""
+    return _phi_on(pair, p.manifold).curvature(p, B, g)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,219 @@
+"""The closed-form, vectorised jet and basis against the loop-based
+reference implementations in oracles.py, and the analytic QR second-order
+term against central differences."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from gnewton.config import compute_truth, near_truth_start
+from gnewton.costs import (BrockettTrace, GrassmannTrace, Quadratic,
+                           ShiftedCubic)
+from gnewton.manifolds import (ManifoldDescriptor, Point, TangentVector,
+                               euclidean, grassmann, project_to_manifold,
+                               random_point, sphere, stiefel, tangent_basis)
+from gnewton.newton import pullback_jet
+from gnewton.parametrizations import (QR, Custom1D, ExampleBeta,
+                                      ParametrizationPair, Projection,
+                                      Recentred, SphereGeodesic, apply_phi,
+                                      kind_name, second_order_term)
+from gnewton.rng import SplitMix64
+
+
+def _sym(n, seed):
+    M = SplitMix64(seed).gaussians(n * n).reshape(n, n)
+    return 0.5 * (M + M.T)
+
+
+# generic costs, so iterates are no critical points and the curvature term
+# carries weight
+SPACES = {
+    "euclidean3": (euclidean(3), Quadratic(_sym(3, 1), np.ones(3))),
+    "line": (euclidean(1), ShiftedCubic(0.3)),
+    "sphere5": (sphere(5), Quadratic(_sym(5, 2))),
+    "stiefel5x2": (stiefel(5, 2), BrockettTrace(_sym(5, 3), np.diag([1.0, 2.0]))),
+    "stiefel3x3": (stiefel(3, 3), BrockettTrace(_sym(3, 4),
+                                                np.diag([1.0, 2.0, 3.0]))),
+    "grassmann6x2": (grassmann(6, 2), GrassmannTrace(_sym(6, 5))),
+}
+
+CLOSED_FORM = [
+    (Projection(), "euclidean3"), (Projection(), "line"),
+    (Projection(), "sphere5"), (Projection(), "stiefel5x2"),
+    (Projection(), "stiefel3x3"), (Projection(), "grassmann6x2"),
+    (SphereGeodesic(), "sphere5"),
+    (Recentred(Projection(), 3), "sphere5"),
+    (Recentred(SphereGeodesic(), 3), "sphere5"),
+    (Custom1D((0.0, -1.0)), "line"), (ExampleBeta(1.5), "line"),
+]
+QR_SPACES = ["sphere5", "stiefel5x2", "stiefel3x3", "grassmann6x2"]
+
+
+def _rel_gap(H, ref):
+    return float(np.linalg.norm(H - ref)) / max(1.0, float(np.linalg.norm(ref)))
+
+
+def _jet_gap(kind, space, seed, **oracle):
+    m, c = SPACES[space]
+    p = random_point(m, seed)
+    j = pullback_jet(c, ParametrizationPair(kind, kind), p)
+    ref = oracles.pullback_hessian(c, kind, p, j.basis.columns, **oracle)
+    return _rel_gap(j.hessian, ref)
+
+
+def test_closed_form_jet_matches_polarised_oracle():
+    for kind, space in CLOSED_FORM:
+        for seed in range(10):
+            gap = _jet_gap(kind, space, seed)
+            assert gap <= 1e-10, (kind_name(kind), space, seed, gap)
+
+
+def _richardson_second_order(kind, v, h=2e-3):
+    """Central second differences at h and h/2, extrapolated: O(h^4)."""
+    pair = ParametrizationPair(kind, kind)
+    p = v.base
+
+    def central(t):
+        return (apply_phi(pair, TangentVector(p, t * v.ambient)).ambient
+                - 2.0 * p.ambient
+                + apply_phi(pair, TangentVector(p, -t * v.ambient)).ambient
+                ) / (t * t)
+
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+
+
+def test_qr_jet_matches_finite_difference_oracle():
+    # the old jet differenced at h = eps^(1/4) and carries its own error of
+    # up to ~1.1e-6 relative (stiefel3x3, seed 8); an extrapolated
+    # difference shows that error is the oracle's, not the closed form's
+    for space in QR_SPACES:
+        for seed in range(10):
+            gap = _jet_gap(QR(), space, seed)
+            assert gap <= 2e-6, (space, seed, gap)
+            gap = _jet_gap(QR(), space, seed,
+                           second_order=_richardson_second_order)
+            assert gap <= 1e-7, (space, seed, gap)
+
+
+def test_qr_curvature_is_polarised_second_order_term():
+    """the contracted curvature and the ambient second-order term are one
+    formula: polarising the latter reproduces the former to rounding"""
+    pair = ParametrizationPair(QR(), QR())
+
+    def analytic(kind, v):
+        return second_order_term(pair, v)
+
+    for space in QR_SPACES:
+        for seed in range(5):
+            gap = _jet_gap(QR(), space, seed, second_order=analytic)
+            assert gap <= 1e-12, (space, seed, gap)
+
+
+def _basis_gap(p):
+    return float(np.abs(tangent_basis(p).columns
+                        - oracles.tangent_basis(p)).max(initial=0.0))
+
+
+def test_basis_matches_loop_oracle_on_random_points():
+    # each completion column is one pivot's residual: a different pivot
+    # order would put some column O(1) away, not 1e-14
+    for m in (sphere(7), sphere(30), stiefel(6, 2), stiefel(4, 4),
+              grassmann(7, 3)):
+        for seed in range(30):
+            gap = _basis_gap(random_point(m, seed))
+            assert gap <= 1e-14, (m, seed, gap)
+
+
+def test_basis_matches_loop_oracle_on_axes():
+    for n in (2, 6, 30):
+        for k in range(n):
+            p = Point(sphere(n), np.eye(n)[:, k])
+            assert np.array_equal(tangent_basis(p).columns,
+                                  oracles.tangent_basis(p))
+    for m in (stiefel(6, 2), grassmann(6, 2), stiefel(5, 3)):
+        X = np.eye(m.n)[:, ::-1][:, :m.p]
+        p = Point(m, X.flatten(order="F"))
+        assert np.array_equal(tangent_basis(p).columns,
+                              oracles.tangent_basis(p))
+
+
+def test_basis_matches_loop_oracle_near_axes():
+    """Off-axis offsets whose squares sit well above the rounding of 1 (gaps
+    decide the pivots) or well below it (exact ties, lowest index first).
+    At eps = 1e-9 here the squared offsets (~1e-16) meet that rounding:
+    residual norms then differ by rounding alone, the loop's pivot order
+    is an accident of its summation order, and any order gives a valid
+    basis."""
+    D = np.arange(12.0).reshape(6, 2)
+
+    def near_axis(m, eps):
+        return project_to_manifold(m, (np.eye(6)[:, :2] + eps * D).flatten(
+            order="F"))
+
+    for eps in (1e-4, 1e-6, 1e-8, 1e-12, 1e-15):
+        x = np.array([1.0, eps, -eps, eps * 0.5, 0.0, 0.0])
+        assert _basis_gap(project_to_manifold(sphere(6), x)) <= 1e-14
+        for m in (stiefel(6, 2), grassmann(6, 2)):
+            assert _basis_gap(near_axis(m, eps)) <= 1e-14, (m, eps)
+    p = near_axis(stiefel(6, 2), 1e-9)
+    B = tangent_basis(p).columns
+    assert np.linalg.norm(B.T @ B - np.eye(B.shape[1])) <= 1e-14
+    for col in B.T:
+        TangentVector(p, col)
+
+
+def _diag(n):
+    return np.diag(np.arange(1.0, n + 1.0))
+
+
+def test_near_truth_start_bit_identical():
+    """seeded starts of the size ladder and the acceptance criteria are the
+    ones the loop-built basis gives, to the bit"""
+    setups = [
+        (sphere(6), Quadratic(_diag(6)), 0.1),
+        (sphere(30), Quadratic(_diag(30)), 0.1),
+        (sphere(100), Quadratic(_diag(100)), 0.1),
+        (stiefel(12, 3), BrockettTrace(_diag(12), _diag(3)), 0.1),
+        (grassmann(20, 4), GrassmannTrace(_diag(20)), 0.1),
+        (stiefel(6, 2), BrockettTrace(_diag(6), _diag(2)), 0.05),
+        (grassmann(6, 2), GrassmannTrace(
+            np.diag([1.0, 2.0, 2.003, 4.0, 5.0, 6.0])), 0.05),
+    ]
+    for m, c, delta in setups:
+        truth = compute_truth(m, c)
+        B = oracles.tangent_basis(truth)
+        for seed in list(range(40)) + [100]:
+            d = B @ SplitMix64(seed).gaussians(m.intrinsic_dim)
+            d = d / np.linalg.norm(d)
+            want = project_to_manifold(m, truth.ambient + delta * d)
+            got = near_truth_start(m, truth, delta, seed)
+            assert np.array_equal(got.ambient, want.ambient), (m, seed)
+
+
+_SHAPES = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("stiefel", "grassmann")), shape=_SHAPES,
+       seed=st.integers(0, 2 ** 32), scale=st.floats(0.1, 3.0))
+@example(kind="stiefel", shape=(4, 4), seed=5, scale=1.0)
+@example(kind="stiefel", shape=(2, 2), seed=0, scale=2.0)
+@example(kind="grassmann", shape=(5, 4), seed=1, scale=1.0)
+def test_qr_second_order_matches_central_differences(kind, shape, seed, scale):
+    m = ManifoldDescriptor(kind, *shape)
+    if m.intrinsic_dim == 0:
+        return  # a single point: no direction to differentiate along
+    pair = ParametrizationPair(QR(), QR())
+    p = random_point(m, seed)
+    u = tangent_basis(p).columns @ SplitMix64(seed + 1).gaussians(
+        m.intrinsic_dim)
+    u = u / np.linalg.norm(u)
+    h = 1e-3
+    fd = (apply_phi(pair, TangentVector(p, h * u)).ambient - 2.0 * p.ambient
+          + apply_phi(pair, TangentVector(p, -h * u)).ambient) / (h * h)
+    S = second_order_term(pair, TangentVector(p, scale * u))
+    # truncation error of the difference is O(h^2), rounding O(eps / h^2)
+    assert np.linalg.norm(S - scale * scale * fd) <= 1e-5 * scale * scale * max(
+        1.0, float(np.linalg.norm(fd)))

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gnewton.errors import NoConvergence, RankDeficient, SingularHessian
-from gnewton.linalg import polar_factor, symmetric_eigen, symmetric_solve
+from gnewton.linalg import (condition_estimate, polar_factor,
+                            solve_with_condition, symmetric_eigen,
+                            symmetric_solve)
 from gnewton.rng import SplitMix64
 
 
@@ -54,6 +61,35 @@ def test_solve_residual_bound_random():
         s = symmetric_solve(H, b)
         nrm = np.linalg.norm
         assert nrm(H @ s - b) <= 1e-9 * (nrm(H) * nrm(s) + nrm(b))
+
+
+def test_solve_with_condition_shares_one_factorisation():
+    """the solve and the condition it reports come from one eigh: the
+    condition equals condition_estimate and the solve symmetric_solve"""
+    rng = SplitMix64(15)
+    for _ in range(50):
+        M = rng.gaussians(16).reshape(4, 4)
+        H = 0.5 * (M + M.T)  # indefinite in general
+        b = rng.gaussians(4)
+        s, cond = solve_with_condition(H, b)
+        assert cond == condition_estimate(H)
+        assert np.array_equal(s, symmetric_solve(H, b))
+        assert np.linalg.norm(H @ s - b) <= 1e-9 * cond * np.linalg.norm(b)
+    with pytest.raises(SingularHessian):
+        solve_with_condition(np.diag([1.0, -1e-13]), np.ones(2))
+
+
+def test_import_leaves_out_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [q for q in env.get("PYTHONPATH", "").split(os.pathsep) if q])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gnewton; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # --- polar_factor ---------------------------------------------------------------

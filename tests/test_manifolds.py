@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gnewton.errors import ManifoldMismatch, ProjectionUndefined
+from gnewton.errors import (InfeasiblePoint, ManifoldMismatch,
+                            ProjectionUndefined)
 from gnewton.manifolds import (Point, TangentVector, distance, euclidean,
                                grassmann, project_to_manifold, random_point,
                                sphere, stiefel, tangent_basis)
@@ -33,6 +34,25 @@ def test_point_rejects_infeasible():
         Point(stiefel(3, 2), np.ones(6))
     with pytest.raises(ValueError):
         Point(sphere(3), np.array([np.nan, 0.0, 0.0]))
+
+
+def test_infeasibility_is_typed():
+    """off-manifold, non-finite and non-tangent coordinates raise
+    InfeasiblePoint (a ValueError); a wrong length is a plain ValueError"""
+    with pytest.raises(InfeasiblePoint):
+        Point(sphere(3), np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(InfeasiblePoint):
+        Point(stiefel(3, 2), np.full(6, np.inf))
+    p = Point(sphere(3), np.eye(3)[:, 0])
+    with pytest.raises(InfeasiblePoint):
+        TangentVector(p, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(InfeasiblePoint):
+        TangentVector(p, np.array([0.0, np.nan, 0.0]))
+    for make in (lambda: Point(sphere(3), np.ones(2)),
+                 lambda: TangentVector(p, np.zeros(4))):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert not isinstance(exc.value, InfeasiblePoint)
 
 
 def test_point_as_matrix_column_major():

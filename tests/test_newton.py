@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from gnewton.costs import (AbsPower, Quadratic, ShiftedCubic, value)
-from gnewton.errors import (ChartDomainViolation, SingularHessian)
-from gnewton.linalg import symmetric_solve
+import gnewton.newton as newton_mod
+from gnewton.errors import (ChartDomainViolation, InfeasiblePoint,
+                            NotTwiceDifferentiable, SingularHessian)
+from gnewton.linalg import condition_estimate, symmetric_solve
 from gnewton.manifolds import (Point, distance, euclidean, random_point,
                                sphere, tangent_basis)
 from gnewton.newton import (DampedNewton, Fixed, Identity, Newton,
@@ -215,6 +217,49 @@ def test_left_validity_region_termination():
     tr = run_iteration(AbsPower(), Fixed(PP),
                        Point(euclidean(1), np.array([0.0])), 5, 1e-12)
     assert tr.termination == "LeftValidityRegion"
+
+
+def test_overflowing_jet_is_left_validity():
+    # the gradient 10 x overflows at x = 1e308: no usable jet there
+    c = Quadratic(np.array([[10.0]]))
+    p = Point(euclidean(1), np.array([1e308]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NotTwiceDifferentiable):
+            pullback_jet(c, PP, p)
+        tr = run_iteration(c, Fixed(PP), p, 5, 1e-12)
+    assert tr.termination == "LeftValidityRegion"
+
+
+def test_plain_value_error_in_a_step_propagates(monkeypatch):
+    """only InfeasiblePoint means the iterate diverged; any other
+    ValueError raised inside a step is a bug and is not swallowed"""
+    def broken(c, pair, p):
+        raise ValueError("operands could not be broadcast together")
+    monkeypatch.setattr(newton_mod, "generalized_newton_step", broken)
+    c = Quadratic(np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="broadcast"):
+        run_iteration(c, Fixed(PP), random_point(sphere(3), 1), 5, 1e-12)
+
+
+def test_infeasible_step_is_left_validity(monkeypatch):
+    def diverged(c, pair, p):
+        raise InfeasiblePoint("non-finite ambient coordinates")
+    monkeypatch.setattr(newton_mod, "generalized_newton_step", diverged)
+    c = Quadratic(np.diag([1.0, 2.0, 3.0]))
+    tr = run_iteration(c, Fixed(PP), random_point(sphere(3), 1), 5, 1e-12)
+    assert tr.termination == "LeftValidityRegion"
+    assert len(tr.points) == 1
+
+
+def test_step_condition_is_the_jet_condition():
+    c = Quadratic(np.diag([1.0, 2.0, 3.0, 4.0]))
+    for seed in range(10):
+        p = random_point(sphere(4), seed)
+        res = generalized_newton_step(c, PP, p)
+        j = pullback_jet(c, PP, p)
+        assert res.hessian_condition == condition_estimate(j.hessian)
+        s = euclidean_newton_step(j)
+        assert res.step_norm == float(np.linalg.norm(s))
 
 
 def test_validates_arguments():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gnewton.errors import ManifoldMismatch
 from gnewton.manifolds import (Point, TangentVector, euclidean, grassmann,
                                random_point, sphere, stiefel, tangent_basis)
 from gnewton.parametrizations import (Custom1D, ExampleBeta,
@@ -153,6 +154,14 @@ def test_second_order_zero_vector():
         p = random_point(m, 0)
         S = second_order_term(_pair(kind), TangentVector(p, np.zeros(m.ambient_dim)))
         assert np.array_equal(S, np.zeros(m.ambient_dim))
+
+
+def test_second_order_rejects_kind_invalid_on_manifold():
+    p = random_point(stiefel(4, 2), 0)
+    v = TangentVector(p, tangent_basis(p).columns[:, 0])
+    for kind in (SphereGeodesic(), Custom1D((0.0, 1.0))):
+        with pytest.raises(ManifoldMismatch):
+            second_order_term(_pair(kind), v)
 
 
 def test_second_order_stiefel_block():
