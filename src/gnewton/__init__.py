@@ -23,16 +23,14 @@ from .manifolds import (ManifoldDescriptor, Point, TangentBasis,
                         TangentVector, distance, euclidean, grassmann,
                         project_to_manifold, random_point, sphere, stiefel,
                         tangent_basis)
-from .newton import (DampedNewton, Fixed, Identity, IterationTrace, Jet2,
-                     Newton, PathDependent, Random, RoundRobin,
-                     SphereStereographic, StepResult, chart_lift_step,
-                     euclidean_newton_step, generalized_newton_step,
-                     pullback_jet, run_iteration)
+from .newton import (Fixed, IterationTrace, Jet2, PathDependent, Random,
+                     RoundRobin, StepResult, euclidean_newton_step,
+                     generalized_newton_step, pullback_jet, run_iteration)
 from .parametrizations import (AuditReport, Custom1D, ExampleBeta,
                                ParametrizationPair, Projection, QR, Recentred,
-                               SphereGeodesic, apply_phi, apply_psi,
-                               audit_conditions, curvature_term, kind_name,
-                               kind_valid_on, pair_label, recentring_rotation,
+                               SphereGeodesic, Stereographic, apply_phi,
+                               apply_psi, audit_conditions, curvature_term,
+                               pair_label, recentring_rotation,
                                second_order_term)
 from .rates import (DEFAULT_CEIL, DEFAULT_FLOOR, RateEstimate, error_sequence,
                     estimate_rate, pooled_rate, usable_pairs)
@@ -42,14 +40,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbsPower", "AuditReport", "BrockettTrace", "ChartDomainViolation",
-    "ConfigError", "Custom1D", "DampedNewton", "DEFAULT_CEIL",
+    "ConfigError", "Custom1D", "DEFAULT_CEIL",
     "DEFAULT_FLOOR", "distance", "error_sequence", "estimate_rate",
     "euclidean", "euclidean_newton_step", "ExampleBeta", "Experiment",
     "Fixed", "generalized_newton_step", "GnewtonError", "grassmann",
-    "GrassmannTrace", "Identity", "InfeasiblePoint", "InsufficientData",
-    "IterationTrace", "Jet2", "kind_name", "kind_valid_on", "load_config",
+    "GrassmannTrace", "InfeasiblePoint", "InsufficientData",
+    "IterationTrace", "Jet2", "load_config",
     "ManifoldDescriptor", "ManifoldMismatch", "match_truth_signs",
-    "near_truth_start", "Newton",
+    "near_truth_start",
     "NoConvergence", "NotTwiceDifferentiable", "OutsideValidityRadius",
     "pair_label", "ParametrizationPair", "PathDependent", "Point",
     "polar_factor", "pooled_rate", "project_to_manifold", "Projection",
@@ -57,9 +55,9 @@ __all__ = [
     "random_point", "RankDeficient", "RateEstimate", "Recentred",
     "recentring_rotation", "RoundRobin", "run_iteration", "SchemaError",
     "second_order_term", "ShiftedCubic", "SingularHessian",
-    "sphere", "SphereGeodesic", "SphereStereographic", "SplitMix64",
+    "sphere", "SphereGeodesic", "SplitMix64", "Stereographic",
     "StepResult", "stiefel", "symmetric_eigen", "symmetric_solve",
     "TangentBasis", "TangentVector", "tangent_basis", "usable_pairs", "value",
     "apply_phi", "apply_psi", "audit_conditions", "build_experiment",
-    "chart_lift_step", "compute_truth", "curvature_term", "__version__",
+    "compute_truth", "curvature_term", "__version__",
 ]

@@ -13,15 +13,12 @@ import numpy as np
 from . import costs as costs_mod
 from . import newton as newton_mod
 from . import parametrizations as par_mod
-from .errors import ConfigError, SingularHessian
-from .linalg import symmetric_eigen, symmetric_solve
+from .errors import ConfigError
 from .manifolds import (ManifoldDescriptor, Point, project_to_manifold,
                         random_point, tangent_basis)
 from .rng import SplitMix64
 
 _MANIFOLD_KINDS = ("euclidean", "sphere", "stiefel", "grassmann")
-_COST_KINDS = ("quadratic", "brockett", "grassmann_trace", "abs_power",
-               "shifted_cubic")
 _TOP_KEYS = {"version", "manifold", "cost", "pairs", "selector", "x0",
              "max_iter", "tol", "rate_floor", "rate_ceil", "audit"}
 
@@ -52,16 +49,18 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _typed(v, types) -> bool:
+    # bools pass isinstance(int) checks; never what a config means here
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
 def _need(cfg, key, types, where=""):
     name = where + key
     if key not in cfg:
         raise ConfigError("%s: missing" % name)
     v = cfg[key]
-    if not isinstance(v, types):
+    if not _typed(v, types):
         raise ConfigError("%s: wrong type %s" % (name, type(v).__name__))
-    # bools pass isinstance(int) checks; never what a config means here
-    if isinstance(v, bool):
-        raise ConfigError("%s: wrong type bool" % name)
     return v
 
 
@@ -103,76 +102,76 @@ def _build_manifold(cfg) -> ManifoldDescriptor:
     return ManifoldDescriptor(kind, n, p)
 
 
+def _build(table, spec, key):
+    """The class in `table` whose name spec["kind"] gives, called with the
+    constructor arguments its entry parses from spec."""
+    kind = _need(spec, "kind", str, key + ".")
+    for cls, parse in table.items():
+        if cls.name == kind:
+            try:
+                return cls(*parse(spec, key))
+            except ValueError as exc:
+                raise ConfigError("%s: %s" % (key, exc)) from exc
+    raise ConfigError("%s.kind: unknown kind %r" % (key, kind))
+
+
+def _matrix(spec, key):
+    return _parse_matrix(_need(spec, key, (str, list), "cost."), "cost." + key)
+
+
+def _quadratic_args(spec, key):
+    A = _matrix(spec, "A")
+    if "b" not in spec:
+        return A, None
+    return A, np.array(_need(spec, "b", list, "cost."), dtype=float)
+
+
+# each configurable cost and the parse of its constructor arguments
+_COSTS = {
+    costs_mod.Quadratic: _quadratic_args,
+    costs_mod.BrockettTrace: lambda spec, key: (_matrix(spec, "A"),
+                                                _matrix(spec, "N")),
+    costs_mod.GrassmannTrace: lambda spec, key: (_matrix(spec, "A"),),
+    costs_mod.AbsPower: lambda spec, key: (),
+    costs_mod.ShiftedCubic: lambda spec, key: (
+        float(_need(spec, "z", (int, float), "cost.")),),
+}
+
+
 def _build_cost(cfg, m: ManifoldDescriptor):
-    spec = _need(cfg, "cost", dict)
-    kind = _need(spec, "kind", str, "cost.")
-    if kind not in _COST_KINDS:
-        raise ConfigError("cost.kind: unknown kind %r" % kind)
-    try:
-        if kind == "quadratic":
-            A = _parse_matrix(_need(spec, "A", (str, list), "cost."), "cost.A")
-            b = None
-            if "b" in spec:
-                b = np.array(_need(spec, "b", list, "cost."), dtype=float)
-            c = costs_mod.Quadratic(A, b)
-            if m.kind not in ("euclidean", "sphere") or m.n != A.shape[0]:
-                raise ConfigError("cost.kind: quadratic needs euclidean or "
-                                  "sphere with n matching A")
-        elif kind == "brockett":
-            A = _parse_matrix(_need(spec, "A", (str, list), "cost."), "cost.A")
-            N = _parse_matrix(_need(spec, "N", (str, list), "cost."), "cost.N")
-            c = costs_mod.BrockettTrace(A, N)
-            if m.kind != "stiefel" or m.n != A.shape[0] or m.p != N.shape[0]:
-                raise ConfigError("cost.kind: brockett needs stiefel with "
-                                  "matching n, p")
-        elif kind == "grassmann_trace":
-            A = _parse_matrix(_need(spec, "A", (str, list), "cost."), "cost.A")
-            c = costs_mod.GrassmannTrace(A)
-            if m.kind != "grassmann" or m.n != A.shape[0]:
-                raise ConfigError("cost.kind: grassmann_trace needs grassmann "
-                                  "with n matching A")
-        elif kind == "abs_power":
-            c = costs_mod.AbsPower()
-            if m.kind != "euclidean" or m.n != 1:
-                raise ConfigError("cost.kind: abs_power needs euclidean n=1")
-        else:
-            z = _need(spec, "z", (int, float), "cost.")
-            c = costs_mod.ShiftedCubic(float(z))
-            if m.kind != "euclidean" or m.n != 1:
-                raise ConfigError("cost.kind: shifted_cubic needs euclidean n=1")
-    except ValueError as exc:
-        raise ConfigError("cost: %s" % exc) from exc
+    c = _build(_COSTS, _need(cfg, "cost", dict), "cost")
+    if not c.valid_on(m):
+        raise ConfigError("cost.kind: %s does not fit manifold %s(n=%d, p=%d)"
+                          % (c.name, m.kind, m.n, m.p))
     return c
 
 
-def _build_kind(spec, key):
-    if not isinstance(spec, dict):
-        raise ConfigError("%s: expected an object" % key)
-    kind = _need(spec, "kind", str, key + ".")
-    try:
-        if kind == "projection":
-            return par_mod.Projection()
-        if kind == "sphere_geodesic":
-            return par_mod.SphereGeodesic()
-        if kind == "qr":
-            return par_mod.QR()
-        if kind == "custom1d":
-            coeffs = spec.get("coeffs", [])
-            if not isinstance(coeffs, list):
-                raise ConfigError("%s.coeffs: expected a list" % key)
-            return par_mod.Custom1D(tuple(coeffs))
-        if kind == "example_beta":
-            beta = _need(spec, "beta", (int, float), key + ".")
-            return par_mod.ExampleBeta(float(beta))
-        if kind == "recentred":
-            base = _build_kind(_need(spec, "base", dict, key + "."), key + ".base")
-            seed = spec.get("rotation_seed", 0)
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ConfigError("%s.rotation_seed: expected an integer" % key)
-            return par_mod.Recentred(base, seed)
-    except ValueError as exc:
-        raise ConfigError("%s: %s" % (key, exc)) from exc
-    raise ConfigError("%s.kind: unknown kind %r" % (key, kind))
+def _custom1d_args(spec, key):
+    coeffs = spec.get("coeffs", [])
+    if not isinstance(coeffs, list):
+        raise ConfigError("%s.coeffs: expected a list" % key)
+    return (tuple(coeffs),)
+
+
+def _recentred_args(spec, key):
+    base = _build(_KINDS, _need(spec, "base", dict, key + "."), key + ".base")
+    seed = spec.get("rotation_seed", 0)
+    if not _typed(seed, int):
+        raise ConfigError("%s.rotation_seed: expected an integer" % key)
+    return base, seed
+
+
+# each configurable parametrisation kind and the parse of its constructor
+# arguments
+_KINDS = {
+    par_mod.Projection: lambda spec, key: (),
+    par_mod.SphereGeodesic: lambda spec, key: (),
+    par_mod.QR: lambda spec, key: (),
+    par_mod.Custom1D: _custom1d_args,
+    par_mod.ExampleBeta: lambda spec, key: (
+        float(_need(spec, "beta", (int, float), key + ".")),),
+    par_mod.Recentred: _recentred_args,
+}
 
 
 def _build_pairs(cfg, m: ManifoldDescriptor) -> tuple:
@@ -184,12 +183,12 @@ def _build_pairs(cfg, m: ManifoldDescriptor) -> tuple:
         key = "pairs[%d]" % i
         if not isinstance(ps, dict):
             raise ConfigError("%s: expected an object" % key)
-        phi = _build_kind(_need(ps, "phi", dict, key + "."), key + ".phi")
-        psi = _build_kind(_need(ps, "psi", dict, key + "."), key + ".psi")
+        phi = _build(_KINDS, _need(ps, "phi", dict, key + "."), key + ".phi")
+        psi = _build(_KINDS, _need(ps, "psi", dict, key + "."), key + ".psi")
         for role, kind in (("phi", phi), ("psi", psi)):
-            if not par_mod.kind_valid_on(kind, m):
+            if not kind.valid_on(m):
                 raise ConfigError("%s.%s.kind: %s is not valid on %s"
-                                  % (key, role, par_mod.kind_name(kind), m.kind))
+                                  % (key, role, kind.name, m.kind))
         pairs.append(par_mod.ParametrizationPair(phi, psi))
     return tuple(pairs)
 
@@ -208,45 +207,19 @@ def _build_selector(cfg, pairs, seed_override):
         return newton_mod.Random(pairs, seed)
     if kind == "path":
         rule = _need(spec, "rule", str, "selector.")
-        if rule not in ("alternate-on-repeat", "distance-keyed"):
-            raise ConfigError("selector.rule: unknown rule %r" % rule)
-        return newton_mod.PathDependent(rule, pairs)
+        try:
+            return newton_mod.PathDependent(rule, pairs)
+        except ValueError as exc:
+            raise ConfigError("selector.rule: %s" % exc) from exc
     raise ConfigError("selector.kind: unknown kind %r" % kind)
 
 
 def compute_truth(m: ManifoldDescriptor, cost):
-    """Closed-form minimiser where the cost kind admits one, else None.
-
-    Rayleigh (quadratic on the sphere): eigenvector of the smallest
-    eigenvalue. Brockett: eigenvectors assigned so the largest N weight
-    pairs with the smallest eigenvalue. Grassmann trace: the minor subspace.
-    Column signs are convention-fixed; callers comparing against a finished
-    run should re-sign via match_truth_signs.
+    """Closed-form minimiser where the cost kind admits one, else None
+    (see each cost's `truth`). Column signs are convention-fixed; callers
+    comparing against a finished run should re-sign via match_truth_signs.
     """
-    if isinstance(cost, costs_mod.Quadratic):
-        if m.kind == "sphere":
-            _, V = symmetric_eigen(cost.A)
-            return Point(m, V[:, 0])
-        try:
-            x = symmetric_solve(cost.A, -cost.b)
-        except SingularHessian:
-            return None
-        return Point(m, x)
-    if isinstance(cost, costs_mod.BrockettTrace):
-        _, V = symmetric_eigen(cost.A)
-        order = np.argsort(-np.diag(cost.N))
-        X = np.zeros((m.n, m.p))
-        for i in range(m.p):
-            X[:, order[i]] = V[:, i]
-        return Point(m, X.flatten(order="F"))
-    if isinstance(cost, costs_mod.GrassmannTrace):
-        _, V = symmetric_eigen(cost.A)
-        return Point(m, V[:, :m.p].flatten(order="F"))
-    if isinstance(cost, costs_mod.AbsPower):
-        return Point(m, np.zeros(1))
-    if isinstance(cost, costs_mod.ShiftedCubic):
-        return Point(m, np.array([cost.z]))
-    return None
+    return cost.truth(m)
 
 
 def match_truth_signs(truth: Point, final: Point) -> Point:
@@ -320,7 +293,8 @@ def _build_x0(cfg, m, truth, seed_override) -> Point:
     raise ConfigError("x0: unknown spec %r" % spec)
 
 
-def build_experiment(cfg: dict, seed_override=None) -> Experiment:
+def _check_header(cfg: dict):
+    """Unknown top-level keys and the version, for every config."""
     unknown = sorted(set(cfg) - _TOP_KEYS)
     if unknown:
         raise ConfigError("%s: unknown key" % unknown[0])
@@ -328,6 +302,9 @@ def build_experiment(cfg: dict, seed_override=None) -> Experiment:
     if version != 1:
         raise ConfigError("version: expected 1, got %r" % (version,))
 
+
+def build_experiment(cfg: dict, seed_override=None) -> Experiment:
+    _check_header(cfg)
     m = _build_manifold(cfg)
     cost = _build_cost(cfg, m)
     pairs = _build_pairs(cfg, m)
@@ -341,9 +318,9 @@ def build_experiment(cfg: dict, seed_override=None) -> Experiment:
         raise ConfigError("tol: must be positive")
     floor = cfg.get("rate_floor", 1e-12)
     ceil = cfg.get("rate_ceil", 1e-1)
-    if isinstance(floor, bool) or not isinstance(floor, (int, float)):
+    if not _typed(floor, (int, float)):
         raise ConfigError("rate_floor: wrong type")
-    if isinstance(ceil, bool) or not isinstance(ceil, (int, float)):
+    if not _typed(ceil, (int, float)):
         raise ConfigError("rate_ceil: wrong type")
     if not (0 <= float(floor) < float(ceil)):
         raise ConfigError("rate_floor: need 0 <= floor < ceil")
@@ -364,12 +341,7 @@ def build_audit_setup(cfg: dict, seed_override=None):
     from a full run config are tolerated and ignored, so the same file can
     drive both subcommands.
     """
-    unknown = sorted(set(cfg) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError("%s: unknown key" % unknown[0])
-    version = _need(cfg, "version", int)
-    if version != 1:
-        raise ConfigError("version: expected 1, got %r" % (version,))
+    _check_header(cfg)
     m = _build_manifold(cfg)
     pairs = _build_pairs(cfg, m)
     return m, pairs, build_audit_params(cfg, seed_override)
@@ -381,15 +353,14 @@ def build_audit_params(cfg: dict, seed_override=None):
     if not isinstance(spec, dict):
         raise ConfigError("audit: expected an object")
     points = spec.get("sample_points", 20)
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
+    if not _typed(points, int) or points < 1:
         raise ConfigError("audit.sample_points: expected a positive integer")
     radii = spec.get("radii", [1e-1, 1e-2, 1e-3])
     if (not isinstance(radii, list) or not radii
-            or not all(isinstance(r, (int, float)) and not isinstance(r, bool)
-                       for r in radii)):
+            or not all(_typed(r, (int, float)) for r in radii)):
         raise ConfigError("audit.radii: expected a list of numbers")
     seed = spec.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if not _typed(seed, int):
         raise ConfigError("audit.seed: expected an integer")
     if seed_override is not None:
         seed = seed_override

@@ -1,17 +1,19 @@
 """Cost functions with analytic ambient 2-jets.
 
-Each kind provides value, ambient gradient, and ambient Hessian-times-vector.
-Exposing the Hessian only through its action keeps matrix costs cheap: a
-pullback jet needs H applied to tangent-basis columns, never the full
-(np x np) operator.
+Each kind is one class that owns its maths: the manifolds it lives on
+(`valid_on`), value, ambient gradient, ambient Hessian-times-vector
+(`hess_vec`), and its closed-form minimiser (`truth`). Exposing the Hessian
+only through its action keeps matrix costs cheap: a pullback jet needs H
+applied to tangent-basis columns, never the full (np x np) operator.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ManifoldMismatch, NotTwiceDifferentiable
-from .manifolds import Point
+from .errors import ManifoldMismatch, NotTwiceDifferentiable, SingularHessian
+from .linalg import symmetric_eigen, symmetric_solve
+from .manifolds import ManifoldDescriptor, Point
 
 
 def _check_symmetric(A, label):
@@ -24,9 +26,22 @@ def _check_symmetric(A, label):
     return A
 
 
+def _trace_hess_vec(A, weights, p: Point, direction: np.ndarray) -> np.ndarray:
+    """2 A Z W applied to every n x p direction matrix Z of the block,
+    W = diag(weights) (the identity when weights is None)."""
+    # column-major n x p matrices: Z[b] is column b of every direction
+    n, pp = p.manifold.n, p.manifold.p
+    Z = direction.reshape(pp, n, direction.size // (n * pp))
+    HZ = 2.0 * A @ Z
+    if weights is not None:
+        HZ = HZ * weights[:, None, None]
+    return HZ.reshape(direction.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class Quadratic:
     """f(x) = 1/2 x^T A x + b^T x on Euclidean space or the sphere."""
+    name = "quadratic"
     A: np.ndarray
     b: np.ndarray = None
 
@@ -39,12 +54,38 @@ class Quadratic:
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
 
+    def valid_on(self, m: ManifoldDescriptor) -> bool:
+        return m.kind in ("euclidean", "sphere") and m.n == self.A.shape[0]
+
+    def value(self, p: Point) -> float:
+        x = p.ambient
+        return float(0.5 * x @ self.A @ x + self.b @ x)
+
+    def grad(self, p: Point) -> np.ndarray:
+        return self.A @ p.ambient + self.b
+
+    def hess_vec(self, p: Point, direction: np.ndarray) -> np.ndarray:
+        return self.A @ direction
+
+    def truth(self, m: ManifoldDescriptor):
+        """Rayleigh (on the sphere): eigenvector of the smallest eigenvalue.
+        Euclidean: the stationary point, None when A is singular."""
+        if m.kind == "sphere":
+            _, V = symmetric_eigen(self.A)
+            return Point(m, V[:, 0])
+        try:
+            x = symmetric_solve(self.A, -self.b)
+        except SingularHessian:
+            return None
+        return Point(m, x)
+
 
 @dataclass(frozen=True, eq=False)
 class BrockettTrace:
     """f(X) = Tr(X^T A X N) on the Stiefel manifold; N diagonal with
     distinct positive entries so the minimiser is an isolated point
     (up to column signs)."""
+    name = "brockett"
     A: np.ndarray
     N: np.ndarray
 
@@ -62,11 +103,36 @@ class BrockettTrace:
         N.setflags(write=False)
         object.__setattr__(self, "N", N)
 
+    def valid_on(self, m: ManifoldDescriptor) -> bool:
+        return (m.kind == "stiefel" and m.n == self.A.shape[0]
+                and m.p == self.N.shape[0])
+
+    def value(self, p: Point) -> float:
+        X = p.as_matrix()
+        return float(np.trace(X.T @ self.A @ X @ self.N))
+
+    def grad(self, p: Point) -> np.ndarray:
+        return (2.0 * self.A @ p.as_matrix() @ self.N).flatten(order="F")
+
+    def hess_vec(self, p: Point, direction: np.ndarray) -> np.ndarray:
+        return _trace_hess_vec(self.A, np.diag(self.N), p, direction)
+
+    def truth(self, m: ManifoldDescriptor):
+        """Eigenvectors assigned so the largest N weight pairs with the
+        smallest eigenvalue."""
+        _, V = symmetric_eigen(self.A)
+        order = np.argsort(-np.diag(self.N))
+        X = np.zeros((m.n, m.p))
+        for i in range(m.p):
+            X[:, order[i]] = V[:, i]
+        return Point(m, X.flatten(order="F"))
+
 
 @dataclass(frozen=True, eq=False)
 class GrassmannTrace:
     """g(X) = Tr(X^T A X) on the Grassmann manifold (descends to the
     quotient); A symmetric with distinct eigenvalues."""
+    name = "grassmann_trace"
     A: np.ndarray
 
     def __post_init__(self):
@@ -77,91 +143,95 @@ class GrassmannTrace:
             raise ValueError("A must have distinct eigenvalues")
         object.__setattr__(self, "A", A)
 
+    def valid_on(self, m: ManifoldDescriptor) -> bool:
+        return m.kind == "grassmann" and m.n == self.A.shape[0]
+
+    def value(self, p: Point) -> float:
+        X = p.as_matrix()
+        return float(np.trace(X.T @ self.A @ X))
+
+    def grad(self, p: Point) -> np.ndarray:
+        return (2.0 * self.A @ p.as_matrix()).flatten(order="F")
+
+    def hess_vec(self, p: Point, direction: np.ndarray) -> np.ndarray:
+        return _trace_hess_vec(self.A, None, p, direction)
+
+    def truth(self, m: ManifoldDescriptor):
+        """The minor subspace."""
+        _, V = symmetric_eigen(self.A)
+        return Point(m, V[:, :m.p].flatten(order="F"))
+
+
+class _LineCost:
+    """Costs on the line: euclidean with n = 1."""
+
+    def valid_on(self, m: ManifoldDescriptor) -> bool:
+        return m.kind == "euclidean" and m.n == 1
+
 
 @dataclass(frozen=True)
-class AbsPower:
+class AbsPower(_LineCost):
     """f(x) = x^2 + |x|^{5/2} on the line; C^2 but not C^3 at the minimiser."""
+    name = "abs_power"
 
-
-@dataclass(frozen=True)
-class ShiftedCubic:
-    """f(x) = (x - z)^2 + 2 (x - z)^3 with critical point at the shift z."""
-    z: float
-
-
-def _expect_manifold(c, p: Point):
-    m = p.manifold
-    if isinstance(c, Quadratic):
-        if m.kind in ("euclidean", "sphere") and m.n == c.A.shape[0]:
-            return
-    elif isinstance(c, BrockettTrace):
-        if m.kind == "stiefel" and m.n == c.A.shape[0] and m.p == c.N.shape[0]:
-            return
-    elif isinstance(c, GrassmannTrace):
-        if m.kind == "grassmann" and m.n == c.A.shape[0]:
-            return
-    elif isinstance(c, (AbsPower, ShiftedCubic)):
-        if m.kind == "euclidean" and m.n == 1:
-            return
-    raise ManifoldMismatch("cost %s incompatible with manifold %s(n=%d, p=%d)"
-                           % (type(c).__name__, m.kind, m.n, m.p))
-
-
-def value(c, p: Point) -> float:
-    _expect_manifold(c, p)
-    if isinstance(c, Quadratic):
-        x = p.ambient
-        return float(0.5 * x @ c.A @ x + c.b @ x)
-    if isinstance(c, BrockettTrace):
-        X = p.as_matrix()
-        return float(np.trace(X.T @ c.A @ X @ c.N))
-    if isinstance(c, GrassmannTrace):
-        X = p.as_matrix()
-        return float(np.trace(X.T @ c.A @ X))
-    x = p.ambient[0]
-    if isinstance(c, AbsPower):
+    def value(self, p: Point) -> float:
+        x = p.ambient[0]
         return float(x * x + abs(x) ** 2.5)
-    d = x - c.z
-    return float(d * d + 2.0 * d ** 3)
 
-
-def ambient_gradient(c, p: Point) -> np.ndarray:
-    _expect_manifold(c, p)
-    if isinstance(c, Quadratic):
-        return c.A @ p.ambient + c.b
-    if isinstance(c, BrockettTrace):
-        X = p.as_matrix()
-        return (2.0 * c.A @ X @ c.N).flatten(order="F")
-    if isinstance(c, GrassmannTrace):
-        X = p.as_matrix()
-        return (2.0 * c.A @ X).flatten(order="F")
-    x = p.ambient[0]
-    if isinstance(c, AbsPower):
+    def grad(self, p: Point) -> np.ndarray:
+        x = p.ambient[0]
         return np.array([2.0 * x + 2.5 * abs(x) ** 1.5 * np.sign(x)])
-    d = x - c.z
-    return np.array([2.0 * d + 6.0 * d * d])
 
-
-def ambient_hessian_vec(c, p: Point, direction) -> np.ndarray:
-    """Ambient Hessian applied to one direction, or to each column of an
-    (ambient_dim x k) block of directions."""
-    direction = np.asarray(direction, dtype=float)
-    _expect_manifold(c, p)
-    if isinstance(c, Quadratic):
-        return c.A @ direction
-    if isinstance(c, (BrockettTrace, GrassmannTrace)):
-        # column-major n x p matrices: Z[b] is column b of every direction
-        n, pp = p.manifold.n, p.manifold.p
-        Z = direction.reshape(pp, n, direction.size // (n * pp))
-        HZ = 2.0 * c.A @ Z
-        if isinstance(c, BrockettTrace):
-            HZ = HZ * np.diag(c.N)[:, None, None]
-        return HZ.reshape(direction.shape)
-    x = p.ambient[0]
-    if isinstance(c, AbsPower):
+    def hess_vec(self, p: Point, direction: np.ndarray) -> np.ndarray:
+        x = p.ambient[0]
         if x == 0.0:
             # refuse the boundary case: the curvature model 2 + (15/4)sqrt|x|
             # is only meaningful away from the kink of the 5/2-power term
             raise NotTwiceDifferentiable("AbsPower hessian evaluated at exactly 0")
         return (2.0 + 3.75 * np.sqrt(abs(x))) * direction
-    return (2.0 + 12.0 * (x - c.z)) * direction
+
+    def truth(self, m: ManifoldDescriptor):
+        return Point(m, np.zeros(1))
+
+
+@dataclass(frozen=True)
+class ShiftedCubic(_LineCost):
+    """f(x) = (x - z)^2 + 2 (x - z)^3 with critical point at the shift z."""
+    name = "shifted_cubic"
+    z: float
+
+    def value(self, p: Point) -> float:
+        d = p.ambient[0] - self.z
+        return float(d * d + 2.0 * d ** 3)
+
+    def grad(self, p: Point) -> np.ndarray:
+        d = p.ambient[0] - self.z
+        return np.array([2.0 * d + 6.0 * d * d])
+
+    def hess_vec(self, p: Point, direction: np.ndarray) -> np.ndarray:
+        return (2.0 + 12.0 * (p.ambient[0] - self.z)) * direction
+
+    def truth(self, m: ManifoldDescriptor):
+        return Point(m, np.array([self.z]))
+
+
+def _on(c, p: Point):
+    m = p.manifold
+    if not c.valid_on(m):
+        raise ManifoldMismatch("cost %s incompatible with manifold %s(n=%d, p=%d)"
+                               % (type(c).__name__, m.kind, m.n, m.p))
+    return c
+
+
+def value(c, p: Point) -> float:
+    return _on(c, p).value(p)
+
+
+def ambient_gradient(c, p: Point) -> np.ndarray:
+    return _on(c, p).grad(p)
+
+
+def ambient_hessian_vec(c, p: Point, direction) -> np.ndarray:
+    """Ambient Hessian applied to one direction, or to each column of an
+    (ambient_dim x k) block of directions."""
+    return _on(c, p).hess_vec(p, np.asarray(direction, dtype=float))

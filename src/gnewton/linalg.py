@@ -8,7 +8,8 @@ taxonomy.
 
 import numpy as np
 
-from .errors import NoConvergence, RankDeficient, SingularHessian
+from .errors import (NoConvergence, OutsideValidityRadius, RankDeficient,
+                     SingularHessian)
 
 COND_LIMIT = 1e12
 PIVOT_FLOOR = 1e-14
@@ -61,22 +62,29 @@ def symmetric_solve(H, b) -> np.ndarray:
     return solve_with_condition(H, b)[0]
 
 
-def polar_factor(M) -> np.ndarray:
+def polar_factor(M, guard=None) -> np.ndarray:
     """Orthonormal polar factor U = M (M^T M)^{-1/2} of an n x p matrix.
 
     U is the Frobenius-closest matrix with orthonormal columns. Computed
     through the eigendecomposition of M^T M (p is tiny in every use here, so
-    no numerically fragile regime arises).
+    no numerically fragile regime arises). Without a guard, a numerically
+    rank-deficient M raises RankDeficient. With one, the smallest singular
+    value must exceed the guard instead, or OutsideValidityRadius is raised:
+    a projection step p + v that collapses has left the map's validity
+    region, which a run reports as such, never as a rank error.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] < M.shape[1]:
         raise ValueError("expected n x p with n >= p, got shape %r" % (M.shape,))
     s, Q = np.linalg.eigh(M.T @ M)
-    smax = float(s[-1])
-    if smax <= 0.0:
-        raise RankDeficient("matrix has no positive singular value")
     smin = np.sqrt(max(float(s[0]), 0.0))
-    if smin <= 1e-12 * np.sqrt(smax):
+    if guard is not None:
+        if smin <= guard:
+            raise OutsideValidityRadius(
+                "smallest singular value %.3e under guard %g" % (smin, guard))
+    elif float(s[-1]) <= 0.0:
+        raise RankDeficient("matrix has no positive singular value")
+    elif smin <= 1e-12 * np.sqrt(float(s[-1])):
         raise RankDeficient(
             "smallest singular value %.3e below rank threshold" % smin)
     return M @ (Q * (1.0 / np.sqrt(s))) @ Q.T

@@ -11,8 +11,8 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import (InfeasiblePoint, ManifoldMismatch, ProjectionUndefined,
-                     RankDeficient)
+from .errors import (InfeasiblePoint, ManifoldMismatch, OutsideValidityRadius,
+                     ProjectionUndefined, RankDeficient)
 from .linalg import polar_factor
 from .rng import SplitMix64
 
@@ -48,10 +48,6 @@ class ManifoldDescriptor:
         if self.kind == "stiefel":
             return self.n * self.p - self.p * (self.p + 1) // 2
         return self.p * (self.n - self.p)
-
-    @property
-    def is_matrix(self) -> bool:
-        return self.kind in ("stiefel", "grassmann")
 
 
 def euclidean(n: int) -> ManifoldDescriptor:
@@ -219,19 +215,25 @@ def tangent_basis(p: Point) -> TangentBasis:
                                       normal]))
 
 
-def project_to_manifold(m: ManifoldDescriptor, ambient) -> Point:
-    """Euclidean-closest feasible point for the given ambient coordinates."""
+def project_to_manifold(m: ManifoldDescriptor, ambient, guard=None) -> Point:
+    """Euclidean-closest feasible point for the given ambient coordinates.
+
+    With a guard, a norm (sphere) or smallest singular value (Stiefel,
+    Grassmann) at or under it raises OutsideValidityRadius: a projection
+    step p + v that collapses has left the map's validity region."""
     x = np.asarray(ambient, dtype=float)
     if m.kind == "euclidean":
         return Point(m, x)
     if m.kind == "sphere":
         nx = np.linalg.norm(x)
+        if guard is not None and nx <= guard:
+            raise OutsideValidityRadius("norm %.3e under guard %g" % (nx, guard))
         if nx == 0.0:
             raise ProjectionUndefined("cannot project the zero vector")
         return Point(m, x / nx)
     M = x.reshape(m.n, m.p, order="F")
     try:
-        U = polar_factor(M)
+        U = polar_factor(M, guard)
     except RankDeficient as exc:
         raise ProjectionUndefined(str(exc)) from exc
     return Point(m, U.flatten(order="F"))
@@ -251,7 +253,11 @@ def distance(p: Point, q: Point) -> float:
 def random_point(m: ManifoldDescriptor, seed: int) -> Point:
     """Seed-deterministic point: normalised (sphere) or polar-projected
     (Stiefel/Grassmann) gaussian draw; plain gaussian for Euclidean."""
-    rng = SplitMix64(seed)
+    return draw_point(m, SplitMix64(seed))
+
+
+def draw_point(m: ManifoldDescriptor, rng: SplitMix64) -> Point:
+    """The draw behind random_point, from a caller's stream."""
     if m.kind == "euclidean":
         return Point(m, rng.gaussians(m.n))
     if m.kind == "sphere":

@@ -1,4 +1,4 @@
-"""Newton iteration engines.
+"""The generalised Newton iteration.
 
 One generalised step is: pull the cost back through phi to the tangent space
 at p, take a pure Euclidean Newton step of the resulting 2-jet, and map the
@@ -17,13 +17,10 @@ from .errors import (ChartDomainViolation, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
                      ProjectionUndefined, SingularHessian)
 from .linalg import solve_with_condition, symmetric_solve
-from .manifolds import (Point, TangentBasis, TangentVector, distance,
-                        tangent_basis, _complete_orthonormal)
-from .parametrizations import (ParametrizationPair, Projection, apply_psi,
-                               curvature_term, pair_label)
+from .manifolds import Point, TangentBasis, TangentVector, distance, tangent_basis
+from .parametrizations import (ParametrizationPair, apply_psi, curvature_term,
+                               pair_label)
 from .rng import SplitMix64
-
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +63,23 @@ class IterationTrace:
 
 
 # --- selector policies -----------------------------------------------------
+#
+# `chooser()` makes a per-run pair chooser, choose(k, points) -> pair; any
+# state lives in the chooser, so reusing a policy object across runs stays
+# reproducible.
+
+def _own_pairs(policy):
+    object.__setattr__(policy, "pairs", tuple(policy.pairs))
+    if not policy.pairs:
+        raise ValueError("pairs list must be non-empty")
+
 
 @dataclass(frozen=True)
 class Fixed:
     pair: ParametrizationPair
+
+    def chooser(self):
+        return lambda k, points: self.pair
 
 
 @dataclass(frozen=True)
@@ -77,9 +87,10 @@ class RoundRobin:
     pairs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not self.pairs:
-            raise ValueError("pairs list must be non-empty")
+        _own_pairs(self)
+
+    def chooser(self):
+        return lambda k, points: self.pairs[k % len(self.pairs)]
 
 
 @dataclass(frozen=True)
@@ -88,9 +99,11 @@ class Random:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not self.pairs:
-            raise ValueError("pairs list must be non-empty")
+        _own_pairs(self)
+
+    def chooser(self):
+        rng = SplitMix64(self.seed)
+        return lambda k, points: self.pairs[rng.next_u64() % len(self.pairs)]
 
 
 @dataclass(frozen=True)
@@ -107,38 +120,25 @@ class PathDependent:
     pairs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not self.pairs:
-            raise ValueError("pairs list must be non-empty")
+        _own_pairs(self)
         if self.rule not in ("alternate-on-repeat", "distance-keyed"):
             raise ValueError("unknown path rule %r" % (self.rule,))
 
-
-def _make_chooser(selector):
-    """Per-run pair chooser; state is created fresh here so reusing a policy
-    object across runs stays reproducible."""
-    if isinstance(selector, Fixed):
-        return lambda k, points, step_norms: selector.pair
-    if isinstance(selector, RoundRobin):
-        return lambda k, points, step_norms: selector.pairs[k % len(selector.pairs)]
-    if isinstance(selector, Random):
-        rng = SplitMix64(selector.seed)
-        return lambda k, points, step_norms: selector.pairs[
-            rng.next_u64() % len(selector.pairs)]
-    if isinstance(selector, PathDependent):
-        if selector.rule == "alternate-on-repeat":
+    def chooser(self):
+        pairs = self.pairs
+        if self.rule == "alternate-on-repeat":
             state = {"idx": 0}
 
-            def choose(k, points, step_norms):
+            def choose(k, points):
                 cur = points[-1]
                 for prev in points[:-1]:
                     if distance(prev, cur) <= 1e-9:
-                        state["idx"] = (state["idx"] + 1) % len(selector.pairs)
+                        state["idx"] = (state["idx"] + 1) % len(pairs)
                         break
-                return selector.pairs[state["idx"]]
+                return pairs[state["idx"]]
             return choose
 
-        def choose(k, points, step_norms):
+        def choose(k, points):
             d = distance(points[-1], points[0])
             if d >= 0.1:
                 i = 0
@@ -146,12 +146,8 @@ def _make_chooser(selector):
                 i = 1
             else:
                 i = 2
-            return selector.pairs[min(i, len(selector.pairs) - 1)]
+            return pairs[min(i, len(pairs) - 1)]
         return choose
-    raise TypeError("unknown selector %r" % (selector,))
-
-
-SelectorPolicy = (Fixed, RoundRobin, Random, PathDependent)
 
 
 # --- steps ------------------------------------------------------------------
@@ -205,14 +201,14 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
         raise ValueError("max_iter must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    choose = _make_chooser(selector)
+    choose = selector.chooser()
     points = [p0]
     step_norms = []
     cost_values = [value(c, p0)]
     pairs_used = []
     termination = "MaxIterations"
     for k in range(max_iter):
-        pair = choose(k, points, step_norms)
+        pair = choose(k, points)
         try:
             res = generalized_newton_step(c, pair, points[-1])
         except SingularHessian:
@@ -238,104 +234,3 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
                           cost_values=tuple(cost_values), termination=termination,
                           pairs_used=tuple(pairs_used))
 
-
-# --- chart lift --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Newton:
-    """Undamped Newton as the lifted method."""
-
-
-@dataclass(frozen=True)
-class DampedNewton:
-    """Levenberg-style damping: step = -(H + lam I)^{-1} g."""
-    lam: float
-
-
-@dataclass(frozen=True)
-class Identity:
-    """Trivial chart on Euclidean space."""
-
-
-@dataclass(frozen=True, eq=False)
-class SphereStereographic:
-    """Stereographic chart of the sphere projected from `pole`: covers the
-    sphere minus the pole itself (which maps to infinity), so points
-    numerically too close to the pole are rejected."""
-    pole: np.ndarray
-
-    def __post_init__(self):
-        q = np.array(self.pole, dtype=float)
-        if abs(np.linalg.norm(q) - 1.0) > 1e-10:
-            raise ValueError("pole must be a unit vector")
-        q.setflags(write=False)
-        object.__setattr__(self, "pole", q)
-
-
-def _stereo_fwd(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    denom = 1.0 - q @ x
-    if denom <= 1e-12:
-        raise ChartDomainViolation("point is (numerically) at the chart pole")
-    return (x - (x @ q) * q) / denom
-
-
-def _stereo_inv(y: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n2 = y @ y
-    return ((n2 - 1.0) * q + 2.0 * y) / (n2 + 1.0)
-
-
-def _solve_step(H, g, method) -> np.ndarray:
-    if isinstance(method, DampedNewton):
-        H = H + method.lam * np.eye(H.shape[0])
-    return -symmetric_solve(H, g)
-
-
-def chart_lift_step(method, chart, c, p: Point) -> Point:
-    """One step of a shift-invariant Euclidean method lifted through a chart:
-    map p in, re-centre the pulled-back cost at the image, step, map back.
-
-    Through a genuine chart the pullback has no analytic jet, so gradient and
-    Hessian come from central finite differences with step eps^(1/3) — the
-    error floor this puts on iterates (~1e-11) is measurable and expected.
-    """
-    m = p.manifold
-    if isinstance(chart, Identity):
-        if m.kind != "euclidean":
-            raise ChartDomainViolation("identity chart requires Euclidean space")
-        pair = ParametrizationPair(Projection(), Projection())
-        j = pullback_jet(c, pair, p)
-        s = _solve_step(j.hessian, j.gradient, method)
-        return Point(m, p.ambient + j.basis.columns @ s)
-
-    if not isinstance(chart, SphereStereographic):
-        raise TypeError("unknown chart %r" % (chart,))
-    if m.kind != "sphere":
-        raise ChartDomainViolation("stereographic chart requires the sphere")
-    q = chart.pole
-    n = m.n
-    y0 = _stereo_fwd(p.ambient, q)
-    h = _EPS ** (1.0 / 3.0)
-    # chart coordinates carry n - 1 degrees of freedom; differencing along an
-    # orthonormal basis of the pole's complement keeps every probe point on
-    # the chart plane, so the inverse lands on the sphere to rounding
-    B = _complete_orthonormal(q[:, None], n - 1)
-    k = n - 1
-
-    def g(s):
-        return value(c, Point(m, _stereo_inv(y0 + B @ s, q)))
-
-    g0 = g(np.zeros(k))
-    grad = np.zeros(k)
-    H = np.zeros((k, k))
-    for i in range(k):
-        ei = np.eye(k)[i] * h
-        grad[i] = (g(ei) - g(-ei)) / (2.0 * h)
-        H[i, i] = (g(ei) - 2.0 * g0 + g(-ei)) / (h * h)
-    for i in range(k):
-        for j in range(i + 1, k):
-            eij = (np.eye(k)[i] + np.eye(k)[j]) * h
-            dij = (np.eye(k)[i] - np.eye(k)[j]) * h
-            H[i, j] = H[j, i] = ((g(eij) - 2.0 * g0 + g(-eij))
-                                 - (g(dij) - 2.0 * g0 + g(-dij))) / (4.0 * h * h)
-    s = _solve_step(H, grad, method)
-    return Point(m, _stereo_inv(y0 + B @ s, q))

@@ -27,6 +27,16 @@ class RateEstimate:
     n_points: int  # number of consecutive pairs in the fit
 
 
+def log_log_fit(xs, ys):
+    """Least-squares line ys = slope xs + intercept, for logs of a power
+    law. -> (slope, intercept)"""
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
+    dx = xs - xs.mean()
+    slope = float((dx * (ys - ys.mean())).sum() / (dx * dx).sum())
+    return slope, float(ys.mean() - slope * xs.mean())
+
+
 def error_sequence(trace, truth) -> list:
     """Distances of trace points to the truth.
 
@@ -99,9 +109,7 @@ def pooled_rate(sequences, floor: float = DEFAULT_FLOOR,
                                % (len(xs), floor, ceil))
     xs = np.array(xs)
     ys = np.array(ys)
-    dx = xs - xs.mean()
-    K = float((dx * (ys - ys.mean())).sum() / (dx * dx).sum())
-    c = float(ys.mean() - K * xs.mean())
+    K, c = log_log_fit(xs, ys)
     resid = ys - (K * xs + c)
     if K < 0.5:
         raise InsufficientData("fitted K=%.3f below 0.5; sequence is not a "

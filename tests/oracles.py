@@ -4,18 +4,24 @@ These are the earlier, loop-based forms of the tangent basis and of the
 pullback jet, kept verbatim in behaviour: a pure-Python pivoted
 Gram-Schmidt, and a jet whose curvature term is recovered from O(m^2)
 second-order probes by polarisation, with the QR kind's second-order term
-taken by central differences. They are slow and only serve as oracles.
+taken by central differences. The stereographic kind's second-order term
+is derived here on its own, by the quotient rule. `chart_lift_step` is the
+earlier chart-lifted Newton step with its finite-difference jet. They are
+slow and only serve as oracles.
 """
 
 from math import sqrt
 
 import numpy as np
 
-from gnewton.costs import ambient_gradient, ambient_hessian_vec
-from gnewton.manifolds import TangentVector
+from gnewton.costs import ambient_gradient, ambient_hessian_vec, value
+from gnewton.errors import ChartDomainViolation
+from gnewton.linalg import symmetric_solve
+from gnewton.manifolds import Point, TangentVector
 from gnewton.parametrizations import (Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
-                                      Recentred, SphereGeodesic, apply_phi)
+                                      Recentred, SphereGeodesic,
+                                      Stereographic, apply_phi)
 
 _EPS = np.finfo(float).eps
 
@@ -101,12 +107,81 @@ def second_order(kind, v):
             return np.zeros(1)
         t = v.ambient[0]
         return np.array([2.0 * (kind.beta / x) * t * t])
+    if isinstance(kind, Stereographic):
+        return _stereo_second_order(kind.pole, p.ambient, v.ambient)
     pair = ParametrizationPair(kind, kind)
     u = v.ambient / nv
     h = _EPS ** 0.25 / max(1.0, nv)
     plus = apply_phi(pair, TangentVector(p, h * u)).ambient
     minus = apply_phi(pair, TangentVector(p, -h * u)).ambient
     return ((plus - 2.0 * p.ambient + minus) / (h * h)) * (nv * nv)
+
+
+def _stereo_fwd(x, q):
+    denom = 1.0 - q @ x
+    if denom <= 1e-12:
+        raise ChartDomainViolation("point is (numerically) at the chart pole")
+    return (x - (x @ q) * q) / denom
+
+
+def _stereo_inv(y, q):
+    n2 = y @ y
+    return ((n2 - 1.0) * q + 2.0 * y) / (n2 + 1.0)
+
+
+def _stereo_second_order(q, x, v):
+    """d^2/dt^2 of s^-1(s(x) + t u) at t = 0, u = Ds(x) v, with
+    s^-1 = N / r, N = (|y|^2 - 1) q + 2 y and r = |y|^2 + 1, by the
+    quotient rule: (N/r)'' = N''/r - 2 N' r'/r^2 - N r''/r^2 + 2 N r'^2/r^3."""
+    d = 1.0 - q @ x
+    y = _stereo_fwd(x, q)
+    u = (v - (q @ v) * q) / d + y * (q @ v) / d
+    N = (y @ y - 1.0) * q + 2.0 * y
+    r = y @ y + 1.0
+    dN = 2.0 * (y @ u) * q + 2.0 * u
+    ddN = 2.0 * (u @ u) * q
+    dr = 2.0 * (y @ u)
+    ddr = 2.0 * (u @ u)
+    return ddN / r - 2.0 * dN * dr / r ** 2 - N * ddr / r ** 2 + 2.0 * N * dr ** 2 / r ** 3
+
+
+def chart_lift_step(c, pole, p):
+    """One Newton step lifted through the stereographic chart from `pole`:
+    map p in, re-centre the pulled-back cost at the image, step, map back.
+
+    Through a genuine chart the pullback has no analytic jet, so gradient and
+    Hessian come from central finite differences with step eps^(1/3) -- the
+    error floor this puts on iterates (~1e-11) is measurable and expected.
+    """
+    m = p.manifold
+    q = np.asarray(pole, dtype=float)
+    n = m.n
+    y0 = _stereo_fwd(p.ambient, q)
+    h = _EPS ** (1.0 / 3.0)
+    # chart coordinates carry n - 1 degrees of freedom; differencing along an
+    # orthonormal basis of the pole's complement keeps every probe point on
+    # the chart plane, so the inverse lands on the sphere to rounding
+    B = np.column_stack(complete_orthonormal([q], n, n - 1))
+    k = n - 1
+
+    def g(s):
+        return value(c, Point(m, _stereo_inv(y0 + B @ s, q)))
+
+    g0 = g(np.zeros(k))
+    grad = np.zeros(k)
+    H = np.zeros((k, k))
+    for i in range(k):
+        ei = np.eye(k)[i] * h
+        grad[i] = (g(ei) - g(-ei)) / (2.0 * h)
+        H[i, i] = (g(ei) - 2.0 * g0 + g(-ei)) / (h * h)
+    for i in range(k):
+        for j in range(i + 1, k):
+            eij = (np.eye(k)[i] + np.eye(k)[j]) * h
+            dij = (np.eye(k)[i] - np.eye(k)[j]) * h
+            H[i, j] = H[j, i] = ((g(eij) - 2.0 * g0 + g(-eij))
+                                 - (g(dij) - 2.0 * g0 + g(-dij))) / (4.0 * h * h)
+    s = -symmetric_solve(H, grad)
+    return Point(m, _stereo_inv(y0 + B @ s, q))
 
 
 def pullback_hessian(c, kind, p, cols, second_order=second_order):

@@ -10,7 +10,6 @@ from gnewton.errors import ConfigError
 from gnewton.manifolds import (Point, distance, euclidean, grassmann,
                                project_to_manifold, sphere, stiefel)
 from gnewton.newton import Fixed, PathDependent, Random, RoundRobin
-from gnewton.parametrizations import kind_name
 
 
 def _base(**over):
@@ -122,7 +121,7 @@ def test_pair_validity_checked(tmp_path):
     cfg = _base(pairs=[{"phi": {"kind": "sphere_geodesic"},
                         "psi": {"kind": "projection"}}])
     exp = _build(tmp_path, cfg)  # geodesic phi is fine on the sphere
-    assert kind_name(exp.pairs[0].phi) == "sphere_geodesic"
+    assert exp.pairs[0].phi.name == "sphere_geodesic"
     bad = _base(manifold={"kind": "euclidean", "n": 2},
                 cost={"kind": "quadratic", "A": "diag:1,2"},
                 x0=[1.0, 0.0],
@@ -139,14 +138,14 @@ def test_custom1d_and_example_beta_pairs(tmp_path):
                 pairs=[{"phi": {"kind": "custom1d", "coeffs": [0.0, -1.0]},
                         "psi": {"kind": "custom1d", "coeffs": [0.0, -1.0]}}])
     exp = _build(tmp_path, cfg)
-    assert kind_name(exp.pairs[0].phi) == "custom1d"
+    assert exp.pairs[0].phi.name == "custom1d"
     cfg2 = _base(manifold={"kind": "euclidean", "n": 1},
                  cost={"kind": "quadratic", "A": [[2.0]]},
                  x0=[1.0],
                  pairs=[{"phi": {"kind": "example_beta", "beta": 1.0},
                          "psi": {"kind": "example_beta", "beta": 1.0}}])
     exp2 = _build(tmp_path, cfg2)
-    assert kind_name(exp2.pairs[0].phi) == "example_beta"
+    assert exp2.pairs[0].phi.name == "example_beta"
 
 
 def test_selectors_built(tmp_path):

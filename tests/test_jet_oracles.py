@@ -1,6 +1,6 @@
 """The closed-form, vectorised jet and basis against the loop-based
-reference implementations in oracles.py, and the analytic QR second-order
-term against central differences."""
+reference implementations in oracles.py, and the analytic QR and
+stereographic second-order terms against central differences."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -16,8 +16,9 @@ from gnewton.manifolds import (ManifoldDescriptor, Point, TangentVector,
 from gnewton.newton import pullback_jet
 from gnewton.parametrizations import (QR, Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
-                                      Recentred, SphereGeodesic, apply_phi,
-                                      kind_name, second_order_term)
+                                      Recentred, SphereGeodesic,
+                                      Stereographic, apply_phi,
+                                      second_order_term)
 from gnewton.rng import SplitMix64
 
 
@@ -46,8 +47,13 @@ CLOSED_FORM = [
     (Recentred(Projection(), 3), "sphere5"),
     (Recentred(SphereGeodesic(), 3), "sphere5"),
     (Custom1D((0.0, -1.0)), "line"), (ExampleBeta(1.5), "line"),
+    (Stereographic(-np.eye(5)[:, 0]), "sphere5"),
 ]
 QR_SPACES = ["sphere5", "stiefel5x2", "stiefel3x3", "grassmann6x2"]
+# kinds whose second-order term is also checked against an extrapolated
+# central difference of the map itself
+RICHARDSON = ([(QR(), space) for space in QR_SPACES]
+              + [(Stereographic(-np.eye(5)[:, 0]), "sphere5")])
 
 
 def _rel_gap(H, ref):
@@ -66,7 +72,7 @@ def test_closed_form_jet_matches_polarised_oracle():
     for kind, space in CLOSED_FORM:
         for seed in range(10):
             gap = _jet_gap(kind, space, seed)
-            assert gap <= 1e-10, (kind_name(kind), space, seed, gap)
+            assert gap <= 1e-10, (kind.name, space, seed, gap)
 
 
 def _richardson_second_order(kind, v, h=2e-3):
@@ -91,9 +97,11 @@ def test_qr_jet_matches_finite_difference_oracle():
         for seed in range(10):
             gap = _jet_gap(QR(), space, seed)
             assert gap <= 2e-6, (space, seed, gap)
-            gap = _jet_gap(QR(), space, seed,
+    for kind, space in RICHARDSON:
+        for seed in range(10):
+            gap = _jet_gap(kind, space, seed,
                            second_order=_richardson_second_order)
-            assert gap <= 1e-7, (space, seed, gap)
+            assert gap <= 1e-7, (kind.name, space, seed, gap)
 
 
 def test_qr_curvature_is_polarised_second_order_term():

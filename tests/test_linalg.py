@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnewton.errors import NoConvergence, RankDeficient, SingularHessian
+from gnewton.errors import (NoConvergence, OutsideValidityRadius,
+                            RankDeficient, SingularHessian)
 from gnewton.linalg import (condition_estimate, polar_factor,
                             solve_with_condition, symmetric_eigen,
                             symmetric_solve)
@@ -108,6 +109,12 @@ def test_polar_rank_deficient_raises():
     M = np.column_stack([np.ones(3), np.ones(3)])
     with pytest.raises(RankDeficient):
         polar_factor(M)
+    # with a guard, the guard decides before any rank check
+    for A in (M, np.zeros((3, 2)), np.diag([1.0, 0.05])):
+        with pytest.raises(OutsideValidityRadius):
+            polar_factor(A, guard=0.1)
+    assert np.array_equal(polar_factor(np.diag([2.0, 0.5]), guard=0.1),
+                          polar_factor(np.diag([2.0, 0.5])))
 
 
 def test_polar_optimality_conditions():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from gnewton.costs import (AbsPower, Quadratic, ShiftedCubic, value)
 import gnewton.newton as newton_mod
 from gnewton.errors import (ChartDomainViolation, InfeasiblePoint,
@@ -8,14 +9,12 @@ from gnewton.errors import (ChartDomainViolation, InfeasiblePoint,
 from gnewton.linalg import condition_estimate, symmetric_solve
 from gnewton.manifolds import (Point, distance, euclidean, random_point,
                                sphere, tangent_basis)
-from gnewton.newton import (DampedNewton, Fixed, Identity, Newton,
-                            PathDependent, Random, RoundRobin,
-                            SphereStereographic, chart_lift_step,
+from gnewton.newton import (Fixed, PathDependent, Random, RoundRobin,
                             euclidean_newton_step, generalized_newton_step,
                             pullback_jet, run_iteration)
 from gnewton.parametrizations import (Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
-                                      SphereGeodesic)
+                                      SphereGeodesic, Stereographic)
 from gnewton.rates import estimate_rate
 from gnewton.rng import SplitMix64
 
@@ -321,48 +320,36 @@ def test_selector_constructor_validation():
         PathDependent("no-such-rule", (PP,))
 
 
-# --- chart lift ---------------------------------------------------------------------
+# --- the stereographic chart as a pair ----------------------------------------
 
-def test_identity_chart_matches_euclidean_step():
-    A = np.array([[3.0, 1.0], [1.0, 4.0]])
-    c = Quadratic(A, np.array([1.0, -0.5]))
-    p = Point(euclidean(2), np.array([0.7, -0.2]))
-    j = pullback_jet(c, PP, p)
-    s = euclidean_newton_step(j)
-    q = chart_lift_step(Newton(), Identity(), c, p)
-    assert np.array_equal(q.ambient, p.ambient + s)  # bitwise identical
-
-
-def test_damped_newton_zero_damping_reduces():
-    c = Quadratic(np.diag([1.0, 2.0, 3.0]))
-    p = random_point(sphere(3), 7)
-    pole = -np.eye(3)[:, 0]
-    a = chart_lift_step(Newton(), SphereStereographic(pole), c, p)
-    b = chart_lift_step(DampedNewton(0.0), SphereStereographic(pole), c, p)
-    assert np.linalg.norm(a.ambient - b.ambient) <= 1e-14
-
-
-def test_damped_newton_changes_step():
-    c = Quadratic(np.diag([1.0, 2.0, 3.0]))
-    p = random_point(sphere(3), 7)
-    pole = -np.eye(3)[:, 0]
-    a = chart_lift_step(Newton(), SphereStereographic(pole), c, p)
-    b = chart_lift_step(DampedNewton(0.5), SphereStereographic(pole), c, p)
-    assert np.linalg.norm(a.ambient - b.ambient) > 1e-8
+def test_stereographic_pair_is_the_chart_lifted_step():
+    """one pair step is the chart-lifted Newton step from the starts of the
+    rate test below. The reference's second differences at h = eps^(1/3)
+    carry rounding of order eps / h^2, about 1e-6 here; from random starts,
+    where the steps are O(1), it reaches 1e-4, and shrinks with h as h^2."""
+    from gnewton.config import compute_truth, near_truth_start
+    m = sphere(6)
+    c = Quadratic(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+    truth = compute_truth(m, c)
+    pole = -np.eye(6)[:, 0]
+    pair = _pair(Stereographic(pole))
+    for seed in range(20):
+        p = near_truth_start(m, truth, 0.3, seed)
+        got = generalized_newton_step(c, pair, p).next
+        want = oracles.chart_lift_step(c, pole, p)
+        assert distance(got, want) <= 1e-5, seed
 
 
 def test_stereographic_chart_rejects_pole():
     pole = np.eye(3)[:, 0]
     c = Quadratic(np.diag([1.0, 2.0, 3.0]))
+    pair = _pair(Stereographic(pole))
+    p = Point(sphere(3), pole)
     with pytest.raises(ChartDomainViolation):
-        chart_lift_step(Newton(), SphereStereographic(pole), c,
-                        Point(sphere(3), pole))
-
-
-def test_identity_chart_requires_euclidean():
-    c = Quadratic(np.diag([1.0, 2.0, 3.0]))
-    with pytest.raises(ChartDomainViolation):
-        chart_lift_step(Newton(), Identity(), c, random_point(sphere(3), 0))
+        generalized_newton_step(c, pair, p)
+    tr = run_iteration(c, Fixed(pair), p, 5, 1e-12)
+    assert tr.termination == "LeftValidityRegion"
+    assert len(tr.points) == 1
 
 
 def test_stereographic_newton_rate():
@@ -371,13 +358,10 @@ def test_stereographic_newton_rate():
     m = sphere(6)
     c = Quadratic(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
     truth = compute_truth(m, c)
-    chart = SphereStereographic(-np.eye(6)[:, 0])
-    p = near_truth_start(m, truth, 0.3, 3)
-    pts = [p]
-    for _ in range(5):
-        p = chart_lift_step(Newton(), chart, c, p)
-        pts.append(p)
-    t = match_truth_signs(truth, pts[-1])
-    errs = [distance(q, t) for q in pts]
+    pair = _pair(Stereographic(-np.eye(6)[:, 0]))
+    tr = run_iteration(c, Fixed(pair), near_truth_start(m, truth, 0.3, 3),
+                       5, 1e-30)
+    t = match_truth_signs(truth, tr.points[-1])
+    errs = [distance(q, t) for q in tr.points]
     est = estimate_rate(errs, floor=1e-10, ceil=0.7)
     assert est.K >= 1.8

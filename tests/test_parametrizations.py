@@ -6,9 +6,9 @@ from gnewton.manifolds import (Point, TangentVector, euclidean, grassmann,
                                random_point, sphere, stiefel, tangent_basis)
 from gnewton.parametrizations import (Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection, QR,
-                                      Recentred, SphereGeodesic, apply_phi,
-                                      apply_psi, audit_conditions, kind_name,
-                                      kind_valid_on, pair_label,
+                                      Recentred, SphereGeodesic,
+                                      Stereographic, apply_phi, apply_psi,
+                                      audit_conditions, pair_label,
                                       recentring_rotation, second_order_term)
 from gnewton.rng import SplitMix64
 
@@ -29,21 +29,26 @@ def _cases():
     out.append((ExampleBeta(1.0), euclidean(1)))
     out.append((Recentred(Projection(), 3), sphere(4)))
     out.append((Recentred(SphereGeodesic(), 3), sphere(4)))
+    out.append((Stereographic(-np.eye(4)[:, 0]), sphere(4)))
     return out
 
 
 def test_kind_validity_table():
-    assert kind_valid_on(Projection(), grassmann(5, 2))
-    assert not kind_valid_on(SphereGeodesic(), euclidean(2))
-    assert not kind_valid_on(Custom1D((1.0,)), euclidean(2))  # 1-D only
-    assert not kind_valid_on(Recentred(Projection(), 0), stiefel(3, 2))
-    assert not kind_valid_on(QR(), euclidean(3))
+    assert Projection().valid_on(grassmann(5, 2))
+    assert not SphereGeodesic().valid_on(euclidean(2))
+    assert not Custom1D((1.0,)).valid_on(euclidean(2))  # 1-D only
+    assert not Recentred(Projection(), 0).valid_on(stiefel(3, 2))
+    assert not QR().valid_on(euclidean(3))
+    pole = np.eye(4)[:, 0]
+    assert Stereographic(pole).valid_on(sphere(4))
+    assert not Stereographic(pole).valid_on(sphere(3))  # pole's dimension
+    assert not Stereographic(pole).valid_on(euclidean(4))
 
 
 def test_labels():
     p = ParametrizationPair(Projection(), SphereGeodesic())
-    assert pair_label(p) == "%s+%s" % (kind_name(Projection()),
-                                       kind_name(SphereGeodesic()))
+    assert pair_label(p) == "%s+%s" % (Projection().name,
+                                       SphereGeodesic().name)
 
 
 def test_anchor_at_zero_is_exact():
@@ -52,7 +57,7 @@ def test_anchor_at_zero_is_exact():
         for seed in range(100):
             p = random_point(m, seed)
             q = apply_phi(_pair(kind), TangentVector(p, np.zeros(m.ambient_dim)))
-            assert np.array_equal(q.ambient, p.ambient), (kind_name(kind), m.kind, seed)
+            assert np.array_equal(q.ambient, p.ambient), (kind.name, m.kind, seed)
 
 
 def test_sphere_projection_example():
@@ -200,7 +205,7 @@ def test_second_order_matches_finite_differences():
                 fm = apply_phi(_pair(kind), TangentVector(p, -h * d)).ambient
                 fd = (fp - 2.0 * p.ambient + fm) / (h * h)
                 scale = max(1.0, float(np.linalg.norm(fd)))
-                assert np.linalg.norm(S - fd) <= 1e-6 * scale, (kind_name(kind), m.kind)
+                assert np.linalg.norm(S - fd) <= 1e-6 * scale, (kind.name, m.kind)
 
 
 def test_audit_sphere_projection():
@@ -263,4 +268,4 @@ def test_h3_slope_all_builtin_pairs():
     """every valid (kind, manifold) shows quadratic-or-better psi residuals"""
     for kind, m in _cases():
         rep = audit_conditions(_pair(kind), m, 10, [1e-1, 1e-2, 1e-3], 3)
-        assert rep.fitted_slope >= 1.9, (kind_name(kind), m.kind, rep.fitted_slope)
+        assert rep.fitted_slope >= 1.9, (kind.name, m.kind, rep.fitted_slope)
