@@ -1,9 +1,9 @@
 """Dense symmetric kernels: solve, polar factor, eigendecomposition.
 
-Everything here is small (dimension <= ~64) and dense. The heavy lifting is
-delegated to LAPACK via numpy; this module owns the contracts around it:
-symmetry validation, condition thresholds, sign conventions, and the error
-taxonomy.
+Everything here is small (dimension up to about 100: sphere(100) gives a
+99 x 99 Hessian) and dense. The heavy lifting is delegated to LAPACK via
+numpy; this module owns the contracts around it: symmetry validation,
+condition thresholds, sign conventions, and the error taxonomy.
 """
 
 import numpy as np

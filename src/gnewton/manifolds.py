@@ -158,34 +158,64 @@ class TangentBasis:
             raise ValueError("basis columns not orthonormal")
 
 
-def _complete_orthonormal(K: np.ndarray, want: int) -> np.ndarray:
-    """Extend the orthonormal columns of the n x k array K by `want` more,
-    returned as an n x want array.
+def _complete_orthonormal(K: np.ndarray) -> np.ndarray:
+    """Extend the orthonormal columns of the n x k array K to a basis of
+    R^n, returning the n x (n - k) completion.
 
-    Candidates are the standard basis vectors; each step picks the one with
-    the largest residual and re-orthogonalises twice. Pivoting matters: a
-    first-axis-above-threshold sweep cancels catastrophically when the
+    Pivoted Gram-Schmidt on the standard basis: each pick takes the e_i
+    with the largest residual, ties to the lowest index. Pivoting matters:
+    a first-axis-above-threshold sweep cancels catastrophically when the
     existing columns nearly align with coordinate axes, and losses of ~1e-7
     there poison every pullback gradient downstream. Pivot order is a pure
     function of the inputs, so the completion is deterministic.
+
+    The squared residual of e_i is the diagonal entry of the projector
+    I - QQ^T onto what is left, so the picks are a pivoted Cholesky of
+    I - KK^T, costing O(n j) for the j-th pick. For a single column p the
+    picks have a closed form, taken without a loop (`_complete_unit`).
     """
     n, k = K.shape
-    Q = np.empty((n, k + want))
+    if k == 1:
+        return _complete_unit(K[:, 0])
+    Q = np.empty((n, n))
     Q[:, :k] = K
-    resid = np.eye(n) - K @ K.T  # column i: residual of e_i
-    chosen = np.zeros(n, dtype=bool)
-    for j in range(k, k + want):
-        norms = np.linalg.norm(resid, axis=0)
-        norms[chosen] = -1.0
-        i = int(np.argmax(norms))  # ties go to the lowest index
-        chosen[i] = True
-        v = resid[:, i]
-        for _ in range(2):
-            v = v - Q[:, :j] @ (Q[:, :j].T @ v)
-        v = v / np.linalg.norm(v)
+    d = 1.0 - (K * K).sum(axis=1)  # squared residual of each e_i
+    for j in range(k, n):
+        i = int(np.argmax(d))  # ties go to the lowest index
+        v = -(Q[:, :j] @ Q[i, :j])
+        v[i] += 1.0
+        v -= Q[:, :j] @ (Q[:, :j].T @ v)
+        v /= np.linalg.norm(v)
         Q[:, j] = v
-        resid -= np.outer(v, v @ resid)
+        d -= v * v
+        d[i] = -np.inf
     return Q[:, k:]
+
+
+def _complete_unit(p: np.ndarray) -> np.ndarray:
+    """The pivoted completion of one unit vector p, in closed form.
+
+    Once the set S is picked, what is left of the span of p and e_S is
+    along p' = p with S zeroed, so e_l (l not in S) has squared residual
+    1 - p_l^2 / c_S with c_S = |p'|^2. That is monotone in p_l^2: the picks
+    are a stable sort of 1 - p^2, largest first, and column j is
+    (e_i - p_i p'_j / c_j) / sqrt(c_{j+1} / c_j) for the j-th pick i. The
+    sort keys on the rounded 1 - p^2, not on p^2, so squares under the
+    rounding of 1 tie, as in the residual norms. The c_j are tail sums of
+    the sorted p^2, free of cancellation, and the last is max p^2 >= 1/n.
+    """
+    n = p.size
+    order = np.argsort(-(1.0 - p * p), kind="stable")
+    ps = p[order]
+    c = np.cumsum((ps * ps)[::-1])[::-1]  # c[j] = sum of ps[j:]**2
+    j = np.arange(n - 1)
+    P = np.where(np.arange(n)[:, None] >= j, ps[:, None], 0.0)
+    B = P * (-ps[:-1] / c[:-1])
+    B[j, j] += 1.0
+    B *= np.sqrt(c[:-1] / c[1:])
+    out = np.empty((n, n - 1))
+    out[order] = B
+    return out
 
 
 def tangent_basis(p: Point) -> TangentBasis:
@@ -200,11 +230,10 @@ def tangent_basis(p: Point) -> TangentBasis:
     if m.kind == "euclidean":
         return TangentBasis(p, np.eye(m.n))
     if m.kind == "sphere":
-        return TangentBasis(p, _complete_orthonormal(p.ambient[:, None],
-                                                     m.n - 1))
+        return TangentBasis(p, _complete_orthonormal(p.ambient[:, None]))
     X = p.as_matrix()
     n, pp = m.n, m.p
-    normal = np.kron(np.eye(pp), _complete_orthonormal(X, n - pp))
+    normal = np.kron(np.eye(pp), _complete_orthonormal(X))
     if m.kind == "grassmann":
         return TangentBasis(p, normal)
     i, j = np.triu_indices(pp, 1)

@@ -28,7 +28,7 @@ from .rng import SplitMix64
 _EPS = np.finfo(float).eps
 
 # norm or smallest singular value of p + v at or under this aborts a
-# projection step
+# projection step; see Projection for why a tangent v never reaches it
 PROJECTION_GUARD = 0.1
 
 
@@ -112,7 +112,14 @@ def _qr_first_order(X: np.ndarray, V: np.ndarray):
 
 @dataclass(frozen=True)
 class Projection(_SphereTerms):
-    """Closest-point projection of p + v back onto the manifold."""
+    """Closest-point projection of p + v back onto the manifold.
+
+    For an exactly tangent v the projection is always defined:
+    |p + v|^2 = 1 + |v|^2 on the sphere, and X^T V + V^T X = 0 gives
+    (X + V)^T (X + V) = I + V^T V on Stiefel and Grassmann, so the norm or
+    smallest singular value of p + v is at least 1. PROJECTION_GUARD can
+    therefore trip only when rounding has broken the tangency of v.
+    """
     name = "projection"
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
@@ -364,7 +371,7 @@ def recentring_rotation(kind: Recentred, p: Point) -> np.ndarray:
         rng = SplitMix64(kind.rotation_seed)
         G = rng.gaussians((n - 1) * (n - 1)).reshape(n - 1, n - 1, order="F")
         R = polar_factor(G)
-        C = _complete_orthonormal(p.ambient[:, None], n - 1) @ R
+        C = _complete_orthonormal(p.ambient[:, None]) @ R
         return np.column_stack([p.ambient, C])
     return p.ambient.reshape(1, 1).copy()
 

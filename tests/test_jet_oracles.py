@@ -126,11 +126,36 @@ def _basis_gap(p):
 def test_basis_matches_loop_oracle_on_random_points():
     # each completion column is one pivot's residual: a different pivot
     # order would put some column O(1) away, not 1e-14
-    for m in (sphere(7), sphere(30), stiefel(6, 2), stiefel(4, 4),
-              grassmann(7, 3)):
-        for seed in range(30):
+    cases = [(m, range(30)) for m in (
+        sphere(2), sphere(7), sphere(30), stiefel(6, 2), stiefel(4, 4),
+        grassmann(7, 3), stiefel(12, 3), grassmann(20, 4))]
+    cases.append((sphere(100), range(5)))  # the loop oracle is slow here
+    for m, seeds in cases:
+        for seed in seeds:
             gap = _basis_gap(random_point(m, seed))
             assert gap <= 1e-14, (m, seed, gap)
+
+
+def test_basis_empty_completion():
+    assert tangent_basis(Point(sphere(1), [1.0])).columns.shape == (1, 0)
+    B = tangent_basis(random_point(stiefel(4, 4), 0)).columns
+    assert B.shape == (16, 6)
+    assert np.linalg.norm(B.T @ B - np.eye(6)) <= 1e-14
+
+
+def test_basis_picks_tied_coordinates_lowest_index_first():
+    """With |p_i| all equal every residual ties, and pick j is e_j: column
+    j is zero above row j. The loop oracle's order here is a rounding
+    accident of its summation order, so the basis is not compared to it."""
+    for n in (9, 16, 100):
+        s = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
+        p = Point(sphere(n), s / np.sqrt(n))
+        B = tangent_basis(p).columns
+        assert np.linalg.norm(B.T @ B - np.eye(n - 1)) <= 1e-13
+        assert np.abs(p.ambient @ B).max() <= 1e-13
+        u = np.eye(n)[0] - p.ambient[0] * p.ambient
+        assert np.abs(B[:, 0] - u / np.linalg.norm(u)).max() <= 1e-13
+        assert np.abs(np.triu(B, 1)).max() <= 1e-13
 
 
 def test_basis_matches_loop_oracle_on_axes():

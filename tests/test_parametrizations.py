@@ -67,6 +67,22 @@ def test_sphere_projection_example():
     assert np.allclose(q.ambient, np.array([1.0, 0.5]) / np.sqrt(1.25), atol=1e-15)
 
 
+def test_projection_guard_unreachable_for_tangent_steps():
+    """|p + v|^2 = 1 + |v|^2 on the sphere and (X + V)^T (X + V) = I + V^T V
+    on Stiefel and Grassmann, so p + v never comes near PROJECTION_GUARD"""
+    rng = SplitMix64(4)
+    for m in (sphere(6), stiefel(6, 2), stiefel(5, 3), grassmann(7, 3)):
+        for seed in range(10):
+            p = random_point(m, seed)
+            d = tangent_basis(p).columns @ rng.gaussians(m.intrinsic_dim)
+            for scale in 10.0 ** np.arange(-3, 7):
+                v = TangentVector(p, scale * d / np.linalg.norm(d))
+                M = (p.ambient + v.ambient).reshape(m.n, m.p, order="F")
+                smin = np.linalg.svd(M, compute_uv=False).min()
+                assert smin >= 1.0 - 1e-12, (m, seed, scale, smin)
+                apply_psi(_pair(Projection()), v)
+
+
 def test_sphere_geodesic_quarter_turn():
     # unit-speed geodesic from e1 towards e2 for time pi/2 lands at e2
     p = Point(sphere(2), np.array([1.0, 0.0]))
