@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +191,8 @@ def cmd_run(args) -> int:
         tasks = [(p, str(Path(args.out) / Path(p).stem), args.seed_override)
                  for p in args.configs]
     if args.jobs > 1 and len(tasks) > 1:
+        # lazily: the pool imports multiprocessing, socket and logging
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             codes = list(pool.map(_run_worker, tasks))
     else:

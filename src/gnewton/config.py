@@ -14,6 +14,7 @@ from . import costs as costs_mod
 from . import newton as newton_mod
 from . import parametrizations as par_mod
 from .errors import ConfigError
+from .linalg import norm
 from .manifolds import (ManifoldDescriptor, Point, project_to_manifold,
                         random_point, tangent_basis)
 from .rng import SplitMix64
@@ -252,7 +253,7 @@ def near_truth_start(m: ManifoldDescriptor, truth: Point, delta: float,
     rng = SplitMix64(seed)
     B = tangent_basis(truth)
     d = B.columns @ rng.gaussians(m.intrinsic_dim)
-    d = d / np.linalg.norm(d)
+    d = d / norm(d)
     return project_to_manifold(m, truth.ambient + delta * d)
 
 
@@ -356,9 +357,11 @@ def build_audit_params(cfg: dict, seed_override=None):
     if not _typed(points, int) or points < 1:
         raise ConfigError("audit.sample_points: expected a positive integer")
     radii = spec.get("radii", [1e-1, 1e-2, 1e-3])
-    if (not isinstance(radii, list) or not radii
+    if (not isinstance(radii, list)
             or not all(_typed(r, (int, float)) for r in radii)):
         raise ConfigError("audit.radii: expected a list of numbers")
+    if len(radii) < 2 or any(a <= b for a, b in zip(radii, radii[1:])):
+        raise ConfigError("audit.radii: need two or more, strictly descending")
     seed = spec.get("seed", 0)
     if not _typed(seed, int):
         raise ConfigError("audit.seed: expected an integer")

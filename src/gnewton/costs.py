@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ManifoldMismatch, NotTwiceDifferentiable, SingularHessian
-from .linalg import symmetric_eigen, symmetric_solve
+from .linalg import norm, symmetric_eigen, symmetric_solve
 from .manifolds import ManifoldDescriptor, Point
 
 
@@ -20,7 +20,7 @@ def _check_symmetric(A, label):
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("%s must be square" % label)
-    if np.linalg.norm(A - A.T) > 1e-10 * max(np.linalg.norm(A), np.finfo(float).tiny):
+    if norm(A - A.T) > 1e-10 * max(norm(A), np.finfo(float).tiny):
         raise ValueError("%s must be symmetric" % label)
     A.setflags(write=False)
     return A

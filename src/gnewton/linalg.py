@@ -1,10 +1,12 @@
-"""Dense symmetric kernels: solve, polar factor, eigendecomposition.
+"""Dense symmetric kernels: solve, polar factor, eigendecomposition, norm.
 
 Everything here is small (dimension up to about 100: sphere(100) gives a
 99 x 99 Hessian) and dense. The heavy lifting is delegated to LAPACK via
 numpy; this module owns the contracts around it: symmetry validation,
 condition thresholds, sign conventions, and the error taxonomy.
 """
+
+from math import sqrt
 
 import numpy as np
 
@@ -16,12 +18,20 @@ PIVOT_FLOOR = 1e-14
 SYM_RTOL = 1e-10
 
 
+def norm(x) -> float:
+    """np.linalg.norm(x) for the default ord and axis, as a float: its own
+    fast path (ravel in memory order, dot, sqrt), so the same bits, without
+    the per-call dispatch."""
+    x = x.ravel(order="K")
+    return sqrt(float(x.dot(x)))
+
+
 def _as_square_symmetric(A, rtol=SYM_RTOL):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (A.shape,))
-    scale = np.linalg.norm(A)
-    if np.linalg.norm(A - A.T) > rtol * max(scale, np.finfo(float).tiny):
+    scale = norm(A)
+    if norm(A - A.T) > rtol * max(scale, np.finfo(float).tiny):
         raise ValueError("matrix is not symmetric within %g relative" % rtol)
     return A
 

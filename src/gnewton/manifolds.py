@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (InfeasiblePoint, ManifoldMismatch, OutsideValidityRadius,
                      ProjectionUndefined, RankDeficient)
-from .linalg import polar_factor
+from .linalg import norm, polar_factor
 from .rng import SplitMix64
 
 FEAS_TOL = 1e-10
@@ -72,13 +72,19 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
+def _orthonormality_residual(A: np.ndarray) -> float:
+    """||A^T A - I||_F; 1 comes off the diagonal in place, the bits of G - I."""
+    G = A.T @ A
+    G.flat[::G.shape[0] + 1] -= 1.0
+    return norm(G)
+
+
 def _feasibility_residual(m: ManifoldDescriptor, x: np.ndarray) -> float:
     if m.kind == "euclidean":
         return 0.0
     if m.kind == "sphere":
-        return abs(np.linalg.norm(x) - 1.0)
-    X = x.reshape(m.n, m.p, order="F")
-    return float(np.linalg.norm(X.T @ X - np.eye(m.p)))
+        return abs(norm(x) - 1.0)
+    return _orthonormality_residual(x.reshape(m.n, m.p, order="F"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +98,7 @@ class Point:
         if x.shape != (self.manifold.ambient_dim,):
             raise ValueError("ambient length %r, expected %d"
                              % (x.shape, self.manifold.ambient_dim))
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise InfeasiblePoint("non-finite ambient coordinates")
         resid = _feasibility_residual(self.manifold, x)
         if resid > FEAS_TOL:
@@ -110,8 +116,8 @@ def _tangency_residual(m: ManifoldDescriptor, x: np.ndarray, v: np.ndarray) -> f
     X = x.reshape(m.n, m.p, order="F")
     V = v.reshape(m.n, m.p, order="F")
     if m.kind == "stiefel":
-        return float(np.linalg.norm(X.T @ V + V.T @ X))
-    return float(np.linalg.norm(X.T @ V))  # horizontal space
+        return norm(X.T @ V + V.T @ X)
+    return norm(X.T @ V)  # horizontal space
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,17 +131,17 @@ class TangentVector:
         m = self.base.manifold
         if v.shape != (m.ambient_dim,):
             raise ValueError("ambient length %r, expected %d" % (v.shape, m.ambient_dim))
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InfeasiblePoint("non-finite tangent coordinates")
         resid = _tangency_residual(m, self.base.ambient, v)
         # absolute at unit scale, relative beyond (huge near-singular
         # steps would otherwise fail on pure rounding)
-        if resid > FEAS_TOL * max(1.0, float(np.linalg.norm(v))):
+        if resid > FEAS_TOL * max(1.0, norm(v)):
             raise InfeasiblePoint("tangency residual %.3e too large" % resid)
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.ambient))
+        return norm(self.ambient)
 
     def as_matrix(self) -> np.ndarray:
         m = self.base.manifold
@@ -154,7 +160,7 @@ class TangentBasis:
         if B.shape != (m.ambient_dim, m.intrinsic_dim):
             raise ValueError("basis shape %r, expected %r"
                              % (B.shape, (m.ambient_dim, m.intrinsic_dim)))
-        if np.linalg.norm(B.T @ B - np.eye(B.shape[1])) > FEAS_TOL:
+        if _orthonormality_residual(B) > FEAS_TOL:
             raise ValueError("basis columns not orthonormal")
 
 
@@ -185,7 +191,7 @@ def _complete_orthonormal(K: np.ndarray) -> np.ndarray:
         v = -(Q[:, :j] @ Q[i, :j])
         v[i] += 1.0
         v -= Q[:, :j] @ (Q[:, :j].T @ v)
-        v /= np.linalg.norm(v)
+        v /= norm(v)
         Q[:, j] = v
         d -= v * v
         d[i] = -np.inf
@@ -254,7 +260,7 @@ def project_to_manifold(m: ManifoldDescriptor, ambient, guard=None) -> Point:
     if m.kind == "euclidean":
         return Point(m, x)
     if m.kind == "sphere":
-        nx = np.linalg.norm(x)
+        nx = norm(x)
         if guard is not None and nx <= guard:
             raise OutsideValidityRadius("norm %.3e under guard %g" % (nx, guard))
         if nx == 0.0:
@@ -275,8 +281,8 @@ def distance(p: Point, q: Point) -> float:
         raise ManifoldMismatch("points on different manifolds")
     if p.manifold.kind == "grassmann":
         X, Y = p.as_matrix(), q.as_matrix()
-        return float(np.linalg.norm(X @ X.T - Y @ Y.T))
-    return float(np.linalg.norm(p.ambient - q.ambient))
+        return norm(X @ X.T - Y @ Y.T)
+    return norm(p.ambient - q.ambient)
 
 
 def random_point(m: ManifoldDescriptor, seed: int) -> Point:
@@ -292,7 +298,7 @@ def draw_point(m: ManifoldDescriptor, rng: SplitMix64) -> Point:
     if m.kind == "sphere":
         while True:
             g = rng.gaussians(m.n)
-            ng = np.linalg.norm(g)
+            ng = norm(g)
             if ng > 1e-6:
                 return Point(m, g / ng)
     while True:

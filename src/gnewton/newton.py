@@ -16,7 +16,7 @@ from .costs import ambient_gradient, ambient_hessian_vec, value
 from .errors import (ChartDomainViolation, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
                      ProjectionUndefined, SingularHessian)
-from .linalg import solve_with_condition, symmetric_solve
+from .linalg import norm, solve_with_condition, symmetric_solve
 from .manifolds import Point, TangentBasis, TangentVector, distance, tangent_basis
 from .parametrizations import (ParametrizationPair, apply_psi, curvature_term,
                                pair_label)
@@ -34,8 +34,8 @@ class Jet2:
 
     def __post_init__(self):
         H = np.asarray(self.hessian, dtype=float)
-        scale = np.linalg.norm(H)
-        if scale > 0 and np.linalg.norm(H - H.T) > 1e-10 * scale:
+        scale = norm(H)
+        if scale > 0 and norm(H - H.T) > 1e-10 * scale:
             raise ValueError("jet hessian is not symmetric")
 
 
@@ -172,7 +172,7 @@ def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
     H = cols.T @ ambient_hessian_vec(c, p, cols)
     H = H + curvature_term(pair, p, cols, g_amb)
     H = 0.5 * (H + H.T)
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(grad))):
+    if not (np.isfinite(H).all() and np.isfinite(grad).all()):
         raise NotTwiceDifferentiable("non-finite pulled-back jet")
     return Jet2(basis=B, value=value(c, p), gradient=grad, hessian=H)
 
@@ -185,7 +185,7 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
     s = -x
     w = TangentVector(p, j.basis.columns @ s)
     nxt = apply_psi(pair, w)
-    return StepResult(next=nxt, step_norm=float(np.linalg.norm(s)),
+    return StepResult(next=nxt, step_norm=norm(s),
                       hessian_condition=cond, pair_used=pair)
 
 

@@ -12,6 +12,7 @@ second-order term (`second_order`, `curvature`).
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import cos, log, sin
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import (ChartDomainViolation, ManifoldMismatch,
 from .manifolds import (ManifoldDescriptor, Point, TangentVector, draw_point,
                         project_to_manifold, tangent_basis,
                         _complete_orthonormal)
-from .linalg import polar_factor
+from .linalg import norm, polar_factor
 from .rates import log_log_fit
 from .rng import SplitMix64
 
@@ -45,7 +46,7 @@ class _Kind:
     def apply(self, v: TangentVector) -> Point:
         p = v.base
         self.check_on(p.manifold)
-        if float(np.linalg.norm(v.ambient)) == 0.0:
+        if norm(v.ambient) == 0.0:
             return p
         return self._map(p, v.ambient)
 
@@ -82,7 +83,7 @@ class _SphereTerms(_Kind):
         return m.kind == "sphere"
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
-        nv = float(np.linalg.norm(v))
+        nv = norm(v)
         return -(nv * nv) * p.ambient
 
     def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -156,7 +157,7 @@ class SphereGeodesic(_SphereTerms):
     name = "sphere_geodesic"
 
     def _map(self, p: Point, v: np.ndarray) -> Point:
-        nv = float(np.linalg.norm(v))
+        nv = norm(v)
         return Point(p.manifold, cos(nv) * p.ambient + sin(nv) * (v / nv))
 
 
@@ -303,7 +304,7 @@ class Stereographic(_Kind):
 
     def __post_init__(self):
         q = np.array(self.pole, dtype=float)
-        if q.ndim != 1 or abs(np.linalg.norm(q) - 1.0) > 1e-10:
+        if q.ndim != 1 or abs(norm(q) - 1.0) > 1e-10:
             raise ValueError("pole must be a unit vector")
         q.setflags(write=False)
         object.__setattr__(self, "pole", q)
@@ -361,6 +362,16 @@ def pair_label(pair: ParametrizationPair) -> str:
     return "%s+%s" % (pair.phi.name, pair.psi.name)
 
 
+@lru_cache(maxsize=64)
+def _seeded_rotation(seed: int, k: int) -> np.ndarray:
+    """Polar factor of a seeded k x k gaussian draw: the rotation of the
+    completion columns, drawn once per (seed, k) and shared read-only."""
+    G = SplitMix64(seed).gaussians(k * k).reshape(k, k, order="F")
+    R = polar_factor(G)
+    R.setflags(write=False)
+    return R
+
+
 def recentring_rotation(kind: Recentred, p: Point) -> np.ndarray:
     """Orthogonal g with g e1 = p, deterministic in (p, rotation_seed).
 
@@ -368,9 +379,7 @@ def recentring_rotation(kind: Recentred, p: Point) -> np.ndarray:
     rotation of the completion columns."""
     n = p.manifold.n
     if n > 1:
-        rng = SplitMix64(kind.rotation_seed)
-        G = rng.gaussians((n - 1) * (n - 1)).reshape(n - 1, n - 1, order="F")
-        R = polar_factor(G)
+        R = _seeded_rotation(kind.rotation_seed, n - 1)
         C = _complete_orthonormal(p.ambient[:, None]) @ R
         return np.column_stack([p.ambient, C])
     return p.ambient.reshape(1, 1).copy()
@@ -424,10 +433,10 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
     finitely many base points cannot rule out non-uniformity between them.
     """
     radii = tuple(float(r) for r in sample_radii)
-    if not radii or any(r <= 0 for r in radii):
+    if any(r <= 0 for r in radii):
         raise ValueError("sample_radii must be positive")
-    if list(radii) != sorted(radii, reverse=True):
-        raise ValueError("sample_radii must be descending")
+    if len(radii) < 2 or any(a <= b for a, b in zip(radii, radii[1:])):
+        raise ValueError("need two or more strictly descending sample_radii")
     if min(radii) < 1e-6:
         raise ValueError("smallest radius must be >= 1e-6")
     if sample_points < 1:
@@ -452,22 +461,22 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
         B = tangent_basis(p)
         while True:
             d = B.columns @ rng.gaussians(m.intrinsic_dim)
-            nd = np.linalg.norm(d)
+            nd = norm(d)
             if nd > 1e-12:
                 d = d / nd
                 break
 
         q0 = apply_phi(pair, TangentVector(p, np.zeros(m.ambient_dim)))
         identity_residual = max(identity_residual,
-                                float(np.linalg.norm(q0.ambient - p.ambient)))
+                                norm(q0.ambient - p.ambient))
 
         plus = apply_phi(pair, TangentVector(p, h * d)).ambient
         minus = apply_phi(pair, TangentVector(p, -h * d)).ambient
         fd = (plus - minus) / (2.0 * h)
-        dphi_residual = max(dphi_residual, float(np.linalg.norm(fd - d)))
+        dphi_residual = max(dphi_residual, norm(fd - d))
 
-        alpha_hat = max(alpha_hat, float(np.linalg.norm(
-            second_order_term(pair, TangentVector(p, d)))))
+        alpha_hat = max(alpha_hat,
+                        norm(second_order_term(pair, TangentVector(p, d))))
 
         for r in radii:
             try:
@@ -475,7 +484,7 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
             except OutsideValidityRadius:
                 dropped += 1
                 continue
-            resid = float(np.linalg.norm(q.ambient - p.ambient - r * d))
+            resid = norm(q.ambient - p.ambient - r * d)
             # the ambient subtraction leaves ~1e-16 rounding residue even
             # when psi is exact (p + y computed then re-subtracted); below
             # this floor the residual is indistinguishable from zero and
@@ -487,8 +496,8 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
             log_resid.append(log(resid))
 
     # an exact-to-machine psi leaves nothing to fit; the quadratic bound
-    # then holds trivially
-    fitted_slope = (log_log_fit(log_r, log_resid)[0] if len(log_r) >= 2
+    # then holds trivially. One radius alone leaves a 0/0 slope, so is no fit
+    fitted_slope = (log_log_fit(log_r, log_resid)[0] if len(set(log_r)) >= 2
                     else float("inf"))
 
     flags = {

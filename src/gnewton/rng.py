@@ -1,11 +1,12 @@
 """Deterministic random draws.
 
 Seeded sampling (random points, perturbed starts, random pair selection) is
-part of the observable contract: the same seed must give byte-identical
-results on every platform. Python's stdlib generator and numpy's Generator
-are stable in practice but their algorithms are not something we want to
-depend on, so the package owns a SplitMix64 stream plus a Box-Muller
-transform. Constants are the standard SplitMix64 ones.
+part of the observable contract: the same seed gives the same draws. The
+package owns a SplitMix64 stream plus a Box-Muller transform rather than
+depend on the algorithms of Python's or numpy's generators; the constants
+are the standard SplitMix64 ones. The integer stream is portable bit for
+bit; the gaussians go through libm's log, cos and sin, whose last bits
+differ between implementations, so they are byte-identical on one platform.
 """
 
 from math import cos, log, pi, sin, sqrt

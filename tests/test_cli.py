@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +296,32 @@ def test_audit_command(tmp_path):
     assert 1.9 <= rep["fitted_slope"] <= 2.1
     assert 0.4 <= rep["beta_hat"] <= 0.6
     assert rep["identity_residual"] <= 1e-12
+
+
+def test_audit_rejects_single_and_duplicate_radii(tmp_path, capsys):
+    for i, radii in enumerate(([1e-1], [1e-1, 1e-1])):
+        cfg = {"version": 1, "manifold": {"kind": "sphere", "n": 6},
+               "pairs": [{"phi": {"kind": "projection"},
+                          "psi": {"kind": "projection"}}],
+               "audit": {"sample_points": 20, "radii": radii, "seed": 3}}
+        path = _write(tmp_path, "audit%d.json" % i, cfg)
+        out = tmp_path / ("audit_out%d" % i)
+        assert main(["audit", path, "--out", str(out)]) == 4
+        assert "audit.radii" in capsys.readouterr().err
+        assert not (out / "audit.json").exists()
+
+
+def test_import_leaves_out_the_process_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [q for q in env.get("PYTHONPATH", "").split(os.pathsep) if q])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gnewton.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_audit_flags_broken_pair(tmp_path):

@@ -317,6 +317,11 @@ def test_audit_params_validation(tmp_path):
     p.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match="sample_points"):
         build_audit_setup(load_config(str(p)))
+    for radii in ([], [1e-1], [1e-1, 1e-1], [1e-2, 1e-1]):
+        cfg["audit"] = {"radii": radii}
+        p.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match="strictly descending"):
+            build_audit_setup(load_config(str(p)))
 
 
 def test_rate_rails_forwarded(tmp_path):

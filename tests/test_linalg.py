@@ -1,14 +1,18 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gnewton.errors import (NoConvergence, OutsideValidityRadius,
                             RankDeficient, SingularHessian)
-from gnewton.linalg import (condition_estimate, polar_factor,
+from gnewton.linalg import (condition_estimate, norm, polar_factor,
                             solve_with_condition, symmetric_eigen,
                             symmetric_solve)
 from gnewton.rng import SplitMix64
@@ -202,3 +206,40 @@ def test_noconvergence_is_importable():
     # the sweep-budget failure mode is surfaced as a typed error; LAPACK
     # converges on every matrix this suite generates, so just check the type
     assert issubclass(NoConvergence, Exception)
+
+
+# --- norm ----------------------------------------------------------------------
+
+_VIEWS = {
+    "c": np.ascontiguousarray,
+    "f": np.asfortranarray,
+    "transposed": lambda a: a.T,
+    "strided": lambda a: a[::2],
+    "reversed": lambda a: a[..., ::-1],
+}
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                         max_side=7),
+                elements=st.floats(width=64)),
+       view=st.sampled_from(sorted(_VIEWS)))
+@example(a=np.zeros(0), view="c")
+@example(a=np.zeros((0, 3)), view="f")
+@example(a=np.array([np.inf, -1.0]), view="c")
+@example(a=np.array([-np.inf, 2.0, 3.0]), view="strided")
+@example(a=np.array([[np.nan, 1.0], [2.0, np.inf]]), view="transposed")
+@example(a=np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]]), view="f")
+def test_norm_is_np_linalg_norm_bit_for_bit(a, view):
+    """norm is np.linalg.norm's default path: the same bits on 1-D and
+    2-D arrays in either order, on transposed, strided and reversed views,
+    empty arrays and non-finite entries (NaN compared by its bits)."""
+    x = _VIEWS[view](a)
+    with np.errstate(over="ignore"):  # huge entries overflow to inf in both
+        got, want = norm(x), float(np.linalg.norm(x))
+    assert type(got) is float
+    assert _bits(got) == _bits(want)

@@ -5,7 +5,8 @@ from gnewton.errors import (InfeasiblePoint, ManifoldMismatch,
                             OutsideValidityRadius, ProjectionUndefined)
 from gnewton.manifolds import (Point, TangentVector, distance, euclidean,
                                grassmann, project_to_manifold, random_point,
-                               sphere, stiefel, tangent_basis)
+                               sphere, stiefel, tangent_basis,
+                               _feasibility_residual, _orthonormality_residual)
 from gnewton.rng import SplitMix64
 
 ALL = [euclidean(4), sphere(5), stiefel(4, 2), grassmann(5, 2)]
@@ -200,3 +201,26 @@ def test_random_point_seeds_differ():
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert distance(pts[i], pts[j]) > 1e-6
+
+
+def test_orthonormality_residual_is_gram_minus_identity_bit_for_bit():
+    """Taking 1 off the Gram diagonal in place gives the bits of
+    ||A^T A - I||_F, on tangent bases, Stiefel points and arbitrary
+    matrices (where the residual is far from 0)."""
+    def old(A):
+        return np.linalg.norm(A.T @ A - np.eye(A.shape[1]))
+
+    for m in (sphere(7), stiefel(6, 3), stiefel(4, 4), grassmann(8, 2),
+              sphere(1)):
+        for seed in range(10):
+            p = random_point(m, seed)
+            B = tangent_basis(p).columns
+            assert _orthonormality_residual(B) == old(B)
+            if m.kind != "sphere":
+                X = p.as_matrix()
+                assert _feasibility_residual(m, p.ambient) == old(X)
+                assert _orthonormality_residual(X) == old(X)
+    rng = SplitMix64(5)
+    for n, k in ((5, 2), (9, 4), (3, 3), (6, 1)):
+        A = rng.gaussians(n * k).reshape(n, k, order="F")
+        assert _orthonormality_residual(A) == old(A) > 0.1

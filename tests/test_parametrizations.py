@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gnewton.errors import ManifoldMismatch
+from gnewton.linalg import polar_factor
 from gnewton.manifolds import (Point, TangentVector, euclidean, grassmann,
                                random_point, sphere, stiefel, tangent_basis)
 from gnewton.parametrizations import (Custom1D, ExampleBeta,
@@ -9,7 +12,8 @@ from gnewton.parametrizations import (Custom1D, ExampleBeta,
                                       Recentred, SphereGeodesic,
                                       Stereographic, apply_phi, apply_psi,
                                       audit_conditions, pair_label,
-                                      recentring_rotation, second_order_term)
+                                      recentring_rotation, second_order_term,
+                                      _seeded_rotation)
 from gnewton.rng import SplitMix64
 
 
@@ -161,6 +165,16 @@ def test_recentring_rotation_properties():
         assert np.linalg.norm(R[:, 0] - p.ambient) <= 1e-15  # first column is p
 
 
+def test_seeded_rotation_is_cached_read_only_and_fresh_bits():
+    for seed, k in ((0, 5), (5, 4), (7, 1), (123, 29)):
+        R = _seeded_rotation(seed, k)
+        G = SplitMix64(seed).gaussians(k * k).reshape(k, k, order="F")
+        assert np.array_equal(R, polar_factor(G))
+        assert _seeded_rotation(seed, k) is R
+        with pytest.raises(ValueError):
+            R[0, 0] = 0.0
+
+
 def test_second_order_sphere_example():
     p = Point(sphere(3), np.eye(3)[:, 0])
     v = TangentVector(p, np.eye(3)[:, 1])
@@ -268,8 +282,25 @@ def test_audit_validates_radii():
         audit_conditions(_pair(Projection()), sphere(3), 5, [1e-3, 1e-2], 0)
     with pytest.raises(ValueError):
         audit_conditions(_pair(Projection()), sphere(3), 5, [1e-1, 1e-8], 0)
-    with pytest.raises(ValueError):
-        audit_conditions(_pair(Projection()), sphere(3), 0, [1e-1], 0)
+    with pytest.raises(ValueError, match="sample_points"):
+        audit_conditions(_pair(Projection()), sphere(3), 0, [1e-1, 1e-2], 0)
+    # a slope needs two distinct radii: at one radius the fit is a 0/0
+    # that rounding turns into any number (0.8 for [1e-1] on this seed)
+    for radii in ([1e-1], [1e-1, 1e-1], [1e-1, 1e-2, 1e-2]):
+        with pytest.raises(ValueError, match="strictly descending"):
+            audit_conditions(_pair(Projection()), sphere(6), 20, radii, 3)
+
+
+def test_audit_slope_needs_two_contributing_radii():
+    # psi_x(t) = x + t + 1e-9 t^2: at r = 1e-3 the residual 1e-15 is under
+    # the audit's 1e-14 floor, so r = 1e-1 alone contributes, which leaves
+    # nothing to fit: a slope from it would be a 0/0 (and a RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = audit_conditions(_pair(Custom1D((0.0, 1e-9))), euclidean(1), 5,
+                               [1e-1, 1e-3], 0)
+    assert rep.fitted_slope == float("inf")
+    assert 0.9e-9 <= rep.beta_hat <= 1.1e-9  # the r = 1e-1 residuals count
 
 
 def test_audit_deterministic():
