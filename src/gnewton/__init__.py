@@ -19,10 +19,10 @@ from .errors import (ChartDomainViolation, ConfigError, GnewtonError,
 from .config import (Experiment, build_experiment, compute_truth, load_config,
                      match_truth_signs, near_truth_start)
 from .linalg import polar_factor, symmetric_eigen, symmetric_solve
-from .manifolds import (ManifoldDescriptor, Point, TangentBasis,
-                        TangentVector, distance, euclidean, grassmann,
-                        project_to_manifold, random_point, sphere, stiefel,
-                        tangent_basis)
+from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
+                        Sphere, Stiefel, TangentBasis, TangentVector,
+                        distance, euclidean, grassmann, project_to_manifold,
+                        random_point, sphere, stiefel, tangent_basis)
 from .newton import (Fixed, IterationTrace, Jet2, PathDependent, Random,
                      RoundRobin, StepResult, euclidean_newton_step,
                      generalized_newton_step, pullback_jet, run_iteration)
@@ -40,11 +40,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbsPower", "AuditReport", "BrockettTrace", "ChartDomainViolation",
-    "ConfigError", "Custom1D", "DEFAULT_CEIL",
+    "ConfigError", "Custom1D", "DEFAULT_CEIL", "Euclidean",
     "DEFAULT_FLOOR", "distance", "error_sequence", "estimate_rate",
     "euclidean", "euclidean_newton_step", "ExampleBeta", "Experiment",
     "Fixed", "generalized_newton_step", "GnewtonError", "grassmann",
-    "GrassmannTrace", "InfeasiblePoint", "InsufficientData",
+    "Grassmann", "GrassmannTrace", "InfeasiblePoint", "InsufficientData",
     "IterationTrace", "Jet2", "load_config",
     "ManifoldDescriptor", "ManifoldMismatch", "match_truth_signs",
     "near_truth_start",
@@ -55,8 +55,8 @@ __all__ = [
     "random_point", "RankDeficient", "RateEstimate", "Recentred",
     "recentring_rotation", "RoundRobin", "run_iteration", "SchemaError",
     "second_order_term", "ShiftedCubic", "SingularHessian",
-    "sphere", "SphereGeodesic", "SplitMix64", "Stereographic",
-    "StepResult", "stiefel", "symmetric_eigen", "symmetric_solve",
+    "sphere", "Sphere", "SphereGeodesic", "SplitMix64", "Stereographic",
+    "StepResult", "stiefel", "Stiefel", "symmetric_eigen", "symmetric_solve",
     "TangentBasis", "TangentVector", "tangent_basis", "usable_pairs", "value",
     "apply_phi", "apply_psi", "audit_conditions", "build_experiment",
     "compute_truth", "curvature_term", "__version__",

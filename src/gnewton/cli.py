@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (build_audit_setup, build_experiment, load_config,
-                     match_truth_signs)
+from .config import (build_audit_setup, build_experiment, build_manifold,
+                     load_config, match_truth_signs)
 from .errors import ConfigError, InsufficientData, SchemaError
-from .manifolds import ManifoldDescriptor, Point, distance
+from .manifolds import Point, distance, euclidean
 from .newton import run_iteration
 from .parametrizations import audit_conditions, pair_label
 from .rates import DEFAULT_CEIL, DEFAULT_FLOOR, error_sequence, estimate_rate
@@ -78,16 +78,14 @@ def write_trace_csv(path, trace, errors=None):
 
 def _truth_spec_string(pt: Point) -> str:
     m = pt.manifold
-    if m.kind in ("euclidean", "sphere"):
-        dims = "%d" % m.n
-    else:
-        dims = "%d,%d" % (m.n, m.p)
+    dims = ",".join("%d" % d for d in m.dims)
     coords = ",".join(repr(float(c)) for c in pt.ambient)
     return "%s:%s:%s" % (m.kind, dims, coords)
 
 
 def _parse_truth_spec(spec: str):
-    """\"none\" or \"kind:n[,p]:c0,c1,...\" (column-major coordinates)."""
+    """\"none\" or \"kind:n[,p]:c0,c1,...\" (column-major coordinates), with
+    p given exactly where the manifold takes it, as in a config."""
     if spec == "none":
         return None
     parts = spec.split(":")
@@ -102,9 +100,9 @@ def _parse_truth_spec(spec: str):
     if len(dd) not in (1, 2):
         raise ConfigError("truth spec: dims must be n or n,p")
     try:
-        m = ManifoldDescriptor(kind, dd[0], dd[1] if len(dd) == 2 else 1)
+        m = build_manifold(dict(zip(("kind", "n", "p"), [kind] + dd)))
         return Point(m, np.array(cs))
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         raise ConfigError("truth spec: %s" % exc) from exc
 
 
@@ -295,7 +293,7 @@ def cmd_rates(args) -> int:
         else:
             # no truth: rows are treated as ambient vectors, the last iterate
             # stands in for the limit and the final two rows are dropped
-            m = ManifoldDescriptor("euclidean", ncoords)
+            m = euclidean(ncoords)
         try:
             pts = [Point(m, c) for c in rows]
         except ValueError as exc:

@@ -7,6 +7,7 @@ offending key, so batch runs fail loudly and specifically.
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -15,11 +16,11 @@ from . import newton as newton_mod
 from . import parametrizations as par_mod
 from .errors import ConfigError
 from .linalg import norm
-from .manifolds import (ManifoldDescriptor, Point, project_to_manifold,
-                        random_point, tangent_basis)
+from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
+                        Sphere, Stiefel, project_to_manifold, random_point,
+                        tangent_basis)
 from .rng import SplitMix64
 
-_MANIFOLD_KINDS = ("euclidean", "sphere", "stiefel", "grassmann")
 _TOP_KEYS = {"version", "manifold", "cost", "pairs", "selector", "x0",
              "max_iter", "tol", "rate_floor", "rate_ceil", "audit"}
 
@@ -85,35 +86,43 @@ def _parse_matrix(spec, key):
     raise ConfigError("%s: expected matrix rows or \"diag:...\"" % key)
 
 
-def _build_manifold(cfg) -> ManifoldDescriptor:
-    spec = _need(cfg, "manifold", dict)
-    kind = _need(spec, "kind", str, "manifold.")
-    if kind not in _MANIFOLD_KINDS:
-        raise ConfigError("manifold.kind: unknown kind %r" % kind)
-    n = _need(spec, "n", int, "manifold.")
-    if n < 1:
-        raise ConfigError("manifold.n: must be >= 1")
-    p = 1
-    if kind in ("stiefel", "grassmann"):
-        p = _need(spec, "p", int, "manifold.")
-        if not (1 <= p <= n):
-            raise ConfigError("manifold.p: need 1 <= p <= n")
-    elif "p" in spec:
-        raise ConfigError("manifold.p: not a parameter of %s" % kind)
-    return ManifoldDescriptor(kind, n, p)
-
-
-def _build(table, spec, key):
+def _build(table, spec, key, *context):
     """The class in `table` whose name spec["kind"] gives, called with the
-    constructor arguments its entry parses from spec."""
+    constructor arguments its entry parses from spec (and the context)."""
     kind = _need(spec, "kind", str, key + ".")
     for cls, parse in table.items():
         if cls.name == kind:
             try:
-                return cls(*parse(spec, key))
+                return cls(*parse(spec, key, *context))
             except ValueError as exc:
                 raise ConfigError("%s: %s" % (key, exc)) from exc
     raise ConfigError("%s.kind: unknown kind %r" % (key, kind))
+
+
+def _manifold_args(cls, spec, key):
+    """n, and p where cls takes it: p is required, with 1 <= p <= n, on
+    Stiefel and Grassmann and refused on Euclidean space and the sphere."""
+    n = _need(spec, "n", int, key + ".")
+    if n < 1:
+        raise ConfigError("%s.n: must be >= 1" % key)
+    if not cls.takes_p:
+        if "p" in spec:
+            raise ConfigError("%s.p: not a parameter of %s" % (key, cls.name))
+        return (n,)
+    p = _need(spec, "p", int, key + ".")
+    if not (1 <= p <= n):
+        raise ConfigError("%s.p: need 1 <= p <= n" % key)
+    return n, p
+
+
+_MANIFOLDS = {cls: partial(_manifold_args, cls)
+              for cls in (Euclidean, Sphere, Stiefel, Grassmann)}
+
+
+def build_manifold(spec) -> ManifoldDescriptor:
+    """The manifold of a config's "manifold" object; the CLI's truth spec
+    is parsed through it too."""
+    return _build(_MANIFOLDS, spec, "manifold")
 
 
 def _matrix(spec, key):
@@ -194,25 +203,26 @@ def _build_pairs(cfg, m: ManifoldDescriptor) -> tuple:
     return tuple(pairs)
 
 
-def _build_selector(cfg, pairs, seed_override):
-    spec = _need(cfg, "selector", dict)
-    kind = _need(spec, "kind", str, "selector.")
-    if kind == "fixed":
-        return newton_mod.Fixed(pairs[0])
-    if kind == "round_robin":
-        return newton_mod.RoundRobin(pairs)
-    if kind == "random":
-        seed = _need(spec, "seed", int, "selector.")
-        if seed_override is not None:
-            seed = seed_override
-        return newton_mod.Random(pairs, seed)
-    if kind == "path":
-        rule = _need(spec, "rule", str, "selector.")
-        try:
-            return newton_mod.PathDependent(rule, pairs)
-        except ValueError as exc:
-            raise ConfigError("selector.rule: %s" % exc) from exc
-    raise ConfigError("selector.kind: unknown kind %r" % kind)
+def _random_args(spec, key, pairs, seed_override):
+    seed = _need(spec, "seed", int, key + ".")
+    return pairs, seed if seed_override is None else seed_override
+
+
+def _path_args(spec, key, pairs, seed_override):
+    rule = _need(spec, "rule", str, key + ".")
+    if rule not in newton_mod.PathDependent.rules:
+        raise ConfigError("%s.rule: unknown path rule %r" % (key, rule))
+    return rule, pairs
+
+
+# each selector and the parse of its constructor arguments, given the pairs
+# and the seed override
+_SELECTORS = {
+    newton_mod.Fixed: lambda spec, key, pairs, seed: (pairs[0],),
+    newton_mod.RoundRobin: lambda spec, key, pairs, seed: (pairs,),
+    newton_mod.Random: _random_args,
+    newton_mod.PathDependent: _path_args,
+}
 
 
 def compute_truth(m: ManifoldDescriptor, cost):
@@ -231,19 +241,7 @@ def match_truth_signs(truth: Point, final: Point) -> Point:
     branch the iteration actually landed on; other manifolds are returned
     unchanged (the Grassmann distance is representative-independent).
     """
-    m = truth.manifold
-    if m.kind == "sphere":
-        if float(np.dot(truth.ambient, final.ambient)) < 0.0:
-            return Point(m, -truth.ambient)
-        return truth
-    if m.kind == "stiefel":
-        T = truth.as_matrix().copy()
-        F = final.as_matrix()
-        for j in range(m.p):
-            if float(np.dot(T[:, j], F[:, j])) < 0.0:
-                T[:, j] = -T[:, j]
-        return Point(m, T.flatten(order="F"))
-    return truth
+    return truth.manifold.align_signs(truth, final)
 
 
 def near_truth_start(m: ManifoldDescriptor, truth: Point, delta: float,
@@ -306,10 +304,11 @@ def _check_header(cfg: dict):
 
 def build_experiment(cfg: dict, seed_override=None) -> Experiment:
     _check_header(cfg)
-    m = _build_manifold(cfg)
+    m = build_manifold(_need(cfg, "manifold", dict))
     cost = _build_cost(cfg, m)
     pairs = _build_pairs(cfg, m)
-    selector = _build_selector(cfg, pairs, seed_override)
+    selector = _build(_SELECTORS, _need(cfg, "selector", dict), "selector",
+                      pairs, seed_override)
 
     max_iter = _need(cfg, "max_iter", int)
     if max_iter < 1:
@@ -343,7 +342,7 @@ def build_audit_setup(cfg: dict, seed_override=None):
     drive both subcommands.
     """
     _check_header(cfg)
-    m = _build_manifold(cfg)
+    m = build_manifold(_need(cfg, "manifold", dict))
     pairs = _build_pairs(cfg, m)
     return m, pairs, build_audit_params(cfg, seed_override)
 

@@ -1,19 +1,21 @@
 """Cost functions with analytic ambient 2-jets.
 
-Each kind is one class that owns its maths: the manifolds it lives on
-(`valid_on`), value, ambient gradient, ambient Hessian-times-vector
-(`hess_vec`), and its closed-form minimiser (`truth`). Exposing the Hessian
-only through its action keeps matrix costs cheap: a pullback jet needs H
-applied to tangent-basis columns, never the full (np x np) operator.
+Each kind is one class that owns its maths: the manifold classes it lives
+on (`manifolds`, checked with its dims by `valid_on`), value, ambient
+gradient, ambient Hessian-times-vector (`hess_vec`), and its closed-form
+minimiser (`truth`). Exposing the Hessian only through its action keeps
+matrix costs cheap: a pullback jet needs H applied to tangent-basis
+columns, never the full (np x np) operator.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ManifoldMismatch, NotTwiceDifferentiable, SingularHessian
+from .errors import NotTwiceDifferentiable, SingularHessian
 from .linalg import norm, symmetric_eigen, symmetric_solve
-from .manifolds import ManifoldDescriptor, Point
+from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
+                        Sphere, Stiefel, _LivesOn)
 
 
 def _check_symmetric(A, label):
@@ -39,9 +41,10 @@ def _trace_hess_vec(A, weights, p: Point, direction: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Quadratic:
+class Quadratic(_LivesOn):
     """f(x) = 1/2 x^T A x + b^T x on Euclidean space or the sphere."""
     name = "quadratic"
+    manifolds = (Euclidean, Sphere)
     A: np.ndarray
     b: np.ndarray = None
 
@@ -55,7 +58,7 @@ class Quadratic:
         object.__setattr__(self, "b", b)
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return m.kind in ("euclidean", "sphere") and m.n == self.A.shape[0]
+        return super().valid_on(m) and m.n == self.A.shape[0]
 
     def value(self, p: Point) -> float:
         x = p.ambient
@@ -68,9 +71,12 @@ class Quadratic:
         return self.A @ direction
 
     def truth(self, m: ManifoldDescriptor):
-        """Rayleigh (on the sphere): eigenvector of the smallest eigenvalue.
+        """Rayleigh (on the sphere, b = 0): eigenvector of the smallest
+        eigenvalue; with b != 0 the sphere has no closed form, so None.
         Euclidean: the stationary point, None when A is singular."""
-        if m.kind == "sphere":
+        if isinstance(m, Sphere):
+            if np.any(self.b != 0.0):
+                return None
             _, V = symmetric_eigen(self.A)
             return Point(m, V[:, 0])
         try:
@@ -81,11 +87,12 @@ class Quadratic:
 
 
 @dataclass(frozen=True, eq=False)
-class BrockettTrace:
+class BrockettTrace(_LivesOn):
     """f(X) = Tr(X^T A X N) on the Stiefel manifold; N diagonal with
     distinct positive entries so the minimiser is an isolated point
     (up to column signs)."""
     name = "brockett"
+    manifolds = (Stiefel,)
     A: np.ndarray
     N: np.ndarray
 
@@ -104,7 +111,7 @@ class BrockettTrace:
         object.__setattr__(self, "N", N)
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return (m.kind == "stiefel" and m.n == self.A.shape[0]
+        return (super().valid_on(m) and m.n == self.A.shape[0]
                 and m.p == self.N.shape[0])
 
     def value(self, p: Point) -> float:
@@ -129,10 +136,11 @@ class BrockettTrace:
 
 
 @dataclass(frozen=True, eq=False)
-class GrassmannTrace:
+class GrassmannTrace(_LivesOn):
     """g(X) = Tr(X^T A X) on the Grassmann manifold (descends to the
     quotient); A symmetric with distinct eigenvalues."""
     name = "grassmann_trace"
+    manifolds = (Grassmann,)
     A: np.ndarray
 
     def __post_init__(self):
@@ -144,7 +152,7 @@ class GrassmannTrace:
         object.__setattr__(self, "A", A)
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return m.kind == "grassmann" and m.n == self.A.shape[0]
+        return super().valid_on(m) and m.n == self.A.shape[0]
 
     def value(self, p: Point) -> float:
         X = p.as_matrix()
@@ -162,11 +170,12 @@ class GrassmannTrace:
         return Point(m, V[:, :m.p].flatten(order="F"))
 
 
-class _LineCost:
+class _LineCost(_LivesOn):
     """Costs on the line: euclidean with n = 1."""
+    manifolds = (Euclidean,)
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return m.kind == "euclidean" and m.n == 1
+        return super().valid_on(m) and m.n == 1
 
 
 @dataclass(frozen=True)
@@ -215,23 +224,16 @@ class ShiftedCubic(_LineCost):
         return Point(m, np.array([self.z]))
 
 
-def _on(c, p: Point):
-    m = p.manifold
-    if not c.valid_on(m):
-        raise ManifoldMismatch("cost %s incompatible with manifold %s(n=%d, p=%d)"
-                               % (type(c).__name__, m.kind, m.n, m.p))
-    return c
-
-
 def value(c, p: Point) -> float:
-    return _on(c, p).value(p)
+    return c.check_on(p.manifold).value(p)
 
 
 def ambient_gradient(c, p: Point) -> np.ndarray:
-    return _on(c, p).grad(p)
+    return c.check_on(p.manifold).grad(p)
 
 
 def ambient_hessian_vec(c, p: Point, direction) -> np.ndarray:
     """Ambient Hessian applied to one direction, or to each column of an
     (ambient_dim x k) block of directions."""
-    return _on(c, p).hess_vec(p, np.asarray(direction, dtype=float))
+    direction = np.asarray(direction, dtype=float)
+    return c.check_on(p.manifold).hess_vec(p, direction)

@@ -3,7 +3,8 @@
 Points and tangent vectors are stored in ambient coordinates; matrix-valued
 points are flattened column-major. Grassmann elements are represented by
 Stiefel matrices with horizontal tangent vectors (X^T V = 0), so a Grassmann
-step is a Stiefel step restricted to the horizontal subspace.
+step is a Stiefel step restricted to the horizontal subspace. Each
+manifold is one class that owns its geometry.
 """
 
 from dataclasses import dataclass
@@ -18,52 +19,260 @@ from .rng import SplitMix64
 
 FEAS_TOL = 1e-10
 
-_KINDS = ("euclidean", "sphere", "stiefel", "grassmann")
+
+# Matrix points and directions are n x p, flattened column-major; a basis
+# is handled as an (m, n, p) stack of direction matrices.
+
+def _as_stack(B: np.ndarray, n: int, p: int) -> np.ndarray:
+    return B.T.reshape(B.shape[1], p, n).transpose(0, 2, 1)
+
+
+def _pair_sums(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """[<S_a, T_b>] over two (m, n, p) stacks, as an m x m matrix."""
+    m, n, p = S.shape
+    return S.reshape(m, n * p) @ T.reshape(m, n * p).T
+
+
+def _sym(A: np.ndarray) -> np.ndarray:
+    return 0.5 * (A + A.T)
 
 
 @dataclass(frozen=True)
 class ManifoldDescriptor:
-    kind: str
+    """Base of the manifold classes: dims n and p (p > 1 only where the
+    class `takes_p`) and `kind`, the config name. Each class defines
+    `intrinsic_dim`, the feasibility and tangency residuals, the
+    `tangent_columns`, `project`, `draw`, and its second fundamental form
+    II_p(v, v), the normal part of the acceleration of every curve through
+    p with velocity v, twice over: `second_fundamental_form(p, v)`, and
+    `weingarten(p, B, g)`, the matrix g . II_p(b_i, b_j) over B's columns.
+    """
     n: int
     p: int = 1
+    name = None
+    takes_p = False
+    draw_guard = None  # see draw
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError("unknown manifold kind %r" % (self.kind,))
         if not (1 <= self.p <= self.n):
             raise ValueError("need 1 <= p <= n, got n=%d p=%d" % (self.n, self.p))
-        if self.kind in ("euclidean", "sphere") and self.p != 1:
-            raise ValueError("%s takes no p parameter" % self.kind)
+        if not self.takes_p and self.p != 1:
+            raise ValueError("%s takes no p parameter" % self.name)
+
+    @property
+    def kind(self) -> str:
+        return self.name
 
     @property
     def ambient_dim(self) -> int:
-        return self.n if self.kind in ("euclidean", "sphere") else self.n * self.p
+        return self.n * self.p
+
+    @property
+    def dims(self) -> tuple:
+        """The dims a config or truth spec gives: n, and p where taken."""
+        return (self.n, self.p) if self.takes_p else (self.n,)
+
+    def distance(self, x: "Point", y: "Point") -> float:
+        """Ambient chordal distance."""
+        return norm(x.ambient - y.ambient)
+
+    def draw(self, rng: SplitMix64) -> "Point":
+        """A seeded gaussian draw, projected; drawn again where the
+        projection is undefined or trips `draw_guard`."""
+        while True:
+            try:
+                return self.project(rng.gaussians(self.ambient_dim),
+                                    self.draw_guard)
+            except (ProjectionUndefined, OutsideValidityRadius):
+                continue
+
+    def sample_point(self, rng: SplitMix64) -> "Point":
+        """A base point of the pair audit."""
+        return self.draw(rng)
+
+    def align_signs(self, truth: "Point", final: "Point") -> "Point":
+        """The truth re-signed onto the branch of `final`, where it is
+        defined only up to signs."""
+        return truth
+
+
+class _LivesOn:
+    """Base of kinds and costs: `manifolds`, the classes they live on, which
+    `valid_on` checks (subclasses add their dims) and `check_on` enforces."""
+    name = None
+    manifolds = (ManifoldDescriptor,)
+
+    def valid_on(self, m: ManifoldDescriptor) -> bool:
+        return isinstance(m, self.manifolds)
+
+    def check_on(self, m: ManifoldDescriptor):
+        if not self.valid_on(m):
+            raise ManifoldMismatch("%s is not valid on %s(n=%d, p=%d)"
+                                   % (self.name, m.kind, m.n, m.p))
+        return self
+
+
+class Euclidean(ManifoldDescriptor):
+    """R^n, flat: every tangent space is R^n and II = 0."""
+    name = "euclidean"
 
     @property
     def intrinsic_dim(self) -> int:
-        if self.kind == "euclidean":
-            return self.n
-        if self.kind == "sphere":
-            return self.n - 1
-        if self.kind == "stiefel":
-            return self.n * self.p - self.p * (self.p + 1) // 2
+        return self.n
+
+    def feasibility_residual(self, x: np.ndarray) -> float:
+        return 0.0
+
+    def tangency_residual(self, x: np.ndarray, v: np.ndarray) -> float:
+        return 0.0
+
+    def tangent_columns(self, p: "Point") -> np.ndarray:
+        return np.eye(self.n)
+
+    def project(self, x: np.ndarray, guard=None) -> "Point":
+        return Point(self, x)
+
+    def sample_point(self, rng: SplitMix64) -> "Point":
+        # away from 0: the 1-d example kinds have a pole there
+        return Point(self, np.array([0.5 + 0.5 * rng.uniform()
+                                     for _ in range(self.n)]))
+
+    def second_fundamental_form(self, p: "Point", v: np.ndarray) -> np.ndarray:
+        return np.zeros(self.ambient_dim)
+
+    def weingarten(self, p: "Point", B: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return np.zeros((B.shape[1], B.shape[1]))
+
+
+class Sphere(ManifoldDescriptor):
+    """The unit sphere in R^n. Every curve bends along -p,
+    II_p(v, v) = -|v|^2 p, so over an orthonormal basis the contraction is
+    -(g . p) I."""
+    name = "sphere"
+    draw_guard = 1e-6
+
+    @property
+    def intrinsic_dim(self) -> int:
+        return self.n - 1
+
+    def feasibility_residual(self, x: np.ndarray) -> float:
+        return abs(norm(x) - 1.0)
+
+    def tangency_residual(self, x: np.ndarray, v: np.ndarray) -> float:
+        return abs(float(x @ v))
+
+    def tangent_columns(self, p: "Point") -> np.ndarray:
+        return _complete_orthonormal(p.ambient[:, None])
+
+    def project(self, x: np.ndarray, guard=None) -> "Point":
+        nx = norm(x)
+        if guard is not None and nx <= guard:
+            raise OutsideValidityRadius("norm %.3e under guard %g" % (nx, guard))
+        if nx == 0.0:
+            raise ProjectionUndefined("cannot project the zero vector")
+        return Point(self, x / nx)
+
+    def align_signs(self, truth: "Point", final: "Point") -> "Point":
+        if float(np.dot(truth.ambient, final.ambient)) < 0.0:
+            return Point(self, -truth.ambient)
+        return truth
+
+    def second_fundamental_form(self, p: "Point", v: np.ndarray) -> np.ndarray:
+        nv = norm(v)
+        return -(nv * nv) * p.ambient
+
+    def weingarten(self, p: "Point", B: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return -float(g @ p.ambient) * np.eye(B.shape[1])
+
+
+class _Frame(ManifoldDescriptor):
+    """n x p orthonormal frames X^T X = I, shared by Stiefel and Grassmann.
+    II_X(V, V) = -X V^T V, whose contraction with g is the Weingarten map
+    V -> -V sym(X^T G)."""
+    takes_p = True
+
+    def feasibility_residual(self, x: np.ndarray) -> float:
+        return _orthonormality_residual(x.reshape(self.n, self.p, order="F"))
+
+    def tangent_columns(self, p: "Point") -> np.ndarray:
+        """The horizontal block: column b moves along the a-th completion
+        vector P_a of X, b outer, a inner, which in column-major coordinates
+        is kron(I_p, P)."""
+        return np.kron(np.eye(self.p), _complete_orthonormal(p.as_matrix()))
+
+    def project(self, x: np.ndarray, guard=None) -> "Point":
+        try:
+            U = polar_factor(x.reshape(self.n, self.p, order="F"), guard)
+        except RankDeficient as exc:
+            raise ProjectionUndefined(str(exc)) from exc
+        return Point(self, U.flatten(order="F"))
+
+    def second_fundamental_form(self, p: "Point", v: np.ndarray) -> np.ndarray:
+        V = v.reshape(self.n, self.p, order="F")
+        return (-p.as_matrix() @ (V.T @ V)).flatten(order="F")
+
+    def weingarten(self, p: "Point", B: np.ndarray, g: np.ndarray) -> np.ndarray:
+        V = _as_stack(B, self.n, self.p)
+        N = p.as_matrix().T @ g.reshape(self.n, self.p, order="F")
+        return -_pair_sums(V @ _sym(N), V)
+
+
+class Stiefel(_Frame):
+    """Orthonormal n x p frames."""
+    name = "stiefel"
+
+    @property
+    def intrinsic_dim(self) -> int:
+        return self.n * self.p - self.p * (self.p + 1) // 2
+
+    def tangency_residual(self, x: np.ndarray, v: np.ndarray) -> float:
+        X = x.reshape(self.n, self.p, order="F")
+        V = v.reshape(self.n, self.p, order="F")
+        return norm(X.T @ V + V.T @ X)
+
+    def tangent_columns(self, p: "Point") -> np.ndarray:
+        """The skew block first: the pair (i, j), i < j, moves column j
+        along x_i and column i along -x_j; then the horizontal block."""
+        X = p.as_matrix()
+        n, pp = self.n, self.p
+        i, j = np.triu_indices(pp, 1)
+        skew = np.zeros((n, pp, i.size))
+        skew[:, j, np.arange(i.size)] = X[:, i] / sqrt(2.0)
+        skew[:, i, np.arange(i.size)] = -X[:, j] / sqrt(2.0)
+        return np.hstack([skew.reshape(n * pp, i.size, order="F"),
+                          super().tangent_columns(p)])
+
+    def align_signs(self, truth: "Point", final: "Point") -> "Point":
+        T = truth.as_matrix().copy()
+        F = final.as_matrix()
+        for j in range(self.p):
+            if float(np.dot(T[:, j], F[:, j])) < 0.0:
+                T[:, j] = -T[:, j]
+        return Point(self, T.flatten(order="F"))
+
+
+class Grassmann(_Frame):
+    """p-planes in R^n, as frames with horizontal tangent vectors."""
+    name = "grassmann"
+
+    @property
+    def intrinsic_dim(self) -> int:
         return self.p * (self.n - self.p)
 
+    def tangency_residual(self, x: np.ndarray, v: np.ndarray) -> float:
+        X = x.reshape(self.n, self.p, order="F")
+        return norm(X.T @ v.reshape(self.n, self.p, order="F"))
 
-def euclidean(n: int) -> ManifoldDescriptor:
-    return ManifoldDescriptor("euclidean", n)
-
-
-def sphere(n: int) -> ManifoldDescriptor:
-    return ManifoldDescriptor("sphere", n)
-
-
-def stiefel(n: int, p: int) -> ManifoldDescriptor:
-    return ManifoldDescriptor("stiefel", n, p)
+    def distance(self, x: "Point", y: "Point") -> float:
+        X, Y = x.as_matrix(), y.as_matrix()
+        return norm(X @ X.T - Y @ Y.T)
 
 
-def grassmann(n: int, p: int) -> ManifoldDescriptor:
-    return ManifoldDescriptor("grassmann", n, p)
+# the constructors by their lowercase names
+euclidean = Euclidean
+sphere = Sphere
+stiefel = Stiefel
+grassmann = Grassmann
 
 
 def _freeze(a) -> np.ndarray:
@@ -79,14 +288,6 @@ def _orthonormality_residual(A: np.ndarray) -> float:
     return norm(G)
 
 
-def _feasibility_residual(m: ManifoldDescriptor, x: np.ndarray) -> float:
-    if m.kind == "euclidean":
-        return 0.0
-    if m.kind == "sphere":
-        return abs(norm(x) - 1.0)
-    return _orthonormality_residual(x.reshape(m.n, m.p, order="F"))
-
-
 @dataclass(frozen=True, eq=False)
 class Point:
     manifold: ManifoldDescriptor
@@ -100,24 +301,12 @@ class Point:
                              % (x.shape, self.manifold.ambient_dim))
         if not np.isfinite(x).all():
             raise InfeasiblePoint("non-finite ambient coordinates")
-        resid = _feasibility_residual(self.manifold, x)
+        resid = self.manifold.feasibility_residual(x)
         if resid > FEAS_TOL:
             raise InfeasiblePoint("infeasible point: residual %.3e" % resid)
 
     def as_matrix(self) -> np.ndarray:
         return self.ambient.reshape(self.manifold.n, self.manifold.p, order="F")
-
-
-def _tangency_residual(m: ManifoldDescriptor, x: np.ndarray, v: np.ndarray) -> float:
-    if m.kind == "euclidean":
-        return 0.0
-    if m.kind == "sphere":
-        return abs(float(x @ v))
-    X = x.reshape(m.n, m.p, order="F")
-    V = v.reshape(m.n, m.p, order="F")
-    if m.kind == "stiefel":
-        return norm(X.T @ V + V.T @ X)
-    return norm(X.T @ V)  # horizontal space
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +322,7 @@ class TangentVector:
             raise ValueError("ambient length %r, expected %d" % (v.shape, m.ambient_dim))
         if not np.isfinite(v).all():
             raise InfeasiblePoint("non-finite tangent coordinates")
-        resid = _tangency_residual(m, self.base.ambient, v)
+        resid = m.tangency_residual(self.base.ambient, v)
         # absolute at unit scale, relative beyond (huge near-singular
         # steps would otherwise fail on pure rounding)
         if resid > FEAS_TOL * max(1.0, norm(v)):
@@ -226,28 +415,8 @@ def _complete_unit(p: np.ndarray) -> np.ndarray:
 
 def tangent_basis(p: Point) -> TangentBasis:
     """Deterministic orthonormal basis of the tangent (Grassmann: horizontal)
-    space at p, as ambient columns.
-
-    Matrix manifolds list the skew block first (Stiefel only: the pair
-    (i, j), i < j, moves column j along x_i and column i along -x_j), then
-    the normal block: column b moves along the a-th completion vector, b
-    outer, a inner, which in column-major coordinates is kron(I_p, P)."""
-    m = p.manifold
-    if m.kind == "euclidean":
-        return TangentBasis(p, np.eye(m.n))
-    if m.kind == "sphere":
-        return TangentBasis(p, _complete_orthonormal(p.ambient[:, None]))
-    X = p.as_matrix()
-    n, pp = m.n, m.p
-    normal = np.kron(np.eye(pp), _complete_orthonormal(X))
-    if m.kind == "grassmann":
-        return TangentBasis(p, normal)
-    i, j = np.triu_indices(pp, 1)
-    skew = np.zeros((n, pp, i.size))
-    skew[:, j, np.arange(i.size)] = X[:, i] / sqrt(2.0)
-    skew[:, i, np.arange(i.size)] = -X[:, j] / sqrt(2.0)
-    return TangentBasis(p, np.hstack([skew.reshape(n * pp, i.size, order="F"),
-                                      normal]))
+    space at p, as ambient columns."""
+    return TangentBasis(p, p.manifold.tangent_columns(p))
 
 
 def project_to_manifold(m: ManifoldDescriptor, ambient, guard=None) -> Point:
@@ -256,22 +425,7 @@ def project_to_manifold(m: ManifoldDescriptor, ambient, guard=None) -> Point:
     With a guard, a norm (sphere) or smallest singular value (Stiefel,
     Grassmann) at or under it raises OutsideValidityRadius: a projection
     step p + v that collapses has left the map's validity region."""
-    x = np.asarray(ambient, dtype=float)
-    if m.kind == "euclidean":
-        return Point(m, x)
-    if m.kind == "sphere":
-        nx = norm(x)
-        if guard is not None and nx <= guard:
-            raise OutsideValidityRadius("norm %.3e under guard %g" % (nx, guard))
-        if nx == 0.0:
-            raise ProjectionUndefined("cannot project the zero vector")
-        return Point(m, x / nx)
-    M = x.reshape(m.n, m.p, order="F")
-    try:
-        U = polar_factor(M, guard)
-    except RankDeficient as exc:
-        raise ProjectionUndefined(str(exc)) from exc
-    return Point(m, U.flatten(order="F"))
+    return m.project(np.asarray(ambient, dtype=float), guard)
 
 
 def distance(p: Point, q: Point) -> float:
@@ -279,32 +433,10 @@ def distance(p: Point, q: Point) -> float:
     ||XX^T - YY^T||_F, which is representative-independent."""
     if p.manifold != q.manifold:
         raise ManifoldMismatch("points on different manifolds")
-    if p.manifold.kind == "grassmann":
-        X, Y = p.as_matrix(), q.as_matrix()
-        return norm(X @ X.T - Y @ Y.T)
-    return norm(p.ambient - q.ambient)
+    return p.manifold.distance(p, q)
 
 
 def random_point(m: ManifoldDescriptor, seed: int) -> Point:
     """Seed-deterministic point: normalised (sphere) or polar-projected
     (Stiefel/Grassmann) gaussian draw; plain gaussian for Euclidean."""
-    return draw_point(m, SplitMix64(seed))
-
-
-def draw_point(m: ManifoldDescriptor, rng: SplitMix64) -> Point:
-    """The draw behind random_point, from a caller's stream."""
-    if m.kind == "euclidean":
-        return Point(m, rng.gaussians(m.n))
-    if m.kind == "sphere":
-        while True:
-            g = rng.gaussians(m.n)
-            ng = norm(g)
-            if ng > 1e-6:
-                return Point(m, g / ng)
-    while True:
-        G = rng.gaussians(m.n * m.p).reshape(m.n, m.p, order="F")
-        try:
-            U = polar_factor(G)
-        except RankDeficient:
-            continue
-        return Point(m, U.flatten(order="F"))
+    return m.draw(SplitMix64(seed))

@@ -76,6 +76,7 @@ def _own_pairs(policy):
 
 @dataclass(frozen=True)
 class Fixed:
+    name = "fixed"
     pair: ParametrizationPair
 
     def chooser(self):
@@ -84,6 +85,7 @@ class Fixed:
 
 @dataclass(frozen=True)
 class RoundRobin:
+    name = "round_robin"
     pairs: tuple
 
     def __post_init__(self):
@@ -95,6 +97,7 @@ class RoundRobin:
 
 @dataclass(frozen=True)
 class Random:
+    name = "random"
     pairs: tuple
     seed: int
 
@@ -116,12 +119,14 @@ class PathDependent:
     - "distance-keyed": choose the pair by the current distance from the
       start point (far / middle / near bands at 0.1 and 1e-6).
     """
+    name = "path"
+    rules = ("alternate-on-repeat", "distance-keyed")
     rule: str
     pairs: tuple
 
     def __post_init__(self):
         _own_pairs(self)
-        if self.rule not in ("alternate-on-repeat", "distance-keyed"):
+        if self.rule not in self.rules:
             raise ValueError("unknown path rule %r" % (self.rule,))
 
     def chooser(self):

@@ -6,9 +6,9 @@ back to the manifold. Every kind anchors the identity phi_p(0) = p and
 D phi_p(0) = I; the audit measures how well those and the quadratic
 remainder bound ||psi_p(y) - p - y|| <= beta ||y||^2 hold on samples.
 
-A kind is one class that owns its maths: its `name`, the manifolds it is
-defined on (`valid_on`), its map away from the origin (`_map`) and its
-second-order term (`second_order`, `curvature`).
+A kind is one class that owns its maths: its `name`, the manifold classes
+it lives on (`manifolds`), its map away from the origin (`_map`) and the
+tangential part of its second-order term, if it has one.
 """
 
 from dataclasses import dataclass, field
@@ -17,11 +17,11 @@ from math import cos, log, sin
 
 import numpy as np
 
-from .errors import (ChartDomainViolation, ManifoldMismatch,
-                     OutsideValidityRadius, ProjectionUndefined)
-from .manifolds import (ManifoldDescriptor, Point, TangentVector, draw_point,
-                        project_to_manifold, tangent_basis,
-                        _complete_orthonormal)
+from .errors import (ChartDomainViolation, OutsideValidityRadius,
+                     ProjectionUndefined)
+from .manifolds import (Euclidean, ManifoldDescriptor, Point, Sphere,
+                        Stiefel, Grassmann, TangentVector, project_to_manifold,
+                        tangent_basis, _as_stack, _LivesOn, _pair_sums, _sym)
 from .linalg import norm, polar_factor
 from .rates import log_log_fit
 from .rng import SplitMix64
@@ -33,15 +33,17 @@ _EPS = np.finfo(float).eps
 PROJECTION_GUARD = 0.1
 
 
-class _Kind:
+class _Kind(_LivesOn):
     """Base of every kind: `apply` checks the manifold, anchors
-    phi_p(0) = p exactly and otherwise calls the kind's `_map(p, v)`."""
-    name = None
+    phi_p(0) = p exactly and otherwise calls the kind's `_map(p, v)`.
 
-    def check_on(self, m: ManifoldDescriptor):
-        if not self.valid_on(m):
-            raise ManifoldMismatch("%s is not valid on %s" % (self.name, m.kind))
-        return self
+    `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
+    matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
+    Hessian needs of it. As D phi_p(0) = I, the normal part is the
+    manifold's second fundamental form for every kind, so that is the
+    default; the second-order retractions (projection, geodesic, recentred)
+    have no tangential part, and other kinds add theirs.
+    """
 
     def apply(self, v: TangentVector) -> Point:
         p = v.base
@@ -50,69 +52,27 @@ class _Kind:
             return p
         return self._map(p, v.ambient)
 
-
-# --- second-order terms ------------------------------------------------------
-#
-# Every kind owns its second-order term twice over, from one formula:
-# `second_order(p, v)` is the ambient vector D^2 phi_p(0)(v, v), and
-# `curvature(p, B, g)` is the m x m matrix C[i, j] = g . D^2 phi_p(0)(b_i, b_j)
-# over the columns b_i of B, which is all a pullback Hessian needs of it.
-# Matrix points and directions are n x p, flattened column-major; a basis
-# is handled as an (m, n, p) stack of direction matrices.
-
-def _as_stack(B: np.ndarray, n: int, p: int) -> np.ndarray:
-    return B.T.reshape(B.shape[1], p, n).transpose(0, 2, 1)
-
-
-def _pair_sums(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """[<S_a, T_b>] over two (m, n, p) stacks, as an m x m matrix."""
-    m, n, p = S.shape
-    return S.reshape(m, n * p) @ T.reshape(m, n * p).T
-
-
-def _sym(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + A.T)
-
-
-class _SphereTerms(_Kind):
-    """What every kind does on the sphere: it bends along -p,
-    D^2 phi_p(0)(v, v) = -|v|^2 p, so over an orthonormal basis
-    C = -(g . p) I."""
-
-    def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return m.kind == "sphere"
-
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
-        nv = norm(v)
-        return -(nv * nv) * p.ambient
+        return p.manifold.second_fundamental_form(p, v)
 
     def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return -float(g @ p.ambient) * np.eye(B.shape[1])
+        return p.manifold.weingarten(p, B, g)
 
 
 class _LineTerms(_Kind):
     """Kinds on the line: the basis is the single column (1,), so C is the
     second-order term itself, contracted with g."""
+    manifolds = (Euclidean,)
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return m.kind == "euclidean" and m.n == 1
+        return super().valid_on(m) and m.n == 1
 
     def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.array([[float(g @ self.second_order(p, B[:, 0]))]])
 
 
-def _qr_first_order(X: np.ndarray, V: np.ndarray):
-    """First derivatives at t = 0 of QR(X + tV) = Q R, for one direction or
-    a stack of them: Omega = X^T Q' (skew), R' (upper triangular) and Q'."""
-    A = X.T @ V
-    L = np.tril(A, -1)
-    omega = L - np.swapaxes(L, -1, -2)
-    dR = A - omega
-    return omega, dR, V - X @ dR
-
-
 @dataclass(frozen=True)
-class Projection(_SphereTerms):
+class Projection(_Kind):
     """Closest-point projection of p + v back onto the manifold.
 
     For an exactly tangent v the projection is always defined:
@@ -123,38 +83,15 @@ class Projection(_SphereTerms):
     """
     name = "projection"
 
-    def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return True
-
     def _map(self, p: Point, v: np.ndarray) -> Point:
         return project_to_manifold(p.manifold, p.ambient + v, PROJECTION_GUARD)
 
-    def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
-        m = p.manifold
-        if m.kind == "euclidean":
-            return np.zeros(m.ambient_dim)
-        if m.kind == "sphere":
-            return super().second_order(p, v)
-        X = p.as_matrix()
-        V = v.reshape(m.n, m.p, order="F")
-        return (-X @ (V.T @ V)).flatten(order="F")
-
-    def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The Weingarten map V -> -V sym(X^T G) on matrix manifolds."""
-        m = p.manifold
-        if m.kind == "euclidean":
-            return np.zeros((B.shape[1], B.shape[1]))
-        if m.kind == "sphere":
-            return super().curvature(p, B, g)
-        V = _as_stack(B, m.n, m.p)
-        N = p.as_matrix().T @ g.reshape(m.n, m.p, order="F")
-        return -_pair_sums(V @ _sym(N), V)
-
 
 @dataclass(frozen=True)
-class SphereGeodesic(_SphereTerms):
+class SphereGeodesic(_Kind):
     """Great-circle map cos(|v|) p + sin(|v|) v/|v| (sphere only)."""
     name = "sphere_geodesic"
+    manifolds = (Sphere,)
 
     def _map(self, p: Point, v: np.ndarray) -> Point:
         nv = norm(v)
@@ -162,18 +99,17 @@ class SphereGeodesic(_SphereTerms):
 
 
 @dataclass(frozen=True)
-class QR(_SphereTerms):
+class QR(_Kind):
     """Orthonormal factor of p + v with positive-diagonal R.
 
-    On the sphere (one column) QR is normalisation. On matrix manifolds
-    differentiating X + tV = Q R twice at t = 0, with Q^T Q = I and R upper
-    triangular, gives Q'' = X K - 2 (I - X X^T) Q' R', where K = X^T Q'' has
-    strict lower part tril(-2 Omega R', -1) and K + K^T = -2 Q'^T Q'.
+    Differentiating X + tV = Q R at t = 0 for a tangent V gives R' = 0 and
+    Q' = V, and then Q'' = -X (2 triu(M, 1) + diag(M)) with M = V^T V.
+    Beside the normal part II = -X M that leaves the tangential term
+    T(V, V) = X (tril(M, -1) - triu(M, 1)); with one column (the sphere) it
+    is 0 and QR is normalisation.
     """
     name = "qr"
-
-    def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return m.kind != "euclidean"
+    manifolds = (Sphere, Stiefel, Grassmann)
 
     def _map(self, p: Point, v: np.ndarray) -> Point:
         m = p.manifold
@@ -184,35 +120,25 @@ class QR(_SphereTerms):
         return Point(m, (Q * np.sign(d)).flatten(order="F"))
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
+        S = super().second_order(p, v)
         m = p.manifold
-        if m.kind == "sphere":
-            return super().second_order(p, v)
-        X = p.as_matrix()
+        if m.p == 1:
+            return S
         V = v.reshape(m.n, m.p, order="F")
-        omega, dR, dQ = _qr_first_order(X, V)
-        M = dQ.T @ dQ
-        L = np.tril(-2.0 * omega @ dR, -1)
-        K = L - L.T + np.triu(-2.0 * M, 1) - np.diag(np.diag(M))
-        perp = V - X @ (X.T @ V)
-        return (X @ K - 2.0 * perp @ dR).flatten(order="F")
+        M = V.T @ V
+        T = p.as_matrix() @ (np.tril(M, -1) - np.triu(M, 1))
+        return S + T.flatten(order="F")
 
     def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """g . Q'' = <N, K> - 2 <(I - X X^T) G, Q' R'> with N = X^T G, where
-        <N, K> = -2 <E, Omega R'> - <F, Q'^T Q'> for E the strict lower part
-        of N - N^T and F the upper part of N with its strict part doubled."""
+        """g . T(V, V) = <N, tril(M, -1) - triu(M, 1)> = <V E, V> with
+        N = X^T G and E = tril(N - N^T, -1), polarised over the basis."""
+        C = super().curvature(p, B, g)
         m = p.manifold
-        if m.kind == "sphere":
-            return super().curvature(p, B, g)
-        X = p.as_matrix()
-        G = g.reshape(m.n, m.p, order="F")
-        omega, dR, dQ = _qr_first_order(X, _as_stack(B, m.n, m.p))
-        N = X.T @ G
-        E = np.tril(N - N.T, -1)
-        F = np.triu(N) + np.triu(N, 1)
-        dRt = np.swapaxes(dR, -1, -2)
-        T = (-2.0 * _pair_sums(omega, E @ dRt)
-             - _pair_sums(dQ, dQ @ F.T + 2.0 * (G - X @ N) @ dRt))
-        return _sym(T)
+        if m.p == 1:
+            return C
+        N = p.as_matrix().T @ g.reshape(m.n, m.p, order="F")
+        V = _as_stack(B, m.n, m.p)
+        return C + _sym(_pair_sums(V @ np.tril(N - N.T, -1), V))
 
 
 @dataclass(frozen=True)
@@ -263,11 +189,12 @@ class ExampleBeta(_LineTerms):
 
 
 @dataclass(frozen=True)
-class Recentred(_SphereTerms):
+class Recentred(_Kind):
     """Sphere pair obtained by rotating a base pair anchored at e1: the map
     at p is g . base_{e1}(g^T v) for a seeded rotation g with g e1 = p.
     Rotation keeps the base's second-order term, which is the sphere's."""
     name = "recentred"
+    manifolds = (Sphere,)
     base: object
     rotation_seed: int = 0
 
@@ -300,6 +227,7 @@ class Stereographic(_Kind):
     + 16 (y.u)^2 (y - q) / r^3 at y = s(p).
     """
     name = "stereographic"
+    manifolds = (Sphere,)
     pole: np.ndarray
 
     def __post_init__(self):
@@ -310,7 +238,7 @@ class Stereographic(_Kind):
         object.__setattr__(self, "pole", q)
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return m.kind == "sphere" and m.n == self.pole.size
+        return super().valid_on(m) and m.n == self.pole.size
 
     def _chart(self, p: Point):
         """y = s(p) and the matrix of Ds(p),
@@ -380,7 +308,7 @@ def recentring_rotation(kind: Recentred, p: Point) -> np.ndarray:
     n = p.manifold.n
     if n > 1:
         R = _seeded_rotation(kind.rotation_seed, n - 1)
-        C = _complete_orthonormal(p.ambient[:, None]) @ R
+        C = p.manifold.tangent_columns(p) @ R
         return np.column_stack([p.ambient, C])
     return p.ambient.reshape(1, 1).copy()
 
@@ -452,12 +380,7 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
     h = _EPS ** (1.0 / 3.0)
 
     for _ in range(sample_points):
-        if m.kind == "euclidean":
-            # away from 0: the 1-d example kinds have a pole there
-            p = Point(m, np.array([0.5 + 0.5 * rng.uniform()
-                                   for _ in range(m.n)]))
-        else:
-            p = draw_point(m, rng)
+        p = m.sample_point(rng)
         B = tangent_basis(p)
         while True:
             d = B.columns @ rng.gaussians(m.intrinsic_dim)

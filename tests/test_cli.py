@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from gnewton.cli import main
+from gnewton.cli import _parse_truth_spec, _truth_spec_string
+from gnewton.manifolds import euclidean, grassmann, random_point, sphere, stiefel
 
 SPHERE_RUN = {
     "version": 1,
@@ -147,6 +149,27 @@ def test_rates_truth_dimension_mismatch(tmp_path, capsys):
                  "--truth", "sphere:3:1.0,0.0,0.0"])
     assert code == 4
     capsys.readouterr()
+
+
+def test_rates_truth_spec_dims_follow_the_manifold(tmp_path, capsys):
+    """p is given exactly on Stiefel and Grassmann: `gnewton rates` refuses
+    a sphere spec with p and a matrix spec without one, and every spec
+    `gnewton run` writes parses back to its point."""
+    cfg = dict(SPHERE_RUN, manifold={"kind": "sphere", "n": 3},
+               cost={"kind": "quadratic", "A": "diag:1,2,3"})
+    _, out = _run(tmp_path, cfg)
+    trace = str(out / "trace.csv")
+    for spec in ("sphere:3,1:1.0,0.0,0.0", "stiefel:3:1.0,0.0,0.0",
+                 "grassmann:3:1.0,0.0,0.0", "euclidean:3,1:1.0,0.0,0.0"):
+        assert main(["rates", trace, "--truth", spec]) == 4, spec
+        assert "truth spec" in capsys.readouterr().err
+    assert main(["rates", trace, "--truth", "sphere:3:1.0,0.0,0.0"]) == 0
+    capsys.readouterr()
+    for m in (euclidean(3), sphere(3), stiefel(4, 2), grassmann(5, 2)):
+        pt = random_point(m, 7)
+        back = _parse_truth_spec(_truth_spec_string(pt))
+        assert back.manifold == m
+        assert np.array_equal(back.ambient, pt.ambient)
 
 
 def test_exit_code_singular_hessian(tmp_path):

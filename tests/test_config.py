@@ -195,6 +195,17 @@ def test_near_truth_requires_truth(tmp_path):
         _build(tmp_path, cfg)
 
 
+def test_near_truth_refuses_sphere_quadratic_with_linear_term(tmp_path):
+    """On the sphere a linear term b leaves no closed-form truth, so a
+    near-truth start is refused instead of being drawn around A's
+    eigenvector, which is no critical point."""
+    cost = {"kind": "quadratic", "A": "diag:1,2,3", "b": [0.0, 0.5, 0.0]}
+    with pytest.raises(ConfigError, match="near-truth needs"):
+        _build(tmp_path, _base(cost=cost, x0="near-truth:0.1:1"))
+    exp = _build(tmp_path, _base(cost=cost))
+    assert exp.truth is None
+
+
 def test_seed_override(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(_base(x0="random:5")))

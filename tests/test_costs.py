@@ -10,6 +10,7 @@ from gnewton.errors import ManifoldMismatch, NotTwiceDifferentiable
 from gnewton.linalg import symmetric_eigen
 from gnewton.manifolds import (Point, euclidean, grassmann, random_point,
                                sphere, stiefel)
+from gnewton.parametrizations import QR
 from gnewton.rng import SplitMix64
 
 E6 = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -119,6 +120,39 @@ def test_manifold_mismatch():
         value(cb, random_point(sphere(6), 0))
     with pytest.raises(ManifoldMismatch):
         value(AbsPower(), Point(euclidean(2), np.zeros(2)))
+
+
+def test_costs_separate_stiefel_from_grassmann():
+    """Grassmann shares the frame code of Stiefel but is no Stiefel
+    manifold: each trace cost lives on its own, while QR lives on both."""
+    for n, k in ((6, 2), (5, 1), (4, 4)):
+        A = np.diag(np.arange(1.0, n + 1.0))
+        brockett = BrockettTrace(A, np.diag(np.arange(1.0, k + 1.0)))
+        trace = GrassmannTrace(A)
+        assert brockett.valid_on(stiefel(n, k))
+        assert not brockett.valid_on(grassmann(n, k))
+        assert trace.valid_on(grassmann(n, k))
+        assert not trace.valid_on(stiefel(n, k))
+        assert QR().valid_on(stiefel(n, k)) and QR().valid_on(grassmann(n, k))
+        with pytest.raises(ManifoldMismatch):
+            value(brockett, random_point(grassmann(n, k), 0))
+        with pytest.raises(ManifoldMismatch):
+            value(trace, random_point(stiefel(n, k), 0))
+
+
+def test_quadratic_sphere_truth_needs_b_zero():
+    """With b != 0 the eigenvector of A's smallest eigenvalue is no
+    critical point on the sphere, and the sphere has no closed form."""
+    A = np.diag([1.0, 2.0, 3.0])
+    b = np.array([0.0, 0.5, 0.0])
+    m = sphere(3)
+    e1 = Point(m, np.array([1.0, 0.0, 0.0]))
+    g = ambient_gradient(Quadratic(A, b), e1)
+    assert np.linalg.norm(g - (g @ e1.ambient) * e1.ambient) == 0.5
+    assert Quadratic(A, b).truth(m) is None
+    assert abs(Quadratic(A).truth(m).ambient[0]) == 1.0
+    x = Quadratic(A, b).truth(euclidean(3)).ambient
+    assert np.allclose(A @ x + b, 0.0, atol=1e-15)
 
 
 def _fd_grad(c, p, h=1e-6):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import oracles
 from gnewton.config import compute_truth, near_truth_start
+from gnewton.linalg import polar_factor
 from gnewton.costs import (BrockettTrace, GrassmannTrace, Quadratic,
                            ShiftedCubic)
-from gnewton.manifolds import (ManifoldDescriptor, Point, TangentVector,
+from gnewton.manifolds import (Point, TangentVector,
                                euclidean, grassmann, project_to_manifold,
                                random_point, sphere, stiefel, tangent_basis)
 from gnewton.newton import pullback_jet
@@ -116,6 +117,41 @@ def test_qr_curvature_is_polarised_second_order_term():
         for seed in range(5):
             gap = _jet_gap(QR(), space, seed, second_order=analytic)
             assert gap <= 1e-12, (space, seed, gap)
+
+
+def _rotated(n, seed):
+    """Q^T diag(1..n) Q for a seeded orthogonal Q, so the truths are no
+    coordinate vectors (there every kind's term vanishes trivially)."""
+    Q = polar_factor(SplitMix64(seed).gaussians(n * n).reshape(n, n))
+    A = Q.T @ np.diag(np.arange(1.0, n + 1.0)) @ Q
+    return 0.5 * (A + A.T)
+
+
+def test_coordinate_independence_at_a_critical_point():
+    """Every kind with D phi_p(0) = I has the manifold's normal part, and a
+    tangential part that meets only the tangential gradient, which is 0 at
+    a critical point: so all give the same pulled-back Hessian at the
+    truth, over seeds 0-4."""
+    for seed in range(5):
+        pole = SplitMix64(seed + 100).gaussians(6)
+        cases = [
+            (sphere(6), Quadratic(_rotated(6, seed)),
+             [Projection(), SphereGeodesic(), QR(),
+              Recentred(Projection(), seed), Recentred(SphereGeodesic(), seed),
+              Stereographic(pole / np.linalg.norm(pole))]),
+            (stiefel(12, 3), BrockettTrace(_rotated(12, seed),
+                                           np.diag([1.0, 2.0, 3.0])),
+             [Projection(), QR()]),
+            (grassmann(20, 4), GrassmannTrace(_rotated(20, seed)),
+             [Projection(), QR()]),
+        ]
+        for m, c, kinds in cases:
+            truth = compute_truth(m, c)
+            H = [pullback_jet(c, ParametrizationPair(k, k), truth).hessian
+                 for k in kinds]
+            for k, Hk in zip(kinds, H):
+                gap = _rel_gap(Hk, H[0])
+                assert gap <= 1e-12, (m.kind, k.name, seed, gap)
 
 
 def _basis_gap(p):
@@ -235,7 +271,7 @@ _SHAPES = st.integers(1, 7).flatmap(
 @example(kind="stiefel", shape=(2, 2), seed=0, scale=2.0)
 @example(kind="grassmann", shape=(5, 4), seed=1, scale=1.0)
 def test_qr_second_order_matches_central_differences(kind, shape, seed, scale):
-    m = ManifoldDescriptor(kind, *shape)
+    m = {"stiefel": stiefel, "grassmann": grassmann}[kind](*shape)
     if m.intrinsic_dim == 0:
         return  # a single point: no direction to differentiate along
     pair = ParametrizationPair(QR(), QR())
