@@ -16,8 +16,9 @@ import numpy as np
 
 from .config import (build_audit_setup, build_experiment, build_manifold,
                      load_config, match_truth_signs)
-from .errors import ConfigError, InsufficientData, SchemaError
-from .manifolds import Point, distance, euclidean
+from .errors import (ConfigError, InsufficientData, ManifoldMismatch,
+                     SchemaError)
+from .manifolds import Point, euclidean
 from .newton import run_iteration
 from .parametrizations import audit_conditions, pair_label
 from .rates import DEFAULT_CEIL, DEFAULT_FLOOR, error_sequence, estimate_rate
@@ -147,11 +148,9 @@ def _run_one(config_path: str, out_dir: str, seed_override) -> int:
     truth = exp.truth
     if truth is not None:
         truth = match_truth_signs(truth, trace.points[-1])
-        errors = [float(distance(pt, truth)) for pt in trace.points]
-        write_trace_csv(out / "trace.csv", trace, errors)
-    else:
-        errors = error_sequence(trace, None)
-        write_trace_csv(out / "trace.csv", trace, None)
+    errors = error_sequence(trace, truth)
+    write_trace_csv(out / "trace.csv", trace,
+                    None if truth is None else errors)
 
     summary = {
         "config": cfg,
@@ -209,7 +208,7 @@ def cmd_audit(args) -> int:
     except (ConfigError, SchemaError, OSError) as exc:
         print("error: %s: %s" % (args.config, exc), file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, ManifoldMismatch) as exc:
         print("error: %s: audit: %s" % (args.config, exc), file=sys.stderr)
         return 4
 
@@ -299,10 +298,7 @@ def cmd_rates(args) -> int:
         except ValueError as exc:
             raise SchemaError("trace CSV: row not on %s: %s"
                               % (m.kind, exc)) from exc
-        if truth is not None:
-            errors = [float(distance(pt, truth)) for pt in pts]
-        else:
-            errors = error_sequence(pts, None)
+        errors = error_sequence(pts, truth)
     except (ConfigError, SchemaError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4

@@ -14,11 +14,10 @@ import numpy as np
 from . import costs as costs_mod
 from . import newton as newton_mod
 from . import parametrizations as par_mod
-from .errors import ConfigError
-from .linalg import norm
+from .errors import ConfigError, ManifoldMismatch
 from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
                         Sphere, Stiefel, project_to_manifold, random_point,
-                        tangent_basis)
+                        random_unit_tangent)
 from .rng import SplitMix64
 
 _TOP_KEYS = {"version", "manifold", "cost", "pairs", "selector", "x0",
@@ -248,10 +247,7 @@ def near_truth_start(m: ManifoldDescriptor, truth: Point, delta: float,
                      seed: int) -> Point:
     """Truth perturbed along a seeded unit tangent direction by delta,
     projected back to the manifold."""
-    rng = SplitMix64(seed)
-    B = tangent_basis(truth)
-    d = B.columns @ rng.gaussians(m.intrinsic_dim)
-    d = d / norm(d)
+    d = random_unit_tangent(truth, SplitMix64(seed))
     return project_to_manifold(m, truth.ambient + delta * d)
 
 
@@ -288,7 +284,10 @@ def _build_x0(cfg, m, truth, seed_override) -> Point:
         if truth is None:
             raise ConfigError("x0: near-truth needs a cost with closed-form "
                               "truth")
-        return near_truth_start(m, truth, delta, seed)
+        try:
+            return near_truth_start(m, truth, delta, seed)
+        except ManifoldMismatch as exc:
+            raise ConfigError("x0: %s" % exc) from exc
     raise ConfigError("x0: unknown spec %r" % spec)
 
 

@@ -13,19 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotTwiceDifferentiable, SingularHessian
-from .linalg import norm, symmetric_eigen, symmetric_solve
+from .linalg import _as_square_symmetric, symmetric_eigen, symmetric_solve
 from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
-                        Sphere, Stiefel, _LivesOn)
-
-
-def _check_symmetric(A, label):
-    A = np.array(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("%s must be square" % label)
-    if norm(A - A.T) > 1e-10 * max(norm(A), np.finfo(float).tiny):
-        raise ValueError("%s must be symmetric" % label)
-    A.setflags(write=False)
-    return A
+                        Sphere, Stiefel, _LivesOn, _OnTheLine)
 
 
 def _trace_hess_vec(A, weights, p: Point, direction: np.ndarray) -> np.ndarray:
@@ -40,8 +30,22 @@ def _trace_hess_vec(A, weights, p: Point, direction: np.ndarray) -> np.ndarray:
     return HZ.reshape(direction.shape)
 
 
+class _MatrixCost(_LivesOn):
+    """Base of the costs built on a symmetric n x n matrix A: A is frozen
+    as a copy that passes linalg's symmetric-matrix contract, and the cost
+    fits a manifold of that n."""
+
+    def __post_init__(self):
+        A = _as_square_symmetric(np.array(self.A, dtype=float), "A")
+        A.setflags(write=False)
+        object.__setattr__(self, "A", A)
+
+    def valid_on(self, m: ManifoldDescriptor) -> bool:
+        return super().valid_on(m) and m.n == self.A.shape[0]
+
+
 @dataclass(frozen=True, eq=False)
-class Quadratic(_LivesOn):
+class Quadratic(_MatrixCost):
     """f(x) = 1/2 x^T A x + b^T x on Euclidean space or the sphere."""
     name = "quadratic"
     manifolds = (Euclidean, Sphere)
@@ -49,16 +53,13 @@ class Quadratic(_LivesOn):
     b: np.ndarray = None
 
     def __post_init__(self):
-        A = _check_symmetric(self.A, "A")
-        object.__setattr__(self, "A", A)
-        b = np.zeros(A.shape[0]) if self.b is None else np.array(self.b, dtype=float)
-        if b.shape != (A.shape[0],):
+        super().__post_init__()
+        n = self.A.shape[0]
+        b = np.zeros(n) if self.b is None else np.array(self.b, dtype=float)
+        if b.shape != (n,):
             raise ValueError("b length does not match A")
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
-
-    def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return super().valid_on(m) and m.n == self.A.shape[0]
 
     def value(self, p: Point) -> float:
         x = p.ambient
@@ -87,7 +88,7 @@ class Quadratic(_LivesOn):
 
 
 @dataclass(frozen=True, eq=False)
-class BrockettTrace(_LivesOn):
+class BrockettTrace(_MatrixCost):
     """f(X) = Tr(X^T A X N) on the Stiefel manifold; N diagonal with
     distinct positive entries so the minimiser is an isolated point
     (up to column signs)."""
@@ -97,8 +98,7 @@ class BrockettTrace(_LivesOn):
     N: np.ndarray
 
     def __post_init__(self):
-        A = _check_symmetric(self.A, "A")
-        object.__setattr__(self, "A", A)
+        super().__post_init__()
         N = np.array(self.N, dtype=float)
         if N.ndim != 2 or N.shape[0] != N.shape[1]:
             raise ValueError("N must be square")
@@ -111,8 +111,7 @@ class BrockettTrace(_LivesOn):
         object.__setattr__(self, "N", N)
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return (super().valid_on(m) and m.n == self.A.shape[0]
-                and m.p == self.N.shape[0])
+        return super().valid_on(m) and m.p == self.N.shape[0]
 
     def value(self, p: Point) -> float:
         X = p.as_matrix()
@@ -136,7 +135,7 @@ class BrockettTrace(_LivesOn):
 
 
 @dataclass(frozen=True, eq=False)
-class GrassmannTrace(_LivesOn):
+class GrassmannTrace(_MatrixCost):
     """g(X) = Tr(X^T A X) on the Grassmann manifold (descends to the
     quotient); A symmetric with distinct eigenvalues."""
     name = "grassmann_trace"
@@ -144,15 +143,11 @@ class GrassmannTrace(_LivesOn):
     A: np.ndarray
 
     def __post_init__(self):
-        A = _check_symmetric(self.A, "A")
-        lam = np.linalg.eigvalsh(A)
+        super().__post_init__()
+        lam = np.linalg.eigvalsh(self.A)
         scale = max(abs(lam[0]), abs(lam[-1]), np.finfo(float).tiny)
         if np.min(np.diff(lam)) <= 1e-10 * scale:
             raise ValueError("A must have distinct eigenvalues")
-        object.__setattr__(self, "A", A)
-
-    def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return super().valid_on(m) and m.n == self.A.shape[0]
 
     def value(self, p: Point) -> float:
         X = p.as_matrix()
@@ -170,16 +165,8 @@ class GrassmannTrace(_LivesOn):
         return Point(m, V[:, :m.p].flatten(order="F"))
 
 
-class _LineCost(_LivesOn):
-    """Costs on the line: euclidean with n = 1."""
-    manifolds = (Euclidean,)
-
-    def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return super().valid_on(m) and m.n == 1
-
-
 @dataclass(frozen=True)
-class AbsPower(_LineCost):
+class AbsPower(_OnTheLine):
     """f(x) = x^2 + |x|^{5/2} on the line; C^2 but not C^3 at the minimiser."""
     name = "abs_power"
 
@@ -204,7 +191,7 @@ class AbsPower(_LineCost):
 
 
 @dataclass(frozen=True)
-class ShiftedCubic(_LineCost):
+class ShiftedCubic(_OnTheLine):
     """f(x) = (x - z)^2 + 2 (x - z)^3 with critical point at the shift z."""
     name = "shifted_cubic"
     z: float

@@ -2,8 +2,9 @@
 
 Everything here is small (dimension up to about 100: sphere(100) gives a
 99 x 99 Hessian) and dense. The heavy lifting is delegated to LAPACK via
-numpy; this module owns the contracts around it: symmetry validation,
-condition thresholds, sign conventions, and the error taxonomy.
+numpy; this module owns the contracts around it: the one symmetric-matrix
+check (square, finite, symmetric), condition thresholds, sign conventions,
+and the error taxonomy.
 """
 
 from math import sqrt
@@ -26,13 +27,16 @@ def norm(x) -> float:
     return sqrt(float(x.dot(x)))
 
 
-def _as_square_symmetric(A, rtol=SYM_RTOL):
+def _as_square_symmetric(A, label="matrix"):
+    """A as a float array, checked square, finite (NaN would pass the
+    symmetry test) and symmetric within SYM_RTOL relative."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix, got shape %r" % (A.shape,))
-    scale = norm(A)
-    if norm(A - A.T) > rtol * max(scale, np.finfo(float).tiny):
-        raise ValueError("matrix is not symmetric within %g relative" % rtol)
+        raise ValueError("%s must be square" % label)
+    if not np.isfinite(A).all():
+        raise ValueError("%s must be finite" % label)
+    if norm(A - A.T) > SYM_RTOL * max(norm(A), np.finfo(float).tiny):
+        raise ValueError("%s must be symmetric" % label)
     return A
 
 

@@ -78,12 +78,14 @@ class ManifoldDescriptor:
 
     def draw(self, rng: SplitMix64) -> "Point":
         """A seeded gaussian draw, projected; drawn again where the
-        projection is undefined or trips `draw_guard`."""
+        projection is undefined, trips `draw_guard` or, on an ill-conditioned
+        frame draw, misses FEAS_TOL."""
         while True:
             try:
                 return self.project(rng.gaussians(self.ambient_dim),
                                     self.draw_guard)
-            except (ProjectionUndefined, OutsideValidityRadius):
+            except (ProjectionUndefined, OutsideValidityRadius,
+                    InfeasiblePoint):
                 continue
 
     def sample_point(self, rng: SplitMix64) -> "Point":
@@ -142,6 +144,14 @@ class Euclidean(ManifoldDescriptor):
 
     def weingarten(self, p: "Point", B: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.zeros((B.shape[1], B.shape[1]))
+
+
+class _OnTheLine(_LivesOn):
+    """Base of the kinds and costs that live on the line: Euclidean, n = 1."""
+    manifolds = (Euclidean,)
+
+    def valid_on(self, m: ManifoldDescriptor) -> bool:
+        return super().valid_on(m) and m.n == 1
 
 
 class Sphere(ManifoldDescriptor):
@@ -417,6 +427,22 @@ def tangent_basis(p: Point) -> TangentBasis:
     """Deterministic orthonormal basis of the tangent (Grassmann: horizontal)
     space at p, as ambient columns."""
     return TangentBasis(p, p.manifold.tangent_columns(p))
+
+
+def random_unit_tangent(p: Point, rng: SplitMix64) -> np.ndarray:
+    """A seeded unit tangent direction at p, in ambient coordinates: the
+    basis columns times gaussians, drawn again while its norm is under
+    1e-12. A zero-dimensional manifold has none: ManifoldMismatch."""
+    m = p.manifold
+    if m.intrinsic_dim == 0:
+        raise ManifoldMismatch("%s(n=%d, p=%d) is zero-dimensional: no unit "
+                               "tangent direction" % (m.kind, m.n, m.p))
+    B = tangent_basis(p).columns
+    while True:
+        d = B @ rng.gaussians(m.intrinsic_dim)
+        nd = norm(d)
+        if nd > 1e-12:
+            return d / nd
 
 
 def project_to_manifold(m: ManifoldDescriptor, ambient, guard=None) -> Point:

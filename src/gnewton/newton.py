@@ -26,17 +26,12 @@ from .rng import SplitMix64
 @dataclass(frozen=True, eq=False)
 class Jet2:
     """Value, gradient and symmetric Hessian of a pulled-back cost at the
-    tangent-space origin, in the coordinates of an orthonormal basis."""
+    tangent-space origin, in the coordinates of an orthonormal basis. The
+    solve checks the Hessian's symmetry (linalg's contract)."""
     basis: TangentBasis
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
-
-    def __post_init__(self):
-        H = np.asarray(self.hessian, dtype=float)
-        scale = norm(H)
-        if scale > 0 and norm(H - H.T) > 1e-10 * scale:
-            raise ValueError("jet hessian is not symmetric")
 
 
 @dataclass(frozen=True, eq=False)

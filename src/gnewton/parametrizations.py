@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import (ChartDomainViolation, OutsideValidityRadius,
                      ProjectionUndefined)
-from .manifolds import (Euclidean, ManifoldDescriptor, Point, Sphere,
-                        Stiefel, Grassmann, TangentVector, project_to_manifold,
-                        tangent_basis, _as_stack, _LivesOn, _pair_sums, _sym)
+from .manifolds import (ManifoldDescriptor, Point, Sphere, Stiefel,
+                        Grassmann, TangentVector, project_to_manifold,
+                        random_unit_tangent, _as_stack, _LivesOn, _OnTheLine,
+                        _pair_sums, _sym)
 from .linalg import norm, polar_factor
 from .rates import log_log_fit
 from .rng import SplitMix64
@@ -59,13 +60,9 @@ class _Kind(_LivesOn):
         return p.manifold.weingarten(p, B, g)
 
 
-class _LineTerms(_Kind):
+class _LineTerms(_OnTheLine, _Kind):
     """Kinds on the line: the basis is the single column (1,), so C is the
     second-order term itself, contracted with g."""
-    manifolds = (Euclidean,)
-
-    def valid_on(self, m: ManifoldDescriptor) -> bool:
-        return super().valid_on(m) and m.n == 1
 
     def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.array([[float(g @ self.second_order(p, B[:, 0]))]])
@@ -359,6 +356,7 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
     second-order term, and measures ||psi_p(y) - p - y|| against ||y||^2
     over the given radii. The result is sampling evidence, not a proof:
     finitely many base points cannot rule out non-uniformity between them.
+    A zero-dimensional manifold has no direction to sample: ManifoldMismatch.
     """
     radii = tuple(float(r) for r in sample_radii)
     if any(r <= 0 for r in radii):
@@ -381,13 +379,7 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
 
     for _ in range(sample_points):
         p = m.sample_point(rng)
-        B = tangent_basis(p)
-        while True:
-            d = B.columns @ rng.gaussians(m.intrinsic_dim)
-            nd = norm(d)
-            if nd > 1e-12:
-                d = d / nd
-                break
+        d = random_unit_tangent(p, rng)
 
         q0 = apply_phi(pair, TangentVector(p, np.zeros(m.ambient_dim)))
         identity_residual = max(identity_residual,

@@ -363,3 +363,68 @@ def test_summary_json_is_stable_under_reload(tmp_path):
     _, out = _run(tmp_path, SPHERE_RUN)
     raw = (out / "summary.json").read_text()
     assert json.dumps(json.loads(raw), indent=2) + "\n" == raw
+
+def test_non_finite_cost_matrix_is_a_config_error(tmp_path, capsys):
+    """NaN and infinite entries of cost.A are rejected at the config, with
+    exit 4, instead of running into LeftValidityRegion"""
+    cases = ["diag:1,2,nan,4,5,6", "diag:1,2,3,inf,5,6"]
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        A = np.diag(np.arange(1.0, 7.0)).tolist()
+        A[2][4] = A[4][2] = bad
+        cases.append(A)
+        A = np.diag(np.arange(1.0, 7.0)).tolist()
+        A[3][3] = bad
+        cases.append(A)
+    for i, A in enumerate(cases):
+        cfg = dict(SPHERE_RUN, cost={"kind": "quadratic", "A": A})
+        code, out = _run(tmp_path, cfg, "o%d" % i, "nan%d.json" % i)
+        assert code == 4, A
+        assert "cost: A must be finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+    # the square and symmetric wording of the config stays as it was
+    for A, msg in (([[1.0, 2.0, 3.0]], "cost: A must be square"),
+                   ([[1.0, 2.0], [0.0, 1.0]], "cost: A must be symmetric")):
+        cfg = dict(SPHERE_RUN, manifold={"kind": "sphere", "n": 2},
+                   cost={"kind": "quadratic", "A": A})
+        assert _run(tmp_path, cfg, "sq", "sq.json")[0] == 4
+        assert msg in capsys.readouterr().err
+
+
+ZERO_DIM = ({"kind": "grassmann", "n": 3, "p": 3}, {"kind": "sphere", "n": 1},
+            {"kind": "stiefel", "n": 1, "p": 1})
+
+
+def test_audit_refuses_zero_dimensional_manifolds(tmp_path):
+    """no unit tangent direction exists to sample; each case runs in a
+    subprocess with a timeout, so a sampling loop that never ends fails
+    the test instead of hanging it"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [q for q in env.get("PYTHONPATH", "").split(os.pathsep) if q])
+    for i, manifold in enumerate(ZERO_DIM):
+        cfg = {"version": 1, "manifold": manifold,
+               "pairs": [{"phi": {"kind": "projection"},
+                          "psi": {"kind": "projection"}}],
+               "audit": {"sample_points": 3, "radii": [1e-1, 1e-2],
+                         "seed": 0}}
+        path = _write(tmp_path, "zero%d.json" % i, cfg)
+        out = tmp_path / ("zero_out%d" % i)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gnewton.cli", "audit", path,
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4, (manifold, proc.stderr)
+        assert "audit: " in proc.stderr
+        assert "zero-dimensional" in proc.stderr
+        assert not (out / "audit.json").exists()
+
+
+def test_near_truth_refuses_zero_dimensional_manifold(tmp_path, capsys):
+    cfg = dict(SPHERE_RUN, manifold={"kind": "sphere", "n": 1},
+               cost={"kind": "quadratic", "A": "diag:2"})
+    code, out = _run(tmp_path, cfg)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "x0: " in err and "zero-dimensional" in err
+    assert not (out / "summary.json").exists()

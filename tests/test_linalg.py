@@ -243,3 +243,31 @@ def test_norm_is_np_linalg_norm_bit_for_bit(a, view):
         got, want = norm(x), float(np.linalg.norm(x))
     assert type(got) is float
     assert _bits(got) == _bits(want)
+
+
+def test_symmetric_contract_rejects_non_finite():
+    """NaN compares false, so it would pass the symmetry test; the
+    contract refuses non-finite entries first, for every solve"""
+    b = np.ones(2)
+    for bad in (np.nan, np.inf, -np.inf):
+        for H in (np.array([[bad, 0.0], [0.0, 1.0]]),
+                  np.array([[1.0, bad], [bad, 1.0]])):
+            with pytest.raises(ValueError, match="matrix must be finite"):
+                symmetric_solve(H, b)
+            with pytest.raises(ValueError, match="matrix must be finite"):
+                solve_with_condition(H, b)
+            with pytest.raises(ValueError, match="matrix must be finite"):
+                symmetric_eigen(H)
+
+
+def test_symmetric_contract_messages():
+    from gnewton.linalg import _as_square_symmetric
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        symmetric_solve(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+        symmetric_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="^A must be square$"):
+        _as_square_symmetric(np.ones(3), "A")
+    # within SYM_RTOL relative passes, and the array comes back as given
+    A = np.array([[1.0, 1e-12], [0.0, 1.0]])
+    assert _as_square_symmetric(A) is A

@@ -224,3 +224,40 @@ def test_orthonormality_residual_is_gram_minus_identity_bit_for_bit():
     for n, k in ((5, 2), (9, 4), (3, 3), (6, 1)):
         A = rng.gaussians(n * k).reshape(n, k, order="F")
         assert _orthonormality_residual(A) == old(A) > 0.1
+
+
+def test_random_point_redraws_ill_conditioned_frames():
+    """a frame draw so ill-conditioned that its polar factor misses
+    FEAS_TOL is drawn again, like an undefined projection, not raised;
+    every other seed keeps its first draw"""
+    from gnewton.manifolds import FEAS_TOL
+    for m, seeds in ((stiefel(3, 3), (121, 156, 185, 306, 559)),
+                     (stiefel(2, 2), (645, 681))):
+        for s in seeds:
+            with pytest.raises(InfeasiblePoint):
+                m.project(SplitMix64(s).gaussians(m.ambient_dim))
+            p = random_point(m, s)
+            assert m.feasibility_residual(p.ambient) <= FEAS_TOL
+            assert np.array_equal(p.ambient, random_point(m, s).ambient)
+        for s in range(50):
+            first = m.project(SplitMix64(s).gaussians(m.ambient_dim))
+            assert np.array_equal(random_point(m, s).ambient, first.ambient)
+
+
+def test_random_unit_tangent():
+    """one seeded draw: unit, tangent, in the basis' span, and refused
+    with a typed error where there is no tangent direction"""
+    from gnewton.manifolds import random_unit_tangent
+    for m in ALL + [stiefel(2, 2), sphere(2)]:
+        for seed in range(5):
+            p = random_point(m, seed)
+            d = random_unit_tangent(p, SplitMix64(seed))
+            assert abs(np.linalg.norm(d) - 1.0) <= 1e-15
+            TangentVector(p, d)
+            B = tangent_basis(p).columns
+            assert np.linalg.norm(d - B @ (B.T @ d)) <= 1e-12
+    for m in (sphere(1), stiefel(1, 1), grassmann(3, 3), grassmann(1, 1)):
+        assert m.intrinsic_dim == 0
+        p = random_point(m, 0)
+        with pytest.raises(ManifoldMismatch, match="zero-dimensional"):
+            random_unit_tangent(p, SplitMix64(0))

@@ -365,3 +365,60 @@ def test_stereographic_newton_rate():
     errs = [distance(q, t) for q in tr.points]
     est = estimate_rate(errs, floor=1e-10, ceil=0.7)
     assert est.K >= 1.8
+
+
+def _workload_experiments():
+    """The manifold/cost/pair combinations of the solve-ladder and
+    rate-study benchmark workloads, each from near-truth starts 0-4."""
+    from gnewton.config import build_experiment
+
+    def diag(n):
+        return "diag:" + ",".join(str(k) for k in range(1, n + 1))
+
+    proj, geo, qr = ({"kind": "projection"}, {"kind": "sphere_geodesic"},
+                     {"kind": "qr"})
+    rec = {"kind": "recentred", "base": proj, "rotation_seed": 0}
+    cubic = {"kind": "custom1d", "coeffs": [0.0, -1.0]}
+    beta = {"kind": "example_beta", "beta": 1.0}
+    line = {"kind": "euclidean", "n": 1}
+    spaces = [({"kind": "sphere", "n": n}, {"kind": "quadratic", "A": diag(n)},
+               (proj, qr) + ((geo, rec) if n == 6 else ()))
+              for n in (6, 30, 100)]
+    spaces += [({"kind": "stiefel", "n": 12, "p": 3},
+                {"kind": "brockett", "A": diag(12), "N": diag(3)}, (proj, qr)),
+               ({"kind": "grassmann", "n": 20, "p": 4},
+                {"kind": "grassmann_trace", "A": diag(20)}, (proj, qr)),
+               (line, {"kind": "abs_power"}, (proj,)),
+               (line, {"kind": "shifted_cubic", "z": 0.3}, (proj, cubic)),
+               (line, {"kind": "shifted_cubic", "z": 1.0}, (beta,))]
+    for manifold, cost, kinds in spaces:
+        for seed in range(5):
+            yield build_experiment({
+                "version": 1, "manifold": manifold, "cost": cost,
+                "pairs": [{"phi": k, "psi": k} for k in kinds],
+                "selector": {"kind": "fixed"},
+                "x0": "near-truth:0.1:%d" % seed, "max_iter": 1, "tol": 1e-12})
+
+
+def test_pullback_hessian_is_bitwise_symmetric_on_workload_pairs():
+    """0.5 (H + H^T) is symmetric to the bit, so the jet needs no check of
+    its own: the solve's check can never trip on a pulled-back Hessian"""
+    count = 0
+    for exp in _workload_experiments():
+        for pair in exp.pairs:
+            H = pullback_jet(exp.cost, pair, exp.x0).hessian
+            assert np.array_equal(H, H.T), (exp.manifold, pair)
+            count += 1
+    assert count == 5 * 16
+
+
+def test_newton_step_checks_a_hand_built_asymmetric_jet():
+    """the symmetry check moved from Jet2 to the solve; it did not vanish"""
+    from gnewton.newton import Jet2
+    p = random_point(sphere(3), 0)
+    j = Jet2(basis=tangent_basis(p), value=0.0, gradient=np.ones(2),
+             hessian=np.array([[2.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        euclidean_newton_step(j)
+    with pytest.raises(ValueError, match="symmetric"):
+        newton_mod.solve_with_condition(j.hessian, j.gradient)
