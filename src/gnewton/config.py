@@ -8,6 +8,7 @@ offending key, so batch runs fail loudly and specifically.
 import json
 from dataclasses import dataclass
 from functools import partial
+from math import isfinite
 
 import numpy as np
 
@@ -279,6 +280,8 @@ def _build_x0(cfg, m, truth, seed_override) -> Point:
             raise ConfigError("x0: bad near-truth parameters") from exc
         if not delta > 0:
             raise ConfigError("x0: near-truth delta must be positive")
+        if not isfinite(delta):
+            raise ConfigError("x0: near-truth delta must be finite")
         if seed_override is not None:
             seed = seed_override
         if truth is None:
@@ -358,6 +361,8 @@ def build_audit_params(cfg: dict, seed_override=None):
     if (not isinstance(radii, list)
             or not all(_typed(r, (int, float)) for r in radii)):
         raise ConfigError("audit.radii: expected a list of numbers")
+    if not all(isfinite(r) for r in radii):
+        raise ConfigError("audit.radii: must be finite")
     if len(radii) < 2 or any(a <= b for a, b in zip(radii, radii[1:])):
         raise ConfigError("audit.radii: need two or more, strictly descending")
     seed = spec.get("seed", 0)

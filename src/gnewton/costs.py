@@ -9,11 +9,13 @@ columns, never the full (np x np) operator.
 """
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from .errors import NotTwiceDifferentiable, SingularHessian
-from .linalg import _as_square_symmetric, symmetric_eigen, symmetric_solve
+from .linalg import (_as_square_symmetric, all_finite, symmetric_eigen,
+                     symmetric_solve)
 from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
                         Sphere, Stiefel, _LivesOn, _OnTheLine)
 
@@ -58,6 +60,8 @@ class Quadratic(_MatrixCost):
         b = np.zeros(n) if self.b is None else np.array(self.b, dtype=float)
         if b.shape != (n,):
             raise ValueError("b length does not match A")
+        if not all_finite(b):
+            raise ValueError("b must be finite")
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
 
@@ -102,6 +106,8 @@ class BrockettTrace(_MatrixCost):
         N = np.array(self.N, dtype=float)
         if N.ndim != 2 or N.shape[0] != N.shape[1]:
             raise ValueError("N must be square")
+        if not all_finite(N):
+            raise ValueError("N must be finite")
         if np.any(N - np.diag(np.diag(N)) != 0.0):
             raise ValueError("N must be diagonal")
         d = np.diag(N)
@@ -195,6 +201,10 @@ class ShiftedCubic(_OnTheLine):
     """f(x) = (x - z)^2 + 2 (x - z)^3 with critical point at the shift z."""
     name = "shifted_cubic"
     z: float
+
+    def __post_init__(self):
+        if not isfinite(self.z):
+            raise ValueError("z must be finite")
 
     def value(self, p: Point) -> float:
         d = p.ambient[0] - self.z

@@ -3,8 +3,8 @@
 Everything here is small (dimension up to about 100: sphere(100) gives a
 99 x 99 Hessian) and dense. The heavy lifting is delegated to LAPACK via
 numpy; this module owns the contracts around it: the one symmetric-matrix
-check (square, finite, symmetric), condition thresholds, sign conventions,
-and the error taxonomy.
+check (square, finite, symmetric), the one finite test (`all_finite`),
+condition thresholds, sign conventions, and the error taxonomy.
 """
 
 from math import sqrt
@@ -17,6 +17,7 @@ from .errors import (NoConvergence, OutsideValidityRadius, RankDeficient,
 COND_LIMIT = 1e12
 PIVOT_FLOOR = 1e-14
 SYM_RTOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 def norm(x) -> float:
@@ -27,15 +28,21 @@ def norm(x) -> float:
     return sqrt(float(x.dot(x)))
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all(), with the finite entries counted instead of
+    reduced: the same answer without the reduction's per-call dispatch."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
 def _as_square_symmetric(A, label="matrix"):
     """A as a float array, checked square, finite (NaN would pass the
     symmetry test) and symmetric within SYM_RTOL relative."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("%s must be square" % label)
-    if not np.isfinite(A).all():
+    if not all_finite(A):
         raise ValueError("%s must be finite" % label)
-    if norm(A - A.T) > SYM_RTOL * max(norm(A), np.finfo(float).tiny):
+    if norm(A - A.T) > SYM_RTOL * max(norm(A), _TINY):
         raise ValueError("%s must be symmetric" % label)
     return A
 

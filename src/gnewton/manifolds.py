@@ -8,13 +8,14 @@ manifold is one class that owns its geometry.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
 from .errors import (InfeasiblePoint, ManifoldMismatch, OutsideValidityRadius,
                      ProjectionUndefined, RankDeficient)
-from .linalg import norm, polar_factor
+from .linalg import all_finite, norm, polar_factor
 from .rng import SplitMix64
 
 FEAS_TOL = 1e-10
@@ -41,11 +42,13 @@ def _sym(A: np.ndarray) -> np.ndarray:
 class ManifoldDescriptor:
     """Base of the manifold classes: dims n and p (p > 1 only where the
     class `takes_p`) and `kind`, the config name. Each class defines
-    `intrinsic_dim`, the feasibility and tangency residuals, the
-    `tangent_columns`, `project`, `draw`, and its second fundamental form
-    II_p(v, v), the normal part of the acceleration of every curve through
-    p with velocity v, twice over: `second_fundamental_form(p, v)`, and
-    `weingarten(p, B, g)`, the matrix g . II_p(b_i, b_j) over B's columns.
+    `intrinsic_dim`, the feasibility and tangency residuals (which
+    `check_feasible` and `check_tangent` turn into the one rule of each),
+    the `tangent_columns`, `_project` on a stack of rows, and its second
+    fundamental form II_p(v, v), the normal part of the acceleration of
+    every curve through p with velocity v, twice over:
+    `second_fundamental_form(p, v)`, and `weingarten(p, B, g)`, the matrix
+    g . II_p(b_i, b_j) over B's columns.
     """
     n: int
     p: int = 1
@@ -71,6 +74,34 @@ class ManifoldDescriptor:
     def dims(self) -> tuple:
         """The dims a config or truth spec gives: n, and p where taken."""
         return (self.n, self.p) if self.takes_p else (self.n,)
+
+    def check_feasible(self, X: np.ndarray):
+        """The rule every Point obeys, on each row of the (k, N) stack X:
+        finite, and feasible within FEAS_TOL."""
+        if not all_finite(X):
+            raise InfeasiblePoint("non-finite ambient coordinates")
+        for x in X:
+            resid = self.feasibility_residual(x)
+            if resid > FEAS_TOL:
+                raise InfeasiblePoint("infeasible point: residual %.3e" % resid)
+
+    def check_tangent(self, x: np.ndarray, V: np.ndarray):
+        """The rule every TangentVector at x obeys, on each row v of the
+        (k, N) stack V: finite, and tangent within FEAS_TOL max(1, |v|),
+        absolute at unit scale and relative beyond (huge near-singular
+        steps would otherwise fail on pure rounding)."""
+        if not all_finite(V):
+            raise InfeasiblePoint("non-finite tangent coordinates")
+        for v in V:
+            resid = self.tangency_residual(x, v)
+            # |v| is needed only above the unit-scale tolerance
+            if resid > FEAS_TOL and resid > FEAS_TOL * norm(v):
+                raise InfeasiblePoint("tangency residual %.3e too large"
+                                      % resid)
+
+    def project(self, x: np.ndarray, guard=None) -> "Point":
+        """The closest point to x; see `_project`."""
+        return Point(self, self._project(x[None], guard)[0])
 
     def distance(self, x: "Point", y: "Point") -> float:
         """Ambient chordal distance."""
@@ -131,8 +162,8 @@ class Euclidean(ManifoldDescriptor):
     def tangent_columns(self, p: "Point") -> np.ndarray:
         return np.eye(self.n)
 
-    def project(self, x: np.ndarray, guard=None) -> "Point":
-        return Point(self, x)
+    def _project(self, X: np.ndarray, guard=None) -> np.ndarray:
+        return X
 
     def sample_point(self, rng: SplitMix64) -> "Point":
         # away from 0: the 1-d example kinds have a pole there
@@ -174,13 +205,16 @@ class Sphere(ManifoldDescriptor):
     def tangent_columns(self, p: "Point") -> np.ndarray:
         return _complete_orthonormal(p.ambient[:, None])
 
-    def project(self, x: np.ndarray, guard=None) -> "Point":
-        nx = norm(x)
-        if guard is not None and nx <= guard:
-            raise OutsideValidityRadius("norm %.3e under guard %g" % (nx, guard))
-        if nx == 0.0:
-            raise ProjectionUndefined("cannot project the zero vector")
-        return Point(self, x / nx)
+    def _project(self, X: np.ndarray, guard=None) -> np.ndarray:
+        """Each row over its norm, which must exceed the guard and 0."""
+        norms = [norm(x) for x in X]
+        for nx in norms:
+            if guard is not None and nx <= guard:
+                raise OutsideValidityRadius("norm %.3e under guard %g"
+                                            % (nx, guard))
+            if nx == 0.0:
+                raise ProjectionUndefined("cannot project the zero vector")
+        return X / np.array(norms)[:, None]
 
     def align_signs(self, truth: "Point", final: "Point") -> "Point":
         if float(np.dot(truth.ambient, final.ambient)) < 0.0:
@@ -210,12 +244,16 @@ class _Frame(ManifoldDescriptor):
         is kron(I_p, P)."""
         return np.kron(np.eye(self.p), _complete_orthonormal(p.as_matrix()))
 
-    def project(self, x: np.ndarray, guard=None) -> "Point":
-        try:
-            U = polar_factor(x.reshape(self.n, self.p, order="F"), guard)
-        except RankDeficient as exc:
-            raise ProjectionUndefined(str(exc)) from exc
-        return Point(self, U.flatten(order="F"))
+    def _project(self, X: np.ndarray, guard=None) -> np.ndarray:
+        """The polar factor of each row's frame, one row at a time."""
+        out = np.empty_like(X)
+        for row, x in zip(out, X):
+            try:
+                U = polar_factor(x.reshape(self.n, self.p, order="F"), guard)
+            except RankDeficient as exc:
+                raise ProjectionUndefined(str(exc)) from exc
+            row[:] = U.flatten(order="F")
+        return out
 
     def second_fundamental_form(self, p: "Point", v: np.ndarray) -> np.ndarray:
         V = v.reshape(self.n, self.p, order="F")
@@ -309,11 +347,7 @@ class Point:
         if x.shape != (self.manifold.ambient_dim,):
             raise ValueError("ambient length %r, expected %d"
                              % (x.shape, self.manifold.ambient_dim))
-        if not np.isfinite(x).all():
-            raise InfeasiblePoint("non-finite ambient coordinates")
-        resid = self.manifold.feasibility_residual(x)
-        if resid > FEAS_TOL:
-            raise InfeasiblePoint("infeasible point: residual %.3e" % resid)
+        self.manifold.check_feasible(x[None])
 
     def as_matrix(self) -> np.ndarray:
         return self.ambient.reshape(self.manifold.n, self.manifold.p, order="F")
@@ -330,13 +364,7 @@ class TangentVector:
         m = self.base.manifold
         if v.shape != (m.ambient_dim,):
             raise ValueError("ambient length %r, expected %d" % (v.shape, m.ambient_dim))
-        if not np.isfinite(v).all():
-            raise InfeasiblePoint("non-finite tangent coordinates")
-        resid = m.tangency_residual(self.base.ambient, v)
-        # absolute at unit scale, relative beyond (huge near-singular
-        # steps would otherwise fail on pure rounding)
-        if resid > FEAS_TOL * max(1.0, norm(v)):
-            raise InfeasiblePoint("tangency residual %.3e too large" % resid)
+        m.check_tangent(self.base.ambient, v[None])
 
     @property
     def norm(self) -> float:
@@ -408,19 +436,28 @@ def _complete_unit(p: np.ndarray) -> np.ndarray:
     sort keys on the rounded 1 - p^2, not on p^2, so squares under the
     rounding of 1 tie, as in the residual norms. The c_j are tail sums of
     the sorted p^2, free of cancellation, and the last is max p^2 >= 1/n.
+    The key p^2 - 1 is -(1 - p^2) bitwise.
     """
     n = p.size
-    order = np.argsort(-(1.0 - p * p), kind="stable")
+    order = np.argsort(p * p - 1.0, kind="stable")
     ps = p[order]
     c = np.cumsum((ps * ps)[::-1])[::-1]  # c[j] = sum of ps[j:]**2
-    j = np.arange(n - 1)
-    P = np.where(np.arange(n)[:, None] >= j, ps[:, None], 0.0)
-    B = P * (-ps[:-1] / c[:-1])
-    B[j, j] += 1.0
+    B = np.where(_lower_mask(n), ps[:, None], 0.0)
+    B *= -ps[:-1] / c[:-1]
+    B.flat[::n] += 1.0  # entry (j, j) of the n x (n - 1) B is flat j n
     B *= np.sqrt(c[:-1] / c[1:])
     out = np.empty((n, n - 1))
     out[order] = B
     return out
+
+
+@lru_cache(maxsize=64)
+def _lower_mask(n: int) -> np.ndarray:
+    """The n x (n - 1) mask of entries (i, j) with i >= j, shared
+    read-only."""
+    lower = np.arange(n)[:, None] >= np.arange(n - 1)
+    lower.setflags(write=False)
+    return lower
 
 
 def tangent_basis(p: Point) -> TangentBasis:

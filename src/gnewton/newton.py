@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import ambient_gradient, ambient_hessian_vec, value
+from .costs import value
 from .errors import (ChartDomainViolation, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
                      ProjectionUndefined, SingularHessian)
-from .linalg import norm, solve_with_condition, symmetric_solve
+from .linalg import all_finite, norm, solve_with_condition, symmetric_solve
 from .manifolds import Point, TangentBasis, TangentVector, distance, tangent_basis
 from .parametrizations import (ParametrizationPair, apply_psi, curvature_term,
                                pair_label)
@@ -36,10 +36,12 @@ class Jet2:
 
 @dataclass(frozen=True, eq=False)
 class StepResult:
+    """A step from a point; `base_value` is the cost there, from its jet."""
     next: Point
     step_norm: float
     hessian_condition: float
     pair_used: ParametrizationPair
+    base_value: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,17 +166,19 @@ def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
     B^T (ambient Hessian) B plus phi's curvature term
     C[i, j] = grad . D^2 phi_p(0)(b_i, b_j), which each kind contracts in
     closed form. A jet that overflows is no usable second derivative.
+    The cost is checked against the manifold once.
     """
     B = tangent_basis(p)
+    c.check_on(p.manifold)
     cols = B.columns
-    g_amb = ambient_gradient(c, p)
+    g_amb = c.grad(p)
     grad = cols.T @ g_amb
-    H = cols.T @ ambient_hessian_vec(c, p, cols)
+    H = cols.T @ c.hess_vec(p, cols)
     H = H + curvature_term(pair, p, cols, g_amb)
     H = 0.5 * (H + H.T)
-    if not (np.isfinite(H).all() and np.isfinite(grad).all()):
+    if not (all_finite(H) and all_finite(grad)):
         raise NotTwiceDifferentiable("non-finite pulled-back jet")
-    return Jet2(basis=B, value=value(c, p), gradient=grad, hessian=H)
+    return Jet2(basis=B, value=c.value(p), gradient=grad, hessian=H)
 
 
 def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResult:
@@ -185,8 +189,8 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
     s = -x
     w = TangentVector(p, j.basis.columns @ s)
     nxt = apply_psi(pair, w)
-    return StepResult(next=nxt, step_norm=norm(s),
-                      hessian_condition=cond, pair_used=pair)
+    return StepResult(next=nxt, step_norm=norm(s), hessian_condition=cond,
+                      pair_used=pair, base_value=j.value)
 
 
 def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> IterationTrace:
@@ -195,7 +199,9 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
     Errors do not escape: a singular pullback Hessian terminates with
     "SingularHessian"; a step leaving the region where the maps or jets are
     defined terminates with "LeftValidityRegion". The trace keeps everything
-    collected up to the failure, starting from p0 itself.
+    collected up to the failure, starting from p0 itself. A point's cost
+    value comes from the jet of the step taken from it; the last point,
+    from which no step completed, has it taken on its own.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -204,7 +210,7 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
     choose = selector.chooser()
     points = [p0]
     step_norms = []
-    cost_values = [value(c, p0)]
+    cost_values = []
     pairs_used = []
     termination = "MaxIterations"
     for k in range(max_iter):
@@ -223,13 +229,14 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
             # other error is a bug and propagates.
             termination = "LeftValidityRegion"
             break
+        cost_values.append(res.base_value)
         points.append(res.next)
         step_norms.append(res.step_norm)
-        cost_values.append(value(c, res.next))
         pairs_used.append(pair_label(pair))
         if res.step_norm <= tol:
             termination = "Converged"
             break
+    cost_values.append(value(c, points[-1]))
     return IterationTrace(points=tuple(points), step_norms=tuple(step_norms),
                           cost_values=tuple(cost_values), termination=termination,
                           pairs_used=tuple(pairs_used))

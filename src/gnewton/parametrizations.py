@@ -7,22 +7,22 @@ D phi_p(0) = I; the audit measures how well those and the quadratic
 remainder bound ||psi_p(y) - p - y|| <= beta ||y||^2 hold on samples.
 
 A kind is one class that owns its maths: its `name`, the manifold classes
-it lives on (`manifolds`), its map away from the origin (`_map`) and the
-tangential part of its second-order term, if it has one.
+it lives on (`manifolds`), its map away from the origin (`_map`, on a stack
+of displacements) and the tangential part of its second-order term, if it
+has one.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import cos, log, sin
+from math import cos, isfinite, log, sin
 
 import numpy as np
 
-from .errors import (ChartDomainViolation, OutsideValidityRadius,
-                     ProjectionUndefined)
+from .errors import (ChartDomainViolation, GnewtonError,
+                     OutsideValidityRadius, ProjectionUndefined)
 from .manifolds import (ManifoldDescriptor, Point, Sphere, Stiefel,
-                        Grassmann, TangentVector, project_to_manifold,
-                        random_unit_tangent, _as_stack, _LivesOn, _OnTheLine,
-                        _pair_sums, _sym)
+                        Grassmann, TangentVector, random_unit_tangent,
+                        _as_stack, _LivesOn, _OnTheLine, _pair_sums, _sym)
 from .linalg import norm, polar_factor
 from .rates import log_log_fit
 from .rng import SplitMix64
@@ -36,7 +36,13 @@ PROJECTION_GUARD = 0.1
 
 class _Kind(_LivesOn):
     """Base of every kind: `apply` checks the manifold, anchors
-    phi_p(0) = p exactly and otherwise calls the kind's `_map(p, v)`.
+    phi_p(0) = p exactly and otherwise calls the kind's map on one row.
+
+    `_map(p, V)` maps a (k, N) stack of nonzero tangent displacements at p
+    and returns the k mapped ambient rows, unchecked; row i holds the bits
+    a one-row call on V[i] gives. A kind vectorises only arithmetic that
+    works elementwise and loops over the rows where a stacked call (a
+    matrix product, say) could round differently.
 
     `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
     matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
@@ -51,7 +57,7 @@ class _Kind(_LivesOn):
         self.check_on(p.manifold)
         if norm(v.ambient) == 0.0:
             return p
-        return self._map(p, v.ambient)
+        return Point(p.manifold, self._map(p, v.ambient[None])[0])
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         return p.manifold.second_fundamental_form(p, v)
@@ -80,8 +86,8 @@ class Projection(_Kind):
     """
     name = "projection"
 
-    def _map(self, p: Point, v: np.ndarray) -> Point:
-        return project_to_manifold(p.manifold, p.ambient + v, PROJECTION_GUARD)
+    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
+        return p.manifold._project(p.ambient + V, PROJECTION_GUARD)
 
 
 @dataclass(frozen=True)
@@ -90,9 +96,11 @@ class SphereGeodesic(_Kind):
     name = "sphere_geodesic"
     manifolds = (Sphere,)
 
-    def _map(self, p: Point, v: np.ndarray) -> Point:
-        nv = norm(v)
-        return Point(p.manifold, cos(nv) * p.ambient + sin(nv) * (v / nv))
+    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
+        norms = [norm(v) for v in V]
+        c = np.array([cos(nv) for nv in norms])[:, None]
+        s = np.array([sin(nv) for nv in norms])[:, None]
+        return c * p.ambient + s * (V / np.array(norms)[:, None])
 
 
 @dataclass(frozen=True)
@@ -108,13 +116,17 @@ class QR(_Kind):
     name = "qr"
     manifolds = (Sphere, Stiefel, Grassmann)
 
-    def _map(self, p: Point, v: np.ndarray) -> Point:
+    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
+        """One stacked QR; LAPACK factors each matrix of the stack alone."""
         m = p.manifold
-        Q, R = np.linalg.qr((p.ambient + v).reshape(m.n, m.p, order="F"))
-        d = np.diag(R)
+        k = V.shape[0]
+        Q, R = np.linalg.qr((p.ambient + V).reshape(k, m.p, m.n)
+                            .transpose(0, 2, 1))
+        d = np.diagonal(R, axis1=1, axis2=2)
         if np.any(d == 0.0):
             raise ProjectionUndefined("rank-deficient QR factor")
-        return Point(m, (Q * np.sign(d)).flatten(order="F"))
+        return ((Q * np.sign(d)[:, None, :]).transpose(0, 2, 1)
+                .reshape(k, m.n * m.p))
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         S = super().second_order(p, v)
@@ -147,16 +159,22 @@ class Custom1D(_LineTerms):
     coeffs: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not all(isfinite(c) for c in coeffs):
+            raise ValueError("coeffs must be finite")
+        object.__setattr__(self, "coeffs", coeffs)
 
-    def _map(self, p: Point, v: np.ndarray) -> Point:
-        t = v[0]
-        result = p.ambient[0] + t
-        tp = t
-        for c in self.coeffs:
-            result += c * tp
-            tp = tp * t
-        return Point(p.manifold, np.array([result]))
+    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
+        out = np.empty_like(V)
+        for row, v in zip(out, V):
+            t = v[0]
+            result = p.ambient[0] + t
+            tp = t
+            for c in self.coeffs:
+                result += c * tp
+                tp = tp * t
+            row[0] = result
+        return out
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         c2 = self.coeffs[1] if len(self.coeffs) >= 2 else 0.0
@@ -170,12 +188,17 @@ class ExampleBeta(_LineTerms):
     name = "example_beta"
     beta: float
 
-    def _map(self, p: Point, v: np.ndarray) -> Point:
+    def __post_init__(self):
+        if not isfinite(self.beta):
+            raise ValueError("beta must be finite")
+
+    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
         x = p.ambient[0]
-        t = v[0]
-        if x == 0.0:
-            return Point(p.manifold, np.array([x + t]))
-        return Point(p.manifold, np.array([x + t + (self.beta / x) * t * t]))
+        out = np.empty_like(V)
+        for row, v in zip(out, V):
+            t = v[0]
+            row[0] = x + t if x == 0.0 else x + t + (self.beta / x) * t * t
+        return out
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         x = p.ambient[0]
@@ -199,15 +222,20 @@ class Recentred(_Kind):
         if not isinstance(self.base, (Projection, SphereGeodesic)):
             raise ValueError("recentred base must be projection or geodesic")
 
-    def _map(self, p: Point, v: np.ndarray) -> Point:
+    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
+        """One rotation for the stack; each row goes through the base's
+        `apply` at e1, and its products with g are taken row by row."""
         m = p.manifold
         g = recentring_rotation(self, p)
-        e1 = np.zeros(m.n)
-        e1[0] = 1.0
-        w = g.T @ v
-        w[0] = 0.0  # exact tangency at e1; rotation rounding otherwise leaks in
-        q = self.base.apply(TangentVector(Point(m, e1), w))
-        return Point(m, g @ q.ambient)
+        x = np.zeros(m.n)
+        x[0] = 1.0
+        e1 = Point(m, x)
+        out = np.empty_like(V)
+        for row, v in zip(out, V):
+            w = g.T @ v
+            w[0] = 0.0  # exact tangency at e1; rotation rounding leaks in
+            row[:] = g @ self.base.apply(TangentVector(e1, w)).ambient
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +276,13 @@ class Stereographic(_Kind):
         y = (x - (x @ q) * q) / d
         return y, (np.eye(q.size) + np.outer(y - q, q)) / d
 
-    def _map(self, p: Point, v: np.ndarray) -> Point:
+    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
         y, D = self._chart(p)
-        z = y + D @ v
-        return Point(p.manifold, self.pole + 2.0 * (z - self.pole) / (1.0 + z @ z))
+        out = np.empty_like(V)
+        for row, v in zip(out, V):
+            z = y + D @ v
+            row[:] = self.pole + 2.0 * (z - self.pole) / (1.0 + z @ z)
+        return out
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         y, D = self._chart(p)
@@ -347,6 +378,44 @@ class AuditReport:
         return all(self.pass_flags.values())
 
 
+def _sample_rows(pair: ParametrizationPair, p: Point, d: np.ndarray,
+                 h: float, radii: tuple):
+    """One audit sample, one checked `apply` per displacement: phi at
+    +-h d, the second-order term along d, and psi at r d for each radius,
+    None where psi trips its guard. -> (plus, minus, alpha, psi rows)"""
+    plus = apply_phi(pair, TangentVector(p, h * d)).ambient
+    minus = apply_phi(pair, TangentVector(p, -h * d)).ambient
+    alpha = norm(second_order_term(pair, TangentVector(p, d)))
+    rows = []
+    for r in radii:
+        try:
+            rows.append(apply_psi(pair, TangentVector(p, r * d)).ambient)
+        except OutsideValidityRadius:
+            rows.append(None)
+    return plus, minus, alpha, rows
+
+
+def _sample_stacked(pair: ParametrizationPair, p: Point, d: np.ndarray,
+                    steps: np.ndarray):
+    """The same sample with one `_map` call per kind (one in all when phi
+    and psi are the same map). The rows steps[i] d are d itself (steps[0]
+    is 1), +-h d and r d, checked by TangentVector's rule; the mapped rows
+    are checked by Point's. No row is zero (d is a unit vector and every
+    step is at least 1e-6), so none needs apply's anchor."""
+    m = p.manifold
+    phi, psi = pair.phi.check_on(m), pair.psi.check_on(m)
+    D = steps[:, None] * d
+    m.check_tangent(p.ambient, D)
+    V = D[1:]
+    alpha = norm(phi.second_order(p, d))
+    if phi == psi:
+        Y = phi._map(p, V)
+    else:
+        Y = np.concatenate([phi._map(p, V[:2]), psi._map(p, V[2:])])
+    m.check_feasible(Y)
+    return Y[0], Y[1], alpha, list(Y[2:])
+
+
 def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
                      sample_points: int, sample_radii, seed: int) -> AuditReport:
     """Finite-sample audit of the pair's defining conditions.
@@ -357,8 +426,15 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
     over the given radii. The result is sampling evidence, not a proof:
     finitely many base points cannot rule out non-uniformity between them.
     A zero-dimensional manifold has no direction to sample: ManifoldMismatch.
+
+    Each sample maps all its displacements in one stacked call per kind.
+    Where that raises (a psi guard trip, say), the sample is redone one
+    `apply` at a time, so a dropped radius or an error is the one the
+    calls in that order give.
     """
     radii = tuple(float(r) for r in sample_radii)
+    if not all(isfinite(r) for r in radii):
+        raise ValueError("sample_radii must be finite")
     if any(r <= 0 for r in radii):
         raise ValueError("sample_radii must be positive")
     if len(radii) < 2 or any(a <= b for a, b in zip(radii, radii[1:])):
@@ -376,6 +452,7 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
     dropped = 0
     log_r, log_resid = [], []
     h = _EPS ** (1.0 / 3.0)
+    steps = np.array((1.0, h, -h) + radii)
 
     for _ in range(sample_points):
         p = m.sample_point(rng)
@@ -385,21 +462,20 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
         identity_residual = max(identity_residual,
                                 norm(q0.ambient - p.ambient))
 
-        plus = apply_phi(pair, TangentVector(p, h * d)).ambient
-        minus = apply_phi(pair, TangentVector(p, -h * d)).ambient
+        try:
+            plus, minus, alpha, rows = _sample_stacked(pair, p, d, steps)
+        except (GnewtonError, ValueError):
+            plus, minus, alpha, rows = _sample_rows(pair, p, d, h, radii)
+
         fd = (plus - minus) / (2.0 * h)
         dphi_residual = max(dphi_residual, norm(fd - d))
+        alpha_hat = max(alpha_hat, alpha)
 
-        alpha_hat = max(alpha_hat,
-                        norm(second_order_term(pair, TangentVector(p, d))))
-
-        for r in radii:
-            try:
-                q = apply_psi(pair, TangentVector(p, r * d))
-            except OutsideValidityRadius:
+        for r, q in zip(radii, rows):
+            if q is None:
                 dropped += 1
                 continue
-            resid = norm(q.ambient - p.ambient - r * d)
+            resid = norm(q - p.ambient - r * d)
             # the ambient subtraction leaves ~1e-16 rounding residue even
             # when psi is exact (p + y computed then re-subtracted); below
             # this floor the residual is indistinguishable from zero and

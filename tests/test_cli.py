@@ -428,3 +428,38 @@ def test_near_truth_refuses_zero_dimensional_manifold(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "x0: " in err and "zero-dimensional" in err
     assert not (out / "summary.json").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+LINE_RUN = dict(CUBIC_RUN, cost={"kind": "shifted_cubic", "z": 0.3})
+PROJ_PAIR = {"kind": "projection"}
+
+
+@pytest.mark.parametrize("cfg, msg", [
+    (dict(SPHERE_RUN, manifold={"kind": "euclidean", "n": 3},
+          cost={"kind": "quadratic", "A": "diag:1,2,3", "b": [NAN, 0.0, 0.0]},
+          x0=[1.0, 1.0, 1.0]), "cost: b must be finite"),
+    (dict(LINE_RUN, cost={"kind": "shifted_cubic", "z": NAN}),
+     "cost: z must be finite"),
+    (dict(LINE_RUN, cost={"kind": "shifted_cubic", "z": INF}),
+     "cost: z must be finite"),
+    (dict(SPHERE_RUN, x0="near-truth:inf:3"),
+     "x0: near-truth delta must be finite"),
+    (dict(LINE_RUN, pairs=[{"phi": {"kind": "example_beta", "beta": NAN},
+                            "psi": PROJ_PAIR}]),
+     "pairs[0].phi: beta must be finite"),
+    (dict(LINE_RUN, pairs=[{"phi": {"kind": "custom1d", "coeffs": [0.0, NAN]},
+                            "psi": PROJ_PAIR}]),
+     "pairs[0].phi: coeffs must be finite"),
+    (dict(SPHERE_RUN, manifold={"kind": "stiefel", "n": 3, "p": 2},
+          cost={"kind": "brockett", "A": "diag:1,2,3", "N": "diag:1,nan"},
+          x0="random:1"), "cost: N must be finite"),
+], ids=["quadratic-b-nan", "cubic-z-nan", "cubic-z-inf", "near-truth-inf",
+        "example-beta-nan", "custom1d-coeff-nan", "brockett-n-nan"])
+def test_non_finite_config_scalar_is_a_config_error(tmp_path, capsys, cfg, msg):
+    """a NaN or infinite scalar is refused with exit 4 and a message that
+    names its key, not run into an InfeasiblePoint traceback or a run"""
+    code, out = _run(tmp_path, cfg)
+    assert code == 4
+    assert msg in capsys.readouterr().err
+    assert not (out / "summary.json").exists()

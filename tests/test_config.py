@@ -333,6 +333,12 @@ def test_audit_params_validation(tmp_path):
         p.write_text(json.dumps(cfg))
         with pytest.raises(ConfigError, match="strictly descending"):
             build_audit_setup(load_config(str(p)))
+    for radii in ([float("nan"), 1e-2], [1e-1, float("nan")],
+                  [float("inf"), 1e-2]):
+        cfg["audit"] = {"radii": radii}
+        p.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match="audit.radii: must be finite"):
+            build_audit_setup(load_config(str(p)))
 
 
 def test_rate_rails_forwarded(tmp_path):

@@ -422,3 +422,51 @@ def test_newton_step_checks_a_hand_built_asymmetric_jet():
         euclidean_newton_step(j)
     with pytest.raises(ValueError, match="symmetric"):
         newton_mod.solve_with_condition(j.hessian, j.gradient)
+
+
+class _Counting:
+    """A cost that counts its calls, delegating the maths to `cost`."""
+
+    def __init__(self, cost):
+        self.cost = cost
+        self.name = cost.name
+        self.calls = {"check_on": 0, "value": 0, "grad": 0, "hess_vec": 0}
+
+    def check_on(self, m):
+        self.calls["check_on"] += 1
+        self.cost.check_on(m)
+        return self
+
+    def value(self, p):
+        self.calls["value"] += 1
+        return self.cost.value(p)
+
+    def grad(self, p):
+        self.calls["grad"] += 1
+        return self.cost.grad(p)
+
+    def hess_vec(self, p, direction):
+        self.calls["hess_vec"] += 1
+        return self.cost.hess_vec(p, direction)
+
+
+def test_one_value_per_iterate():
+    """each iterate's cost value is taken once, from its jet where a step
+    left it, and a jet checks the cost against the manifold once"""
+    A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    c = _Counting(Quadratic(A))
+    pullback_jet(c, PP, random_point(sphere(5), 2))
+    assert c.calls == {"check_on": 1, "value": 1, "grad": 1, "hess_vec": 1}
+    for pair in (PP, _pair(SphereGeodesic())):
+        for seed in range(3):
+            c = _Counting(Quadratic(A))
+            p0 = random_point(sphere(5), seed)
+            tr = run_iteration(c, Fixed(pair), p0, 30, 1e-12)
+            assert tr.termination == "Converged" and len(tr.points) > 3
+            assert c.calls["value"] == len(tr.points)
+            assert c.calls["check_on"] == len(tr.points)
+            assert c.calls["grad"] == len(tr.points) - 1
+            ref = run_iteration(Quadratic(A), Fixed(pair), p0, 30, 1e-12)
+            assert tr.cost_values == ref.cost_values
+            assert tr.cost_values == tuple(value(Quadratic(A), q)
+                                           for q in tr.points)

@@ -1,9 +1,12 @@
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from gnewton.errors import ManifoldMismatch
+import gnewton.parametrizations as par_mod
+from gnewton.errors import (InfeasiblePoint, ManifoldMismatch,
+                            OutsideValidityRadius)
 from gnewton.linalg import polar_factor
 from gnewton.manifolds import (Point, TangentVector, euclidean, grassmann,
                                random_point, sphere, stiefel, tangent_basis)
@@ -13,7 +16,7 @@ from gnewton.parametrizations import (Custom1D, ExampleBeta,
                                       Stereographic, apply_phi, apply_psi,
                                       audit_conditions, pair_label,
                                       recentring_rotation, second_order_term,
-                                      _seeded_rotation)
+                                      _Kind, _seeded_rotation)
 from gnewton.rng import SplitMix64
 
 
@@ -289,6 +292,11 @@ def test_audit_validates_radii():
     for radii in ([1e-1], [1e-1, 1e-1], [1e-1, 1e-2, 1e-2]):
         with pytest.raises(ValueError, match="strictly descending"):
             audit_conditions(_pair(Projection()), sphere(6), 20, radii, 3)
+    # refused before anything is drawn, not caught later as non-finite
+    # tangent coordinates of a sample
+    for radii in ([np.nan, 1e-2], [1e-1, np.nan], [np.inf, 1e-2]):
+        with pytest.raises(ValueError, match="sample_radii must be finite"):
+            audit_conditions(_pair(Projection()), sphere(6), 20, radii, 3)
 
 
 def test_audit_slope_needs_two_contributing_radii():
@@ -316,3 +324,136 @@ def test_h3_slope_all_builtin_pairs():
     for kind, m in _cases():
         rep = audit_conditions(_pair(kind), m, 10, [1e-1, 1e-2, 1e-3], 3)
         assert rep.fitted_slope >= 1.9, (kind.name, m.kind, rep.fitted_slope)
+
+
+# --- stacked maps ----------------------------------------------------------------
+
+def _stack(p, rng, k=5):
+    """k tangent displacements at p, with norms from 1e-6 to 1."""
+    m = p.manifold
+    B = tangent_basis(p).columns
+    rows = []
+    for scale in np.logspace(-6, 0, k):
+        d = B @ rng.gaussians(m.intrinsic_dim)
+        rows.append(scale * d / np.linalg.norm(d))
+    return np.array(rows)
+
+
+def test_stacked_map_is_bitwise_the_row_map():
+    """every kind on every manifold it lives on: _map on a 5-row stack
+    gives, row for row, the bytes of _map on that row alone and of apply"""
+    rng = SplitMix64(90)
+    for kind, m in _cases() + [(Projection(), euclidean(1)),
+                               (Projection(), sphere(6)),
+                               (QR(), stiefel(12, 3)), (QR(), grassmann(7, 3))]:
+        for seed in range(4):
+            p = random_point(m, seed + 1)
+            V = _stack(p, rng)
+            Y = kind._map(p, V)
+            assert Y.shape == V.shape
+            for v, y in zip(V, Y):
+                assert kind._map(p, v[None])[0].tobytes() == y.tobytes(), \
+                    (kind.name, m.kind, seed)
+                q = apply_phi(_pair(kind), TangentVector(p, v))
+                assert q.ambient.tobytes() == y.tobytes()
+
+
+def _audit_rows_only(monkeypatch, *args):
+    def refuse(*a):
+        raise InfeasiblePoint("stacked path refused")
+    with monkeypatch.context() as mp:
+        mp.setattr(par_mod, "_sample_stacked", refuse)
+        return audit_conditions(*args)
+
+
+def test_stacked_audit_is_bitwise_the_row_audit(monkeypatch):
+    """the stacked audit reports what one apply per displacement reports,
+    to the bit, for every kind (and a mixed pair) on its manifolds"""
+    cases = [(_pair(k), m) for k, m in _cases()]
+    cases.append((ParametrizationPair(SphereGeodesic(), QR()), sphere(6)))
+    cases.append((ParametrizationPair(Projection(), SphereGeodesic()),
+                  sphere(6)))
+    for pair, m in cases:
+        args = (pair, m, 6, [1e-1, 1e-2, 1e-3], 5)
+        assert repr(audit_conditions(*args)) == repr(
+            _audit_rows_only(monkeypatch, *args)), pair_label(pair)
+
+
+@dataclass(frozen=True)
+class _GuardedLine(_Kind):
+    """x + t + t^2 on the line, refusing |t| over 0.05 as outside its
+    validity radius."""
+    name = "guarded_line"
+
+    def _map(self, p, V):
+        if np.any(np.abs(V) > 0.05):
+            raise OutsideValidityRadius("step over 0.05")
+        return p.ambient + V + V * V
+
+
+def test_audit_drops_exactly_the_guarded_radius(monkeypatch):
+    """psi trips its guard at the largest radius only: the stacked call
+    raises, the sample is redone row by row, and that radius alone is
+    dropped, once per sample"""
+    pair = _pair(_GuardedLine())
+    args = (pair, euclidean(1), 7, [1e-1, 1e-2, 1e-3], 4)
+    rep = audit_conditions(*args)
+    assert rep.samples_dropped == 7
+    assert abs(rep.fitted_slope - 2.0) <= 1e-6
+    assert 0.9 <= rep.beta_hat <= 1.1
+    assert repr(rep) == repr(_audit_rows_only(monkeypatch, *args))
+    rep = audit_conditions(pair, euclidean(1), 7, [4e-2, 1e-2, 1e-3], 4)
+    assert rep.samples_dropped == 0
+
+
+def test_stacked_row_checks_are_the_point_and_tangent_rules():
+    """a bad row of a stack raises the class and message that Point or
+    TangentVector raises for that row alone"""
+    m = sphere(4)
+    p = random_point(m, 3)
+    V = _stack(p, SplitMix64(1))
+    bad_tangent = V.copy()
+    bad_tangent[2] += 1e-3 * p.ambient
+    bad_rows = apply_phi(_pair(Projection()), TangentVector(p, V[0])).ambient
+    bad_rows = np.array([bad_rows, 1.001 * bad_rows])
+    for stack, check, single in (
+            (bad_tangent, lambda: m.check_tangent(p.ambient, bad_tangent),
+             lambda: TangentVector(p, bad_tangent[2])),
+            (bad_rows, lambda: m.check_feasible(bad_rows),
+             lambda: Point(m, bad_rows[1]))):
+        with pytest.raises(InfeasiblePoint) as stacked:
+            check()
+        with pytest.raises(InfeasiblePoint) as alone:
+            single()
+        assert str(stacked.value) == str(alone.value)
+    nonfinite = V.copy()
+    nonfinite[4, 0] = np.nan
+    with pytest.raises(InfeasiblePoint, match="non-finite tangent"):
+        m.check_tangent(p.ambient, nonfinite)
+    with pytest.raises(InfeasiblePoint, match="non-finite ambient"):
+        m.check_feasible(nonfinite)
+
+
+@dataclass(frozen=True)
+class _Drifting(_Kind):
+    """Projection whose rows of norm over 0.05 drift off the sphere."""
+    name = "drifting"
+
+    def _map(self, p, V):
+        Y = Projection()._map(p, V)
+        Y[np.linalg.norm(V, axis=1) > 0.05] *= 1.001
+        return Y
+
+
+def test_audit_raises_the_point_error_of_a_bad_row():
+    """the psi row at r = 0.1 is off the sphere: the audit raises what
+    Point raises for that row"""
+    m = sphere(4)
+    with pytest.raises(InfeasiblePoint) as raised:
+        audit_conditions(_pair(_Drifting()), m, 3, [1e-1, 1e-2], 0)
+    rng = SplitMix64(0)
+    p = m.sample_point(rng)
+    d = par_mod.random_unit_tangent(p, rng)
+    with pytest.raises(InfeasiblePoint) as alone:
+        Point(m, _Drifting()._map(p, 0.1 * d[None])[0])
+    assert str(raised.value) == str(alone.value)
