@@ -19,6 +19,7 @@ from .errors import ConfigError, ManifoldMismatch
 from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
                         Sphere, Stiefel, project_to_manifold, random_point,
                         random_unit_tangent)
+from .rates import DEFAULT_CEIL, DEFAULT_FLOOR
 from .rng import SplitMix64
 
 _TOP_KEYS = {"version", "manifold", "cost", "pairs", "selector", "x0",
@@ -318,8 +319,8 @@ def build_experiment(cfg: dict, seed_override=None) -> Experiment:
     tol = _need(cfg, "tol", (int, float))
     if not tol > 0:
         raise ConfigError("tol: must be positive")
-    floor = cfg.get("rate_floor", 1e-12)
-    ceil = cfg.get("rate_ceil", 1e-1)
+    floor = cfg.get("rate_floor", DEFAULT_FLOOR)
+    ceil = cfg.get("rate_ceil", DEFAULT_CEIL)
     if not _typed(floor, (int, float)):
         raise ConfigError("rate_floor: wrong type")
     if not _typed(ceil, (int, float)):

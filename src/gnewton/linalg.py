@@ -55,8 +55,9 @@ def _spectral_extremes(lam):
 
 
 def condition_estimate(H) -> float:
-    """Spectral condition number estimate |lambda|_max / |lambda|_min."""
-    return _spectral_extremes(np.linalg.eigh(np.asarray(H, dtype=float))[0])[2]
+    """Spectral condition number estimate |lambda|_max / |lambda|_min of
+    symmetric H."""
+    return _spectral_extremes(np.linalg.eigh(_as_square_symmetric(H))[0])[2]
 
 
 def solve_with_condition(H, b):

@@ -18,12 +18,12 @@ from math import cos, isfinite, log, sin
 
 import numpy as np
 
-from .errors import (ChartDomainViolation, GnewtonError,
-                     OutsideValidityRadius, ProjectionUndefined)
+from .errors import (ChartDomainViolation, OutsideValidityRadius,
+                     ProjectionUndefined)
 from .manifolds import (ManifoldDescriptor, Point, Sphere, Stiefel,
                         Grassmann, TangentVector, random_unit_tangent,
                         _as_stack, _LivesOn, _OnTheLine, _pair_sums, _sym)
-from .linalg import norm, polar_factor
+from .linalg import all_finite, norm, polar_factor
 from .rates import log_log_fit
 from .rng import SplitMix64
 
@@ -39,10 +39,12 @@ class _Kind(_LivesOn):
     phi_p(0) = p exactly and otherwise calls the kind's map on one row.
 
     `_map(p, V)` maps a (k, N) stack of nonzero tangent displacements at p
-    and returns the k mapped ambient rows, unchecked; row i holds the bits
-    a one-row call on V[i] gives. A kind vectorises only arithmetic that
-    works elementwise and loops over the rows where a stacked call (a
-    matrix product, say) could round differently.
+    and returns the k mapped ambient rows, unchecked: the caller checks
+    each row once, and a kind that composes another calls its `_map`,
+    never its `apply`. Row i holds the bits a one-row call on V[i] gives.
+    A kind vectorises only arithmetic that works elementwise and loops
+    over the rows where a stacked call (a matrix product, say) could round
+    differently.
 
     `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
     matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
@@ -224,7 +226,8 @@ class Recentred(_Kind):
 
     def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
         """One rotation for the stack; each row goes through the base's
-        `apply` at e1, and its products with g are taken row by row."""
+        `_map` at e1, and its products with g are taken row by row. A row
+        that rotates to zero keeps apply's anchor and maps to e1."""
         m = p.manifold
         g = recentring_rotation(self, p)
         x = np.zeros(m.n)
@@ -234,7 +237,8 @@ class Recentred(_Kind):
         for row, v in zip(out, V):
             w = g.T @ v
             w[0] = 0.0  # exact tangency at e1; rotation rounding leaks in
-            row[:] = g @ self.base.apply(TangentVector(e1, w)).ambient
+            y = x if norm(w) == 0.0 else self.base._map(e1, w[None])[0]
+            row[:] = g @ y
         return out
 
 
@@ -257,6 +261,8 @@ class Stereographic(_Kind):
 
     def __post_init__(self):
         q = np.array(self.pole, dtype=float)
+        if not all_finite(q):
+            raise ValueError("pole must be finite")
         if q.ndim != 1 or abs(norm(q) - 1.0) > 1e-10:
             raise ValueError("pole must be a unit vector")
         q.setflags(write=False)
@@ -378,40 +384,41 @@ class AuditReport:
         return all(self.pass_flags.values())
 
 
-def _sample_rows(pair: ParametrizationPair, p: Point, d: np.ndarray,
-                 h: float, radii: tuple):
-    """One audit sample, one checked `apply` per displacement: phi at
-    +-h d, the second-order term along d, and psi at r d for each radius,
-    None where psi trips its guard. -> (plus, minus, alpha, psi rows)"""
-    plus = apply_phi(pair, TangentVector(p, h * d)).ambient
-    minus = apply_phi(pair, TangentVector(p, -h * d)).ambient
-    alpha = norm(second_order_term(pair, TangentVector(p, d)))
-    rows = []
-    for r in radii:
-        try:
-            rows.append(apply_psi(pair, TangentVector(p, r * d)).ambient)
-        except OutsideValidityRadius:
-            rows.append(None)
-    return plus, minus, alpha, rows
-
-
-def _sample_stacked(pair: ParametrizationPair, p: Point, d: np.ndarray,
-                    steps: np.ndarray):
-    """The same sample with one `_map` call per kind (one in all when phi
+def _sample(pair: ParametrizationPair, p: Point, d: np.ndarray,
+            steps: np.ndarray):
+    """One audit sample with one `_map` call per kind (one in all when phi
     and psi are the same map). The rows steps[i] d are d itself (steps[0]
     is 1), +-h d and r d, checked by TangentVector's rule; the mapped rows
-    are checked by Point's. No row is zero (d is a unit vector and every
-    step is at least 1e-6), so none needs apply's anchor."""
+    are checked by Point's, in row order. No row is zero (d is a unit
+    vector and every step is at least 1e-6), so none needs apply's anchor.
+
+    Where the call raises OutsideValidityRadius, phi's two rows are mapped
+    again, so a phi trip propagates, and then each psi row alone: a row
+    where psi trips its guard is None. -> (plus, minus, alpha, psi rows)"""
     m = p.manifold
     phi, psi = pair.phi.check_on(m), pair.psi.check_on(m)
     D = steps[:, None] * d
     m.check_tangent(p.ambient, D)
     V = D[1:]
     alpha = norm(phi.second_order(p, d))
-    if phi == psi:
-        Y = phi._map(p, V)
-    else:
-        Y = np.concatenate([phi._map(p, V[:2]), psi._map(p, V[2:])])
+    try:
+        if phi == psi:
+            Y = phi._map(p, V)
+        else:
+            Y = np.concatenate([phi._map(p, V[:2]), psi._map(p, V[2:])])
+    except OutsideValidityRadius:
+        Y = phi._map(p, V[:2])
+        m.check_feasible(Y)
+        rows = []
+        for v in V[2:]:
+            try:
+                q = psi._map(p, v[None])
+            except OutsideValidityRadius:
+                rows.append(None)
+                continue
+            m.check_feasible(q)
+            rows.append(q[0])
+        return Y[0], Y[1], alpha, rows
     m.check_feasible(Y)
     return Y[0], Y[1], alpha, list(Y[2:])
 
@@ -428,9 +435,8 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
     A zero-dimensional manifold has no direction to sample: ManifoldMismatch.
 
     Each sample maps all its displacements in one stacked call per kind.
-    Where that raises (a psi guard trip, say), the sample is redone one
-    `apply` at a time, so a dropped radius or an error is the one the
-    calls in that order give.
+    A radius where psi trips its guard is dropped; any other error
+    propagates.
     """
     radii = tuple(float(r) for r in sample_radii)
     if not all(isfinite(r) for r in radii):
@@ -462,10 +468,7 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
         identity_residual = max(identity_residual,
                                 norm(q0.ambient - p.ambient))
 
-        try:
-            plus, minus, alpha, rows = _sample_stacked(pair, p, d, steps)
-        except (GnewtonError, ValueError):
-            plus, minus, alpha, rows = _sample_rows(pair, p, d, h, radii)
+        plus, minus, alpha, rows = _sample(pair, p, d, steps)
 
         fd = (plus - minus) / (2.0 * h)
         dphi_residual = max(dphi_residual, norm(fd - d))

@@ -71,8 +71,9 @@ def estimate_rate(errors, floor: float = DEFAULT_FLOOR,
     ceiling the behaviour is pre-asymptotic. The floor must therefore not
     sit below the iterates' rounding level: an error under about eps times
     the previous one is rounding noise, not a rung of the ladder. Fewer
-    than 4 errors, fewer than 3 usable pairs — or a fitted K below 0.5,
-    which no convergent power law produces — raises InsufficientData.
+    than 4 errors, fewer than 3 usable pairs, a fitted K below 0.5, which
+    no convergent power law produces, or a kappa that overflows a float
+    raises InsufficientData.
     This is ``pooled_rate`` over one sequence.
     """
     errors = list(errors)
@@ -114,6 +115,11 @@ def pooled_rate(sequences, floor: float = DEFAULT_FLOOR,
     if K < 0.5:
         raise InsufficientData("fitted K=%.3f below 0.5; sequence is not a "
                                "convergent power law" % K)
-    return RateEstimate(K=K, kappa=exp(c), window=(min(first), max(last)),
+    try:
+        kappa = exp(c)
+    except OverflowError:
+        raise InsufficientData("fitted log kappa=%.3e overflows (K=%.3f)"
+                               % (c, K)) from None
+    return RateEstimate(K=K, kappa=kappa, window=(min(first), max(last)),
                         fit_residual=float(sqrt(float(np.mean(resid * resid)))),
                         n_points=len(xs))

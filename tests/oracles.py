@@ -6,22 +6,26 @@ Gram-Schmidt, and a jet whose curvature term is recovered from O(m^2)
 second-order probes by polarisation, with the QR kind's second-order term
 taken by central differences. The stereographic kind's second-order term
 is derived here on its own, by the quotient rule. `chart_lift_step` is the
-earlier chart-lifted Newton step with its finite-difference jet. They are
-slow and only serve as oracles.
+earlier chart-lifted Newton step with its finite-difference jet, and
+`audit_rows` the earlier row-by-row audit, one public call per
+displacement. They are slow and only serve as oracles.
 """
 
-from math import sqrt
+from math import log, sqrt
 
 import numpy as np
 
 from gnewton.costs import ambient_gradient, ambient_hessian_vec, value
-from gnewton.errors import ChartDomainViolation
-from gnewton.linalg import symmetric_solve
-from gnewton.manifolds import Point, TangentVector
-from gnewton.parametrizations import (Custom1D, ExampleBeta,
+from gnewton.errors import ChartDomainViolation, OutsideValidityRadius
+from gnewton.linalg import norm, symmetric_solve
+from gnewton.manifolds import Point, TangentVector, random_unit_tangent
+from gnewton.parametrizations import (AuditReport, Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
                                       Recentred, SphereGeodesic,
-                                      Stereographic, apply_phi)
+                                      Stereographic, apply_phi, apply_psi,
+                                      second_order_term)
+from gnewton.rates import log_log_fit
+from gnewton.rng import SplitMix64
 
 _EPS = np.finfo(float).eps
 
@@ -202,3 +206,52 @@ def pullback_hessian(c, kind, p, cols, second_order=second_order):
             H[i, j] += corr
             H[j, i] += corr
     return 0.5 * (H + H.T)
+
+
+def audit_rows(pair, m, sample_points, radii, seed):
+    """`audit_conditions` one public call per displacement, from the same
+    draws: apply_phi at 0 and at +-h d, second_order_term along d, then
+    apply_psi at r d for each radius, a radius where psi trips its guard
+    dropped. The radii are taken as valid."""
+    radii = tuple(float(r) for r in radii)
+    rng = SplitMix64(seed)
+    identity_residual = dphi_residual = alpha_hat = beta_hat = 0.0
+    dropped = 0
+    log_r, log_resid = [], []
+    h = _EPS ** (1.0 / 3.0)
+    for _ in range(sample_points):
+        p = m.sample_point(rng)
+        d = random_unit_tangent(p, rng)
+        q0 = apply_phi(pair, TangentVector(p, np.zeros(m.ambient_dim)))
+        identity_residual = max(identity_residual,
+                                norm(q0.ambient - p.ambient))
+        plus = apply_phi(pair, TangentVector(p, h * d)).ambient
+        minus = apply_phi(pair, TangentVector(p, -h * d)).ambient
+        dphi_residual = max(dphi_residual,
+                            norm((plus - minus) / (2.0 * h) - d))
+        alpha_hat = max(alpha_hat,
+                        norm(second_order_term(pair, TangentVector(p, d))))
+        for r in radii:
+            try:
+                q = apply_psi(pair, TangentVector(p, r * d)).ambient
+            except OutsideValidityRadius:
+                dropped += 1
+                continue
+            resid = norm(q - p.ambient - r * d)
+            if resid <= 1e-14:
+                continue
+            beta_hat = max(beta_hat, resid / (r * r))
+            log_r.append(log(r))
+            log_resid.append(log(resid))
+    fitted_slope = (log_log_fit(log_r, log_resid)[0] if len(set(log_r)) >= 2
+                    else float("inf"))
+    flags = {
+        "identity": identity_residual <= 1e-10,
+        "dphi": dphi_residual <= 1e-6,
+        "slope": fitted_slope >= 1.9,
+    }
+    return AuditReport(alpha_hat=alpha_hat, beta_hat=beta_hat,
+                       fitted_slope=fitted_slope,
+                       identity_residual=identity_residual,
+                       dphi_residual=dphi_residual, pass_flags=flags,
+                       samples_dropped=dropped, radii=radii)

@@ -131,6 +131,22 @@ def test_rates_insufficient_is_not_an_error(tmp_path, capsys):
     assert "reason" in got
 
 
+def test_rates_overflowing_kappa_is_insufficient(tmp_path, capsys):
+    # a one-coordinate trace whose distances to the truth 0 fit K ~ 1000:
+    # kappa overflows, which is no fit rather than a traceback
+    errs = [1e-10 * (1 + 1e-14 * 1000 ** k) for k in range(5)]
+    p = tmp_path / "t.csv"
+    p.write_text("iter,step_norm,cost,error,coord_0\n"
+                 + "".join("%d,,0.0,%r,%r\n" % (k, e, e)
+                           for k, e in enumerate(errs)))
+    code = main(["rates", str(p), "--truth", "euclidean:1:0.0",
+                 "--floor", "1e-30", "--ceil", "0.5"])
+    assert code == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["insufficient_data"] is True
+    assert "overflows" in got["reason"]
+
+
 def test_rates_malformed_csv(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("time,value\n0,1\n")

@@ -271,3 +271,16 @@ def test_symmetric_contract_messages():
     # within SYM_RTOL relative passes, and the array comes back as given
     A = np.array([[1.0, 1e-12], [0.0, 1.0]])
     assert _as_square_symmetric(A) is A
+
+
+@pytest.mark.parametrize("H, broken", [
+    (np.array([[1.0, 5.0], [0.0, 1.0]]), "symmetric"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "finite"),
+    (np.ones((1, 3)), "square"),
+])
+def test_condition_estimate_runs_the_symmetric_contract(H, broken):
+    """eigh reads one triangle (1.0 for the asymmetric matrix), passes NaN
+    through and fails on a non-square input in numpy's own error: the
+    contract refuses all three as every solve does"""
+    with pytest.raises(ValueError, match="^matrix must be %s$" % broken):
+        condition_estimate(H)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gnewton.parametrizations as par_mod
+import oracles
 from gnewton.errors import (InfeasiblePoint, ManifoldMismatch,
                             OutsideValidityRadius)
 from gnewton.linalg import polar_factor
@@ -156,6 +157,27 @@ def test_recentred_projection_equals_projection():
         a = apply_phi(_pair(kind), v)
         b = apply_phi(_pair(Projection()), v)
         assert np.linalg.norm(a.ambient - b.ambient) <= 1e-12
+
+
+def test_recentred_row_rotating_to_zero_maps_to_p():
+    """a step along p itself, inside the tangency tolerance, rotates to
+    the zero row at e1; the anchor maps it to p, where the geodesic's own
+    map divides 0 by 0"""
+    m = sphere(5)
+    p = Point(m, np.eye(5)[0])
+    for seed in range(4):
+        kind = Recentred(SphereGeodesic(), seed)
+        q = kind.apply(TangentVector(p, 1e-11 * p.ambient))
+        assert q.ambient.tobytes() == p.ambient.tobytes()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(SphereGeodesic()._map(p, np.zeros((1, 5)))).all()
+
+
+def test_stereographic_refuses_a_non_finite_pole():
+    """NaN compares false, so it would pass the unit-norm test"""
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^pole must be finite$"):
+            Stereographic(np.array([bad, 0.0, 0.0]))
 
 
 def test_recentring_rotation_properties():
@@ -358,15 +380,7 @@ def test_stacked_map_is_bitwise_the_row_map():
                 assert q.ambient.tobytes() == y.tobytes()
 
 
-def _audit_rows_only(monkeypatch, *args):
-    def refuse(*a):
-        raise InfeasiblePoint("stacked path refused")
-    with monkeypatch.context() as mp:
-        mp.setattr(par_mod, "_sample_stacked", refuse)
-        return audit_conditions(*args)
-
-
-def test_stacked_audit_is_bitwise_the_row_audit(monkeypatch):
+def test_stacked_audit_is_bitwise_the_row_audit():
     """the stacked audit reports what one apply per displacement reports,
     to the bit, for every kind (and a mixed pair) on its manifolds"""
     cases = [(_pair(k), m) for k, m in _cases()]
@@ -376,34 +390,60 @@ def test_stacked_audit_is_bitwise_the_row_audit(monkeypatch):
     for pair, m in cases:
         args = (pair, m, 6, [1e-1, 1e-2, 1e-3], 5)
         assert repr(audit_conditions(*args)) == repr(
-            _audit_rows_only(monkeypatch, *args)), pair_label(pair)
+            oracles.audit_rows(*args)), pair_label(pair)
 
 
 @dataclass(frozen=True)
 class _GuardedLine(_Kind):
-    """x + t + t^2 on the line, refusing |t| over 0.05 as outside its
-    validity radius."""
+    """x + t + t^2 on the line, refusing |t| over `limit` as outside its
+    validity radius; the message names the first step refused."""
     name = "guarded_line"
+    limit: float = 0.05
 
     def _map(self, p, V):
-        if np.any(np.abs(V) > 0.05):
-            raise OutsideValidityRadius("step over 0.05")
+        over = np.abs(V[:, 0]) > self.limit
+        if np.any(over):
+            raise OutsideValidityRadius("step %r over %g"
+                                        % (float(V[over, 0][0]), self.limit))
         return p.ambient + V + V * V
 
 
-def test_audit_drops_exactly_the_guarded_radius(monkeypatch):
+def test_audit_drops_exactly_the_guarded_radius():
     """psi trips its guard at the largest radius only: the stacked call
-    raises, the sample is redone row by row, and that radius alone is
-    dropped, once per sample"""
+    raises, the psi rows are mapped one at a time, and that radius alone
+    is dropped, once per sample"""
     pair = _pair(_GuardedLine())
     args = (pair, euclidean(1), 7, [1e-1, 1e-2, 1e-3], 4)
     rep = audit_conditions(*args)
     assert rep.samples_dropped == 7
     assert abs(rep.fitted_slope - 2.0) <= 1e-6
     assert 0.9 <= rep.beta_hat <= 1.1
-    assert repr(rep) == repr(_audit_rows_only(monkeypatch, *args))
+    assert repr(rep) == repr(oracles.audit_rows(*args))
     rep = audit_conditions(pair, euclidean(1), 7, [4e-2, 1e-2, 1e-3], 4)
     assert rep.samples_dropped == 0
+
+
+def test_audit_guard_trips_are_the_row_audit():
+    """psi tripping at two radii, with phi == psi and with phi != psi,
+    drops those radii as one apply per displacement does; a phi trip at
+    +-h d raises the class and message the row audit raises"""
+    radii = [1e-1, 6e-2, 1e-2, 1e-3]
+    for pair in (_pair(_GuardedLine()),
+                 ParametrizationPair(Projection(), _GuardedLine()),
+                 ParametrizationPair(Custom1D((0.0, 1.0)), _GuardedLine())):
+        args = (pair, euclidean(1), 7, radii, 4)
+        rep = audit_conditions(*args)
+        assert rep.samples_dropped == 14
+        assert abs(rep.fitted_slope - 2.0) <= 1e-6
+        assert repr(rep) == repr(oracles.audit_rows(*args))
+    for pair in (_pair(_GuardedLine(1e-6)),
+                 ParametrizationPair(_GuardedLine(1e-6), Projection())):
+        args = (pair, euclidean(1), 7, radii, 4)
+        with pytest.raises(OutsideValidityRadius) as stacked:
+            audit_conditions(*args)
+        with pytest.raises(OutsideValidityRadius) as rows:
+            oracles.audit_rows(*args)
+        assert str(stacked.value) == str(rows.value)
 
 
 def test_stacked_row_checks_are_the_point_and_tangent_rules():

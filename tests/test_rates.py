@@ -81,6 +81,14 @@ def test_insufficient_sublinear_fit():
         estimate_rate(errs)
 
 
+def test_insufficient_when_kappa_overflows():
+    # errors equal to 1e-10 but in their last digits fit K ~ 1000, and
+    # exp of the intercept (~2.3e4) overflows a float
+    errs = [1e-10 * (1 + 1e-14 * 1000 ** k) for k in range(5)]
+    with pytest.raises(InsufficientData, match="overflows"):
+        estimate_rate(errs, 1e-30, 0.5)
+
+
 def test_validation():
     errs = [0.1, 0.01, 1e-4, 1e-8, 1e-16]
     with pytest.raises(ValueError):
