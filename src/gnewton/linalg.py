@@ -1,9 +1,10 @@
 """Dense symmetric kernels: solve, polar factor, eigendecomposition, norm.
 
-Everything here is small (dimension up to about 100: sphere(100) gives a
-99 x 99 Hessian) and dense. The heavy lifting is delegated to LAPACK via
-numpy; this module owns the contracts around it: the one symmetric-matrix
-check (square, finite, symmetric), the one finite test (`all_finite`),
+Everything here is small (sphere(100) gives a 99 x 99 Hessian) and dense.
+The Newton solve takes eigenvalues alone for its guard and one LU for the
+step, never eigenvectors. LAPACK via numpy does the heavy lifting; this
+module owns the contracts around it: the one symmetric-matrix check
+(square, finite, symmetric), the one finite test (`all_finite`),
 condition thresholds, sign conventions, and the error taxonomy.
 """
 
@@ -56,27 +57,27 @@ def _spectral_extremes(lam):
 
 def condition_estimate(H) -> float:
     """Spectral condition number estimate |lambda|_max / |lambda|_min of
-    symmetric H."""
-    return _spectral_extremes(np.linalg.eigh(_as_square_symmetric(H))[0])[2]
+    symmetric H, from its eigenvalues alone."""
+    return _spectral_extremes(np.linalg.eigvalsh(_as_square_symmetric(H)))[2]
 
 
 def solve_with_condition(H, b):
-    """Solve H s = b for symmetric H from one eigendecomposition, which also
-    gives the condition estimate. -> (s, condition)
+    """Solve H s = b for symmetric H. -> (s, condition)
 
-    Raises SingularHessian when the spectral condition estimate exceeds
-    COND_LIMIT or the smallest |eigenvalue| underflows PIVOT_FLOOR * ||H||.
+    The eigenvalues alone give the condition estimate, and s comes from one
+    LU solve that only an H passing the guard reaches: SingularHessian when
+    the estimate exceeds COND_LIMIT or the smallest |eigenvalue| underflows
+    PIVOT_FLOOR * ||H||, so a singular H is refused before LU could raise.
     """
     H = _as_square_symmetric(H)
     b = np.asarray(b, dtype=float)
     if b.shape != (H.shape[0],):
         raise ValueError("rhs length %r does not match matrix dimension %d"
                          % (b.shape, H.shape[0]))
-    lam, V = np.linalg.eigh(H)
-    lmax, lmin, cond = _spectral_extremes(lam)
+    lmax, lmin, cond = _spectral_extremes(np.linalg.eigvalsh(H))
     if lmax == 0.0 or lmin < PIVOT_FLOOR * lmax or cond > COND_LIMIT:
         raise SingularHessian("condition estimate %.3e exceeds limits" % cond)
-    return V @ ((V.T @ b) / lam), cond
+    return np.linalg.solve(H, b), cond
 
 
 def symmetric_solve(H, b) -> np.ndarray:

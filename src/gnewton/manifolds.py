@@ -8,7 +8,7 @@ manifold is one class that owns its geometry.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import sqrt
 
 import numpy as np
@@ -352,6 +352,11 @@ class Point:
     def as_matrix(self) -> np.ndarray:
         return self.ambient.reshape(self.manifold.n, self.manifold.p, order="F")
 
+    @cached_property
+    def tangent_columns(self) -> np.ndarray:
+        """The manifold's tangent columns here, completed once, read-only."""
+        return _freeze(self.manifold.tangent_columns(self))
+
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
@@ -463,7 +468,7 @@ def _lower_mask(n: int) -> np.ndarray:
 def tangent_basis(p: Point) -> TangentBasis:
     """Deterministic orthonormal basis of the tangent (Grassmann: horizontal)
     space at p, as ambient columns."""
-    return TangentBasis(p, p.manifold.tangent_columns(p))
+    return TangentBasis(p, p.tangent_columns)
 
 
 def random_unit_tangent(p: Point, rng: SplitMix64) -> np.ndarray:

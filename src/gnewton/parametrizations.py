@@ -342,7 +342,7 @@ def recentring_rotation(kind: Recentred, p: Point) -> np.ndarray:
     n = p.manifold.n
     if n > 1:
         R = _seeded_rotation(kind.rotation_seed, n - 1)
-        C = p.manifold.tangent_columns(p) @ R
+        C = p.tangent_columns @ R
         return np.column_stack([p.ambient, C])
     return p.ambient.reshape(1, 1).copy()
 

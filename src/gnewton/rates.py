@@ -71,9 +71,9 @@ def estimate_rate(errors, floor: float = DEFAULT_FLOOR,
     ceiling the behaviour is pre-asymptotic. The floor must therefore not
     sit below the iterates' rounding level: an error under about eps times
     the previous one is rounding noise, not a rung of the ladder. Fewer
-    than 4 errors, fewer than 3 usable pairs, a fitted K below 0.5, which
-    no convergent power law produces, or a kappa that overflows a float
-    raises InsufficientData.
+    than 4 errors, fewer than 3 usable pairs, usable errors all equal (a
+    stalled iterate), a fitted K below 0.5, which no convergent power law
+    produces, or a kappa that overflows a float raises InsufficientData.
     This is ``pooled_rate`` over one sequence.
     """
     errors = list(errors)
@@ -108,6 +108,8 @@ def pooled_rate(sequences, floor: float = DEFAULT_FLOOR,
     if len(xs) < 3:
         raise InsufficientData("only %d usable pairs in (%g, %g)"
                                % (len(xs), floor, ceil))
+    if min(xs) == max(xs):
+        raise InsufficientData("usable errors all equal: no slope to fit")
     xs = np.array(xs)
     ys = np.array(ys)
     K, c = log_log_fit(xs, ys)

@@ -147,6 +147,19 @@ def test_rates_overflowing_kappa_is_insufficient(tmp_path, capsys):
     assert "overflows" in got["reason"]
 
 
+def test_rates_stalled_trace_is_insufficient(tmp_path, capsys):
+    # every distance to the truth 0 is 1e-5: a fit of K = nan before, now
+    # no fit, with the reason
+    p = tmp_path / "t.csv"
+    p.write_text("iter,step_norm,cost,error,coord_0\n"
+                 + "".join("%d,,0.0,1e-05,1e-05\n" % k for k in range(6)))
+    code = main(["rates", str(p), "--truth", "euclidean:1:0.0"])
+    assert code == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["insufficient_data"] is True
+    assert "no slope" in got["reason"]
+
+
 def test_rates_malformed_csv(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("time,value\n0,1\n")

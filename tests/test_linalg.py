@@ -12,9 +12,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from gnewton.errors import (NoConvergence, OutsideValidityRadius,
                             RankDeficient, SingularHessian)
-from gnewton.linalg import (condition_estimate, norm, polar_factor,
-                            solve_with_condition, symmetric_eigen,
-                            symmetric_solve)
+from gnewton.linalg import (COND_LIMIT, PIVOT_FLOOR, condition_estimate,
+                            norm, polar_factor, solve_with_condition,
+                            symmetric_eigen, symmetric_solve)
 from gnewton.rng import SplitMix64
 
 
@@ -69,8 +69,9 @@ def test_solve_residual_bound_random():
 
 
 def test_solve_with_condition_shares_one_factorisation():
-    """the solve and the condition it reports come from one eigh: the
-    condition equals condition_estimate and the solve symmetric_solve"""
+    """the solve and the condition it reports share one code path: the
+    condition comes from the eigenvalues alone and equals
+    condition_estimate bitwise, and the solve is symmetric_solve's LU"""
     rng = SplitMix64(15)
     for _ in range(50):
         M = rng.gaussians(16).reshape(4, 4)
@@ -82,6 +83,73 @@ def test_solve_with_condition_shares_one_factorisation():
         assert np.linalg.norm(H @ s - b) <= 1e-9 * cond * np.linalg.norm(b)
     with pytest.raises(SingularHessian):
         solve_with_condition(np.diag([1.0, -1e-13]), np.ones(2))
+
+
+def _rotated(lam, seed):
+    """Q diag(lam) Q^T for a seeded orthogonal Q, symmetrised."""
+    n = len(lam)
+    Q = polar_factor(SplitMix64(seed).gaussians(n * n).reshape(n, n))
+    H = (Q * np.asarray(lam, dtype=float)) @ Q.T
+    return 0.5 * (H + H.T)
+
+
+def test_solve_indefinite_sweep_matches_the_eigenvector_solve():
+    """symmetric indefinite H, n = 1..16, 29 and 99, alternately Gaussian
+    and a rotated spectrum of mixed signs over six decades: the LU solve
+    has the backward error of test_solve_residual_bound_random and agrees
+    with V((V^T b) / lambda) within a small multiple of cond * eps"""
+    eps = np.finfo(float).eps
+    nrm = np.linalg.norm
+    rng = SplitMix64(2718)
+    for n in list(range(1, 17)) + [29, 99]:
+        for k in range(40 if n <= 16 else 8):
+            if k % 2 == 0:
+                M = rng.gaussians(n * n).reshape(n, n)
+                H = 0.5 * (M + M.T)
+            else:
+                mags = 10.0 ** (6.0 * np.array([rng.uniform()
+                                                for _ in range(n)]))
+                H = _rotated(rng.gaussians(n) * mags, rng.next_u64())
+            b = rng.gaussians(n)
+            s, cond = solve_with_condition(H, b)
+            assert nrm(H @ s - b) <= 1e-9 * (nrm(H) * nrm(s) + nrm(b))
+            lam, V = np.linalg.eigh(H)
+            ref = V @ ((V.T @ b) / lam)
+            assert nrm(s - ref) <= 8.0 * cond * eps * nrm(ref)
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_solve_thresholds_on_both_sides(rotate):
+    """exact diagonals and rotated ones: a condition just under COND_LIMIT
+    solves, just over raises; around PIVOT_FLOOR both sides raise, because
+    |lambda|_min < PIVOT_FLOOR |lambda|_max already puts the condition
+    past COND_LIMIT"""
+    def H(small):
+        lam = [-1.0, 0.5, small]
+        return _rotated(lam, 11) if rotate else np.diag(lam)
+    b = np.ones(3)
+    s, cond = solve_with_condition(H(1.01 / COND_LIMIT), b)
+    assert 0.98 * COND_LIMIT <= cond <= COND_LIMIT
+    assert np.linalg.norm(H(1.01 / COND_LIMIT) @ s - b) <= 1e-3
+    for small in (0.99 / COND_LIMIT, 2.0 * PIVOT_FLOOR, 0.5 * PIVOT_FLOOR,
+                  -0.99 / COND_LIMIT):
+        with pytest.raises(SingularHessian):
+            solve_with_condition(H(small), b)
+
+
+def test_exactly_singular_raises_singular_hessian_not_linalgerror():
+    """the guard refuses what LU would fail on, so numpy's LinAlgError
+    never escapes the solve"""
+    M = SplitMix64(99).gaussians(99 * 98).reshape(99, 98)
+    cases = [np.zeros((3, 3)), np.ones((2, 2)), np.diag([2.0, 0.0, -1.0]),
+             _rotated([3.0, 0.0, -1.0, 2.0], 5), M @ M.T]
+    for H in cases:
+        b = np.ones(H.shape[0])
+        with pytest.raises(SingularHessian):
+            solve_with_condition(H, b)
+    for H in cases[:3]:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(H, np.ones(H.shape[0]))
 
 
 def test_import_leaves_out_scipy():

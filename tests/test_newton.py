@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from gnewton.costs import (AbsPower, Quadratic, ShiftedCubic, value)
+import gnewton.manifolds as manifolds_mod
 import gnewton.newton as newton_mod
 from gnewton.errors import (ChartDomainViolation, InfeasiblePoint,
                             NotTwiceDifferentiable, SingularHessian)
@@ -14,7 +15,7 @@ from gnewton.newton import (Fixed, PathDependent, Random, RoundRobin,
                             pullback_jet, run_iteration)
 from gnewton.parametrizations import (Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
-                                      SphereGeodesic, Stereographic)
+                                      Recentred, SphereGeodesic, Stereographic)
 from gnewton.rates import estimate_rate
 from gnewton.rng import SplitMix64
 
@@ -130,6 +131,25 @@ def test_step_result_reports_condition():
                                   Point(euclidean(2), np.array([1.0, 1.0])))
     assert abs(res.hessian_condition - 10.0) <= 1e-9
     assert res.pair_used is PP
+
+
+def test_recentred_step_completes_the_tangent_basis_once(monkeypatch):
+    """the jet's basis and psi's recentring rotation read one completion of
+    p's tangent space, cached read-only on p, with the bits of a fresh one"""
+    calls = []
+    complete = manifolds_mod._complete_unit
+    monkeypatch.setattr(manifolds_mod, "_complete_unit",
+                        lambda p: calls.append(p) or complete(p))
+    c = Quadratic(np.diag(np.arange(1.0, 7.0)))
+    pair = _pair(Recentred(Projection(), 3))
+    for seed in range(5):
+        p = random_point(sphere(6), seed)
+        del calls[:]
+        generalized_newton_step(c, pair, p)
+        assert len(calls) == 1
+        assert np.array_equal(p.tangent_columns, complete(p.ambient))
+        with pytest.raises(ValueError):
+            p.tangent_columns[0, 0] = 0.0
 
 
 def test_affine_invariance():

@@ -81,6 +81,15 @@ def test_insufficient_sublinear_fit():
         estimate_rate(errs)
 
 
+def test_insufficient_when_errors_stall():
+    # a stalled iterate repeats one error: the log-log fit has no spread to
+    # take a slope over (0/0), which is no fit rather than K = nan
+    with pytest.raises(InsufficientData, match="no slope"):
+        estimate_rate([1e-5] * 6)
+    with pytest.raises(InsufficientData, match="no slope"):
+        pooled_rate([[1e-5] * 3, [1e-5] * 4])
+
+
 def test_insufficient_when_kappa_overflows():
     # errors equal to 1e-10 but in their last digits fit K ~ 1000, and
     # exp of the intercept (~2.3e4) overflows a float
