@@ -1,11 +1,10 @@
 """Dense symmetric kernels: solve, polar factor, eigendecomposition, norm.
 
-Everything here is small (sphere(100) gives a 99 x 99 Hessian) and dense.
-The Newton solve takes eigenvalues alone for its guard and one LU for the
-step, never eigenvectors. LAPACK via numpy does the heavy lifting; this
-module owns the contracts around it: the one symmetric-matrix check
-(square, finite, symmetric), the one finite test (`all_finite`),
-condition thresholds, sign conventions, and the error taxonomy.
+Everything here is small (sphere(100) gives a 99 x 99 Hessian) and dense;
+the Newton solve takes eigenvalues only, then one LU. LAPACK via numpy does
+the heavy lifting; this module owns the contracts around it: the one
+symmetric-matrix check (square, finite, symmetric), the one finite test
+(`all_finite`), condition thresholds, sign conventions, error taxonomy.
 """
 
 from math import sqrt

@@ -8,7 +8,7 @@ manifold is one class that owns its geometry.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -352,10 +352,11 @@ class Point:
     def as_matrix(self) -> np.ndarray:
         return self.ambient.reshape(self.manifold.n, self.manifold.p, order="F")
 
-    @cached_property
+    @property
     def tangent_columns(self) -> np.ndarray:
-        """The manifold's tangent columns here, completed once, read-only."""
-        return _freeze(self.manifold.tangent_columns(self))
+        """The tangent columns here: a running step's lent ones, else new."""
+        lent = vars(self).get("_lent_columns")
+        return self.manifold.tangent_columns(self) if lent is None else lent
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,7 +469,7 @@ def _lower_mask(n: int) -> np.ndarray:
 def tangent_basis(p: Point) -> TangentBasis:
     """Deterministic orthonormal basis of the tangent (Grassmann: horizontal)
     space at p, as ambient columns."""
-    return TangentBasis(p, p.tangent_columns)
+    return TangentBasis(p, p.manifold.tangent_columns(p))
 
 
 def random_unit_tangent(p: Point, rng: SplitMix64) -> np.ndarray:

@@ -142,12 +142,7 @@ class PathDependent:
 
         def choose(k, points):
             d = distance(points[-1], points[0])
-            if d >= 0.1:
-                i = 0
-            elif d >= 1e-6:
-                i = 1
-            else:
-                i = 2
+            i = 0 if d >= 0.1 else 1 if d >= 1e-6 else 2
             return pairs[min(i, len(pairs) - 1)]
         return choose
 
@@ -182,13 +177,17 @@ def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
 
 
 def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResult:
-    """One step of E_f = psi_p . N_{f o phi_p} at p, from one factorisation
-    of the pulled-back Hessian."""
+    """One step of E_f = psi_p . N_{f o phi_p} at p; psi reads the jet's
+    tangent columns, lent to p only while it maps the increment."""
     j = pullback_jet(c, pair, p)
     x, cond = solve_with_condition(j.hessian, j.gradient)
     s = -x
     w = TangentVector(p, j.basis.columns @ s)
-    nxt = apply_psi(pair, w)
+    vars(p)["_lent_columns"] = j.basis.columns
+    try:
+        nxt = apply_psi(pair, w)
+    finally:
+        vars(p).pop("_lent_columns", None)
     return StepResult(next=nxt, step_norm=norm(s), hessian_condition=cond,
                       pair_used=pair, base_value=j.value)
 

@@ -110,8 +110,7 @@ def pooled_rate(sequences, floor: float = DEFAULT_FLOOR,
                                % (len(xs), floor, ceil))
     if min(xs) == max(xs):
         raise InsufficientData("usable errors all equal: no slope to fit")
-    xs = np.array(xs)
-    ys = np.array(ys)
+    xs, ys = np.array(xs), np.array(ys)
     K, c = log_log_fit(xs, ys)
     resid = ys - (K * xs + c)
     if K < 0.5:
