@@ -24,8 +24,8 @@ from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
                         distance, euclidean, grassmann, project_to_manifold,
                         random_point, sphere, stiefel, tangent_basis)
 from .newton import (Fixed, IterationTrace, Jet2, PathDependent, Random,
-                     RoundRobin, StepResult, euclidean_newton_step,
-                     generalized_newton_step, pullback_jet, run_iteration)
+                     RoundRobin, StepResult, generalized_newton_step,
+                     pullback_jet, run_iteration)
 from .parametrizations import (AuditReport, Custom1D, ExampleBeta,
                                ParametrizationPair, Projection, QR, Recentred,
                                SphereGeodesic, Stereographic, apply_phi,
@@ -42,7 +42,7 @@ __all__ = [
     "AbsPower", "AuditReport", "BrockettTrace", "ChartDomainViolation",
     "ConfigError", "Custom1D", "DEFAULT_CEIL", "Euclidean",
     "DEFAULT_FLOOR", "distance", "error_sequence", "estimate_rate",
-    "euclidean", "euclidean_newton_step", "ExampleBeta", "Experiment",
+    "euclidean", "ExampleBeta", "Experiment",
     "Fixed", "generalized_newton_step", "GnewtonError", "grassmann",
     "Grassmann", "GrassmannTrace", "InfeasiblePoint", "InsufficientData",
     "IterationTrace", "Jet2", "load_config",

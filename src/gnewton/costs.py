@@ -8,7 +8,6 @@ matrix costs cheap: a pullback jet needs H applied to tangent-basis
 columns, never the full (np x np) operator.
 """
 
-from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
@@ -17,7 +16,7 @@ from .errors import NotTwiceDifferentiable, SingularHessian
 from .linalg import (_as_square_symmetric, all_finite, symmetric_eigen,
                      symmetric_solve)
 from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
-                        Sphere, Stiefel, _LivesOn, _OnTheLine)
+                        Sphere, Stiefel, _LivesOn, _OnTheLine, _Value)
 
 
 def _trace_hess_vec(A, weights, p: Point, direction: np.ndarray) -> np.ndarray:
@@ -37,33 +36,31 @@ class _MatrixCost(_LivesOn):
     as a copy that passes linalg's symmetric-matrix contract, and the cost
     fits a manifold of that n."""
 
-    def __post_init__(self):
-        A = _as_square_symmetric(np.array(self.A, dtype=float), "A")
+    def __init__(self, A):
+        A = _as_square_symmetric(np.array(A, dtype=float), "A")
         A.setflags(write=False)
-        object.__setattr__(self, "A", A)
+        self.__dict__["A"] = A
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
         return super().valid_on(m) and m.n == self.A.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
 class Quadratic(_MatrixCost):
     """f(x) = 1/2 x^T A x + b^T x on Euclidean space or the sphere."""
     name = "quadratic"
     manifolds = (Euclidean, Sphere)
-    A: np.ndarray
-    b: np.ndarray = None
+    _fields = ("A", "b")
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, A, b=None):
+        super().__init__(A)
         n = self.A.shape[0]
-        b = np.zeros(n) if self.b is None else np.array(self.b, dtype=float)
+        b = np.zeros(n) if b is None else np.array(b, dtype=float)
         if b.shape != (n,):
             raise ValueError("b length does not match A")
         if not all_finite(b):
             raise ValueError("b must be finite")
         b.setflags(write=False)
-        object.__setattr__(self, "b", b)
+        self.__dict__["b"] = b
 
     def value(self, p: Point) -> float:
         x = p.ambient
@@ -91,19 +88,17 @@ class Quadratic(_MatrixCost):
         return Point(m, x)
 
 
-@dataclass(frozen=True, eq=False)
 class BrockettTrace(_MatrixCost):
     """f(X) = Tr(X^T A X N) on the Stiefel manifold; N diagonal with
     distinct positive entries so the minimiser is an isolated point
     (up to column signs)."""
     name = "brockett"
     manifolds = (Stiefel,)
-    A: np.ndarray
-    N: np.ndarray
+    _fields = ("A", "N")
 
-    def __post_init__(self):
-        super().__post_init__()
-        N = np.array(self.N, dtype=float)
+    def __init__(self, A, N):
+        super().__init__(A)
+        N = np.array(N, dtype=float)
         if N.ndim != 2 or N.shape[0] != N.shape[1]:
             raise ValueError("N must be square")
         if not all_finite(N):
@@ -114,7 +109,7 @@ class BrockettTrace(_MatrixCost):
         if np.any(d <= 0.0) or len(set(d.tolist())) != d.size:
             raise ValueError("N diagonal must be distinct and positive")
         N.setflags(write=False)
-        object.__setattr__(self, "N", N)
+        self.__dict__["N"] = N
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
         return super().valid_on(m) and m.p == self.N.shape[0]
@@ -140,16 +135,15 @@ class BrockettTrace(_MatrixCost):
         return Point(m, X.flatten(order="F"))
 
 
-@dataclass(frozen=True, eq=False)
 class GrassmannTrace(_MatrixCost):
     """g(X) = Tr(X^T A X) on the Grassmann manifold (descends to the
     quotient); A symmetric with distinct eigenvalues."""
     name = "grassmann_trace"
     manifolds = (Grassmann,)
-    A: np.ndarray
+    _fields = ("A",)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, A):
+        super().__init__(A)
         lam = np.linalg.eigvalsh(self.A)
         scale = max(abs(lam[0]), abs(lam[-1]), np.finfo(float).tiny)
         if np.min(np.diff(lam)) <= 1e-10 * scale:
@@ -171,8 +165,7 @@ class GrassmannTrace(_MatrixCost):
         return Point(m, V[:, :m.p].flatten(order="F"))
 
 
-@dataclass(frozen=True)
-class AbsPower(_OnTheLine):
+class AbsPower(_Value, _OnTheLine):
     """f(x) = x^2 + |x|^{5/2} on the line; C^2 but not C^3 at the minimiser."""
     name = "abs_power"
 
@@ -196,15 +189,15 @@ class AbsPower(_OnTheLine):
         return Point(m, np.zeros(1))
 
 
-@dataclass(frozen=True)
-class ShiftedCubic(_OnTheLine):
+class ShiftedCubic(_Value, _OnTheLine):
     """f(x) = (x - z)^2 + 2 (x - z)^3 with critical point at the shift z."""
     name = "shifted_cubic"
-    z: float
+    _fields = ("z",)
 
-    def __post_init__(self):
-        if not isfinite(self.z):
+    def __init__(self, z: float):
+        if not isfinite(z):
             raise ValueError("z must be finite")
+        self.__dict__["z"] = z
 
     def value(self, p: Point) -> float:
         d = p.ambient[0] - self.z

@@ -4,7 +4,7 @@ Everything here is small (sphere(100) gives a 99 x 99 Hessian) and dense;
 the Newton solve takes eigenvalues only, then one LU. LAPACK via numpy does
 the heavy lifting; this module owns the contracts around it: the one
 symmetric-matrix check (square, finite, symmetric), the one finite test
-(`all_finite`), condition thresholds, sign conventions, error taxonomy.
+(`all_finite`), the condition limit, sign conventions, error taxonomy.
 """
 
 from math import sqrt
@@ -15,7 +15,6 @@ from .errors import (NoConvergence, OutsideValidityRadius, RankDeficient,
                      SingularHessian)
 
 COND_LIMIT = 1e12
-PIVOT_FLOOR = 1e-14
 SYM_RTOL = 1e-10
 _TINY = np.finfo(float).tiny
 
@@ -65,16 +64,17 @@ def solve_with_condition(H, b):
 
     The eigenvalues alone give the condition estimate, and s comes from one
     LU solve that only an H passing the guard reaches: SingularHessian when
-    the estimate exceeds COND_LIMIT or the smallest |eigenvalue| underflows
-    PIVOT_FLOOR * ||H||, so a singular H is refused before LU could raise.
+    the estimate exceeds COND_LIMIT (inf for a singular H, so it is refused
+    before LU could raise) or H has no nonzero eigenvalue (the 0 x 0 jet
+    of a zero-dimensional manifold, whose estimate reads 0).
     """
     H = _as_square_symmetric(H)
     b = np.asarray(b, dtype=float)
     if b.shape != (H.shape[0],):
         raise ValueError("rhs length %r does not match matrix dimension %d"
                          % (b.shape, H.shape[0]))
-    lmax, lmin, cond = _spectral_extremes(np.linalg.eigvalsh(H))
-    if lmax == 0.0 or lmin < PIVOT_FLOOR * lmax or cond > COND_LIMIT:
+    lmax, _, cond = _spectral_extremes(np.linalg.eigvalsh(H))
+    if lmax == 0.0 or cond > COND_LIMIT:
         raise SingularHessian("condition estimate %.3e exceeds limits" % cond)
     return np.linalg.solve(H, b), cond
 

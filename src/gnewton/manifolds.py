@@ -7,7 +7,6 @@ step is a Stiefel step restricted to the horizontal subspace. Each
 manifold is one class that owns its geometry.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
 
@@ -38,8 +37,42 @@ def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-@dataclass(frozen=True)
-class ManifoldDescriptor:
+class _Record:
+    """Base of the package's records: `__init__` binds the fields that
+    `_fields` names into the instance dict, and after it nothing can be
+    assigned or deleted. The repr lists the fields. Equality and hash are
+    by identity, unless the class derives from `_Value`."""
+    _fields = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class _Value(_Record):
+    """A record equal to another of its class with an equal `_key`, and
+    hashed on it: by default the instance dict, which holds the fields
+    alone, compared as it is because many comparisons run per solve
+    (`distance` compares manifolds)."""
+
+    def _key(self) -> dict:
+        return self.__dict__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(tuple(self._key().values()))
+
+
+class ManifoldDescriptor(_Value):
     """Base of the manifold classes: dims n and p (p > 1 only where the
     class `takes_p`) and `kind`, the config name. Each class defines
     `intrinsic_dim`, the feasibility and tangency residuals (which
@@ -50,17 +83,17 @@ class ManifoldDescriptor:
     `second_fundamental_form(p, v)`, and `weingarten(p, B, g)`, the matrix
     g . II_p(b_i, b_j) over B's columns.
     """
-    n: int
-    p: int = 1
+    _fields = ("n", "p")
     name = None
     takes_p = False
     draw_guard = None  # see draw
 
-    def __post_init__(self):
-        if not (1 <= self.p <= self.n):
-            raise ValueError("need 1 <= p <= n, got n=%d p=%d" % (self.n, self.p))
-        if not self.takes_p and self.p != 1:
+    def __init__(self, n: int, p: int = 1):
+        if not (1 <= p <= n):
+            raise ValueError("need 1 <= p <= n, got n=%d p=%d" % (n, p))
+        if not self.takes_p and p != 1:
             raise ValueError("%s takes no p parameter" % self.name)
+        self.__dict__.update(n=n, p=p)
 
     @property
     def kind(self) -> str:
@@ -129,7 +162,7 @@ class ManifoldDescriptor:
         return truth
 
 
-class _LivesOn:
+class _LivesOn(_Record):
     """Base of kinds and costs: `manifolds`, the classes they live on, which
     `valid_on` checks (subclasses add their dims) and `check_on` enforces."""
     name = None
@@ -336,18 +369,18 @@ def _orthonormality_residual(A: np.ndarray) -> float:
     return norm(G)
 
 
-@dataclass(frozen=True, eq=False)
-class Point:
-    manifold: ManifoldDescriptor
-    ambient: np.ndarray
+class Point(_Record):
+    """A feasible point; its dict also holds the tangent columns a running
+    step lends it (see `tangent_columns`)."""
+    _fields = ("manifold", "ambient")
 
-    def __post_init__(self):
-        x = _freeze(self.ambient)
-        object.__setattr__(self, "ambient", x)
-        if x.shape != (self.manifold.ambient_dim,):
+    def __init__(self, manifold: ManifoldDescriptor, ambient):
+        x = _freeze(ambient)
+        if x.shape != (manifold.ambient_dim,):
             raise ValueError("ambient length %r, expected %d"
-                             % (x.shape, self.manifold.ambient_dim))
-        self.manifold.check_feasible(x[None])
+                             % (x.shape, manifold.ambient_dim))
+        manifold.check_feasible(x[None])
+        self.__dict__.update(manifold=manifold, ambient=x)
 
     def as_matrix(self) -> np.ndarray:
         return self.ambient.reshape(self.manifold.n, self.manifold.p, order="F")
@@ -359,18 +392,16 @@ class Point:
         return self.manifold.tangent_columns(self) if lent is None else lent
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    base: Point
-    ambient: np.ndarray
+class TangentVector(_Record):
+    _fields = ("base", "ambient")
 
-    def __post_init__(self):
-        v = _freeze(self.ambient)
-        object.__setattr__(self, "ambient", v)
-        m = self.base.manifold
+    def __init__(self, base: Point, ambient):
+        v = _freeze(ambient)
+        m = base.manifold
         if v.shape != (m.ambient_dim,):
             raise ValueError("ambient length %r, expected %d" % (v.shape, m.ambient_dim))
-        m.check_tangent(self.base.ambient, v[None])
+        m.check_tangent(base.ambient, v[None])
+        self.__dict__.update(base=base, ambient=v)
 
     @property
     def norm(self) -> float:
@@ -381,20 +412,19 @@ class TangentVector:
         return self.ambient.reshape(m.n, m.p, order="F")
 
 
-@dataclass(frozen=True, eq=False)
-class TangentBasis:
-    base: Point
-    columns: np.ndarray  # ambient_dim x intrinsic_dim, orthonormal
+class TangentBasis(_Record):
+    """`columns`: ambient_dim x intrinsic_dim, orthonormal."""
+    _fields = ("base", "columns")
 
-    def __post_init__(self):
-        B = _freeze(self.columns)
-        object.__setattr__(self, "columns", B)
-        m = self.base.manifold
+    def __init__(self, base: Point, columns):
+        B = _freeze(columns)
+        m = base.manifold
         if B.shape != (m.ambient_dim, m.intrinsic_dim):
             raise ValueError("basis shape %r, expected %r"
                              % (B.shape, (m.ambient_dim, m.intrinsic_dim)))
         if _orthonormality_residual(B) > FEAS_TOL:
             raise ValueError("basis columns not orthonormal")
+        self.__dict__.update(base=base, columns=B)
 
 
 def _complete_orthonormal(K: np.ndarray) -> np.ndarray:

@@ -8,55 +8,59 @@ reported, not patched. A selector policy may change the (phi, psi) pair at
 every iteration; convergence is declared on step norm, not gradient norm.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .costs import value
 from .errors import (ChartDomainViolation, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
                      ProjectionUndefined, SingularHessian)
-from .linalg import all_finite, norm, solve_with_condition, symmetric_solve
-from .manifolds import Point, TangentBasis, TangentVector, distance, tangent_basis
+from .linalg import all_finite, norm, solve_with_condition
+from .manifolds import (Point, TangentBasis, TangentVector, _Record, _Value,
+                        distance, tangent_basis)
 from .parametrizations import (ParametrizationPair, apply_psi, curvature_term,
                                pair_label)
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True, eq=False)
-class Jet2:
+class Jet2(_Record):
     """Value, gradient and symmetric Hessian of a pulled-back cost at the
     tangent-space origin, in the coordinates of an orthonormal basis. The
     solve checks the Hessian's symmetry (linalg's contract)."""
-    basis: TangentBasis
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
+    _fields = ("basis", "value", "gradient", "hessian")
+
+    def __init__(self, basis: TangentBasis, value: float,
+                 gradient: np.ndarray, hessian: np.ndarray):
+        self.__dict__.update(basis=basis, value=value, gradient=gradient,
+                             hessian=hessian)
 
 
-@dataclass(frozen=True, eq=False)
-class StepResult:
+class StepResult(_Record):
     """A step from a point; `base_value` is the cost there, from its jet."""
-    next: Point
-    step_norm: float
-    hessian_condition: float
-    pair_used: ParametrizationPair
-    base_value: float
+    _fields = ("next", "step_norm", "hessian_condition", "pair_used",
+               "base_value")
+
+    def __init__(self, next: Point, step_norm: float, hessian_condition: float,
+                 pair_used: ParametrizationPair, base_value: float):
+        self.__dict__.update(next=next, step_norm=step_norm,
+                             hessian_condition=hessian_condition,
+                             pair_used=pair_used, base_value=base_value)
 
 
-@dataclass(frozen=True, eq=False)
-class IterationTrace:
-    points: tuple
-    step_norms: tuple
-    cost_values: tuple
-    termination: str  # Converged | SingularHessian | MaxIterations | LeftValidityRegion
-    pairs_used: tuple
+class IterationTrace(_Record):
+    """`termination`: Converged | SingularHessian | MaxIterations |
+    LeftValidityRegion."""
+    _fields = ("points", "step_norms", "cost_values", "termination",
+               "pairs_used")
 
-    def __post_init__(self):
-        k = len(self.points) - 1
-        if not (len(self.step_norms) == k and len(self.pairs_used) == k
-                and len(self.cost_values) == k + 1):
+    def __init__(self, points: tuple, step_norms: tuple, cost_values: tuple,
+                 termination: str, pairs_used: tuple):
+        k = len(points) - 1
+        if not (len(step_norms) == k and len(pairs_used) == k
+                and len(cost_values) == k + 1):
             raise ValueError("trace lengths inconsistent")
+        self.__dict__.update(points=points, step_norms=step_norms,
+                             cost_values=cost_values, termination=termination,
+                             pairs_used=pairs_used)
 
 
 # --- selector policies -----------------------------------------------------
@@ -65,49 +69,48 @@ class IterationTrace:
 # state lives in the chooser, so reusing a policy object across runs stays
 # reproducible.
 
-def _own_pairs(policy):
-    object.__setattr__(policy, "pairs", tuple(policy.pairs))
-    if not policy.pairs:
+def _own_pairs(pairs) -> tuple:
+    pairs = tuple(pairs)
+    if not pairs:
         raise ValueError("pairs list must be non-empty")
+    return pairs
 
 
-@dataclass(frozen=True)
-class Fixed:
+class Fixed(_Value):
     name = "fixed"
-    pair: ParametrizationPair
+    _fields = ("pair",)
+
+    def __init__(self, pair: ParametrizationPair):
+        self.__dict__["pair"] = pair
 
     def chooser(self):
         return lambda k, points: self.pair
 
 
-@dataclass(frozen=True)
-class RoundRobin:
+class RoundRobin(_Value):
     name = "round_robin"
-    pairs: tuple
+    _fields = ("pairs",)
 
-    def __post_init__(self):
-        _own_pairs(self)
+    def __init__(self, pairs: tuple):
+        self.__dict__["pairs"] = _own_pairs(pairs)
 
     def chooser(self):
         return lambda k, points: self.pairs[k % len(self.pairs)]
 
 
-@dataclass(frozen=True)
-class Random:
+class Random(_Value):
     name = "random"
-    pairs: tuple
-    seed: int
+    _fields = ("pairs", "seed")
 
-    def __post_init__(self):
-        _own_pairs(self)
+    def __init__(self, pairs: tuple, seed: int):
+        self.__dict__.update(pairs=_own_pairs(pairs), seed=seed)
 
     def chooser(self):
         rng = SplitMix64(self.seed)
         return lambda k, points: self.pairs[rng.next_u64() % len(self.pairs)]
 
 
-@dataclass(frozen=True)
-class PathDependent:
+class PathDependent(_Value):
     """Two concrete stateful rules:
 
     - "alternate-on-repeat": advance to the next pair whenever the current
@@ -118,13 +121,13 @@ class PathDependent:
     """
     name = "path"
     rules = ("alternate-on-repeat", "distance-keyed")
-    rule: str
-    pairs: tuple
+    _fields = ("rule", "pairs")
 
-    def __post_init__(self):
-        _own_pairs(self)
-        if self.rule not in self.rules:
-            raise ValueError("unknown path rule %r" % (self.rule,))
+    def __init__(self, rule: str, pairs: tuple):
+        pairs = _own_pairs(pairs)
+        if rule not in self.rules:
+            raise ValueError("unknown path rule %r" % (rule,))
+        self.__dict__.update(rule=rule, pairs=pairs)
 
     def chooser(self):
         pairs = self.pairs
@@ -148,11 +151,6 @@ class PathDependent:
 
 
 # --- steps ------------------------------------------------------------------
-
-def euclidean_newton_step(j: Jet2) -> np.ndarray:
-    """Pure Newton increment -H^{-1} g in tangent coordinates."""
-    return -symmetric_solve(j.hessian, j.gradient)
-
 
 def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
     """2-jet of the cost pulled back through phi at the tangent origin.

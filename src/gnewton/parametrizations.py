@@ -12,7 +12,6 @@ of displacements) and the tangential part of its second-order term, if it
 has one.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import cos, isfinite, log, sin
 
@@ -22,7 +21,8 @@ from .errors import (ChartDomainViolation, OutsideValidityRadius,
                      ProjectionUndefined)
 from .manifolds import (ManifoldDescriptor, Point, Sphere, Stiefel,
                         Grassmann, TangentVector, random_unit_tangent,
-                        _as_stack, _LivesOn, _OnTheLine, _pair_sums, _sym)
+                        _as_stack, _LivesOn, _OnTheLine, _pair_sums, _sym,
+                        _Value)
 from .linalg import all_finite, norm, polar_factor
 from .rates import log_log_fit
 from .rng import SplitMix64
@@ -76,8 +76,7 @@ class _LineTerms(_OnTheLine, _Kind):
         return np.array([[float(g @ self.second_order(p, B[:, 0]))]])
 
 
-@dataclass(frozen=True)
-class Projection(_Kind):
+class Projection(_Value, _Kind):
     """Closest-point projection of p + v back onto the manifold.
 
     For an exactly tangent v the projection is always defined:
@@ -92,8 +91,7 @@ class Projection(_Kind):
         return p.manifold._project(p.ambient + V, PROJECTION_GUARD)
 
 
-@dataclass(frozen=True)
-class SphereGeodesic(_Kind):
+class SphereGeodesic(_Value, _Kind):
     """Great-circle map cos(|v|) p + sin(|v|) v/|v| (sphere only)."""
     name = "sphere_geodesic"
     manifolds = (Sphere,)
@@ -105,8 +103,7 @@ class SphereGeodesic(_Kind):
         return c * p.ambient + s * (V / np.array(norms)[:, None])
 
 
-@dataclass(frozen=True)
-class QR(_Kind):
+class QR(_Value, _Kind):
     """Orthonormal factor of p + v with positive-diagonal R.
 
     Differentiating X + tV = Q R at t = 0 for a tangent V gives R' = 0 and
@@ -152,19 +149,18 @@ class QR(_Kind):
         return C + _sym(_pair_sums(V @ np.tril(N - N.T, -1), V))
 
 
-@dataclass(frozen=True)
-class Custom1D(_LineTerms):
+class Custom1D(_Value, _LineTerms):
     """One-dimensional map y -> x + t + sum_k c_k t^k with t the tangent
     displacement; coeffs[k-1] multiplies t^k, so a nonzero first entry
     deliberately breaks D phi(0) = I (used to exercise the audit)."""
     name = "custom1d"
-    coeffs: tuple = ()
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple = ()):
+        coeffs = tuple(float(c) for c in coeffs)
         if not all(isfinite(c) for c in coeffs):
             raise ValueError("coeffs must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__["coeffs"] = coeffs
 
     def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
         out = np.empty_like(V)
@@ -184,15 +180,15 @@ class Custom1D(_LineTerms):
         return np.array([2.0 * c2 * t * t])
 
 
-@dataclass(frozen=True)
-class ExampleBeta(_LineTerms):
+class ExampleBeta(_Value, _LineTerms):
     """One-dimensional family x + t + (beta/x) t^2, the identity at x = 0."""
     name = "example_beta"
-    beta: float
+    _fields = ("beta",)
 
-    def __post_init__(self):
-        if not isfinite(self.beta):
+    def __init__(self, beta: float):
+        if not isfinite(beta):
             raise ValueError("beta must be finite")
+        self.__dict__["beta"] = beta
 
     def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
         x = p.ambient[0]
@@ -210,19 +206,18 @@ class ExampleBeta(_LineTerms):
         return np.array([2.0 * (self.beta / x) * t * t])
 
 
-@dataclass(frozen=True)
-class Recentred(_Kind):
+class Recentred(_Value, _Kind):
     """Sphere pair obtained by rotating a base pair anchored at e1: the map
     at p is g . base_{e1}(g^T v) for a seeded rotation g with g e1 = p.
     Rotation keeps the base's second-order term, which is the sphere's."""
     name = "recentred"
     manifolds = (Sphere,)
-    base: object
-    rotation_seed: int = 0
+    _fields = ("base", "rotation_seed")
 
-    def __post_init__(self):
-        if not isinstance(self.base, (Projection, SphereGeodesic)):
+    def __init__(self, base, rotation_seed: int = 0):
+        if not isinstance(base, (Projection, SphereGeodesic)):
             raise ValueError("recentred base must be projection or geodesic")
+        self.__dict__.update(base=base, rotation_seed=rotation_seed)
 
     def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
         """One rotation for the stack; each row goes through the base's
@@ -242,7 +237,6 @@ class Recentred(_Kind):
         return out
 
 
-@dataclass(frozen=True, eq=False)
 class Stereographic(_Kind):
     """Newton in the stereographic chart s of the sphere from `pole`, as a
     kind: phi_p(v) = s^-1(s(p) + Ds(p) v). Since D phi_p(0) = I and Newton
@@ -257,16 +251,16 @@ class Stereographic(_Kind):
     """
     name = "stereographic"
     manifolds = (Sphere,)
-    pole: np.ndarray
+    _fields = ("pole",)
 
-    def __post_init__(self):
-        q = np.array(self.pole, dtype=float)
+    def __init__(self, pole):
+        q = np.array(pole, dtype=float)
         if not all_finite(q):
             raise ValueError("pole must be finite")
         if q.ndim != 1 or abs(norm(q) - 1.0) > 1e-10:
             raise ValueError("pole must be a unit vector")
         q.setflags(write=False)
-        object.__setattr__(self, "pole", q)
+        self.__dict__["pole"] = q
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
         return super().valid_on(m) and m.n == self.pole.size
@@ -314,10 +308,11 @@ class Stereographic(_Kind):
                 + 16.0 * gamma * np.outer(b, b) / r ** 3)
 
 
-@dataclass(frozen=True)
-class ParametrizationPair:
-    phi: object
-    psi: object
+class ParametrizationPair(_Value):
+    _fields = ("phi", "psi")
+
+    def __init__(self, phi, psi):
+        self.__dict__.update(phi=phi, psi=psi)
 
 
 def pair_label(pair: ParametrizationPair) -> str:
@@ -368,16 +363,23 @@ def curvature_term(pair: ParametrizationPair, p: Point, B: np.ndarray,
     return pair.phi.check_on(p.manifold).curvature(p, B, g)
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    alpha_hat: float
-    beta_hat: float
-    fitted_slope: float
-    identity_residual: float
-    dphi_residual: float
-    pass_flags: dict = field(compare=False)
-    samples_dropped: int = 0
-    radii: tuple = ()
+class AuditReport(_Value):
+    """Equal, and hashed, on every field but `pass_flags`, which follow
+    from the others."""
+    _fields = ("alpha_hat", "beta_hat", "fitted_slope", "identity_residual",
+               "dphi_residual", "pass_flags", "samples_dropped", "radii")
+
+    def __init__(self, alpha_hat: float, beta_hat: float, fitted_slope: float,
+                 identity_residual: float, dphi_residual: float,
+                 pass_flags: dict, samples_dropped: int = 0, radii: tuple = ()):
+        self.__dict__.update(
+            alpha_hat=alpha_hat, beta_hat=beta_hat, fitted_slope=fitted_slope,
+            identity_residual=identity_residual, dphi_residual=dphi_residual,
+            pass_flags=pass_flags, samples_dropped=samples_dropped,
+            radii=radii)
+
+    def _key(self) -> dict:
+        return {f: v for f, v in self.__dict__.items() if f != "pass_flags"}
 
     @property
     def all_pass(self) -> bool:

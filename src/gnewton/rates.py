@@ -6,25 +6,27 @@ exp(intercept); kappa's value depends on the distance convention (ambient
 chordal / Grassmann projector here), K does not.
 """
 
-from dataclasses import dataclass
 from math import exp, log, sqrt
 
 import numpy as np
 
 from .errors import InsufficientData, ManifoldMismatch
-from .manifolds import Point, distance
+from .manifolds import Point, _Value, distance
 
 DEFAULT_FLOOR = 1e-12
 DEFAULT_CEIL = 1e-1
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    K: float
-    kappa: float
-    window: tuple  # (first, last) error indices spanned by the fit
-    fit_residual: float  # RMS of log-space regression residuals
-    n_points: int  # number of consecutive pairs in the fit
+class RateEstimate(_Value):
+    """`window`: the (first, last) error indices spanned by the fit;
+    `fit_residual`: the RMS of the log-space regression residuals;
+    `n_points`: the number of consecutive pairs in the fit."""
+    _fields = ("K", "kappa", "window", "fit_residual", "n_points")
+
+    def __init__(self, K: float, kappa: float, window: tuple,
+                 fit_residual: float, n_points: int):
+        self.__dict__.update(K=K, kappa=kappa, window=window,
+                             fit_residual=fit_residual, n_points=n_points)
 
 
 def log_log_fit(xs, ys):

@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from gnewton.errors import (NoConvergence, OutsideValidityRadius,
                             RankDeficient, SingularHessian)
-from gnewton.linalg import (COND_LIMIT, PIVOT_FLOOR, condition_estimate,
-                            norm, polar_factor, solve_with_condition,
+from gnewton.linalg import (COND_LIMIT, condition_estimate, norm,
+                            polar_factor, solve_with_condition,
                             symmetric_eigen, symmetric_solve)
 from gnewton.rng import SplitMix64
 
@@ -121,9 +121,8 @@ def test_solve_indefinite_sweep_matches_the_eigenvector_solve():
 @pytest.mark.parametrize("rotate", [False, True])
 def test_solve_thresholds_on_both_sides(rotate):
     """exact diagonals and rotated ones: a condition just under COND_LIMIT
-    solves, just over raises; around PIVOT_FLOOR both sides raise, because
-    |lambda|_min < PIVOT_FLOOR |lambda|_max already puts the condition
-    past COND_LIMIT"""
+    solves, just over raises; a |lambda|_min of 2e-14 or 5e-15 against a
+    |lambda|_max of 1 puts the condition far past COND_LIMIT"""
     def H(small):
         lam = [-1.0, 0.5, small]
         return _rotated(lam, 11) if rotate else np.diag(lam)
@@ -131,8 +130,7 @@ def test_solve_thresholds_on_both_sides(rotate):
     s, cond = solve_with_condition(H(1.01 / COND_LIMIT), b)
     assert 0.98 * COND_LIMIT <= cond <= COND_LIMIT
     assert np.linalg.norm(H(1.01 / COND_LIMIT) @ s - b) <= 1e-3
-    for small in (0.99 / COND_LIMIT, 2.0 * PIVOT_FLOOR, 0.5 * PIVOT_FLOOR,
-                  -0.99 / COND_LIMIT):
+    for small in (0.99 / COND_LIMIT, 2e-14, 5e-15, -0.99 / COND_LIMIT):
         with pytest.raises(SingularHessian):
             solve_with_condition(H(small), b)
 
@@ -150,6 +148,14 @@ def test_exactly_singular_raises_singular_hessian_not_linalgerror():
     for H in cases[:3]:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(H, np.ones(H.shape[0]))
+
+
+def test_empty_hessian_is_singular():
+    """the 0 x 0 jet of a zero-dimensional manifold has no eigenvalue: its
+    condition reads 0, and the solve refuses it all the same"""
+    assert condition_estimate(np.zeros((0, 0))) == 0.0
+    with pytest.raises(SingularHessian):
+        solve_with_condition(np.zeros((0, 0)), np.zeros(0))
 
 
 def test_import_leaves_out_scipy():
