@@ -19,6 +19,12 @@ difference, every ``audit.json`` that differs, the ``summary.json`` keys
 that differ, and every ``rate`` block (summary, rates with truth, rates
 with ``none``) that differs. The exit status is 1 when a termination,
 step count, ``pairs_used``, exit code or ``audit.json`` differs, else 0.
+
+Beside these, each run records the sha256 of its ``trace.csv``, its
+``summary.json`` and each iterate's bytes, so a signed zero or a
+reformatted file shows. The report counts the artifacts whose bytes
+differ and names their configs; a byte difference alone is no hard
+difference.
 """
 
 import argparse
@@ -34,6 +40,11 @@ from pathlib import Path
 
 RUN_SEEDS = (0, 1, 2)
 RATE_SOURCES = ("summary", "rates_truth", "rates_none")
+BYTE_FIELDS = ("trace_sha", "summary_sha", "iterates_sha")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def collect(out_path):
@@ -59,8 +70,7 @@ def collect(out_path):
         code, _ = cli("audit", path, "--out", work / "audit")
         out = work / "audit" / "audit.json"
         data = out.read_bytes() if code == 0 else b""
-        return {"audit_exit": code,
-                "audit_sha": hashlib.sha256(data).hexdigest()}
+        return {"audit_exit": code, "audit_sha": _sha(data)}
 
     def rates(trace_csv, spec):
         code, out = cli("rates", trace_csv, "--truth", spec, "--floor",
@@ -85,11 +95,18 @@ def collect(out_path):
                            "steps": len(trace.step_norms),
                            "pairs_used": list(trace.pairs_used),
                            "iterates": [p.ambient.tolist()
-                                        for p in trace.points]}
+                                        for p in trace.points],
+                           "iterates_sha": [_sha(p.ambient.tobytes())
+                                            for p in trace.points]}
                     cfg = work / "config.json"
                     cfg.write_text(json.dumps(solve.config))
                     rec["run_exit"], _ = cli("run", cfg, "--out", work / "run")
                     run = work / "run"
+                    for field, artifact in (("trace_sha", "trace.csv"),
+                                            ("summary_sha", "summary.json")):
+                        path = run / artifact
+                        rec[field] = (_sha(path.read_bytes())
+                                      if path.is_file() else None)
                     summary = rec["summary"] = (
                         json.loads((run / "summary.json").read_text())
                         if (run / "summary.json").is_file() else {})
@@ -128,6 +145,7 @@ def _rate(rec, source):
 def compare(parent, change):
     """-> (report dict, whether a hard difference was found)"""
     hard, iterate_max, summary_keys, rate_diffs = [], (0.0, None), {}, []
+    byte_diffs = {field: [] for field in BYTE_FIELDS}
     runs = audits = 0
     if parent.keys() != change.keys():
         hard.append({"configs": sorted(parent.keys() ^ change.keys())})
@@ -158,6 +176,9 @@ def compare(parent, change):
                        for a, b in zip(xp, xc))
             if diff > iterate_max[0]:
                 iterate_max = (diff, key)
+        for field in BYTE_FIELDS:
+            if p[field] != c[field]:
+                byte_diffs[field].append(key)
         for k in p["summary"].keys() | c["summary"].keys():
             if p["summary"].get(k) != c["summary"].get(k):
                 summary_keys[k] = summary_keys.get(k, 0) + 1
@@ -175,6 +196,9 @@ def compare(parent, change):
     report = {"runs": runs, "audits": audits, "hard_differences": hard,
               "max_iterate_difference": {"value": iterate_max[0],
                                          "config": iterate_max[1]},
+              "artifact_bytes_differing": {
+                  "total": sum(map(len, byte_diffs.values())),
+                  "by_artifact": byte_diffs},
               "summary_keys_differing": summary_keys,
               "rate_blocks_differing": {
                   "total": len(rate_diffs),

@@ -64,9 +64,10 @@ def solve_with_condition(H, b):
 
     The eigenvalues alone give the condition estimate, and s comes from one
     LU solve that only an H passing the guard reaches: SingularHessian when
-    the estimate exceeds COND_LIMIT (inf for a singular H, so it is refused
-    before LU could raise) or H has no nonzero eigenvalue (the 0 x 0 jet
-    of a zero-dimensional manifold, whose estimate reads 0).
+    H has no nonzero eigenvalue (the zero matrix, or the 0 x 0 jet of a
+    zero-dimensional manifold, whose estimate reads 0), with a message that
+    says so, or when the estimate exceeds COND_LIMIT (inf for a singular H,
+    so it is refused before LU could raise).
     """
     H = _as_square_symmetric(H)
     b = np.asarray(b, dtype=float)
@@ -74,7 +75,10 @@ def solve_with_condition(H, b):
         raise ValueError("rhs length %r does not match matrix dimension %d"
                          % (b.shape, H.shape[0]))
     lmax, _, cond = _spectral_extremes(np.linalg.eigvalsh(H))
-    if lmax == 0.0 or cond > COND_LIMIT:
+    if lmax == 0.0:
+        raise SingularHessian("Hessian has no nonzero eigenvalue (%d x %d)"
+                              % H.shape)
+    if cond > COND_LIMIT:
         raise SingularHessian("condition estimate %.3e exceeds limits" % cond)
     return np.linalg.solve(H, b), cond
 

@@ -8,6 +8,7 @@ manifold is one class that owns its geometry.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from math import sqrt
 
 import numpy as np
@@ -274,8 +275,21 @@ class _Frame(ManifoldDescriptor):
     def tangent_columns(self, p: "Point") -> np.ndarray:
         """The horizontal block: column b moves along the a-th completion
         vector P_a of X, b outer, a inner, which in column-major coordinates
-        is kron(I_p, P)."""
-        return np.kron(np.eye(self.p), _complete_orthonormal(p.as_matrix()))
+        is kron(I_p, P). It is filled in place, byte for byte what kron
+        gives: P in the p diagonal blocks, 0.0 * P (signed zeros) off them."""
+        return self._columns(p.as_matrix(), 0)
+
+    def _columns(self, X: np.ndarray, k: int) -> np.ndarray:
+        """The tangent columns at X: k zero ones for the caller to fill,
+        then the horizontal block."""
+        n, pp = self.n, self.p
+        out = np.zeros((n * pp, k + pp * (n - pp)))
+        P = _complete_orthonormal(X)
+        H = out[:, k:].reshape(pp, n, pp, n - pp)  # a view: block (b, b')
+        H[...] = 0.0 * P[:, None, :]
+        for b in range(pp):
+            H[b, :, b] = P
+        return out
 
     def _project(self, X: np.ndarray, guard=None) -> np.ndarray:
         """The polar factor of each row's frame, one row at a time."""
@@ -312,16 +326,19 @@ class Stiefel(_Frame):
         return norm(X.T @ V + V.T @ X)
 
     def tangent_columns(self, p: "Point") -> np.ndarray:
-        """The skew block first: the pair (i, j), i < j, moves column j
-        along x_i and column i along -x_j; then the horizontal block."""
+        """The skew block first: the pair (i, j), i < j, in row-major
+        order, moves column j along x_i and column i along -x_j; then the
+        horizontal block."""
         X = p.as_matrix()
-        n, pp = self.n, self.p
-        i, j = np.triu_indices(pp, 1)
-        skew = np.zeros((n, pp, i.size))
-        skew[:, j, np.arange(i.size)] = X[:, i] / sqrt(2.0)
-        skew[:, i, np.arange(i.size)] = -X[:, j] / sqrt(2.0)
-        return np.hstack([skew.reshape(n * pp, i.size, order="F"),
-                          super().tangent_columns(p)])
+        pp = self.p
+        k = pp * (pp - 1) // 2
+        out = self._columns(X, k)
+        S = out[:, :k].reshape(pp, self.n, k)  # a view: S[c, :, pair]
+        Xs = X / sqrt(2.0)
+        for c, (i, j) in enumerate(combinations(range(pp), 2)):
+            S[j, :, c] = Xs[:, i]
+            S[i, :, c] = -Xs[:, j]
+        return out
 
     def align_signs(self, truth: "Point", final: "Point") -> "Point":
         T = truth.as_matrix().copy()
@@ -450,11 +467,12 @@ def _complete_orthonormal(K: np.ndarray) -> np.ndarray:
     Q[:, :k] = K
     d = 1.0 - (K * K).sum(axis=1)  # squared residual of each e_i
     for j in range(k, n):
-        i = int(np.argmax(d))  # ties go to the lowest index
-        v = -(Q[:, :j] @ Q[i, :j])
+        Qj = Q[:, :j]
+        i = int(d.argmax())  # ties go to the lowest index
+        v = -(Qj @ Qj[i])
         v[i] += 1.0
-        v -= Q[:, :j] @ (Q[:, :j].T @ v)
-        v /= norm(v)
+        v -= Qj @ (Qj.T @ v)
+        v /= sqrt(float(v.dot(v)))  # norm(v), without the call
         Q[:, j] = v
         d -= v * v
         d[i] = -np.inf

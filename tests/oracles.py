@@ -8,7 +8,10 @@ taken by central differences. The stereographic kind's second-order term
 is derived here on its own, by the quotient rule. `chart_lift_step` is the
 earlier chart-lifted Newton step with its finite-difference jet, and
 `audit_rows` the earlier row-by-row audit, one public call per
-displacement. They are slow and only serve as oracles.
+displacement. They are slow and only serve as oracles. `frame_columns`
+and `pivoted_completion` are the frame tangent columns as they were
+assembled before the in-place fill, kept verbatim in code: their bytes
+are the reference.
 """
 
 from math import log, sqrt
@@ -18,7 +21,8 @@ import numpy as np
 from gnewton.costs import ambient_gradient, ambient_hessian_vec, value
 from gnewton.errors import ChartDomainViolation, OutsideValidityRadius
 from gnewton.linalg import norm, symmetric_solve
-from gnewton.manifolds import Point, TangentVector, random_unit_tangent
+from gnewton.manifolds import (Point, TangentVector, _complete_unit,
+                               random_unit_tangent)
 from gnewton.parametrizations import (AuditReport, Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
                                       Recentred, SphereGeodesic,
@@ -82,6 +86,44 @@ def tangent_basis(p):
             V[:, b] = perp[a]
             cols.append(V)
     return np.column_stack([V.flatten(order="F") for V in cols])
+
+
+def pivoted_completion(K):
+    """`manifolds._complete_orthonormal` with its earlier pick loop: the
+    pivoted Gram-Schmidt completion of the orthonormal columns of K."""
+    n, k = K.shape
+    if k == 1:
+        return _complete_unit(K[:, 0])
+    Q = np.empty((n, n))
+    Q[:, :k] = K
+    d = 1.0 - (K * K).sum(axis=1)  # squared residual of each e_i
+    for j in range(k, n):
+        i = int(np.argmax(d))  # ties go to the lowest index
+        v = -(Q[:, :j] @ Q[i, :j])
+        v[i] += 1.0
+        v -= Q[:, :j] @ (Q[:, :j].T @ v)
+        v /= norm(v)
+        Q[:, j] = v
+        d -= v * v
+        d[i] = -np.inf
+    return Q[:, k:]
+
+
+def frame_columns(p):
+    """Stiefel or Grassmann tangent columns at p as they were assembled:
+    the skew block (Stiefel only) by triu_indices and fancy indexing, then
+    the horizontal block as kron(I_p, P), joined by hstack."""
+    m = p.manifold
+    X = p.as_matrix()
+    horizontal = np.kron(np.eye(m.p), pivoted_completion(X))
+    if m.kind == "grassmann":
+        return horizontal
+    n, pp = m.n, m.p
+    i, j = np.triu_indices(pp, 1)
+    skew = np.zeros((n, pp, i.size))
+    skew[:, j, np.arange(i.size)] = X[:, i] / sqrt(2.0)
+    skew[:, i, np.arange(i.size)] = -X[:, j] / sqrt(2.0)
+    return np.hstack([skew.reshape(n * pp, i.size, order="F"), horizontal])
 
 
 def second_order(kind, v):

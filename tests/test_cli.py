@@ -459,6 +459,17 @@ def test_near_truth_refuses_zero_dimensional_manifold(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def test_run_on_zero_dimensional_manifold_exits_singular(tmp_path):
+    """from an explicit x0 the run starts, and its 0 x 0 Hessian ends it
+    SingularHessian, exit 2"""
+    cfg = dict(SPHERE_RUN, manifold={"kind": "sphere", "n": 1},
+               cost={"kind": "quadratic", "A": "diag:2"}, x0=[1.0])
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    s = json.loads((out / "summary.json").read_text())
+    assert s["termination"] == "SingularHessian"
+
+
 NAN, INF = float("nan"), float("inf")
 LINE_RUN = dict(CUBIC_RUN, cost={"kind": "shifted_cubic", "z": 0.3})
 PROJ_PAIR = {"kind": "projection"}

@@ -11,7 +11,7 @@ from gnewton.config import compute_truth, near_truth_start
 from gnewton.linalg import polar_factor
 from gnewton.costs import (BrockettTrace, GrassmannTrace, Quadratic,
                            ShiftedCubic)
-from gnewton.manifolds import (Point, TangentVector,
+from gnewton.manifolds import (Point, TangentVector, _complete_orthonormal,
                                euclidean, grassmann, project_to_manifold,
                                random_point, sphere, stiefel, tangent_basis)
 from gnewton.newton import pullback_jet
@@ -230,6 +230,33 @@ def test_basis_matches_loop_oracle_near_axes():
     assert np.linalg.norm(B.T @ B - np.eye(B.shape[1])) <= 1e-14
     for col in B.T:
         TangentVector(p, col)
+
+
+def _near_axis_frames():
+    """The axis-aligned frame of R^6 and the near-axis frames of
+    test_basis_matches_loop_oracle_near_axes, on stiefel(6, 2) and
+    grassmann(6, 2)."""
+    D = np.arange(12.0).reshape(6, 2)
+    for m in (stiefel(6, 2), grassmann(6, 2)):
+        for eps in (0.0, 1e-4, 1e-6, 1e-8, 1e-9, 1e-12, 1e-15):
+            yield project_to_manifold(m, (np.eye(6)[:, :2] + eps * D).flatten(
+                order="F"))
+
+
+def test_frame_columns_match_kron_oracle_byte_for_byte():
+    """the in-place fill gives the bytes of kron(I_p, P) after the hstacked
+    skew block, signed zeros of the off-diagonal blocks included, and the
+    completion the bytes of the earlier pick loop"""
+    spaces = (stiefel(12, 3), grassmann(20, 4), stiefel(6, 2), stiefel(4, 4),
+              stiefel(5, 1), grassmann(7, 3), grassmann(9, 1))
+    points = [random_point(m, seed) for m in spaces for seed in range(50)]
+    for p in points + list(_near_axis_frames()):
+        got = p.manifold.tangent_columns(p)
+        want = oracles.frame_columns(p)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), p
+        X = p.as_matrix()
+        assert (_complete_orthonormal(X).tobytes()
+                == oracles.pivoted_completion(X).tobytes()), p
 
 
 def _diag(n):

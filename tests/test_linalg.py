@@ -158,6 +158,16 @@ def test_empty_hessian_is_singular():
         solve_with_condition(np.zeros((0, 0)), np.zeros(0))
 
 
+def test_hessian_without_nonzero_eigenvalue_says_so():
+    """an H with no nonzero eigenvalue is refused for that reason, not for a
+    condition estimate that reads 0 (0 x 0) or inf (3 x 3)"""
+    for n in (0, 3):
+        with pytest.raises(SingularHessian,
+                           match=r"^Hessian has no nonzero eigenvalue "
+                                 r"\(%d x %d\)$" % (n, n)):
+            solve_with_condition(np.zeros((n, n)), np.zeros(n))
+
+
 def test_import_leaves_out_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

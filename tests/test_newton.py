@@ -104,6 +104,15 @@ def test_generalized_step_beta_half_singular():
                                 Point(euclidean(1), np.array([1.0])))
 
 
+def test_zero_dimensional_step_names_the_empty_hessian():
+    """sphere(1) has a 0 x 0 jet: the step says the Hessian has no nonzero
+    eigenvalue"""
+    with pytest.raises(SingularHessian,
+                       match=r"no nonzero eigenvalue \(0 x 0\)"):
+        generalized_newton_step(Quadratic(np.array([[2.0]])), PP,
+                                Point(sphere(1), np.array([1.0])))
+
+
 def test_fixed_point_property():
     """at a critical point the step is zero and psi anchors: next = p"""
     c = Quadratic(np.diag([1.0, 2.0, 5.0]))
