@@ -13,8 +13,10 @@ side runs first, then one ``--trace 1`` run of TRACE_SECONDS at
 TRACE_SEED on each side. A run whose correctness gates fail aborts it.
 The file holds, per workload, every end-to-end metric's runs, median and
 quartiles on each side with the number of pairs the change won, both
-sides' traced per-layer metrics, both SHAs and the environment stamp of
-the change's runs. It is rewritten after every workload.
+sides' traced per-layer metrics, with beside them each traced run's
+per-solve layer medians (its record's ``cases``: a pooled median mixes
+sizes), both SHAs and the environment stamp of the change's runs. It is
+rewritten after every workload.
 """
 
 import argparse
@@ -132,12 +134,15 @@ def main(argv=None):
                              "change": summary(vals["change"]),
                              "change_wins": wins, "pairs": len(args.seeds)}
             traced = {side: bench(sides[side][1], workload, TRACE_SEED,
-                                  TRACE_SECONDS, 1)[0]["metrics"]
+                                  TRACE_SECONDS, 1)
                       for side in ("parent", "change")}
             result["workloads"][workload] = {
                 "end_to_end": e2e,
-                "traced": {side: {k: m["value"] for k, m in t.items()}
-                           for side, t in traced.items()}}
+                "traced": {side: {k: m["value"] for k, m in
+                                  verdict["metrics"].items()}
+                           for side, (verdict, _) in traced.items()},
+                "traced_cases": {side: record["cases"]
+                                 for side, (_, record) in traced.items()}}
             args.out.write_text(json.dumps(result, indent=1) + "\n")
             print("%s: ops_per_s %s -> %s, change won %d of %d pairs"
                   % (workload, e2e["ops_per_s"]["parent"]["median"],

@@ -15,7 +15,7 @@ import numpy as np
 from . import costs as costs_mod
 from . import newton as newton_mod
 from . import parametrizations as par_mod
-from .errors import ConfigError, ManifoldMismatch
+from .errors import ConfigError, InfeasiblePoint, ManifoldMismatch
 from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
                         Sphere, Stiefel, project_to_manifold, random_point,
                         random_unit_tangent)
@@ -289,8 +289,11 @@ def _build_x0(cfg, m, truth, seed_override) -> Point:
             raise ConfigError("x0: near-truth needs a cost with closed-form "
                               "truth")
         try:
-            return near_truth_start(m, truth, delta, seed)
-        except ManifoldMismatch as exc:
+            # a delta so large that the projection overflows gives a point
+            # that Point refuses; that refusal is the report, not a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                return near_truth_start(m, truth, delta, seed)
+        except (ManifoldMismatch, InfeasiblePoint) as exc:
             raise ConfigError("x0: %s" % exc) from exc
     raise ConfigError("x0: unknown spec %r" % spec)
 
@@ -319,6 +322,8 @@ def build_experiment(cfg: dict, seed_override=None) -> Experiment:
     tol = _need(cfg, "tol", (int, float))
     if not tol > 0:
         raise ConfigError("tol: must be positive")
+    if not isfinite(tol):
+        raise ConfigError("tol: must be finite")
     floor = cfg.get("rate_floor", DEFAULT_FLOOR)
     ceil = cfg.get("rate_ceil", DEFAULT_CEIL)
     if not _typed(floor, (int, float)):

@@ -1,10 +1,13 @@
 """Dense symmetric kernels: solve, polar factor, eigendecomposition, norm.
 
 Everything here is small (sphere(100) gives a 99 x 99 Hessian) and dense;
-the Newton solve takes eigenvalues only, then one LU. LAPACK via numpy does
-the heavy lifting; this module owns the contracts around it: the one
-symmetric-matrix check (square, finite, symmetric), the one finite test
-(`all_finite`), the condition limit, sign conventions, error taxonomy.
+the Newton solve tries one Cholesky factorisation of a shifted H, whose
+success proves the condition limit, then takes one LU; eigenvalues are
+taken only where that proof fails, or where a condition is asked for.
+LAPACK via numpy does the heavy lifting; this module owns the contracts
+around it: the one symmetric-matrix check (square, finite, symmetric), the
+one finite test (`all_finite`), the condition limit, sign conventions,
+error taxonomy.
 """
 
 from math import sqrt
@@ -17,6 +20,7 @@ from .errors import (NoConvergence, OutsideValidityRadius, RankDeficient,
 COND_LIMIT = 1e12
 SYM_RTOL = 1e-10
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 def norm(x) -> float:
@@ -33,17 +37,32 @@ def all_finite(x: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
-def _as_square_symmetric(A, label="matrix"):
+def _symmetric_and_norm(A, label="matrix"):
     """A as a float array, checked square, finite (NaN would pass the
-    symmetry test) and symmetric within SYM_RTOL relative."""
+    symmetry test) and symmetric within SYM_RTOL relative, with the
+    Frobenius norm the symmetry test takes. -> (A, |A|_F)"""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("%s must be square" % label)
     if not all_finite(A):
         raise ValueError("%s must be finite" % label)
-    if norm(A - A.T) > SYM_RTOL * max(norm(A), _TINY):
+    a = norm(A)
+    if norm(A - A.T) > SYM_RTOL * max(a, _TINY):
         raise ValueError("%s must be symmetric" % label)
-    return A
+    return A, a
+
+
+def _as_square_symmetric(A, label="matrix"):
+    """A as checked by _symmetric_and_norm."""
+    return _symmetric_and_norm(A, label)[0]
+
+
+def _checked_rhs(b, n):
+    b = np.asarray(b, dtype=float)
+    if b.shape != (n,):
+        raise ValueError("rhs length %r does not match matrix dimension %d"
+                         % (b.shape, n))
+    return b
 
 
 def _spectral_extremes(lam):
@@ -60,20 +79,20 @@ def condition_estimate(H) -> float:
 
 
 def solve_with_condition(H, b):
-    """Solve H s = b for symmetric H. -> (s, condition)
+    """Solve H s = b for symmetric H by the eigenvalue rule.
+    -> (s, condition)
 
     The eigenvalues alone give the condition estimate, and s comes from one
     LU solve that only an H passing the guard reaches: SingularHessian when
     H has no nonzero eigenvalue (the zero matrix, or the 0 x 0 jet of a
     zero-dimensional manifold, whose estimate reads 0), with a message that
     says so, or when the estimate exceeds COND_LIMIT (inf for a singular H,
-    so it is refused before LU could raise).
+    so it is refused before LU could raise). The Newton step calls
+    symmetric_solve, which reaches this rule only for an H that its
+    Cholesky certificate cannot accept.
     """
     H = _as_square_symmetric(H)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (H.shape[0],):
-        raise ValueError("rhs length %r does not match matrix dimension %d"
-                         % (b.shape, H.shape[0]))
+    b = _checked_rhs(b, H.shape[0])
     lmax, _, cond = _spectral_extremes(np.linalg.eigvalsh(H))
     if lmax == 0.0:
         raise SingularHessian("Hessian has no nonzero eigenvalue (%d x %d)"
@@ -83,8 +102,64 @@ def solve_with_condition(H, b):
     return np.linalg.solve(H, b), cond
 
 
+def _certified(H, h) -> bool:
+    """Whether one Cholesky factorisation of H - tau I runs to completion,
+    with tau = h max(100 / COND_LIMIT, 2 n^2 eps) and h = |H|_F. Success
+    proves lambda_min(H) > 0 and cond_2(H) < COND_LIMIT / 20.
+
+    Cholesky and eigvalsh read the lower triangle of H alone; the contract
+    keeps its norm h within SYM_RTOL. If the factorisation of the rounded
+    A = fl(H - tau I) completes, LAPACK met only positive pivots, so the
+    computed R is nonsingular and R^T R = A + dA with
+    |dA| <= gamma_{n+1} |R^T| |R|, gamma_k = k u / (1 - k u), u = eps / 2
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    Thm 10.3; Demmel, LAPACK Working Note 14, 1989). Then
+    |dA|_2 <= |dA|_F <= gamma_{n+1} |R|_F^2 = gamma_{n+1} tr(R^T R), and
+    tr(R^T R) <= tr(A) / (1 - gamma_{n+1}), because dA's diagonal is bounded
+    by gamma_{n+1} diag(R^T R). The shift's own rounding E is diagonal with
+    |E|_2 <= u (h + tau); it adds at most n u (h + tau) < n tau to the trace,
+    so tr(A) <= tr(H) <= sqrt(n) h. As R^T R = H - tau I + E + dA is
+    positive definite, lambda_min(H) > tau - delta with
+    delta = |E|_2 + |dA|_2 <= u tau + ((n + 1) sqrt(n) / 2 + 1 / 2) eps h
+    (1 + O(n eps)), and the bracket is at most 1.5 n^2 for every n >= 1
+    (n = 1 is the tightest). So c = 2 in tau >= 2 n^2 eps h gives
+    delta < 0.8 tau, hence lambda_min(H) > 0.2 tau >= 20 h / COND_LIMIT,
+    and with lambda_max <= h, cond_2(H) < COND_LIMIT / 20. The eigenvalues
+    the eigenvalue rule computes for the same H lie within its
+    eigensolver's absolute error, p(n) eps |H|_2 with p(n) of order n, of
+    the exact ones: far less than the 19 h / COND_LIMIT (about 8.5e4 eps h)
+    that would close the margin, so any H this accepts, the rule accepts
+    too. The second term of tau governs from n = 475 on. n = 0 and H = 0
+    give tau = 0, and an |H|_F that overflowed gives tau = inf; neither is
+    tried.
+    """
+    n = H.shape[0]
+    tau = h * max(100.0 / COND_LIMIT, 2.0 * n * n * _EPS)
+    if not 0.0 < tau < np.inf:
+        return False
+    A = H.copy()
+    A.reshape(-1)[::n + 1] -= tau
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def symmetric_solve(H, b) -> np.ndarray:
-    """Solve H s = b for symmetric H (see solve_with_condition)."""
+    """Solve H s = b for symmetric H: solve_with_condition's s bit for bit,
+    or the same error, class and message.
+
+    After the symmetric contract and the rhs check, one Cholesky
+    factorisation of a shifted H (_certified) proves that H passes the
+    condition limit; such an H goes straight to the same LU solve, without
+    an eigensolver. Every other H (a failed Cholesky, n = 0, H = 0) takes
+    solve_with_condition's eigenvalue rule, unchanged.
+    """
+    H, h = _symmetric_and_norm(H)
+    b = _checked_rhs(b, H.shape[0])
+    if _certified(H, h):
+        return np.linalg.solve(H, b)
     return solve_with_condition(H, b)[0]
 
 

@@ -8,13 +8,15 @@ reported, not patched. A selector policy may change the (phi, psi) pair at
 every iteration; convergence is declared on step norm, not gradient norm.
 """
 
+from math import isfinite
+
 import numpy as np
 
 from .costs import value
 from .errors import (ChartDomainViolation, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
                      ProjectionUndefined, SingularHessian)
-from .linalg import all_finite, norm, solve_with_condition
+from .linalg import all_finite, condition_estimate, norm, symmetric_solve
 from .manifolds import (Point, TangentBasis, TangentVector, _Record, _Value,
                         distance, tangent_basis)
 from .parametrizations import (ParametrizationPair, apply_psi, curvature_term,
@@ -35,15 +37,21 @@ class Jet2(_Record):
 
 
 class StepResult(_Record):
-    """A step from a point; `base_value` is the cost there, from its jet."""
-    _fields = ("next", "step_norm", "hessian_condition", "pair_used",
-               "base_value")
+    """A step from a point; `base_value` is the cost there and `hessian` the
+    pulled-back Hessian the step solved with, both from its jet. The step
+    takes no eigenvalues when its solve's Cholesky certificate holds, so
+    `hessian_condition` (condition_estimate of `hessian`) is computed when
+    read."""
+    _fields = ("next", "step_norm", "hessian", "pair_used", "base_value")
 
-    def __init__(self, next: Point, step_norm: float, hessian_condition: float,
+    def __init__(self, next: Point, step_norm: float, hessian: np.ndarray,
                  pair_used: ParametrizationPair, base_value: float):
-        self.__dict__.update(next=next, step_norm=step_norm,
-                             hessian_condition=hessian_condition,
+        self.__dict__.update(next=next, step_norm=step_norm, hessian=hessian,
                              pair_used=pair_used, base_value=base_value)
+
+    @property
+    def hessian_condition(self) -> float:
+        return condition_estimate(self.hessian)
 
 
 class IterationTrace(_Record):
@@ -178,15 +186,14 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
     """One step of E_f = psi_p . N_{f o phi_p} at p; psi reads the jet's
     tangent columns, lent to p only while it maps the increment."""
     j = pullback_jet(c, pair, p)
-    x, cond = solve_with_condition(j.hessian, j.gradient)
-    s = -x
+    s = -symmetric_solve(j.hessian, j.gradient)
     w = TangentVector(p, j.basis.columns @ s)
     vars(p)["_lent_columns"] = j.basis.columns
     try:
         nxt = apply_psi(pair, w)
     finally:
         vars(p).pop("_lent_columns", None)
-    return StepResult(next=nxt, step_norm=norm(s), hessian_condition=cond,
+    return StepResult(next=nxt, step_norm=norm(s), hessian=j.hessian,
                       pair_used=pair, base_value=j.value)
 
 
@@ -204,6 +211,8 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
         raise ValueError("max_iter must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if not isfinite(tol):
+        raise ValueError("tol must be finite")
     choose = selector.chooser()
     points = [p0]
     step_norms = []

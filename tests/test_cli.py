@@ -503,3 +503,28 @@ def test_non_finite_config_scalar_is_a_config_error(tmp_path, capsys, cfg, msg):
     assert code == 4
     assert msg in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def test_infinite_tol_is_a_config_error(tmp_path, capsys):
+    """JSON 1e999 reads as inf: refused with exit 4 and a message that names
+    tol, not run to a one-step Converged with "tol": null"""
+    text = json.dumps(dict(SPHERE_RUN, x0="random:5", tol=1.0))
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace('"tol": 1.0', '"tol": 1e999'))
+    out = tmp_path / "r"
+    assert main(["run", str(path), "--out", str(out)]) == 4
+    assert "tol: must be finite" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_near_truth_start_that_overflows_is_a_config_error(tmp_path, capsys):
+    """delta 1e155 overflows the projection's norm, so the start is no
+    point of the manifold: exit 4 with an x0 message, not a traceback;
+    1e154 still runs"""
+    code, out = _run(tmp_path, dict(SPHERE_RUN, x0="near-truth:1e155:3"))
+    assert code == 4
+    assert "x0: infeasible point" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+    code, _ = _run(tmp_path, dict(SPHERE_RUN, x0="near-truth:1e154:3"),
+                   sub="ok")
+    assert code == 0

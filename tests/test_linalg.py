@@ -368,3 +368,100 @@ def test_condition_estimate_runs_the_symmetric_contract(H, broken):
     contract refuses all three as every solve does"""
     with pytest.raises(ValueError, match="^matrix must be %s$" % broken):
         condition_estimate(H)
+
+
+# --- the Cholesky certificate of symmetric_solve --------------------------------
+
+def _outcome(solve, H, b):
+    """solve(H, b)'s bytes, or its error's class and message"""
+    try:
+        return solve(H, b).tobytes()
+    except (SingularHessian, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _reflected(lam, seed):
+    """(I - 2 v v^T) diag(lam) (I - 2 v v^T) for a seeded unit v, symmetrised:
+    a dense H with spectrum lam at O(n^2) cost, for n where _rotated's
+    polar factor is slow"""
+    v = SplitMix64(seed).gaussians(len(lam))
+    v /= np.linalg.norm(v)
+    w = np.asarray(lam, dtype=float) * v
+    H = np.diag(lam) - 2.0 * np.outer(v, w) - 2.0 * np.outer(w, v)
+    H += 4.0 * float(v @ w) * np.outer(v, v)
+    return 0.5 * (H + H.T)
+
+
+def _certificate_spectrum(kind, n, rng):
+    """A spectrum of the kind: its magnitudes span 10^-e..1 with e drawn
+    from [0, 15], so conditions land on both sides of COND_LIMIT"""
+    e = 15.0 * rng.uniform()
+    mags = 10.0 ** (-e * np.array([rng.uniform() for _ in range(n)]))
+    mags[0] = 10.0 ** -e
+    mags[-1] = 1.0
+    if kind == "negative":
+        return -mags
+    if kind == "indefinite":
+        signs = np.array([1.0 if rng.uniform() < 0.5 else -1.0
+                          for _ in range(n)])
+        signs[0], signs[-1] = -1.0, 1.0
+        return signs * mags
+    if kind == "rank-deficient":
+        mags[:1 + rng.next_u64() % n] = 0.0
+    return mags
+
+
+def test_certificate_sweep_accepts_only_what_the_eigenvalue_rule_accepts():
+    """n = 1..16, 29, 99 and 600 (where 2 n^2 eps is the larger shift):
+    positive and negative definite, indefinite and rank-deficient H, rotated
+    or diagonal, with conditions on both sides of the limit. An H the
+    certificate accepts is positive definite with a condition of at most
+    COND_LIMIT / 10, and symmetric_solve gives solve_with_condition's bits
+    or its error, class and message, on every H"""
+    from gnewton.linalg import _certified
+    eps = np.finfo(float).eps
+    assert 2.0 * 600 ** 2 * eps > 100.0 / COND_LIMIT > 2.0 * 99 ** 2 * eps
+    rng = SplitMix64(1414)
+    kinds = ("positive", "negative", "indefinite", "rank-deficient")
+    certified = {True: 0, False: 0}
+    for n in list(range(1, 17)) + [29, 99, 600]:
+        rotate = _rotated if n < 600 else _reflected
+        for k in range(48 if n <= 16 else 8):
+            lam = _certificate_spectrum(kinds[k % 4], n, rng)
+            H = rotate(lam, rng.next_u64()) if k % 8 < 4 else np.diag(lam)
+            b = rng.gaussians(n)
+            if _certified(H, norm(H)):
+                assert lam.min() > 0.0 and np.linalg.eigvalsh(H)[0] > 0.0
+                assert condition_estimate(H) <= COND_LIMIT / 10
+                certified[True] += 1
+            elif lam.min() > 0.0:
+                certified[False] += 1
+            assert (_outcome(symmetric_solve, H, b)
+                    == _outcome(lambda H, b: solve_with_condition(H, b)[0],
+                                H, b))
+    # positive definite spectra on both sides of what the shift proves
+    assert certified[True] > 50 and certified[False] > 50
+
+
+def test_certificate_shift_grows_with_n_past_the_limit_term():
+    """at n = 600 the shift is 2 n^2 eps |H|_F, about 1.6e-10 |H|_F: a
+    positive definite H whose lambda_min sits under it is not certified,
+    and the eigenvalue rule solves it with the same bits"""
+    from gnewton.linalg import _certified
+    lam = np.ones(600)
+    lam[0] = 1.2e-10 * norm(np.diag(lam))
+    H = _reflected(lam, 3)
+    b = np.ones(600)
+    assert not _certified(H, norm(H))
+    assert np.linalg.eigvalsh(H)[0] > 100.0 / COND_LIMIT * norm(H)
+    assert np.array_equal(symmetric_solve(H, b), solve_with_condition(H, b)[0])
+
+
+def test_positive_definite_past_the_limit_is_still_singular():
+    """diag(1, 0.5, 0.99e-12) is positive definite, so a Cholesky of H
+    itself succeeds, but its condition 1.01e12 is past COND_LIMIT: the
+    shifted factorisation fails and the eigenvalue rule refuses it"""
+    H = np.diag([1.0, 0.5, 0.99e-12])
+    np.linalg.cholesky(H)
+    with pytest.raises(SingularHessian, match="^condition estimate 1.010e"):
+        symmetric_solve(H, np.ones(3))

@@ -302,6 +302,15 @@ def test_validates_arguments():
         run_iteration(c, Fixed(PP), p, 5, 0.0)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_non_finite_tol_is_refused(tol):
+    """an infinite tol would end any run Converged after one step"""
+    c = Quadratic(np.eye(2))
+    p = Point(euclidean(2), np.ones(2))
+    with pytest.raises(ValueError, match="^tol must be"):
+        run_iteration(c, Fixed(PP), p, 5, tol)
+
+
 # --- selectors ---------------------------------------------------------------------
 
 def test_round_robin_cycles():
@@ -453,7 +462,7 @@ def test_newton_step_checks_a_hand_built_asymmetric_jet():
     with pytest.raises(ValueError, match="symmetric"):
         -symmetric_solve(j.hessian, j.gradient)
     with pytest.raises(ValueError, match="symmetric"):
-        newton_mod.solve_with_condition(j.hessian, j.gradient)
+        newton_mod.symmetric_solve(j.hessian, j.gradient)
 
 
 class _Counting:
@@ -502,3 +511,93 @@ def test_one_value_per_iterate():
             assert tr.cost_values == ref.cost_values
             assert tr.cost_values == tuple(value(Quadratic(A), q)
                                            for q in tr.points)
+
+
+# --- the solve's Cholesky certificate in a step -------------------------------
+
+def _counting(monkeypatch, name):
+    """np.linalg.<name>, wrapped to count its calls"""
+    calls = []
+    inner = getattr(np.linalg, name)
+
+    def counted(*args, **kw):
+        calls.append(name)
+        return inner(*args, **kw)
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_certified_step_calls_no_eigensolver(monkeypatch):
+    """a sphere(100) projection step near the minimiser is certified by
+    one Cholesky and takes no eigenvalues; reading hessian_condition
+    takes them once"""
+    from gnewton.config import near_truth_start
+    m = sphere(100)
+    c = Quadratic(np.diag(np.arange(1.0, 101.0)))
+    p = near_truth_start(m, c.truth(m), 0.1, 0)
+    eig = _counting(monkeypatch, "eigvalsh")
+    chol = _counting(monkeypatch, "cholesky")
+    res = generalized_newton_step(c, PP, p)
+    assert (len(eig), len(chol)) == (0, 1)
+    cond = res.hessian_condition
+    assert len(eig) == 1
+    assert cond == condition_estimate(pullback_jet(c, PP, p).hessian)
+
+
+def test_indefinite_steps_take_the_eigenvalue_rule_with_the_same_iterates(
+        monkeypatch):
+    """near a middle eigenvector the pulled-back Hessian is indefinite: each
+    step's Cholesky fails and the eigenvalue rule solves, giving the
+    iterates of a step that calls solve_with_condition itself"""
+    from gnewton.linalg import solve_with_condition
+    c = Quadratic(np.diag(np.arange(1.0, 7.0)))
+    x = np.eye(6)[2] + 0.05 * np.ones(6)
+    p = Point(sphere(6), x / np.linalg.norm(x))
+    eig = _counting(monkeypatch, "eigvalsh")
+    chol = _counting(monkeypatch, "cholesky")
+    tr = run_iteration(c, Fixed(PP), p, 20, 1e-12)
+    steps = len(tr.step_norms)
+    assert tr.termination == "Converged" and steps >= 3
+    assert len(eig) == len(chol) == steps
+    monkeypatch.setattr(newton_mod, "symmetric_solve",
+                        lambda H, b: solve_with_condition(H, b)[0])
+    ref = run_iteration(c, Fixed(PP), p, 20, 1e-12)
+    assert [q.ambient.tobytes() for q in tr.points] == \
+        [q.ambient.tobytes() for q in ref.points]
+
+
+def test_positive_definite_jet_past_the_limit_is_singular():
+    """the pulled-back Hessian diag(1, 0.5, 0.99e-12) is positive definite
+    but past COND_LIMIT: the step refuses it, and a run ends there"""
+    c = Quadratic(np.diag([1.0, 0.5, 0.99e-12]))
+    p = Point(euclidean(3), np.ones(3))
+    assert np.array_equal(pullback_jet(c, PP, p).hessian, c.A)
+    with pytest.raises(SingularHessian):
+        generalized_newton_step(c, PP, p)
+    assert run_iteration(c, Fixed(PP), p, 5, 1e-12).termination == \
+        "SingularHessian"
+
+
+def test_every_workload_step_is_certified(monkeypatch):
+    """every step of every solve of the three benchmark workloads at run
+    seeds 0-2 (bench/workloads.py, loaded by path) is certified: one
+    Cholesky per step, and no eigenvalues"""
+    import importlib.util
+    from pathlib import Path
+    from gnewton.config import build_experiment
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    exps = [build_experiment(s.config) for name in workloads.WORKLOADS
+            for seed in (0, 1, 2) for s in workloads.make(name, seed).solves]
+    eig = _counting(monkeypatch, "eigvalsh")
+    chol = _counting(monkeypatch, "cholesky")
+    steps = 0
+    for exp in exps:
+        tr = run_iteration(exp.cost, exp.selector, exp.x0, exp.max_iter,
+                           exp.tol)
+        steps += len(tr.step_norms)
+    assert steps > 2000
+    assert (len(eig), len(chol)) == (0, steps)

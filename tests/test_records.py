@@ -92,7 +92,7 @@ def _identities():
         (TangentBasis, lambda: TangentBasis(p, cols)),
         (Jet2, lambda: Jet2(j.basis, j.value, j.gradient, j.hessian)),
         (StepResult, lambda: StepResult(res.next, res.step_norm,
-                                        res.hessian_condition, res.pair_used,
+                                        res.hessian, res.pair_used,
                                         res.base_value)),
         (IterationTrace, lambda: IterationTrace(
             tr.points, tr.step_norms, tr.cost_values, tr.termination,
