@@ -31,6 +31,19 @@ def norm(x) -> float:
     return sqrt(float(x.dot(x)))
 
 
+def row_dots(A: np.ndarray, B: np.ndarray) -> list:
+    """A[i].dot(B[i]) for each row of the 2-d A (B one row, or one per row),
+    to the bit: one matmul runs each 1 x N by N x 1 product through `dot`."""
+    if len(A) == 1:
+        return [float(A[0].dot(B if B.ndim == 1 else B[0]))]
+    return np.matmul(A[:, None, :], B[..., None]).ravel().tolist()
+
+
+def row_norms(X: np.ndarray) -> list:
+    """norm(x) for each row x of the 2-d X, to the bit."""
+    return [sqrt(s) for s in row_dots(X, X)]
+
+
 def all_finite(x: np.ndarray) -> bool:
     """np.isfinite(x).all(), with the finite entries counted instead of
     reduced: the same answer without the reduction's per-call dispatch."""

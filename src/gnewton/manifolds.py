@@ -8,14 +8,14 @@ manifold is one class that owns its geometry.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import sqrt
 
 import numpy as np
 
 from .errors import (InfeasiblePoint, ManifoldMismatch, OutsideValidityRadius,
                      ProjectionUndefined, RankDeficient)
-from .linalg import all_finite, norm, polar_factor
+from .linalg import all_finite, norm, polar_factor, row_dots, row_norms
 from .rng import SplitMix64
 
 FEAS_TOL = 1e-10
@@ -114,24 +114,32 @@ class ManifoldDescriptor(_Value):
         finite, and feasible within FEAS_TOL."""
         if not all_finite(X):
             raise InfeasiblePoint("non-finite ambient coordinates")
-        for x in X:
-            resid = self.feasibility_residual(x)
+        for resid in self.feasibility_residuals(X):
             if resid > FEAS_TOL:
                 raise InfeasiblePoint("infeasible point: residual %.3e" % resid)
 
-    def check_tangent(self, x: np.ndarray, V: np.ndarray):
-        """The rule every TangentVector at x obeys, on each row v of the
-        (k, N) stack V: finite, and tangent within FEAS_TOL max(1, |v|),
-        absolute at unit scale and relative beyond (huge near-singular
-        steps would otherwise fail on pure rounding)."""
+    def check_tangent(self, X: np.ndarray, V: np.ndarray):
+        """The rule every TangentVector obeys, on each row v of the (k, N)
+        stack V at its base X (one row, or one per row): finite, and tangent
+        within FEAS_TOL max(1, |v|), absolute at unit scale and relative
+        beyond (huge near-singular steps would fail on pure rounding)."""
         if not all_finite(V):
             raise InfeasiblePoint("non-finite tangent coordinates")
-        for v in V:
-            resid = self.tangency_residual(x, v)
+        for resid, v in zip(self.tangency_residuals(X, V), V):
             # |v| is needed only above the unit-scale tolerance
             if resid > FEAS_TOL and resid > FEAS_TOL * norm(v):
                 raise InfeasiblePoint("tangency residual %.3e too large"
                                       % resid)
+
+    def feasibility_residuals(self, X: np.ndarray) -> list:
+        return [self.feasibility_residual(x) for x in X]
+
+    def tangency_residuals(self, X: np.ndarray, V: np.ndarray) -> list:
+        bases = X if X.ndim == 2 else repeat(X)
+        return [self.tangency_residual(x, v) for x, v in zip(bases, V)]
+
+    def tangent_stack(self, points: list) -> np.ndarray:
+        return np.array([self.tangent_columns(p) for p in points])
 
     def project(self, x: np.ndarray, guard=None) -> "Point":
         """The closest point to x; see `_project`."""
@@ -236,12 +244,21 @@ class Sphere(ManifoldDescriptor):
     def tangency_residual(self, x: np.ndarray, v: np.ndarray) -> float:
         return abs(float(x @ v))
 
+    def feasibility_residuals(self, X: np.ndarray) -> list:
+        return [abs(nx - 1.0) for nx in row_norms(X)]
+
+    def tangency_residuals(self, X: np.ndarray, V: np.ndarray) -> list:
+        return [abs(s) for s in row_dots(V, X)]
+
     def tangent_columns(self, p: "Point") -> np.ndarray:
-        return _complete_orthonormal(p.ambient[:, None])
+        return _complete_unit(p.ambient)
+
+    def tangent_stack(self, points: list) -> np.ndarray:
+        return _complete_unit(np.array([p.ambient for p in points]))
 
     def _project(self, X: np.ndarray, guard=None) -> np.ndarray:
         """Each row over its norm, which must exceed the guard and 0."""
-        norms = [norm(x) for x in X]
+        norms = row_norms(X)
         for nx in norms:
             if guard is not None and nx <= guard:
                 raise OutsideValidityRadius("norm %.3e under guard %g"
@@ -479,8 +496,8 @@ def _complete_orthonormal(K: np.ndarray) -> np.ndarray:
     return Q[:, k:]
 
 
-def _complete_unit(p: np.ndarray) -> np.ndarray:
-    """The pivoted completion of one unit vector p, in closed form.
+def _complete_unit(P: np.ndarray) -> np.ndarray:
+    """The pivoted completion of the unit vector (or each unit row) P.
 
     Once the set S is picked, what is left of the span of p and e_S is
     along p' = p with S zeroed, so e_l (l not in S) has squared residual
@@ -490,18 +507,22 @@ def _complete_unit(p: np.ndarray) -> np.ndarray:
     sort keys on the rounded 1 - p^2, not on p^2, so squares under the
     rounding of 1 tie, as in the residual norms. The c_j are tail sums of
     the sorted p^2, free of cancellation, and the last is max p^2 >= 1/n.
-    The key p^2 - 1 is -(1 - p^2) bitwise.
+    The key p^2 - 1 is -(1 - p^2) bitwise. Each step works along rows: a
+    row of a stack gets the bits it gets alone.
     """
-    n = p.size
-    order = np.argsort(p * p - 1.0, kind="stable")
-    ps = p[order]
-    c = np.cumsum((ps * ps)[::-1])[::-1]  # c[j] = sum of ps[j:]**2
-    B = np.where(_lower_mask(n), ps[:, None], 0.0)
-    B *= -ps[:-1] / c[:-1]
-    B.flat[::n] += 1.0  # entry (j, j) of the n x (n - 1) B is flat j n
-    B *= np.sqrt(c[:-1] / c[1:])
-    out = np.empty((n, n - 1))
-    out[order] = B
+    n = P.shape[-1]
+    order = np.argsort(P * P - 1.0, kind="stable")
+    if P.ndim > 1:
+        order += np.arange(0, P.size, n)[:, None]  # flat indices into P
+    ps = P.take(order)
+    c = np.cumsum((ps * ps)[..., ::-1], axis=-1)[..., ::-1]  # of ps[j:]**2
+    B = np.where(_lower_mask(n), ps[..., None], 0.0)
+    c0, c1 = c[..., None, :-1], c[..., None, 1:]
+    B *= -ps[..., None, :-1] / c0
+    B.reshape(-1)[::n] += 1.0  # entry (j, j) of each n x (n - 1) block: j n
+    B *= np.sqrt(c0 / c1)
+    out = np.empty(B.shape)
+    out.reshape(P.size, n - 1)[order.ravel()] = B.reshape(P.size, n - 1)
     return out
 
 
@@ -522,18 +543,23 @@ def tangent_basis(p: Point) -> TangentBasis:
 
 def random_unit_tangent(p: Point, rng: SplitMix64) -> np.ndarray:
     """A seeded unit tangent direction at p, in ambient coordinates: the
-    basis columns times gaussians, drawn again while its norm is under
-    1e-12. A zero-dimensional manifold has none: ManifoldMismatch."""
+    basis columns times `tangent_gaussians`, over its norm."""
+    d = tangent_basis(p).columns @ tangent_gaussians(p, rng)
+    return d / norm(d)
+
+
+def tangent_gaussians(p: Point, rng: SplitMix64) -> np.ndarray:
+    """Gaussians g for a direction B g at p (B the basis columns), drawn
+    again while |B g| is under 1e-12; ManifoldMismatch if m has none."""
     m = p.manifold
     if m.intrinsic_dim == 0:
         raise ManifoldMismatch("%s(n=%d, p=%d) is zero-dimensional: no unit "
                                "tangent direction" % (m.kind, m.n, m.p))
-    B = tangent_basis(p).columns
     while True:
-        d = B @ rng.gaussians(m.intrinsic_dim)
-        nd = norm(d)
-        if nd > 1e-12:
-            return d / nd
+        g = rng.gaussians(m.intrinsic_dim)
+        # orthonormal columns keep |B g| over |g| / 2: only a tiny g needs B
+        if norm(g) > 2e-12 or norm(tangent_basis(p).columns @ g) > 1e-12:
+            return g
 
 
 def project_to_manifold(m: ManifoldDescriptor, ambient, guard=None) -> Point:

@@ -13,21 +13,21 @@ has one.
 """
 
 from functools import lru_cache
-from math import cos, isfinite, log, sin
+from math import cos, isfinite, isnan, log, sin
 
 import numpy as np
 
-from .errors import (ChartDomainViolation, OutsideValidityRadius,
-                     ProjectionUndefined)
+from .errors import (ChartDomainViolation, GnewtonError,
+                     OutsideValidityRadius, ProjectionUndefined)
 from .manifolds import (ManifoldDescriptor, Point, Sphere, Stiefel,
-                        Grassmann, TangentVector, random_unit_tangent,
-                        _as_stack, _LivesOn, _OnTheLine, _pair_sums, _sym,
-                        _Value)
-from .linalg import all_finite, norm, polar_factor
+                        Grassmann, TangentBasis, TangentVector,
+                        random_unit_tangent, tangent_gaussians, _as_stack,
+                        _LivesOn, _OnTheLine, _pair_sums, _sym, _Value)
+from .linalg import all_finite, norm, polar_factor, row_norms
 from .rates import log_log_fit
 from .rng import SplitMix64
 
-_EPS = np.finfo(float).eps
+_H = np.finfo(float).eps ** (1.0 / 3.0)  # the central difference step
 
 # norm or smallest singular value of p + v at or under this aborts a
 # projection step; see Projection for why a tangent v never reaches it
@@ -44,7 +44,7 @@ class _Kind(_LivesOn):
     never its `apply`. Row i holds the bits a one-row call on V[i] gives.
     A kind vectorises only arithmetic that works elementwise and loops
     over the rows where a stacked call (a matrix product, say) could round
-    differently.
+    differently; `_map_each(P, V)` maps V[i] at P[i], one `_map` per point.
 
     `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
     matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
@@ -61,11 +61,26 @@ class _Kind(_LivesOn):
             return p
         return Point(p.manifold, self._map(p, v.ambient[None])[0])
 
+    def _map_each(self, P: list, V: np.ndarray) -> np.ndarray:
+        return np.array([self._map(p, v) for p, v in zip(P, V)])
+
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         return p.manifold.second_fundamental_form(p, v)
 
     def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
         return p.manifold.weingarten(p, B, g)
+
+
+class _Elementwise(_Kind):
+    """A kind elementwise in its base: `_at(m, X, V)` maps each row of V at
+    the row of X alongside, or at X itself where X is one row."""
+
+    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
+        return self._at(p.manifold, p.ambient, V)
+
+    def _map_each(self, P: list, V: np.ndarray) -> np.ndarray:
+        X = np.repeat([p.ambient for p in P], V.shape[1], axis=0)
+        return self._at(P[0].manifold, X, V.reshape(X.shape)).reshape(V.shape)
 
 
 class _LineTerms(_OnTheLine, _Kind):
@@ -76,7 +91,7 @@ class _LineTerms(_OnTheLine, _Kind):
         return np.array([[float(g @ self.second_order(p, B[:, 0]))]])
 
 
-class Projection(_Value, _Kind):
+class Projection(_Value, _Elementwise):
     """Closest-point projection of p + v back onto the manifold.
 
     For an exactly tangent v the projection is always defined:
@@ -87,23 +102,23 @@ class Projection(_Value, _Kind):
     """
     name = "projection"
 
-    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
-        return p.manifold._project(p.ambient + V, PROJECTION_GUARD)
+    def _at(self, m, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return m._project(X + V, PROJECTION_GUARD)
 
 
-class SphereGeodesic(_Value, _Kind):
+class SphereGeodesic(_Value, _Elementwise):
     """Great-circle map cos(|v|) p + sin(|v|) v/|v| (sphere only)."""
     name = "sphere_geodesic"
     manifolds = (Sphere,)
 
-    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
-        norms = [norm(v) for v in V]
+    def _at(self, m, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        norms = row_norms(V)
         c = np.array([cos(nv) for nv in norms])[:, None]
         s = np.array([sin(nv) for nv in norms])[:, None]
-        return c * p.ambient + s * (V / np.array(norms)[:, None])
+        return c * X + s * (V / np.array(norms)[:, None])
 
 
-class QR(_Value, _Kind):
+class QR(_Value, _Elementwise):
     """Orthonormal factor of p + v with positive-diagonal R.
 
     Differentiating X + tV = Q R at t = 0 for a tangent V gives R' = 0 and
@@ -115,11 +130,10 @@ class QR(_Value, _Kind):
     name = "qr"
     manifolds = (Sphere, Stiefel, Grassmann)
 
-    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
+    def _at(self, m, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """One stacked QR; LAPACK factors each matrix of the stack alone."""
-        m = p.manifold
         k = V.shape[0]
-        Q, R = np.linalg.qr((p.ambient + V).reshape(k, m.p, m.n)
+        Q, R = np.linalg.qr((X + V).reshape(k, m.p, m.n)
                             .transpose(0, 2, 1))
         d = np.diagonal(R, axis1=1, axis2=2)
         if np.any(d == 0.0):
@@ -386,43 +400,51 @@ class AuditReport(_Value):
         return all(self.pass_flags.values())
 
 
-def _sample(pair: ParametrizationPair, p: Point, d: np.ndarray,
-            steps: np.ndarray):
-    """One audit sample with one `_map` call per kind (one in all when phi
-    and psi are the same map). The rows steps[i] d are d itself (steps[0]
-    is 1), +-h d and r d, checked by TangentVector's rule; the mapped rows
-    are checked by Point's, in row order. No row is zero (d is a unit
-    vector and every step is at least 1e-6), so none needs apply's anchor.
-
-    Where the call raises OutsideValidityRadius, phi's two rows are mapped
-    again, so a phi trip propagates, and then each psi row alone: a row
-    where psi trips its guard is None. -> (plus, minus, alpha, psi rows)"""
-    m = p.manifold
+def _sweep(pair: ParametrizationPair, m: ManifoldDescriptor, P: list,
+           G: list, steps: np.ndarray):
+    """The audit's stages for the samples at P (gaussians G), each one pass,
+    in one sample's order: rows d, +-h d and r d checked; phi maps +-h d and
+    psi r d, one `_map_each` each (one in all when phi is psi), the mapped
+    rows checked; on OutsideValidityRadius phi's rows are mapped again and
+    each psi row alone, NaN where psi trips its guard. -> anchor, dphi and
+    alpha residuals per sample, psi residuals per row"""
+    N = m.ambient_dim
+    B = m.tangent_stack(P)
+    for p, b in zip(P, B):  # checked, and lent for a recentred kind to read
+        vars(p)["_lent_columns"] = TangentBasis(p, b).columns
+    D = np.matmul(B, np.array(G)[:, :, None])[:, :, 0]
+    D /= np.array(row_norms(D))[:, None]
+    anchor = [norm(apply_phi(pair, TangentVector(p, np.zeros(N))).ambient
+                   - p.ambient) for p in P]
     phi, psi = pair.phi.check_on(m), pair.psi.check_on(m)
-    D = steps[:, None] * d
-    m.check_tangent(p.ambient, D)
-    V = D[1:]
-    alpha = norm(phi.second_order(p, d))
+    rows = steps[:, None] * D[:, None]
+    X = np.array([p.ambient for p in P])
+    m.check_tangent(np.repeat(X, len(steps), axis=0), rows.reshape(-1, N))
+    alpha = [norm(phi.second_order(p, d)) for p, d in zip(P, D)]
+    V = rows[:, 1:]
     try:
         if phi == psi:
-            Y = phi._map(p, V)
+            Y = phi._map_each(P, V)
         else:
-            Y = np.concatenate([phi._map(p, V[:2]), psi._map(p, V[2:])])
+            Y = np.concatenate([phi._map_each(P, V[:, :2]),
+                                psi._map_each(P, V[:, 2:])], axis=1)
     except OutsideValidityRadius:
-        Y = phi._map(p, V[:2])
-        m.check_feasible(Y)
-        rows = []
-        for v in V[2:]:
-            try:
-                q = psi._map(p, v[None])
-            except OutsideValidityRadius:
-                rows.append(None)
-                continue
-            m.check_feasible(q)
-            rows.append(q[0])
-        return Y[0], Y[1], alpha, rows
-    m.check_feasible(Y)
-    return Y[0], Y[1], alpha, list(Y[2:])
+        Y = np.full(V.shape, np.nan)
+        Y[:, :2] = phi._map_each(P, V[:, :2])
+        m.check_feasible(Y[:, :2].reshape(-1, N))
+        for p, Yp, Vp in zip(P, Y[:, 2:], V[:, 2:]):
+            for y, v in zip(Yp, Vp):
+                try:
+                    q = psi._map(p, v[None])
+                except OutsideValidityRadius:
+                    continue
+                m.check_feasible(q)
+                y[:] = q[0]
+    else:
+        m.check_feasible(Y.reshape(-1, N))
+    fd = (Y[:, 0] - Y[:, 1]) / (2.0 * steps[1])
+    Z = Y[:, 2:] - X[:, None] - steps[3:, None] * D[:, None]
+    return anchor, row_norms(fd - D), alpha, row_norms(Z.reshape(-1, N))
 
 
 def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
@@ -436,10 +458,12 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
     finitely many base points cannot rule out non-uniformity between them.
     A zero-dimensional manifold has no direction to sample: ManifoldMismatch.
 
-    Each sample maps all its displacements in one stacked call per kind.
-    A radius where psi trips its guard is dropped; any other error
-    propagates.
+    The samples are drawn in turn from one prefetched block of the stream,
+    then checked and mapped in one `_sweep`. A radius where psi trips its
+    guard is dropped; any other error propagates, the first sample's.
     """
+    if type(sample_points) is not int or sample_points < 1:  # bool is not
+        raise ValueError("sample_points must be a positive integer")
     radii = tuple(float(r) for r in sample_radii)
     if not all(isfinite(r) for r in radii):
         raise ValueError("sample_radii must be finite")
@@ -449,47 +473,30 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
         raise ValueError("need two or more strictly descending sample_radii")
     if min(radii) < 1e-6:
         raise ValueError("smallest radius must be >= 1e-6")
-    if sample_points < 1:
-        raise ValueError("sample_points must be >= 1")
 
     rng = SplitMix64(seed)
-    identity_residual = 0.0
-    dphi_residual = 0.0
-    alpha_hat = 0.0
-    beta_hat = 0.0
-    dropped = 0
-    log_r, log_resid = [], []
-    h = _EPS ** (1.0 / 3.0)
-    steps = np.array((1.0, h, -h) + radii)
-
-    for _ in range(sample_points):
-        p = m.sample_point(rng)
-        d = random_unit_tangent(p, rng)
-
-        q0 = apply_phi(pair, TangentVector(p, np.zeros(m.ambient_dim)))
-        identity_residual = max(identity_residual,
-                                norm(q0.ambient - p.ambient))
-
-        plus, minus, alpha, rows = _sample(pair, p, d, steps)
-
-        fd = (plus - minus) / (2.0 * h)
-        dphi_residual = max(dphi_residual, norm(fd - d))
-        alpha_hat = max(alpha_hat, alpha)
-
-        for r, q in zip(radii, rows):
-            if q is None:
-                dropped += 1
-                continue
-            resid = norm(q - p.ambient - r * d)
-            # the ambient subtraction leaves ~1e-16 rounding residue even
-            # when psi is exact (p + y computed then re-subtracted); below
-            # this floor the residual is indistinguishable from zero and
-            # must not be fitted, or an exact pair fails its own audit
-            if resid <= 1e-14:
-                continue
-            beta_hat = max(beta_hat, resid / (r * r))
-            log_r.append(log(r))
-            log_resid.append(log(resid))
+    # what a sample draws when nothing is drawn again, or one or two more
+    rng.prefetch(sample_points * (m.ambient_dim + m.intrinsic_dim + 2))
+    # a point, then its direction's gaussians, in turn (0-dimensional m raises)
+    drawn = (m.sample_point(rng) for _ in range(sample_points))
+    P, G = zip(*[(p, tangent_gaussians(p, rng)) for p in drawn])
+    steps = np.array((1.0, _H, -_H) + radii)
+    try:
+        anchor, dphi, alpha, resid = _sweep(pair, m, P, G, steps)
+    except (GnewtonError, ValueError):
+        for i in range(sample_points):  # the first sample that raises alone
+            _sweep(pair, m, P[i:i + 1], G[i:i + 1], steps)
+        raise
+    identity_residual, dphi_residual, alpha_hat = (
+        max([0.0] + v) for v in (anchor, dphi, alpha))  # in sample order
+    dropped = sum(map(isnan, resid))  # NaN where psi tripped its guard
+    # the ambient subtraction leaves ~1e-16 rounding residue even
+    # when psi is exact (p + y computed then re-subtracted); below
+    # this floor the residual is indistinguishable from zero and
+    # must not be fitted, or an exact pair fails its own audit
+    kept = [(r, e) for r, e in zip(radii * sample_points, resid) if e > 1e-14]
+    beta_hat = max([0.0] + [e / (r * r) for r, e in kept])
+    log_r, log_resid = [log(r) for r, _ in kept], [log(e) for _, e in kept]
 
     # an exact-to-machine psi leaves nothing to fit; the quadratic bound
     # then holds trivially. One radius alone leaves a 0/0 slope, so is no fit

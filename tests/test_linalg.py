@@ -13,8 +13,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from gnewton.errors import (NoConvergence, OutsideValidityRadius,
                             RankDeficient, SingularHessian)
 from gnewton.linalg import (COND_LIMIT, condition_estimate, norm,
-                            polar_factor, solve_with_condition,
-                            symmetric_eigen, symmetric_solve)
+                            polar_factor, row_dots, row_norms,
+                            solve_with_condition, symmetric_eigen,
+                            symmetric_solve)
 from gnewton.rng import SplitMix64
 
 
@@ -465,3 +466,19 @@ def test_positive_definite_past_the_limit_is_still_singular():
     np.linalg.cholesky(H)
     with pytest.raises(SingularHessian, match="^condition estimate 1.010e"):
         symmetric_solve(H, np.ones(3))
+
+
+def test_row_dots_and_norms_are_dot_and_norm_bit_for_bit():
+    """the stacked matmul takes each row's dot product through the kernel
+    `dot` uses: one row, a stack, one base row for all and scaled rows"""
+    for n in (1, 2, 5, 6, 17, 36, 80, 100):
+        for seed in range(40):
+            rng = SplitMix64(1000 * n + seed)
+            k = 1 + seed % 9
+            A = (rng.gaussians(k * n).reshape(k, n)
+                 * 10.0 ** rng.gaussians(k)[:, None])
+            B = rng.gaussians(k * n).reshape(k, n)
+            x = rng.gaussians(n)
+            assert row_dots(A, B) == [float(a.dot(b)) for a, b in zip(A, B)]
+            assert row_dots(A, x) == [float(a.dot(x)) for a in A]
+            assert row_norms(A) == [norm(a) for a in A]

@@ -6,6 +6,7 @@ from gnewton.errors import (InfeasiblePoint, ManifoldMismatch,
 from gnewton.manifolds import (Point, TangentVector, distance, euclidean,
                                grassmann, project_to_manifold, random_point,
                                sphere, stiefel, tangent_basis,
+                               tangent_gaussians, _complete_unit,
                                _orthonormality_residual)
 from gnewton.rng import SplitMix64
 
@@ -261,3 +262,69 @@ def test_random_unit_tangent():
         p = random_point(m, 0)
         with pytest.raises(ManifoldMismatch, match="zero-dimensional"):
             random_unit_tangent(p, SplitMix64(0))
+
+
+def test_stacked_completion_is_each_row_alone():
+    """one closed-form completion over a stack gives each row the bytes it
+    gets alone: random, axis-aligned, signed, tied and near-axis rows"""
+    for n in (2, 3, 6, 30):
+        rows = [random_point(sphere(n), s).ambient for s in range(12)]
+        rows += [np.eye(n)[n - 1], -np.eye(n)[0], np.full(n, n ** -0.5)]
+        near = np.eye(n)[0] + 1e-9 * np.arange(n)
+        rows.append(near / np.linalg.norm(near))
+        P = np.array(rows)
+        S = _complete_unit(P)
+        assert S.shape == (len(P), n, n - 1)
+        for p, B in zip(P, S):
+            assert B.tobytes() == _complete_unit(p).tobytes(), (n, p)
+
+
+def test_tangent_stack_is_the_tangent_columns():
+    for m in ALL + [sphere(2), stiefel(5, 1), stiefel(3, 3)]:
+        points = [random_point(m, s) for s in range(5)]
+        S = m.tangent_stack(points)
+        for p, B in zip(points, S):
+            assert B.tobytes() == m.tangent_columns(p).tobytes(), m
+
+
+def test_tangent_rule_with_one_base_per_row():
+    """check_tangent over rows at their own bases raises what
+    TangentVector raises for the first bad row alone"""
+    for m in ALL:
+        points = [random_point(m, s) for s in range(4)]
+        V = np.array([tangent_basis(p).columns[:, 0] for p in points])
+        X = np.array([p.ambient for p in points])
+        m.check_tangent(X, V)
+        if m.kind == "euclidean":
+            continue
+        bad = V.copy()
+        bad[2] = X[2] + 1e-3 * V[2]
+        with pytest.raises(InfeasiblePoint) as stacked:
+            m.check_tangent(X, bad)
+        with pytest.raises(InfeasiblePoint) as alone:
+            TangentVector(points[2], bad[2])
+        assert str(stacked.value) == str(alone.value)
+
+
+class _Scripted:
+    """An rng whose gaussians are given draws, in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def gaussians(self, k):
+        return np.array(self.draws.pop(0), dtype=float)[:k]
+
+
+def test_tangent_gaussians_draw_again_under_the_floor():
+    """a draw whose direction B g has norm at or under 1e-12 is drawn
+    again, one just over it is kept, whatever the size of g alone"""
+    for m in ALL + [sphere(2)]:
+        p = random_point(m, 1)
+        k = m.intrinsic_dim
+        e = np.eye(k)[0]
+        rng = _Scripted(0.0 * e, 1e-13 * e, 5e-13 * e, 3e-12 * e, e)
+        assert np.array_equal(tangent_gaussians(p, rng), 3e-12 * e)
+        assert len(rng.draws) == 1
+        rng = _Scripted(1.2e-12 * e)
+        assert np.array_equal(tangent_gaussians(p, rng), 1.2e-12 * e)

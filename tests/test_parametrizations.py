@@ -4,13 +4,17 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import gnewton.manifolds as manifolds_mod
 import gnewton.parametrizations as par_mod
 import oracles
-from gnewton.errors import (InfeasiblePoint, ManifoldMismatch,
-                            OutsideValidityRadius)
+from gnewton.config import build_audit_params
+from gnewton.errors import (ConfigError, GnewtonError, InfeasiblePoint,
+                            ManifoldMismatch, OutsideValidityRadius,
+                            ProjectionUndefined)
 from gnewton.linalg import polar_factor
-from gnewton.manifolds import (Point, TangentVector, euclidean, grassmann,
-                               random_point, sphere, stiefel, tangent_basis)
+from gnewton.manifolds import (Point, Sphere, TangentVector, euclidean,
+                               grassmann, random_point, sphere, stiefel,
+                               tangent_basis)
 from gnewton.parametrizations import (Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection, QR,
                                       Recentred, SphereGeodesic,
@@ -497,3 +501,163 @@ def test_audit_raises_the_point_error_of_a_bad_row():
     with pytest.raises(InfeasiblePoint) as alone:
         Point(m, _Drifting()._map(p, 0.1 * d[None])[0])
     assert str(raised.value) == str(alone.value)
+
+
+# --- the audit in one sweep -----------------------------------------------------
+
+def _outcome(audit, args):
+    """The report's repr, or the class and message of what was raised."""
+    try:
+        return repr(audit(*args))
+    except (GnewtonError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_sweep_is_the_row_audit_for_every_pair_on_every_manifold():
+    """every phi and psi valid on a manifold, the same kind or mixed, on
+    every manifold of the kinds' classes, audit seeds 0-19: the sweep
+    reports (or raises) what one apply per displacement does"""
+    kinds = [Projection(), SphereGeodesic(), QR(), Custom1D((0.0, -1.0)),
+             ExampleBeta(1.0), Recentred(Projection(), 3),
+             Recentred(SphereGeodesic(), 5)]
+    spaces = [euclidean(1), euclidean(3), sphere(2), sphere(6), stiefel(4, 2),
+              stiefel(5, 1), stiefel(3, 3), grassmann(5, 2), grassmann(4, 1)]
+    for m in spaces:
+        valid = [k for k in kinds if k.valid_on(m)]
+        if isinstance(m, Sphere):
+            valid.append(Stereographic(-np.eye(m.n)[:, 0]))
+        for phi in valid:
+            for psi in valid:
+                pair = ParametrizationPair(phi, psi)
+                for seed in range(20):
+                    args = (pair, m, 4, [1e-1, 1e-2, 1e-3], seed)
+                    assert (_outcome(audit_conditions, args)
+                            == _outcome(oracles.audit_rows, args)), \
+                        (pair_label(pair), m, seed)
+
+
+class _Skittish(Sphere):
+    """A sphere whose draws trip the guard about half the time (a 6-d
+    gaussian has norm under 2.2 with chance 0.44); `trips` counts them."""
+    draw_guard = 2.2
+    trips = []
+
+    def _project(self, X, guard=None):
+        try:
+            return super()._project(X, guard)
+        except OutsideValidityRadius:
+            self.trips.append(1)
+            raise
+
+
+def test_sweep_draws_retries_from_the_stream_in_order():
+    """draws drawn again inside the audit run past the prefetched block
+    and take the stream as the one-sample-at-a-time draws take it"""
+    m = _Skittish(6)
+    for seed in range(10):
+        for pair in (_pair(Projection()),
+                     ParametrizationPair(SphereGeodesic(), QR())):
+            args = (pair, m, 12, [1e-1, 1e-2, 1e-3], seed)
+            del _Skittish.trips[:]
+            got = audit_conditions(*args)
+            trips = len(_Skittish.trips)
+            assert trips >= 3, (seed, trips)
+            assert repr(got) == repr(oracles.audit_rows(*args)), seed
+            assert len(_Skittish.trips) == 2 * trips
+
+
+class _TwoFaults(_Kind):
+    """Projection at a base with p[0] > 0, but 1.001 times off the sphere;
+    undefined at a base with p[0] < 0."""
+    name = "two_faults"
+    manifolds = (Sphere,)
+
+    def _map(self, p, V):
+        if p.ambient[0] < 0.0:
+            raise ProjectionUndefined("no map at this base")
+        return 1.001 * Projection()._map(p, V)
+
+
+def test_sweep_raises_the_earlier_samples_error():
+    """sample 0's mapped rows fail Point's rule, a later stage than the map
+    that raises for sample 1: the audit raises sample 0's error, as the
+    one-sample-at-a-time audit does, not the one its map pass meets first"""
+    m = sphere(4)
+    signs = {}
+    for seed in range(50):
+        rng = SplitMix64(seed)
+        first = m.sample_point(rng)
+        par_mod.random_unit_tangent(first, rng)
+        second = m.sample_point(rng)
+        signs.setdefault((first.ambient[0] > 0.0, second.ambient[0] > 0.0),
+                         seed)
+    for (first_maps, _), seed in sorted(signs.items()):
+        args = (_pair(_TwoFaults()), m, 5, [1e-1, 1e-2], seed)
+        error = InfeasiblePoint if first_maps else ProjectionUndefined
+        with pytest.raises(error) as raised:
+            audit_conditions(*args)
+        with pytest.raises(error) as rows:
+            oracles.audit_rows(*args)
+        assert str(raised.value) == str(rows.value)
+    assert (True, False) in signs
+
+
+class _Tilted(Sphere):
+    """A sphere whose tangent columns complete a unit vector 1e-3 away
+    from the point: orthonormal, but not tangent there."""
+
+    def tangent_columns(self, p):
+        q = p.ambient + 1e-3 * np.eye(self.n)[0]
+        return manifolds_mod._complete_unit(q / np.linalg.norm(q))
+
+    def tangent_stack(self, points):
+        return np.array([self.tangent_columns(p) for p in points])
+
+
+def test_sweep_raises_the_tangent_rule_of_the_first_bad_row():
+    """the rows of every sample are checked by TangentVector's rule: the
+    first, sample 0's direction itself, raises what TangentVector raises"""
+    m = _Tilted(5)
+    for seed in range(5):
+        with pytest.raises(InfeasiblePoint) as raised:
+            audit_conditions(_pair(Projection()), m, 3, [1e-1, 1e-2], seed)
+        rng = SplitMix64(seed)
+        p = m.sample_point(rng)
+        d = par_mod.random_unit_tangent(p, rng)
+        with pytest.raises(InfeasiblePoint) as alone:
+            TangentVector(p, d)
+        assert str(raised.value) == str(alone.value)
+        assert "tangency residual" in str(raised.value)
+
+
+def test_recentred_audit_completes_each_tangent_space_once(monkeypatch):
+    """the sweep lends each sample's basis to Recentred's rotation: one
+    completion per sample, the rows of one stacked call"""
+    rows = []
+    complete = manifolds_mod._complete_unit
+    monkeypatch.setattr(manifolds_mod, "_complete_unit",
+                        lambda P: rows.append(P.size // P.shape[-1])
+                        or complete(P))
+    for kind in (Recentred(Projection(), 0), Recentred(SphereGeodesic(), 2)):
+        for sample_points in (1, 7, 20):
+            del rows[:]
+            args = (_pair(kind), sphere(6), sample_points,
+                    [1e-1, 1e-2, 1e-3], 3)
+            rep = audit_conditions(*args)
+            assert sum(rows) == sample_points and len(rows) == 1
+            assert repr(rep) == repr(oracles.audit_rows(*args))
+
+
+def test_audit_refuses_what_the_config_refuses_as_sample_points():
+    """a float or a bool is no sample count: 2.0 raised a bare TypeError
+    from range(), and True audited one sample"""
+    radii = [1e-1, 1e-2]
+    for bad in (2.0, True, False, 0, -3, 1.5):
+        with pytest.raises(ValueError, match="^sample_points must be a "
+                                             "positive integer$"):
+            audit_conditions(_pair(Projection()), sphere(3), bad, radii, 0)
+        with pytest.raises(ConfigError, match="sample_points"):
+            build_audit_params({"audit": {"sample_points": bad}})
+    for good in (1, 3):
+        audit_conditions(_pair(Projection()), sphere(3), good, radii, 0)
+        build_audit_params({"audit": {"sample_points": good}})

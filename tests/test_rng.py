@@ -56,3 +56,49 @@ def test_gaussian_moments_rough():
     x = r.gaussians(4000)
     assert abs(float(np.mean(x))) < 0.05
     assert 0.95 < float(np.std(x)) < 1.05
+
+
+def _pattern(r, calls):
+    """The draws of a mixed call pattern, as comparable values."""
+    out = []
+    for call, k in calls:
+        if call == "u64":
+            out.append(r.next_u64())
+        elif call == "uniform":
+            out.append(r.uniform())
+        else:
+            out.append(r.gaussians(k).tobytes())
+    return out
+
+
+def test_prefetched_stream_is_the_scalar_stream():
+    """a prefetched block changes no draw: mixed next_u64, uniform and odd
+    and even gaussians calls, with blocks that end before, inside and
+    after the pattern, prefetched once or twice, on seeds 0-299"""
+    calls = [("gauss", 5), ("u64", 0), ("gauss", 6), ("uniform", 0),
+             ("gauss", 1), ("u64", 0), ("gauss", 0), ("gauss", 7),
+             ("uniform", 0), ("gauss", 2)]
+    drawn = 6 + 1 + 6 + 1 + 2 + 1 + 0 + 8 + 1 + 2  # outputs the calls take
+    for seed in range(300):
+        want = _pattern(SplitMix64(seed), calls)
+        for k in (0, 1, 5, 6, 7, drawn - 1, drawn, drawn + 3, 200):
+            r = SplitMix64(seed)
+            r.prefetch(k)
+            assert _pattern(r, calls) == want, (seed, k)
+        r = SplitMix64(seed)
+        r.prefetch(3)
+        r.prefetch(4)  # a second block follows the first
+        got = _pattern(r, calls[:3])
+        r.prefetch(9)  # a block asked for midway
+        assert got + _pattern(r, calls[3:]) == want, seed
+
+
+def test_prefetch_golden():
+    r = SplitMix64(42)
+    r.prefetch(2)
+    assert [r.next_u64() for _ in range(4)] == [
+        13679457532755275413,
+        2949826092126892291,
+        5139283748462763858,
+        6349198060258255764,
+    ]
