@@ -76,8 +76,9 @@ class _Value(_Record):
 class ManifoldDescriptor(_Value):
     """Base of the manifold classes: dims n and p (p > 1 only where the
     class `takes_p`) and `kind`, the config name. Each class defines
-    `intrinsic_dim`, the feasibility and tangency residuals (which
-    `check_feasible` and `check_tangent` turn into the one rule of each),
+    `intrinsic_dim`, the feasibility and tangency residuals, of one row
+    or (overriding `feasibility_residuals` and `tangency_residuals`) of a
+    stack (`check_feasible` and `check_tangent` make the one rule of each),
     the `tangent_columns`, `_project` on a stack of rows, and its second
     fundamental form II_p(v, v), the normal part of the acceleration of
     every curve through p with velocity v, twice over:
@@ -137,9 +138,6 @@ class ManifoldDescriptor(_Value):
     def tangency_residuals(self, X: np.ndarray, V: np.ndarray) -> list:
         bases = X if X.ndim == 2 else repeat(X)
         return [self.tangency_residual(x, v) for x, v in zip(bases, V)]
-
-    def tangent_stack(self, points: list) -> np.ndarray:
-        return np.array([self.tangent_columns(p) for p in points])
 
     def project(self, x: np.ndarray, guard=None) -> "Point":
         """The closest point to x; see `_project`."""
@@ -238,12 +236,6 @@ class Sphere(ManifoldDescriptor):
     def intrinsic_dim(self) -> int:
         return self.n - 1
 
-    def feasibility_residual(self, x: np.ndarray) -> float:
-        return abs(norm(x) - 1.0)
-
-    def tangency_residual(self, x: np.ndarray, v: np.ndarray) -> float:
-        return abs(float(x @ v))
-
     def feasibility_residuals(self, X: np.ndarray) -> list:
         return [abs(nx - 1.0) for nx in row_norms(X)]
 
@@ -251,10 +243,7 @@ class Sphere(ManifoldDescriptor):
         return [abs(s) for s in row_dots(V, X)]
 
     def tangent_columns(self, p: "Point") -> np.ndarray:
-        return _complete_unit(p.ambient)
-
-    def tangent_stack(self, points: list) -> np.ndarray:
-        return _complete_unit(np.array([p.ambient for p in points]))
+        return _complete_orthonormal(p.ambient[:, None])
 
     def _project(self, X: np.ndarray, guard=None) -> np.ndarray:
         """Each row over its norm, which must exceed the guard and 0."""
@@ -496,8 +485,8 @@ def _complete_orthonormal(K: np.ndarray) -> np.ndarray:
     return Q[:, k:]
 
 
-def _complete_unit(P: np.ndarray) -> np.ndarray:
-    """The pivoted completion of the unit vector (or each unit row) P.
+def _complete_unit(p: np.ndarray) -> np.ndarray:
+    """The pivoted completion of one unit vector p, in closed form.
 
     Once the set S is picked, what is left of the span of p and e_S is
     along p' = p with S zeroed, so e_l (l not in S) has squared residual
@@ -507,22 +496,18 @@ def _complete_unit(P: np.ndarray) -> np.ndarray:
     sort keys on the rounded 1 - p^2, not on p^2, so squares under the
     rounding of 1 tie, as in the residual norms. The c_j are tail sums of
     the sorted p^2, free of cancellation, and the last is max p^2 >= 1/n.
-    The key p^2 - 1 is -(1 - p^2) bitwise. Each step works along rows: a
-    row of a stack gets the bits it gets alone.
+    The key p^2 - 1 is -(1 - p^2) bitwise.
     """
-    n = P.shape[-1]
-    order = np.argsort(P * P - 1.0, kind="stable")
-    if P.ndim > 1:
-        order += np.arange(0, P.size, n)[:, None]  # flat indices into P
-    ps = P.take(order)
-    c = np.cumsum((ps * ps)[..., ::-1], axis=-1)[..., ::-1]  # of ps[j:]**2
-    B = np.where(_lower_mask(n), ps[..., None], 0.0)
-    c0, c1 = c[..., None, :-1], c[..., None, 1:]
-    B *= -ps[..., None, :-1] / c0
-    B.reshape(-1)[::n] += 1.0  # entry (j, j) of each n x (n - 1) block: j n
-    B *= np.sqrt(c0 / c1)
-    out = np.empty(B.shape)
-    out.reshape(P.size, n - 1)[order.ravel()] = B.reshape(P.size, n - 1)
+    n = p.size
+    order = np.argsort(p * p - 1.0, kind="stable")
+    ps = p[order]
+    c = np.cumsum((ps * ps)[::-1])[::-1]  # c[j] = sum of ps[j:]**2
+    B = np.where(_lower_mask(n), ps[:, None], 0.0)
+    B *= -ps[:-1] / c[:-1]
+    B.flat[::n] += 1.0  # entry (j, j) of the n x (n - 1) B is flat j n
+    B *= np.sqrt(c[:-1] / c[1:])
+    out = np.empty((n, n - 1))
+    out[order] = B
     return out
 
 

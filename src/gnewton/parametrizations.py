@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (ChartDomainViolation, GnewtonError,
                      OutsideValidityRadius, ProjectionUndefined)
 from .manifolds import (ManifoldDescriptor, Point, Sphere, Stiefel,
-                        Grassmann, TangentBasis, TangentVector,
-                        random_unit_tangent, tangent_gaussians, _as_stack,
+                        Grassmann, TangentVector, random_unit_tangent,
+                        tangent_basis, tangent_gaussians, _as_stack,
                         _LivesOn, _OnTheLine, _pair_sums, _sym, _Value)
 from .linalg import all_finite, norm, polar_factor, row_norms
 from .rates import log_log_fit
@@ -45,6 +45,8 @@ class _Kind(_LivesOn):
     A kind vectorises only arithmetic that works elementwise and loops
     over the rows where a stacked call (a matrix product, say) could round
     differently; `_map_each(P, V)` maps V[i] at P[i], one `_map` per point.
+    A kind whose `_map` reads `p.tangent_columns` sets `reads_basis`, so
+    the audit lends it the basis it completed for the sample's direction.
 
     `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
     matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
@@ -53,6 +55,7 @@ class _Kind(_LivesOn):
     default; the second-order retractions (projection, geodesic, recentred)
     have no tangential part, and other kinds add theirs.
     """
+    reads_basis = False
 
     def apply(self, v: TangentVector) -> Point:
         p = v.base
@@ -227,6 +230,7 @@ class Recentred(_Value, _Kind):
     name = "recentred"
     manifolds = (Sphere,)
     _fields = ("base", "rotation_seed")
+    reads_basis = True
 
     def __init__(self, base, rotation_seed: int = 0):
         if not isinstance(base, (Projection, SphereGeodesic)):
@@ -403,16 +407,21 @@ class AuditReport(_Value):
 def _sweep(pair: ParametrizationPair, m: ManifoldDescriptor, P: list,
            G: list, steps: np.ndarray):
     """The audit's stages for the samples at P (gaussians G), each one pass,
-    in one sample's order: rows d, +-h d and r d checked; phi maps +-h d and
-    psi r d, one `_map_each` each (one in all when phi is psi), the mapped
-    rows checked; on OutsideValidityRadius phi's rows are mapped again and
-    each psi row alone, NaN where psi trips its guard. -> anchor, dphi and
-    alpha residuals per sample, psi residuals per row"""
+    in one sample's order: each direction d from its point's basis (one
+    completion, kept only where a kind `reads_basis`); rows d, +-h d and
+    r d checked; phi maps +-h d and psi r d, one `_map_each` each (one in
+    all when phi is psi), the mapped rows checked; on
+    OutsideValidityRadius phi's rows are mapped again and each psi row
+    alone, NaN where psi trips its guard. -> anchor, dphi and alpha
+    residuals per sample, psi residuals per row"""
     N = m.ambient_dim
-    B = m.tangent_stack(P)
-    for p, b in zip(P, B):  # checked, and lent for a recentred kind to read
-        vars(p)["_lent_columns"] = TangentBasis(p, b).columns
-    D = np.matmul(B, np.array(G)[:, :, None])[:, :, 0]
+    lend = pair.phi.reads_basis or pair.psi.reads_basis
+    D = np.empty((len(P), N))
+    for p, g, d in zip(P, G, D):  # one basis live, unless a kind reads it
+        B = tangent_basis(p).columns
+        d[:] = B @ g
+        if lend:
+            vars(p)["_lent_columns"] = B
     D /= np.array(row_norms(D))[:, None]
     anchor = [norm(apply_phi(pair, TangentVector(p, np.zeros(N))).ambient
                    - p.ambient) for p in P]

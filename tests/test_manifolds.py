@@ -6,7 +6,7 @@ from gnewton.errors import (InfeasiblePoint, ManifoldMismatch,
 from gnewton.manifolds import (Point, TangentVector, distance, euclidean,
                                grassmann, project_to_manifold, random_point,
                                sphere, stiefel, tangent_basis,
-                               tangent_gaussians, _complete_unit,
+                               tangent_gaussians,
                                _orthonormality_residual)
 from gnewton.rng import SplitMix64
 
@@ -262,29 +262,6 @@ def test_random_unit_tangent():
         p = random_point(m, 0)
         with pytest.raises(ManifoldMismatch, match="zero-dimensional"):
             random_unit_tangent(p, SplitMix64(0))
-
-
-def test_stacked_completion_is_each_row_alone():
-    """one closed-form completion over a stack gives each row the bytes it
-    gets alone: random, axis-aligned, signed, tied and near-axis rows"""
-    for n in (2, 3, 6, 30):
-        rows = [random_point(sphere(n), s).ambient for s in range(12)]
-        rows += [np.eye(n)[n - 1], -np.eye(n)[0], np.full(n, n ** -0.5)]
-        near = np.eye(n)[0] + 1e-9 * np.arange(n)
-        rows.append(near / np.linalg.norm(near))
-        P = np.array(rows)
-        S = _complete_unit(P)
-        assert S.shape == (len(P), n, n - 1)
-        for p, B in zip(P, S):
-            assert B.tobytes() == _complete_unit(p).tobytes(), (n, p)
-
-
-def test_tangent_stack_is_the_tangent_columns():
-    for m in ALL + [sphere(2), stiefel(5, 1), stiefel(3, 3)]:
-        points = [random_point(m, s) for s in range(5)]
-        S = m.tangent_stack(points)
-        for p, B in zip(points, S):
-            assert B.tobytes() == m.tangent_columns(p).tobytes(), m
 
 
 def test_tangent_rule_with_one_base_per_row():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -13,8 +14,8 @@ from gnewton.errors import (ConfigError, GnewtonError, InfeasiblePoint,
                             ProjectionUndefined)
 from gnewton.linalg import polar_factor
 from gnewton.manifolds import (Point, Sphere, TangentVector, euclidean,
-                               grassmann, random_point, sphere, stiefel,
-                               tangent_basis)
+                               grassmann, random_point, random_unit_tangent,
+                               sphere, stiefel, tangent_basis)
 from gnewton.parametrizations import (Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection, QR,
                                       Recentred, SphereGeodesic,
@@ -587,7 +588,7 @@ def test_sweep_raises_the_earlier_samples_error():
     for seed in range(50):
         rng = SplitMix64(seed)
         first = m.sample_point(rng)
-        par_mod.random_unit_tangent(first, rng)
+        random_unit_tangent(first, rng)
         second = m.sample_point(rng)
         signs.setdefault((first.ambient[0] > 0.0, second.ambient[0] > 0.0),
                          seed)
@@ -610,9 +611,6 @@ class _Tilted(Sphere):
         q = p.ambient + 1e-3 * np.eye(self.n)[0]
         return manifolds_mod._complete_unit(q / np.linalg.norm(q))
 
-    def tangent_stack(self, points):
-        return np.array([self.tangent_columns(p) for p in points])
-
 
 def test_sweep_raises_the_tangent_rule_of_the_first_bad_row():
     """the rows of every sample are checked by TangentVector's rule: the
@@ -623,7 +621,7 @@ def test_sweep_raises_the_tangent_rule_of_the_first_bad_row():
             audit_conditions(_pair(Projection()), m, 3, [1e-1, 1e-2], seed)
         rng = SplitMix64(seed)
         p = m.sample_point(rng)
-        d = par_mod.random_unit_tangent(p, rng)
+        d = random_unit_tangent(p, rng)
         with pytest.raises(InfeasiblePoint) as alone:
             TangentVector(p, d)
         assert str(raised.value) == str(alone.value)
@@ -632,19 +630,19 @@ def test_sweep_raises_the_tangent_rule_of_the_first_bad_row():
 
 def test_recentred_audit_completes_each_tangent_space_once(monkeypatch):
     """the sweep lends each sample's basis to Recentred's rotation: one
-    completion per sample, the rows of one stacked call"""
-    rows = []
+    completion per sample, as for a kind that reads no basis"""
+    calls = []
     complete = manifolds_mod._complete_unit
     monkeypatch.setattr(manifolds_mod, "_complete_unit",
-                        lambda P: rows.append(P.size // P.shape[-1])
-                        or complete(P))
-    for kind in (Recentred(Projection(), 0), Recentred(SphereGeodesic(), 2)):
+                        lambda p: calls.append(1) or complete(p))
+    for kind in (Recentred(Projection(), 0), Recentred(SphereGeodesic(), 2),
+                 Projection()):
         for sample_points in (1, 7, 20):
-            del rows[:]
+            del calls[:]
             args = (_pair(kind), sphere(6), sample_points,
                     [1e-1, 1e-2, 1e-3], 3)
             rep = audit_conditions(*args)
-            assert sum(rows) == sample_points and len(rows) == 1
+            assert len(calls) == sample_points, (kind, sample_points)
             assert repr(rep) == repr(oracles.audit_rows(*args))
 
 
@@ -661,3 +659,21 @@ def test_audit_refuses_what_the_config_refuses_as_sample_points():
     for good in (1, 3):
         audit_conditions(_pair(Projection()), sphere(3), good, radii, 0)
         build_audit_params({"audit": {"sample_points": good}})
+
+
+def test_audit_holds_no_basis_per_sample():
+    """a kind that reads no basis leaves each sample's completed basis
+    behind: the audit's peak grows per sample by its stacked rows alone,
+    well under one sphere(80) basis (80 x 79 floats)"""
+    m = sphere(80)
+    pair = _pair(Projection())
+    radii = [1e-1, 1e-2, 1e-3]
+    audit_conditions(pair, m, 2, radii, 0)
+    peaks = []
+    for sample_points in (10, 60):
+        tracemalloc.start()
+        audit_conditions(pair, m, sample_points, radii, 0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    per_sample = (peaks[1] - peaks[0]) / 50
+    assert per_sample < 0.5 * m.ambient_dim * m.intrinsic_dim * 8, per_sample
