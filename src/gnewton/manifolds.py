@@ -21,17 +21,9 @@ from .rng import SplitMix64
 FEAS_TOL = 1e-10
 
 
-# Matrix points and directions are n x p, flattened column-major; a basis
-# is handled as an (m, n, p) stack of direction matrices.
-
-def _as_stack(B: np.ndarray, n: int, p: int) -> np.ndarray:
-    return B.T.reshape(B.shape[1], p, n).transpose(0, 2, 1)
-
-
-def _pair_sums(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """[<S_a, T_b>] over two (m, n, p) stacks, as an m x m matrix."""
-    m, n, p = S.shape
-    return S.reshape(m, n * p) @ T.reshape(m, n * p).T
+def _frame_product(B: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """[<V_a S, V_b>] over B's columns vec(V_a), for a symmetric p x p S."""
+    return B.T @ (S @ B.reshape(S.shape[0], -1)).reshape(B.shape)
 
 
 def _sym(A: np.ndarray) -> np.ndarray:
@@ -266,13 +258,14 @@ class Sphere(ManifoldDescriptor):
         return -(nv * nv) * p.ambient
 
     def weingarten(self, p: "Point", B: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return -float(g @ p.ambient) * np.eye(B.shape[1])
+        return -float(g @ p.ambient) * _identity(B.shape[1])
 
 
 class _Frame(ManifoldDescriptor):
     """n x p orthonormal frames X^T X = I, shared by Stiefel and Grassmann.
     II_X(V, V) = -X V^T V, whose contraction with g is the Weingarten map
-    V -> -V sym(X^T G)."""
+    V -> V S, S = -sym(X^T G). As vec(V S) = (S kron I_n) vec(V), over a
+    basis B it is one product B^T (S kron I_n) B (`_frame_product`)."""
     takes_p = True
 
     def feasibility_residual(self, x: np.ndarray) -> float:
@@ -313,9 +306,8 @@ class _Frame(ManifoldDescriptor):
         return (-p.as_matrix() @ (V.T @ V)).flatten(order="F")
 
     def weingarten(self, p: "Point", B: np.ndarray, g: np.ndarray) -> np.ndarray:
-        V = _as_stack(B, self.n, self.p)
         N = p.as_matrix().T @ g.reshape(self.n, self.p, order="F")
-        return -_pair_sums(V @ _sym(N), V)
+        return _frame_product(B, -_sym(N))
 
 
 class Stiefel(_Frame):
@@ -518,6 +510,14 @@ def _lower_mask(n: int) -> np.ndarray:
     lower = np.arange(n)[:, None] >= np.arange(n - 1)
     lower.setflags(write=False)
     return lower
+
+
+@lru_cache(maxsize=64)
+def _identity(m: int) -> np.ndarray:
+    """The m x m identity, shared read-only."""
+    eye = np.eye(m)
+    eye.setflags(write=False)
+    return eye
 
 
 def tangent_basis(p: Point) -> TangentBasis:

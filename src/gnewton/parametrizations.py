@@ -20,9 +20,9 @@ import numpy as np
 from .errors import (ChartDomainViolation, GnewtonError,
                      OutsideValidityRadius, ProjectionUndefined)
 from .manifolds import (ManifoldDescriptor, Point, Sphere, Stiefel,
-                        Grassmann, TangentVector, random_unit_tangent,
-                        tangent_basis, tangent_gaussians, _as_stack,
-                        _LivesOn, _OnTheLine, _pair_sums, _sym, _Value)
+                        Grassmann, TangentVector, tangent_basis,
+                        tangent_gaussians, _frame_product, _LivesOn,
+                        _lower_mask, _OnTheLine, _Value)
 from .linalg import all_finite, norm, polar_factor, row_norms
 from .rates import log_log_fit
 from .rng import SplitMix64
@@ -155,15 +155,14 @@ class QR(_Value, _Elementwise):
         return S + T.flatten(order="F")
 
     def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """g . T(V, V) = <N, tril(M, -1) - triu(M, 1)> = <V E, V> with
-        N = X^T G and E = tril(N - N^T, -1), polarised over the basis."""
-        C = super().curvature(p, B, g)
+        """g . T(V, V) = <N, tril(M, -1) - triu(M, 1)> with N = X^T G, and
+        with the Weingarten term -<N, M> it is -<S, M>, S = N's upper
+        triangle mirrored (i >= j from N^T): V -> -V S, one frame product."""
         m = p.manifold
         if m.p == 1:
-            return C
+            return super().curvature(p, B, g)
         N = p.as_matrix().T @ g.reshape(m.n, m.p, order="F")
-        V = _as_stack(B, m.n, m.p)
-        return C + _sym(_pair_sums(V @ np.tril(N - N.T, -1), V))
+        return _frame_product(B, -np.where(_lower_mask(m.p + 1)[:-1], N.T, N))
 
 
 class Custom1D(_Value, _LineTerms):

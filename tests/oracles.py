@@ -11,7 +11,9 @@ earlier chart-lifted Newton step with its finite-difference jet, and
 displacement. They are slow and only serve as oracles. `frame_columns`
 and `pivoted_completion` are the frame tangent columns as they were
 assembled before the in-place fill, kept verbatim in code: their bytes
-are the reference.
+are the reference. `stacked_curvature` is the frame curvature term as it
+was contracted over a stack of per-direction matrices before the one
+product.
 """
 
 from math import log, sqrt
@@ -23,7 +25,7 @@ from gnewton.errors import ChartDomainViolation, OutsideValidityRadius
 from gnewton.linalg import norm, symmetric_solve
 from gnewton.manifolds import (Point, TangentVector, _complete_unit,
                                random_unit_tangent)
-from gnewton.parametrizations import (AuditReport, Custom1D, ExampleBeta,
+from gnewton.parametrizations import (QR, AuditReport, Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
                                       Recentred, SphereGeodesic,
                                       Stereographic, apply_phi, apply_psi,
@@ -248,6 +250,27 @@ def pullback_hessian(c, kind, p, cols, second_order=second_order):
             H[i, j] += corr
             H[j, i] += corr
     return 0.5 * (H + H.T)
+
+
+def stacked_curvature(kind, p, B, g):
+    """The frame curvature term as it was contracted before the one
+    product: B restacked into m n x p direction matrices V_a, the Weingarten
+    map summed pairwise as -<V_a sym(N), V_b> with N = X^T G, and for QR
+    with p > 1 a second stacked pass <V_a E, V_b>, E = tril(N - N^T, -1),
+    symmetrised at m x m."""
+    m = p.manifold
+    n, pp, k = m.n, m.p, B.shape[1]
+    V = B.T.reshape(k, pp, n).transpose(0, 2, 1)
+
+    def pair_sums(S, T):
+        return S.reshape(k, n * pp) @ T.reshape(k, n * pp).T
+
+    N = p.as_matrix().T @ g.reshape(n, pp, order="F")
+    C = -pair_sums(V @ (0.5 * (N + N.T)), V)
+    if isinstance(kind, QR) and pp > 1:
+        P = pair_sums(V @ np.tril(N - N.T, -1), V)
+        C = C + 0.5 * (P + P.T)
+    return C
 
 
 def audit_rows(pair, m, sample_points, radii, seed):

@@ -19,7 +19,7 @@ from gnewton.parametrizations import (QR, Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
                                       Recentred, SphereGeodesic,
                                       Stereographic, apply_phi,
-                                      second_order_term)
+                                      curvature_term, second_order_term)
 from gnewton.rng import SplitMix64
 
 
@@ -117,6 +117,39 @@ def test_qr_curvature_is_polarised_second_order_term():
         for seed in range(5):
             gap = _jet_gap(QR(), space, seed, second_order=analytic)
             assert gap <= 1e-12, (space, seed, gap)
+
+
+FRAMES = [stiefel(5, 2), stiefel(3, 3), stiefel(6, 1), stiefel(12, 3),
+          grassmann(6, 2), grassmann(9, 1), grassmann(20, 4)]
+
+
+def _rel(A, ref):
+    return float(np.linalg.norm(A - ref)) / float(np.linalg.norm(ref))
+
+
+def test_frame_curvature_matches_stacked_oracle():
+    """the one-product curvature against the stacked contraction, over the
+    point's own columns, a seeded rotation of them and a column subset,
+    and C(B R) = R^T C(B) R, for a generic ambient gradient"""
+    for kind in (Projection(), QR()):
+        pair = ParametrizationPair(kind, kind)
+        for m in FRAMES:
+            for seed in range(10):
+                p = random_point(m, seed)
+                g = SplitMix64(seed + 100).gaussians(m.ambient_dim)
+                B = tangent_basis(p).columns
+                k = B.shape[1]
+                R = polar_factor(
+                    SplitMix64(seed + 200).gaussians(k * k).reshape(k, k))
+                got = {}
+                for name, cols in (("own", B), ("rotated", B @ R),
+                                   ("subset", B[:, 1::2])):
+                    got[name] = curvature_term(pair, p, cols, g)
+                    ref = oracles.stacked_curvature(kind, p, cols, g)
+                    gap = _rel(got[name], ref)
+                    assert gap <= 1e-13, (kind.name, m, seed, name, gap)
+                gap = _rel(got["rotated"], R.T @ got["own"] @ R)
+                assert gap <= 1e-13, (kind.name, m, seed, "R^T C R", gap)
 
 
 def _rotated(n, seed):

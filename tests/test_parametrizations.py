@@ -498,7 +498,7 @@ def test_audit_raises_the_point_error_of_a_bad_row():
         audit_conditions(_pair(_Drifting()), m, 3, [1e-1, 1e-2], 0)
     rng = SplitMix64(0)
     p = m.sample_point(rng)
-    d = par_mod.random_unit_tangent(p, rng)
+    d = random_unit_tangent(p, rng)
     with pytest.raises(InfeasiblePoint) as alone:
         Point(m, _Drifting()._map(p, 0.1 * d[None])[0])
     assert str(raised.value) == str(alone.value)
