@@ -50,15 +50,23 @@ def all_finite(x: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
-def _symmetric_and_norm(A, label="matrix"):
-    """A as a float array, checked square, finite (NaN would pass the
-    symmetry test) and symmetric within SYM_RTOL relative, with the
-    Frobenius norm the symmetry test takes. -> (A, |A|_F)"""
-    A = np.asarray(A, dtype=float)
+def _square(A, label="matrix"):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("%s must be square" % label)
+
+
+def _square_finite(A, label="matrix"):
+    """A as a float array, checked square and finite (NaN passes symmetry)."""
+    A = np.asarray(A, dtype=float)
+    _square(A, label)
     if not all_finite(A):
         raise ValueError("%s must be finite" % label)
+    return A
+
+
+def _symmetric_and_norm(A, label="matrix"):
+    """The square A, checked symmetric within SYM_RTOL relative, with the
+    Frobenius norm the symmetry test takes. -> (A, |A|_F)"""
     a = norm(A)
     if norm(A - A.T) > SYM_RTOL * max(a, _TINY):
         raise ValueError("%s must be symmetric" % label)
@@ -66,12 +74,11 @@ def _symmetric_and_norm(A, label="matrix"):
 
 
 def _as_square_symmetric(A, label="matrix"):
-    """A as checked by _symmetric_and_norm."""
-    return _symmetric_and_norm(A, label)[0]
+    """A as a float array, checked square, finite and symmetric."""
+    return _symmetric_and_norm(_square_finite(A, label), label)[0]
 
 
 def _checked_rhs(b, n):
-    b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError("rhs length %r does not match matrix dimension %d"
                          % (b.shape, n))
@@ -105,7 +112,7 @@ def solve_with_condition(H, b):
     Cholesky certificate cannot accept.
     """
     H = _as_square_symmetric(H)
-    b = _checked_rhs(b, H.shape[0])
+    b = _checked_rhs(np.asarray(b, dtype=float), H.shape[0])
     lmax, _, cond = _spectral_extremes(np.linalg.eigvalsh(H))
     if lmax == 0.0:
         raise SingularHessian("Hessian has no nonzero eigenvalue (%d x %d)"
@@ -160,16 +167,18 @@ def _certified(H, h) -> bool:
 
 
 def symmetric_solve(H, b) -> np.ndarray:
-    """Solve H s = b for symmetric H: solve_with_condition's s bit for bit,
-    or the same error, class and message.
+    """Solve H s = b for a square, finite, symmetric H by `solve_finite`:
+    solve_with_condition's s bit for bit, or its error, class and message."""
+    return solve_finite(_square_finite(H), np.asarray(b, dtype=float))
 
-    After the symmetric contract and the rhs check, one Cholesky
-    factorisation of a shifted H (_certified) proves that H passes the
-    condition limit; such an H goes straight to the same LU solve, without
-    an eigensolver. Every other H (a failed Cholesky, n = 0, H = 0) takes
-    solve_with_condition's eigenvalue rule, unchanged.
-    """
-    H, h = _symmetric_and_norm(H)
+
+def solve_finite(H, b) -> np.ndarray:
+    """symmetric_solve's core, for float arrays proved finite (the Newton
+    step's jet): the square, symmetry and rhs tests, then one Cholesky of a
+    shifted H (_certified) proves the condition limit before the same LU
+    solve; any other H takes solve_with_condition's eigenvalue rule."""
+    _square(H)
+    h = _symmetric_and_norm(H)[1]
     b = _checked_rhs(b, H.shape[0])
     if _certified(H, h):
         return np.linalg.solve(H, b)

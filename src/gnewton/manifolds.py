@@ -71,11 +71,11 @@ class ManifoldDescriptor(_Value):
     `intrinsic_dim`, the feasibility and tangency residuals, of one row
     or (overriding `feasibility_residuals` and `tangency_residuals`) of a
     stack (`check_feasible` and `check_tangent` make the one rule of each),
-    the `tangent_columns`, `_project` on a stack of rows, and its second
-    fundamental form II_p(v, v), the normal part of the acceleration of
-    every curve through p with velocity v, twice over:
-    `second_fundamental_form(p, v)`, and `weingarten(p, B, g)`, the matrix
-    g . II_p(b_i, b_j) over B's columns.
+    the `tangent_columns` (a new array each call), `_project` on a stack
+    of rows, and its second fundamental form II_p(v, v), the normal part
+    of the acceleration of every curve through p with velocity v, twice
+    over: `second_fundamental_form(p, v)`, and `weingarten(p, B, g)`, the
+    matrix g . II_p(b_i, b_j) over B's columns.
     """
     _fields = ("n", "p")
     name = None
@@ -192,6 +192,7 @@ class Euclidean(ManifoldDescriptor):
         return 0.0
 
     def tangent_columns(self, p: "Point") -> np.ndarray:
+        """A new array: the identity."""
         return np.eye(self.n)
 
     def _project(self, X: np.ndarray, guard=None) -> np.ndarray:
@@ -235,6 +236,7 @@ class Sphere(ManifoldDescriptor):
         return [abs(s) for s in row_dots(V, X)]
 
     def tangent_columns(self, p: "Point") -> np.ndarray:
+        """A new array: the pivoted completion of p."""
         return _complete_orthonormal(p.ambient[:, None])
 
     def _project(self, X: np.ndarray, guard=None) -> np.ndarray:
@@ -272,10 +274,10 @@ class _Frame(ManifoldDescriptor):
         return _orthonormality_residual(x.reshape(self.n, self.p, order="F"))
 
     def tangent_columns(self, p: "Point") -> np.ndarray:
-        """The horizontal block: column b moves along the a-th completion
-        vector P_a of X, b outer, a inner, which in column-major coordinates
-        is kron(I_p, P). It is filled in place, byte for byte what kron
-        gives: P in the p diagonal blocks, 0.0 * P (signed zeros) off them."""
+        """A new array, the horizontal block: column b moves along the a-th
+        completion vector P_a of X, b outer, a inner, in column-major
+        coordinates kron(I_p, P), filled in place byte for byte as kron
+        gives it: P in the p diagonal blocks, 0.0 * P (signed zeros) off."""
         return self._columns(p.as_matrix(), 0)
 
     def _columns(self, X: np.ndarray, k: int) -> np.ndarray:
@@ -326,7 +328,7 @@ class Stiefel(_Frame):
     def tangent_columns(self, p: "Point") -> np.ndarray:
         """The skew block first: the pair (i, j), i < j, in row-major
         order, moves column j along x_i and column i along -x_j; then the
-        horizontal block."""
+        horizontal block. Returns a new array."""
         X = p.as_matrix()
         pp = self.p
         k = pp * (pp - 1) // 2
@@ -380,7 +382,7 @@ def _freeze(a) -> np.ndarray:
 def _orthonormality_residual(A: np.ndarray) -> float:
     """||A^T A - I||_F; 1 comes off the diagonal in place, the bits of G - I."""
     G = A.T @ A
-    G.flat[::G.shape[0] + 1] -= 1.0
+    G.reshape(-1)[::G.shape[0] + 1] -= 1.0
     return norm(G)
 
 
@@ -428,11 +430,13 @@ class TangentVector(_Record):
 
 
 class TangentBasis(_Record):
-    """`columns`: ambient_dim x intrinsic_dim, orthonormal."""
+    """`columns`: ambient_dim x intrinsic_dim, orthonormal (a copy)."""
     _fields = ("base", "columns")
 
     def __init__(self, base: Point, columns):
-        B = _freeze(columns)
+        self._bind(base, _freeze(columns))
+
+    def _bind(self, base: Point, B: np.ndarray) -> "TangentBasis":
         m = base.manifold
         if B.shape != (m.ambient_dim, m.intrinsic_dim):
             raise ValueError("basis shape %r, expected %r"
@@ -440,6 +444,7 @@ class TangentBasis(_Record):
         if _orthonormality_residual(B) > FEAS_TOL:
             raise ValueError("basis columns not orthonormal")
         self.__dict__.update(base=base, columns=B)
+        return self
 
 
 def _complete_orthonormal(K: np.ndarray) -> np.ndarray:
@@ -496,7 +501,7 @@ def _complete_unit(p: np.ndarray) -> np.ndarray:
     c = np.cumsum((ps * ps)[::-1])[::-1]  # c[j] = sum of ps[j:]**2
     B = np.where(_lower_mask(n), ps[:, None], 0.0)
     B *= -ps[:-1] / c[:-1]
-    B.flat[::n] += 1.0  # entry (j, j) of the n x (n - 1) B is flat j n
+    B.reshape(-1)[::n] += 1.0  # entry (j, j) of the n x (n - 1) B is flat j n
     B *= np.sqrt(c[:-1] / c[1:])
     out = np.empty((n, n - 1))
     out[order] = B
@@ -522,8 +527,10 @@ def _identity(m: int) -> np.ndarray:
 
 def tangent_basis(p: Point) -> TangentBasis:
     """Deterministic orthonormal basis of the tangent (Grassmann: horizontal)
-    space at p, as ambient columns."""
-    return TangentBasis(p, p.manifold.tangent_columns(p))
+    space at p: the new `tangent_columns`, frozen in place, not copied."""
+    B = p.manifold.tangent_columns(p)
+    B.setflags(write=False)
+    return TangentBasis.__new__(TangentBasis)._bind(p, B)
 
 
 def random_unit_tangent(p: Point, rng: SplitMix64) -> np.ndarray:

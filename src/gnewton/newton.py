@@ -16,7 +16,8 @@ from .costs import value
 from .errors import (ChartDomainViolation, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
                      ProjectionUndefined, SingularHessian)
-from .linalg import all_finite, condition_estimate, norm, symmetric_solve
+from .linalg import all_finite, condition_estimate, norm, solve_finite
+from .linalg import symmetric_solve  # noqa: F401 (newton.symmetric_solve)
 from .manifolds import (Point, TangentBasis, TangentVector, _Record, _Value,
                         distance, tangent_basis)
 from .parametrizations import (ParametrizationPair, apply_psi, curvature_term,
@@ -186,7 +187,7 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
     """One step of E_f = psi_p . N_{f o phi_p} at p; psi reads the jet's
     tangent columns, lent to p only while it maps the increment."""
     j = pullback_jet(c, pair, p)
-    s = -symmetric_solve(j.hessian, j.gradient)
+    s = -solve_finite(j.hessian, j.gradient)
     w = TangentVector(p, j.basis.columns @ s)
     vars(p)["_lent_columns"] = j.basis.columns
     try:

@@ -150,8 +150,7 @@ class QR(_Value, _Elementwise):
         if m.p == 1:
             return S
         V = v.reshape(m.n, m.p, order="F")
-        M = V.T @ V
-        T = p.as_matrix() @ (np.tril(M, -1) - np.triu(M, 1))
+        T = p.as_matrix() @ _tril_minus_triu(V.T @ V)
         return S + T.flatten(order="F")
 
     def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -163,6 +162,12 @@ class QR(_Value, _Elementwise):
             return super().curvature(p, B, g)
         N = p.as_matrix().T @ g.reshape(m.n, m.p, order="F")
         return _frame_product(B, -np.where(_lower_mask(m.p + 1)[:-1], N.T, N))
+
+
+def _tril_minus_triu(M: np.ndarray) -> np.ndarray:
+    """tril(M, -1) - triu(M, 1) to the bit, from the cached mask."""
+    L = _lower_mask(M.shape[0] + 1)[:-1]  # i >= j
+    return np.where(L, np.where(L.T, 0.0, M), 0.0 - M)  # -M: -0.0 for +0.0
 
 
 class Custom1D(_Value, _LineTerms):

@@ -31,12 +31,14 @@ class RateEstimate(_Value):
 
 def log_log_fit(xs, ys):
     """Least-squares line ys = slope xs + intercept, for logs of a power
-    law. -> (slope, intercept)"""
+    law; its means and sums take np.add.reduce, the one reduction that
+    ndarray's mean and sum run, to the bit. -> (slope, intercept)"""
     xs = np.asarray(xs)
     ys = np.asarray(ys)
-    dx = xs - xs.mean()
-    slope = float((dx * (ys - ys.mean())).sum() / (dx * dx).sum())
-    return slope, float(ys.mean() - slope * xs.mean())
+    mx, my = np.add.reduce(xs) / xs.size, np.add.reduce(ys) / ys.size
+    dx = xs - mx
+    slope = float(np.add.reduce(dx * (ys - my)) / np.add.reduce(dx * dx))
+    return slope, float(my - slope * mx)
 
 
 def error_sequence(trace, truth) -> list:
@@ -124,5 +126,6 @@ def pooled_rate(sequences, floor: float = DEFAULT_FLOOR,
         raise InsufficientData("fitted log kappa=%.3e overflows (K=%.3f)"
                                % (c, K)) from None
     return RateEstimate(K=K, kappa=kappa, window=(min(first), max(last)),
-                        fit_residual=float(sqrt(float(np.mean(resid * resid)))),
+                        fit_residual=sqrt(float(np.add.reduce(resid * resid)
+                                                / resid.size)),
                         n_points=len(xs))

@@ -13,15 +13,19 @@ and `pivoted_completion` are the frame tangent columns as they were
 assembled before the in-place fill, kept verbatim in code: their bytes
 are the reference. `stacked_curvature` is the frame curvature term as it
 was contracted over a stack of per-direction matrices before the one
-product.
+product. `qr_second_order` is QR's second-order term with its tangential
+matrix formed by np.tril and np.triu, and `mean_log_log_fit` and
+`mean_pooled_rate` are the rate fit with its means taken by `.mean()`:
+kept verbatim in code, their bytes are the reference.
 """
 
-from math import log, sqrt
+from math import exp, log, sqrt
 
 import numpy as np
 
 from gnewton.costs import ambient_gradient, ambient_hessian_vec, value
-from gnewton.errors import ChartDomainViolation, OutsideValidityRadius
+from gnewton.errors import (ChartDomainViolation, InsufficientData,
+                            OutsideValidityRadius)
 from gnewton.linalg import norm, symmetric_solve
 from gnewton.manifolds import (Point, TangentVector, _complete_unit,
                                random_unit_tangent)
@@ -30,7 +34,7 @@ from gnewton.parametrizations import (QR, AuditReport, Custom1D, ExampleBeta,
                                       Recentred, SphereGeodesic,
                                       Stereographic, apply_phi, apply_psi,
                                       second_order_term)
-from gnewton.rates import log_log_fit
+from gnewton.rates import RateEstimate, log_log_fit, usable_pairs
 from gnewton.rng import SplitMix64
 
 _EPS = np.finfo(float).eps
@@ -271,6 +275,62 @@ def stacked_curvature(kind, p, B, g):
         P = pair_sums(V @ np.tril(N - N.T, -1), V)
         C = C + 0.5 * (P + P.T)
     return C
+
+
+def qr_second_order(p, v):
+    """QR's second-order term along v at p, its tangential matrix formed
+    as tril(M, -1) - triu(M, 1)."""
+    m = p.manifold
+    S = m.second_fundamental_form(p, v)
+    if m.p == 1:
+        return S
+    V = v.reshape(m.n, m.p, order="F")
+    M = V.T @ V
+    T = p.as_matrix() @ (np.tril(M, -1) - np.triu(M, 1))
+    return S + T.flatten(order="F")
+
+
+def mean_log_log_fit(xs, ys):
+    """rates.log_log_fit with each mean taken by `.mean()`, twice over."""
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
+    dx = xs - xs.mean()
+    slope = float((dx * (ys - ys.mean())).sum() / (dx * dx).sum())
+    return slope, float(ys.mean() - slope * xs.mean())
+
+
+def mean_pooled_rate(sequences, floor, ceil):
+    """rates.pooled_rate over mean_log_log_fit, its RMS by np.mean."""
+    if not (0 <= floor < ceil):
+        raise ValueError("need 0 <= floor < ceil")
+    xs, ys, first, last = [], [], [], []
+    for errors in sequences:
+        errors = [float(e) for e in errors]
+        idx = usable_pairs(errors, floor, ceil)
+        if idx:
+            xs += [log(errors[k]) for k in idx]
+            ys += [log(errors[k + 1]) for k in idx]
+            first.append(idx[0])
+            last.append(idx[-1] + 1)
+    if len(xs) < 3:
+        raise InsufficientData("only %d usable pairs in (%g, %g)"
+                               % (len(xs), floor, ceil))
+    if min(xs) == max(xs):
+        raise InsufficientData("usable errors all equal: no slope to fit")
+    xs, ys = np.array(xs), np.array(ys)
+    K, c = mean_log_log_fit(xs, ys)
+    resid = ys - (K * xs + c)
+    if K < 0.5:
+        raise InsufficientData("fitted K=%.3f below 0.5; sequence is not a "
+                               "convergent power law" % K)
+    try:
+        kappa = exp(c)
+    except OverflowError:
+        raise InsufficientData("fitted log kappa=%.3e overflows (K=%.3f)"
+                               % (c, K)) from None
+    return RateEstimate(K=K, kappa=kappa, window=(min(first), max(last)),
+                        fit_residual=float(sqrt(float(np.mean(resid * resid)))),
+                        n_points=len(xs))
 
 
 def audit_rows(pair, m, sample_points, radii, seed):

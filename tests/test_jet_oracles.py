@@ -152,6 +152,27 @@ def test_frame_curvature_matches_stacked_oracle():
                 assert gap <= 1e-13, (kind.name, m, seed, "R^T C R", gap)
 
 
+def test_qr_second_order_matches_tril_triu_oracle_byte_for_byte():
+    """QR's tangential matrix from np.where on the cached mask gives the
+    bytes of tril(M, -1) - triu(M, 1), signed zeros included, and so does
+    its second-order term along a generic tangent, a small one, and one
+    basis column"""
+    from gnewton.parametrizations import _tril_minus_triu
+    M = np.array([[0.0, -0.0, 0.0], [0.0, -0.0, -0.0], [-0.0, 2.0, -3.0]])
+    for A in (M, M.T, -M, M[:2, :2], M[:1, :1]):
+        assert (_tril_minus_triu(A).tobytes()
+                == (np.tril(A, -1) - np.triu(A, 1)).tobytes()), A
+    for m in (stiefel(12, 3), stiefel(5, 2), grassmann(20, 4),
+              grassmann(6, 2)):
+        for seed in range(20):
+            p = random_point(m, seed)
+            B = tangent_basis(p).columns
+            d = B @ SplitMix64(seed + 100).gaussians(B.shape[1])
+            for v in (d, 1e-3 * d, B[:, seed % B.shape[1]]):
+                assert (QR().second_order(p, v).tobytes()
+                        == oracles.qr_second_order(p, v).tobytes()), (m, seed)
+
+
 def _rotated(n, seed):
     """Q^T diag(1..n) Q for a seeded orthogonal Q, so the truths are no
     coordinate vectors (there every kind's term vanishes trivially)."""

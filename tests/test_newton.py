@@ -463,6 +463,8 @@ def test_newton_step_checks_a_hand_built_asymmetric_jet():
         -symmetric_solve(j.hessian, j.gradient)
     with pytest.raises(ValueError, match="symmetric"):
         newton_mod.symmetric_solve(j.hessian, j.gradient)
+    with pytest.raises(ValueError, match="symmetric"):
+        newton_mod.solve_finite(j.hessian, j.gradient)
 
 
 class _Counting:
@@ -489,6 +491,49 @@ class _Counting:
     def hess_vec(self, p, direction):
         self.calls["hess_vec"] += 1
         return self.cost.hess_vec(p, direction)
+
+
+class _NaNHessian(_Counting):
+    def hess_vec(self, p, direction):
+        return np.nan * super().hess_vec(p, direction)
+
+
+def test_nan_hessian_is_no_jet_and_leaves_the_region():
+    """the jet's finite test is the step's only one on H: a NaN Hessian
+    raises there, and a run ends LeftValidityRegion at its start"""
+    c = _NaNHessian(Quadratic(np.diag([1.0, 2.0, 3.0])))
+    p = random_point(sphere(3), 1)
+    with pytest.raises(NotTwiceDifferentiable,
+                       match="^non-finite pulled-back jet$"):
+        generalized_newton_step(c, PP, p)
+    tr = run_iteration(c, Fixed(PP), p, 5, 1e-12)
+    assert tr.termination == "LeftValidityRegion" and len(tr.points) == 1
+
+
+def test_one_step_checks_each_value_once(monkeypatch):
+    """one certified sphere(6) projection step makes 4 finite tests (the
+    jet's H and gradient, the step w and the next point) and 1
+    orthonormality check (its basis): the solve does not test the jet's H
+    again, and the basis is checked once"""
+    import sys
+    from gnewton.config import near_truth_start
+    c = Quadratic(np.diag(np.arange(1.0, 7.0)))
+    p = near_truth_start(sphere(6), c.truth(sphere(6)), 0.1, 0)
+    calls = []
+
+    def count(name, inner):
+        def counted(*args):
+            calls.append(name)
+            return inner(*args)
+        for mod in [m for k, m in sys.modules.items()
+                    if k.startswith("gnewton.")]:
+            if vars(mod).get(name) is inner:
+                monkeypatch.setattr(mod, name, counted)
+    count("all_finite", newton_mod.all_finite)
+    count("_orthonormality_residual", manifolds_mod._orthonormality_residual)
+    generalized_newton_step(c, PP, p)
+    assert (calls.count("all_finite"),
+            calls.count("_orthonormality_residual")) == (4, 1)
 
 
 def test_one_value_per_iterate():
@@ -559,7 +604,7 @@ def test_indefinite_steps_take_the_eigenvalue_rule_with_the_same_iterates(
     steps = len(tr.step_norms)
     assert tr.termination == "Converged" and steps >= 3
     assert len(eig) == len(chol) == steps
-    monkeypatch.setattr(newton_mod, "symmetric_solve",
+    monkeypatch.setattr(newton_mod, "solve_finite",
                         lambda H, b: solve_with_condition(H, b)[0])
     ref = run_iteration(c, Fixed(PP), p, 20, 1e-12)
     assert [q.ambient.tobytes() for q in tr.points] == \

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from gnewton.costs import Quadratic
 from gnewton.errors import InsufficientData
 from gnewton.manifolds import Point, euclidean, random_point, sphere
@@ -205,3 +208,42 @@ def test_pooled_insufficient_total():
     est = pooled_rate([two_pairs, two_pairs])
     assert est.n_points == 4
     assert abs(est.K - 3.0) <= 1e-9
+
+
+def _fit(fit, sequences, floor, ceil):
+    """A fit's RateEstimate as bytes and ints, or its error's class and
+    message."""
+    try:
+        est = fit(sequences, floor, ceil)
+    except InsufficientData as exc:
+        return type(exc), str(exc)
+    return (np.array([est.K, est.kappa, est.fit_residual]).tobytes(),
+            est.window, est.n_points)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(e0=st.floats(1e-4, 0.5), K=st.floats(0.1, 3.5),
+       kappa=st.floats(0.05, 4.0),
+       noise=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=60),
+       stall=st.integers(0, 60), parts=st.integers(1, 3),
+       floor=st.sampled_from((0.0, 1e-300, 1e-12)),
+       ceil=st.sampled_from((0.1, 0.5, 1.0)))
+@example(e0=1e-5, K=1.0, kappa=1.0, noise=[0.0] * 6, stall=0, parts=1,
+         floor=1e-12, ceil=0.1)  # stalled from the start
+@example(e0=0.09, K=0.3, kappa=1.0, noise=[0.0] * 8, stall=60, parts=1,
+         floor=1e-12, ceil=0.1)  # K < 0.5
+def test_fit_matches_mean_oracle_byte_for_byte(e0, K, kappa, noise, stall,
+                                               parts, floor, ceil):
+    """pooled_rate's fit, one reduction per mean, against the .mean()
+    forms: the same RateEstimate bytes, or the same InsufficientData
+    message, on ladders of 4-60 errors, stalled from some index on, pooled
+    in up to three parts"""
+    errs = [e0]
+    for z in noise[1:]:
+        errs.append(min(1.0, kappa * errs[-1] ** K * math.exp(z)))
+    if stall < len(errs):
+        errs[stall:] = [errs[stall]] * (len(errs) - stall)
+    n = len(errs)
+    seqs = [errs[i * n // parts:(i + 1) * n // parts] for i in range(parts)]
+    assert (_fit(pooled_rate, seqs, floor, ceil)
+            == _fit(oracles.mean_pooled_rate, seqs, floor, ceil))
