@@ -16,8 +16,7 @@ import numpy as np
 
 from .config import (build_audit_setup, build_experiment, build_manifold,
                      load_config, match_truth_signs)
-from .errors import (ConfigError, InsufficientData, ManifoldMismatch,
-                     SchemaError)
+from .errors import ConfigError, InsufficientData, ManifoldMismatch
 from .manifolds import Point, euclidean
 from .newton import run_iteration
 from .parametrizations import audit_conditions, pair_label
@@ -137,7 +136,7 @@ def _run_one(config_path: str, out_dir: str, seed_override) -> int:
     try:
         cfg = load_config(config_path)
         exp = build_experiment(cfg, seed_override)
-    except (ConfigError, SchemaError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print("error: %s: %s" % (config_path, exc), file=sys.stderr)
         return 4
 
@@ -168,10 +167,6 @@ def _run_one(config_path: str, out_dir: str, seed_override) -> int:
     return _EXIT_BY_TERMINATION[trace.termination]
 
 
-def _run_worker(task) -> int:
-    return _run_one(*task)
-
-
 def cmd_run(args) -> int:
     if args.jobs < 1:
         print("error: --jobs: must be >= 1", file=sys.stderr)
@@ -191,9 +186,9 @@ def cmd_run(args) -> int:
         # lazily: the pool imports multiprocessing, socket and logging
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(_run_worker, tasks))
+            codes = list(pool.map(_run_one, *zip(*tasks)))
     else:
-        codes = [_run_worker(t) for t in tasks]
+        codes = [_run_one(*t) for t in tasks]
     return max(codes)
 
 
@@ -205,7 +200,7 @@ def cmd_audit(args) -> int:
         m, pairs, (points, radii, seed) = build_audit_setup(cfg,
                                                             args.seed_override)
         report = audit_conditions(pairs[0], m, points, radii, seed)
-    except (ConfigError, SchemaError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print("error: %s: %s" % (args.config, exc), file=sys.stderr)
         return 4
     except (ValueError, ManifoldMismatch) as exc:
@@ -240,40 +235,40 @@ def _read_trace_csv(path):
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        raise SchemaError("trace CSV: empty file")
+        raise ConfigError("trace CSV: empty file")
     header = lines[0].split(",")
     if len(header) < 5 or header[:4] != ["iter", "step_norm", "cost", "error"]:
-        raise SchemaError("trace CSV: header must start "
+        raise ConfigError("trace CSV: header must start "
                           "iter,step_norm,cost,error,coord_0,...")
     ncoords = len(header) - 4
     for i, name in enumerate(header[4:]):
         if name != "coord_%d" % i:
-            raise SchemaError("trace CSV: column %d must be coord_%d, got %r"
+            raise ConfigError("trace CSV: column %d must be coord_%d, got %r"
                               % (4 + i, i, name))
     rows = []
     for r, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise SchemaError("trace CSV row %d: expected %d fields, got %d"
+            raise ConfigError("trace CSV row %d: expected %d fields, got %d"
                               % (r, len(header), len(cells)))
         try:
             it = int(cells[0])
             coords = np.array([float(c) for c in cells[4:]])
         except ValueError as exc:
-            raise SchemaError("trace CSV row %d: %s" % (r, exc)) from exc
+            raise ConfigError("trace CSV row %d: %s" % (r, exc)) from exc
         if it != r - 1:
-            raise SchemaError("trace CSV row %d: iter %d out of sequence"
+            raise ConfigError("trace CSV row %d: iter %d out of sequence"
                               % (r, it))
         for j, name in ((1, "step_norm"), (2, "cost"), (3, "error")):
             if cells[j] != "":
                 try:
                     float(cells[j])
                 except ValueError as exc:
-                    raise SchemaError("trace CSV row %d: bad %s field %r"
+                    raise ConfigError("trace CSV row %d: bad %s field %r"
                                       % (r, name, cells[j])) from exc
         rows.append(coords)
     if not rows:
-        raise SchemaError("trace CSV: no iterate rows")
+        raise ConfigError("trace CSV: no iterate rows")
     return rows, ncoords
 
 
@@ -286,7 +281,7 @@ def cmd_rates(args) -> int:
         if truth is not None:
             m = truth.manifold
             if ncoords != m.ambient_dim:
-                raise SchemaError("trace CSV has %d coordinates but truth "
+                raise ConfigError("trace CSV has %d coordinates but truth "
                                   "lives in dimension %d"
                                   % (ncoords, m.ambient_dim))
         else:
@@ -296,10 +291,10 @@ def cmd_rates(args) -> int:
         try:
             pts = [Point(m, c) for c in rows]
         except ValueError as exc:
-            raise SchemaError("trace CSV: row not on %s: %s"
+            raise ConfigError("trace CSV: row not on %s: %s"
                               % (m.kind, exc)) from exc
         errors = error_sequence(pts, truth)
-    except (ConfigError, SchemaError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
     payload = _rate_payload(errors, args.floor, args.ceil)

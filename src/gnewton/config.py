@@ -101,19 +101,15 @@ def _build(table, spec, key, *context):
 
 
 def _manifold_args(cls, spec, key):
-    """n, and p where cls takes it: p is required, with 1 <= p <= n, on
-    Stiefel and Grassmann and refused on Euclidean space and the sphere."""
+    """n, and p where cls takes it: p is required on Stiefel and Grassmann
+    and refused on Euclidean space and the sphere; their ranges are the
+    constructor's rules."""
     n = _need(spec, "n", int, key + ".")
-    if n < 1:
-        raise ConfigError("%s.n: must be >= 1" % key)
     if not cls.takes_p:
         if "p" in spec:
             raise ConfigError("%s.p: not a parameter of %s" % (key, cls.name))
         return (n,)
-    p = _need(spec, "p", int, key + ".")
-    if not (1 <= p <= n):
-        raise ConfigError("%s.p: need 1 <= p <= n" % key)
-    return n, p
+    return n, _need(spec, "p", int, key + ".")
 
 
 _MANIFOLDS = {cls: partial(_manifold_args, cls)
@@ -210,10 +206,7 @@ def _random_args(spec, key, pairs, seed_override):
 
 
 def _path_args(spec, key, pairs, seed_override):
-    rule = _need(spec, "rule", str, key + ".")
-    if rule not in newton_mod.PathDependent.rules:
-        raise ConfigError("%s.rule: unknown path rule %r" % (key, rule))
-    return rule, pairs
+    return _need(spec, "rule", str, key + "."), pairs
 
 
 # each selector and the parse of its constructor arguments, given the pairs

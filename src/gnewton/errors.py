@@ -50,9 +50,6 @@ class InsufficientData(GnewtonError):
     """Too few usable samples to produce a rate estimate."""
 
 
-class SchemaError(GnewtonError):
-    """A trace file does not match the expected CSV schema."""
-
-
 class ConfigError(GnewtonError):
-    """Experiment config is malformed; message names the offending key."""
+    """A config, argument or trace file is malformed; the message names the
+    key, argument or row."""

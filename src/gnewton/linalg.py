@@ -99,7 +99,14 @@ def condition_estimate(H) -> float:
 
 
 def solve_with_condition(H, b):
-    """Solve H s = b for symmetric H by the eigenvalue rule.
+    """Solve H s = b for a square, finite, symmetric H by the eigenvalue
+    rule (`_eigen_rule`). -> (s, condition)"""
+    H = _as_square_symmetric(H)
+    return _eigen_rule(H, _checked_rhs(np.asarray(b, dtype=float), H.shape[0]))
+
+
+def _eigen_rule(H, b):
+    """The eigenvalue rule, on an H and b that the contract has checked.
     -> (s, condition)
 
     The eigenvalues alone give the condition estimate, and s comes from one
@@ -107,12 +114,9 @@ def solve_with_condition(H, b):
     H has no nonzero eigenvalue (the zero matrix, or the 0 x 0 jet of a
     zero-dimensional manifold, whose estimate reads 0), with a message that
     says so, or when the estimate exceeds COND_LIMIT (inf for a singular H,
-    so it is refused before LU could raise). The Newton step calls
-    symmetric_solve, which reaches this rule only for an H that its
-    Cholesky certificate cannot accept.
+    so it is refused before LU could raise). The Newton step reaches this
+    rule only for an H that the Cholesky certificate of `solve_finite` refuses.
     """
-    H = _as_square_symmetric(H)
-    b = _checked_rhs(np.asarray(b, dtype=float), H.shape[0])
     lmax, _, cond = _spectral_extremes(np.linalg.eigvalsh(H))
     if lmax == 0.0:
         raise SingularHessian("Hessian has no nonzero eigenvalue (%d x %d)"
@@ -176,13 +180,13 @@ def solve_finite(H, b) -> np.ndarray:
     """symmetric_solve's core, for float arrays proved finite (the Newton
     step's jet): the square, symmetry and rhs tests, then one Cholesky of a
     shifted H (_certified) proves the condition limit before the same LU
-    solve; any other H takes solve_with_condition's eigenvalue rule."""
+    solve; any other H takes the eigenvalue rule."""
     _square(H)
     h = _symmetric_and_norm(H)[1]
     b = _checked_rhs(b, H.shape[0])
     if _certified(H, h):
         return np.linalg.solve(H, b)
-    return solve_with_condition(H, b)[0]
+    return _eigen_rule(H, b)[0]
 
 
 def polar_factor(M, guard=None) -> np.ndarray:

@@ -83,6 +83,8 @@ class ManifoldDescriptor(_Value):
     draw_guard = None  # see draw
 
     def __init__(self, n: int, p: int = 1):
+        if n < 1:
+            raise ValueError("need n >= 1, got n=%d" % n)
         if not (1 <= p <= n):
             raise ValueError("need 1 <= p <= n, got n=%d p=%d" % (n, p))
         if not self.takes_p and p != 1:

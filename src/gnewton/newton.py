@@ -20,8 +20,7 @@ from .linalg import all_finite, condition_estimate, norm, solve_finite
 from .linalg import symmetric_solve  # noqa: F401 (newton.symmetric_solve)
 from .manifolds import (Point, TangentBasis, TangentVector, _Record, _Value,
                         distance, tangent_basis)
-from .parametrizations import (ParametrizationPair, apply_psi, curvature_term,
-                               pair_label)
+from .parametrizations import ParametrizationPair, apply_psi, pair_label
 from .rng import SplitMix64
 
 
@@ -176,7 +175,7 @@ def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
     g_amb = c.grad(p)
     grad = cols.T @ g_amb
     H = cols.T @ c.hess_vec(p, cols)
-    H = H + curvature_term(pair, p, cols, g_amb)
+    H = H + pair.phi.check_on(p.manifold).curvature(p, cols, g_amb)
     H = 0.5 * (H + H.T)
     if not (all_finite(H) and all_finite(grad)):
         raise NotTwiceDifferentiable("non-finite pulled-back jet")

@@ -378,13 +378,6 @@ def second_order_term(pair: ParametrizationPair, v: TangentVector) -> np.ndarray
     return pair.phi.check_on(p.manifold).second_order(p, v.ambient)
 
 
-def curvature_term(pair: ParametrizationPair, p: Point, B: np.ndarray,
-                   g: np.ndarray) -> np.ndarray:
-    """C[i, j] = g . D^2 phi_p(0)(b_i, b_j) over the columns of B: the term
-    the ambient gradient g adds to a Hessian pulled back through phi."""
-    return pair.phi.check_on(p.manifold).curvature(p, B, g)
-
-
 class AuditReport(_Value):
     """Equal, and hashed, on every field but `pass_flags`, which follow
     from the others."""

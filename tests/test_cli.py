@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 
 from gnewton.cli import main
-from gnewton.cli import _parse_truth_spec, _truth_spec_string
-from gnewton.manifolds import euclidean, grassmann, random_point, sphere, stiefel
+from gnewton.cli import _parse_truth_spec, _read_trace_csv, _truth_spec_string
+from gnewton.config import build_experiment
+from gnewton.errors import ConfigError
+from gnewton.manifolds import (Sphere, Stiefel, euclidean, grassmann,
+                               random_point, sphere, stiefel)
+from gnewton.newton import PathDependent
+from gnewton.parametrizations import ParametrizationPair, Projection
 
 SPHERE_RUN = {
     "version": 1,
@@ -528,3 +533,50 @@ def test_near_truth_start_that_overflows_is_a_config_error(tmp_path, capsys):
     code, _ = _run(tmp_path, dict(SPHERE_RUN, x0="near-truth:1e154:3"),
                    sub="ok")
     assert code == 0
+
+
+PATH_PAIRS = (ParametrizationPair(Projection(), Projection()),)
+
+
+@pytest.mark.parametrize("over, msg, constructor", [
+    (dict(manifold={"kind": "sphere", "n": 0}),
+     "manifold: need n >= 1, got n=0", lambda: Sphere(0)),
+    (dict(manifold={"kind": "stiefel", "n": 3, "p": 5}),
+     "manifold: need 1 <= p <= n, got n=3 p=5", lambda: Stiefel(3, 5)),
+    (dict(manifold={"kind": "stiefel", "n": 3, "p": 0}),
+     "manifold: need 1 <= p <= n, got n=3 p=0", lambda: Stiefel(3, 0)),
+    (dict(selector={"kind": "path", "rule": "nope"}),
+     "selector: unknown path rule 'nope'",
+     lambda: PathDependent("nope", PATH_PAIRS)),
+], ids=["sphere-n-0", "stiefel-p-over-n", "stiefel-p-0", "path-rule-nope"])
+def test_constructor_rules_are_config_errors(tmp_path, capsys, over, msg,
+                                             constructor):
+    """the range rules belong to the constructors: a config that breaks one
+    is a ConfigError, its key and then the constructor's own wording (n = 0
+    is refused for n, not for a p the config never gave), and `gnewton run`
+    exits 4 with it"""
+    with pytest.raises(ValueError) as ref:
+        constructor()
+    assert msg.split(": ", 1)[1] == str(ref.value)
+    cfg = dict(SPHERE_RUN, **over)
+    with pytest.raises(ConfigError) as got:
+        build_experiment(cfg)
+    assert str(got.value) == msg
+    code, out = _run(tmp_path, cfg)
+    assert code == 4
+    assert capsys.readouterr().err.endswith(": %s\n" % msg)
+    assert not (out / "summary.json").exists()
+
+
+def test_malformed_trace_csv_is_a_config_error(tmp_path, capsys):
+    """a trace CSV that breaks the schema raises ConfigError, and
+    `gnewton rates` exits 4 with the "trace CSV" message"""
+    p = tmp_path / "bad.csv"
+    p.write_text("iter,step_norm,cost,error,coord_0\n0,,1.0,,0.5\n"
+                 "7,0.1,0.5,,0.4\n")
+    with pytest.raises(ConfigError,
+                       match=r"^trace CSV row 2: iter 7 out of sequence$"):
+        _read_trace_csv(str(p))
+    assert main(["rates", str(p), "--truth", "none"]) == 4
+    assert capsys.readouterr().err == \
+        "error: trace CSV row 2: iter 7 out of sequence\n"

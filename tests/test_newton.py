@@ -534,6 +534,13 @@ def test_one_step_checks_each_value_once(monkeypatch):
     generalized_newton_step(c, PP, p)
     assert (calls.count("all_finite"),
             calls.count("_orthonormality_residual")) == (4, 1)
+    # an uncertified step (the Cholesky certificate refuses its H) takes
+    # the eigenvalue rule on the H already tested: 4 finite tests too
+    q = random_point(sphere(6), 0)
+    eig = _counting(monkeypatch, "eigvalsh")
+    calls.clear()
+    generalized_newton_step(c, PP, q)
+    assert len(eig) == 1 and calls.count("all_finite") == 4
 
 
 def test_one_value_per_iterate():
