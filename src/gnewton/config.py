@@ -57,14 +57,36 @@ def _typed(v, types) -> bool:
     return isinstance(v, types) and not isinstance(v, bool)
 
 
+def _number(v, key):
+    """The one rule of a config number: an int or float, not a bool, within
+    float range (a JSON integer may lie beyond it). -> v as a float, or None
+    for the caller to report; ConfigError("key: ...") where v overflows"""
+    if not _typed(v, (int, float)):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError("%s: integer beyond float range" % key) from None
+
+
+def _numbers(v, key) -> list:
+    """The list v of config numbers (`_number`), as floats."""
+    xs = [_number(x, key) for x in v] if isinstance(v, list) else [None]
+    if None in xs:
+        raise ConfigError("%s: expected a list of numbers" % key)
+    return xs
+
+
 def _need(cfg, key, types, where=""):
+    """cfg[key], of one of `types`, or a `_number` where types is float."""
     name = where + key
     if key not in cfg:
         raise ConfigError("%s: missing" % name)
     v = cfg[key]
-    if not _typed(v, types):
+    x = _number(v, name) if types is float else v if _typed(v, types) else None
+    if x is None:
         raise ConfigError("%s: wrong type %s" % (name, type(v).__name__))
-    return v
+    return x
 
 
 def _parse_matrix(spec, key):
@@ -77,13 +99,12 @@ def _parse_matrix(spec, key):
             raise ConfigError("%s: bad diagonal entry" % key) from exc
         return np.diag(d)
     if isinstance(spec, list):
-        try:
-            A = np.array(spec, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("%s: not a numeric matrix" % key) from exc
-        if A.ndim != 2:
+        if not (spec and all(isinstance(row, list) for row in spec)):
             raise ConfigError("%s: expected a list of rows" % key)
-        return A
+        A = [[_number(x, key) for x in row] for row in spec]
+        if any(None in row for row in A) or len(set(map(len, A))) > 1:
+            raise ConfigError("%s: not a numeric matrix" % key)
+        return np.array(A)
     raise ConfigError("%s: expected matrix rows or \"diag:...\"" % key)
 
 
@@ -130,7 +151,7 @@ def _quadratic_args(spec, key):
     A = _matrix(spec, "A")
     if "b" not in spec:
         return A, None
-    return A, np.array(_need(spec, "b", list, "cost."), dtype=float)
+    return A, np.array(_numbers(_need(spec, "b", list, "cost."), "cost.b"))
 
 
 # each configurable cost and the parse of its constructor arguments
@@ -141,7 +162,7 @@ _COSTS = {
     costs_mod.GrassmannTrace: lambda spec, key: (_matrix(spec, "A"),),
     costs_mod.AbsPower: lambda spec, key: (),
     costs_mod.ShiftedCubic: lambda spec, key: (
-        float(_need(spec, "z", (int, float), "cost.")),),
+        _need(spec, "z", float, "cost."),),
 }
 
 
@@ -151,13 +172,6 @@ def _build_cost(cfg, m: ManifoldDescriptor):
         raise ConfigError("cost.kind: %s does not fit manifold %s(n=%d, p=%d)"
                           % (c.name, m.kind, m.n, m.p))
     return c
-
-
-def _custom1d_args(spec, key):
-    coeffs = spec.get("coeffs", [])
-    if not isinstance(coeffs, list):
-        raise ConfigError("%s.coeffs: expected a list" % key)
-    return (tuple(coeffs),)
 
 
 def _recentred_args(spec, key):
@@ -174,9 +188,10 @@ _KINDS = {
     par_mod.Projection: lambda spec, key: (),
     par_mod.SphereGeodesic: lambda spec, key: (),
     par_mod.QR: lambda spec, key: (),
-    par_mod.Custom1D: _custom1d_args,
+    par_mod.Custom1D: lambda spec, key: (
+        tuple(_numbers(spec.get("coeffs", []), key + ".coeffs")),),
     par_mod.ExampleBeta: lambda spec, key: (
-        float(_need(spec, "beta", (int, float), key + ".")),),
+        _need(spec, "beta", float, key + "."),),
     par_mod.Recentred: _recentred_args,
 }
 
@@ -250,8 +265,8 @@ def _build_x0(cfg, m, truth, seed_override) -> Point:
     spec = _need(cfg, "x0", (list, str))
     if isinstance(spec, list):
         try:
-            return Point(m, np.array(spec, dtype=float))
-        except (TypeError, ValueError) as exc:
+            return Point(m, np.array(_numbers(spec, "x0")))
+        except ValueError as exc:
             raise ConfigError("x0: %s" % exc) from exc
     parts = spec.split(":")
     if parts[0] == "random":
@@ -312,18 +327,18 @@ def build_experiment(cfg: dict, seed_override=None) -> Experiment:
     max_iter = _need(cfg, "max_iter", int)
     if max_iter < 1:
         raise ConfigError("max_iter: must be >= 1")
-    tol = _need(cfg, "tol", (int, float))
+    tol = _need(cfg, "tol", float)
     if not tol > 0:
         raise ConfigError("tol: must be positive")
     if not isfinite(tol):
         raise ConfigError("tol: must be finite")
-    floor = cfg.get("rate_floor", DEFAULT_FLOOR)
-    ceil = cfg.get("rate_ceil", DEFAULT_CEIL)
-    if not _typed(floor, (int, float)):
+    floor = _number(cfg.get("rate_floor", DEFAULT_FLOOR), "rate_floor")
+    if floor is None:
         raise ConfigError("rate_floor: wrong type")
-    if not _typed(ceil, (int, float)):
+    ceil = _number(cfg.get("rate_ceil", DEFAULT_CEIL), "rate_ceil")
+    if ceil is None:
         raise ConfigError("rate_ceil: wrong type")
-    if not (0 <= float(floor) < float(ceil)):
+    if not (0 <= floor < ceil):
         raise ConfigError("rate_floor: need 0 <= floor < ceil")
 
     truth = compute_truth(m, cost)
@@ -331,8 +346,8 @@ def build_experiment(cfg: dict, seed_override=None) -> Experiment:
 
     return Experiment(config=cfg, manifold=m, cost=cost, pairs=pairs,
                       selector=selector, x0=x0, truth=truth,
-                      max_iter=max_iter, tol=float(tol),
-                      rate_floor=float(floor), rate_ceil=float(ceil))
+                      max_iter=max_iter, tol=tol, rate_floor=floor,
+                      rate_ceil=ceil)
 
 
 def build_audit_setup(cfg: dict, seed_override=None):
@@ -356,10 +371,7 @@ def build_audit_params(cfg: dict, seed_override=None):
     points = spec.get("sample_points", 20)
     if not _typed(points, int) or points < 1:
         raise ConfigError("audit.sample_points: expected a positive integer")
-    radii = spec.get("radii", [1e-1, 1e-2, 1e-3])
-    if (not isinstance(radii, list)
-            or not all(_typed(r, (int, float)) for r in radii)):
-        raise ConfigError("audit.radii: expected a list of numbers")
+    radii = _numbers(spec.get("radii", [1e-1, 1e-2, 1e-3]), "audit.radii")
     if not all(isfinite(r) for r in radii):
         raise ConfigError("audit.radii: must be finite")
     if len(radii) < 2 or any(a <= b for a, b in zip(radii, radii[1:])):
@@ -369,4 +381,4 @@ def build_audit_params(cfg: dict, seed_override=None):
         raise ConfigError("audit.seed: expected an integer")
     if seed_override is not None:
         seed = seed_override
-    return points, [float(r) for r in radii], seed
+    return points, radii, seed

@@ -13,8 +13,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import NotTwiceDifferentiable, SingularHessian
-from .linalg import (_as_square_symmetric, all_finite, symmetric_eigen,
-                     symmetric_solve)
+from .linalg import _symmetric, all_finite, symmetric_eigen, symmetric_solve
 from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
                         Sphere, Stiefel, _LivesOn, _OnTheLine, _Value)
 
@@ -31,15 +30,16 @@ def _trace_hess_vec(A, weights, p: Point, direction: np.ndarray) -> np.ndarray:
     return HZ.reshape(direction.shape)
 
 
-class _MatrixCost(_LivesOn):
-    """Base of the costs built on a symmetric n x n matrix A: A is frozen
-    as a copy that passes linalg's symmetric-matrix contract, and the cost
-    fits a manifold of that n."""
+def _frozen_symmetric(A) -> np.ndarray:
+    """A frozen copy of A that passes linalg's symmetric-matrix contract."""
+    A = _symmetric(np.array(A, dtype=float), "A")[0]
+    A.setflags(write=False)
+    return A
 
-    def __init__(self, A):
-        A = _as_square_symmetric(np.array(A, dtype=float), "A")
-        A.setflags(write=False)
-        self.__dict__["A"] = A
+
+class _MatrixCost(_LivesOn):
+    """Base of the costs on a symmetric n x n matrix A, each of which binds
+    `_frozen_symmetric(A)` and fits a manifold of that n."""
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
         return super().valid_on(m) and m.n == self.A.shape[0]
@@ -52,15 +52,15 @@ class Quadratic(_MatrixCost):
     _fields = ("A", "b")
 
     def __init__(self, A, b=None):
-        super().__init__(A)
-        n = self.A.shape[0]
+        A = _frozen_symmetric(A)
+        n = A.shape[0]
         b = np.zeros(n) if b is None else np.array(b, dtype=float)
         if b.shape != (n,):
             raise ValueError("b length does not match A")
         if not all_finite(b):
             raise ValueError("b must be finite")
         b.setflags(write=False)
-        self.__dict__["b"] = b
+        super().__init__(A, b)
 
     def value(self, p: Point) -> float:
         x = p.ambient
@@ -97,7 +97,7 @@ class BrockettTrace(_MatrixCost):
     _fields = ("A", "N")
 
     def __init__(self, A, N):
-        super().__init__(A)
+        A = _frozen_symmetric(A)
         N = np.array(N, dtype=float)
         if N.ndim != 2 or N.shape[0] != N.shape[1]:
             raise ValueError("N must be square")
@@ -109,7 +109,7 @@ class BrockettTrace(_MatrixCost):
         if np.any(d <= 0.0) or len(set(d.tolist())) != d.size:
             raise ValueError("N diagonal must be distinct and positive")
         N.setflags(write=False)
-        self.__dict__["N"] = N
+        super().__init__(A, N)
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
         return super().valid_on(m) and m.p == self.N.shape[0]
@@ -143,11 +143,12 @@ class GrassmannTrace(_MatrixCost):
     _fields = ("A",)
 
     def __init__(self, A):
-        super().__init__(A)
-        lam = np.linalg.eigvalsh(self.A)
+        A = _frozen_symmetric(A)
+        lam = np.linalg.eigvalsh(A)
         scale = max(abs(lam[0]), abs(lam[-1]), np.finfo(float).tiny)
         if np.min(np.diff(lam)) <= 1e-10 * scale:
             raise ValueError("A must have distinct eigenvalues")
+        super().__init__(A)
 
     def value(self, p: Point) -> float:
         X = p.as_matrix()
@@ -197,7 +198,7 @@ class ShiftedCubic(_Value, _OnTheLine):
     def __init__(self, z: float):
         if not isfinite(z):
             raise ValueError("z must be finite")
-        self.__dict__["z"] = z
+        super().__init__(z)
 
     def value(self, p: Point) -> float:
         d = p.ambient[0] - self.z

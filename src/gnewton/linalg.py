@@ -50,32 +50,19 @@ def all_finite(x: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
-def _square(A, label="matrix"):
+def _symmetric(A, label="matrix", finite=True):
+    """A as a float array, checked square, finite (NaN passes symmetry)
+    unless the caller has proved it so, and symmetric within SYM_RTOL
+    relative, with the norm that test takes. -> (A, |A|_F)"""
+    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("%s must be square" % label)
-
-
-def _square_finite(A, label="matrix"):
-    """A as a float array, checked square and finite (NaN passes symmetry)."""
-    A = np.asarray(A, dtype=float)
-    _square(A, label)
-    if not all_finite(A):
+    if finite and not all_finite(A):
         raise ValueError("%s must be finite" % label)
-    return A
-
-
-def _symmetric_and_norm(A, label="matrix"):
-    """The square A, checked symmetric within SYM_RTOL relative, with the
-    Frobenius norm the symmetry test takes. -> (A, |A|_F)"""
     a = norm(A)
     if norm(A - A.T) > SYM_RTOL * max(a, _TINY):
         raise ValueError("%s must be symmetric" % label)
     return A, a
-
-
-def _as_square_symmetric(A, label="matrix"):
-    """A as a float array, checked square, finite and symmetric."""
-    return _symmetric_and_norm(_square_finite(A, label), label)[0]
 
 
 def _checked_rhs(b, n):
@@ -95,13 +82,13 @@ def _spectral_extremes(lam):
 def condition_estimate(H) -> float:
     """Spectral condition number estimate |lambda|_max / |lambda|_min of
     symmetric H, from its eigenvalues alone."""
-    return _spectral_extremes(np.linalg.eigvalsh(_as_square_symmetric(H)))[2]
+    return _spectral_extremes(np.linalg.eigvalsh(_symmetric(H)[0]))[2]
 
 
 def solve_with_condition(H, b):
     """Solve H s = b for a square, finite, symmetric H by the eigenvalue
     rule (`_eigen_rule`). -> (s, condition)"""
-    H = _as_square_symmetric(H)
+    H = _symmetric(H)[0]
     return _eigen_rule(H, _checked_rhs(np.asarray(b, dtype=float), H.shape[0]))
 
 
@@ -171,18 +158,21 @@ def _certified(H, h) -> bool:
 
 
 def symmetric_solve(H, b) -> np.ndarray:
-    """Solve H s = b for a square, finite, symmetric H by `solve_finite`:
-    solve_with_condition's s bit for bit, or its error, class and message."""
-    return solve_finite(_square_finite(H), np.asarray(b, dtype=float))
+    """Solve H s = b for a square, finite, symmetric H: solve_with_condition's
+    s bit for bit, or its error, class and message."""
+    return _solve(*_symmetric(H), np.asarray(b, dtype=float))
 
 
 def solve_finite(H, b) -> np.ndarray:
-    """symmetric_solve's core, for float arrays proved finite (the Newton
-    step's jet): the square, symmetry and rhs tests, then one Cholesky of a
-    shifted H (_certified) proves the condition limit before the same LU
-    solve; any other H takes the eigenvalue rule."""
-    _square(H)
-    h = _symmetric_and_norm(H)[1]
+    """symmetric_solve for float arrays proved finite (the Newton step's
+    jet), which skips the finite test."""
+    return _solve(*_symmetric(H, finite=False), b)
+
+
+def _solve(H, h, b) -> np.ndarray:
+    """The rhs test, then one Cholesky of the checked H shifted by its norm
+    h (_certified) proves the condition limit before the same LU solve;
+    any other H takes the eigenvalue rule."""
     b = _checked_rhs(b, H.shape[0])
     if _certified(H, h):
         return np.linalg.solve(H, b)
@@ -224,7 +214,7 @@ def symmetric_eigen(A):
     magnitude is above 1e-12 is positive, making ground-truth comparisons
     deterministic.
     """
-    A = _as_square_symmetric(A)
+    A = _symmetric(A)[0]
     try:
         lam, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:

@@ -36,6 +36,22 @@ class _Record:
     assigned or deleted. The repr lists the fields. Equality and hash are
     by identity, unless the class derives from `_Value`."""
     _fields = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kw):
+        """Binds each field, given in order or by keyword or else taken from
+        `_defaults`, into the instance dict in `_fields` order; a checking
+        `__init__` ends in this one, through super()."""
+        fields = self._fields
+        if kw or len(args) != len(fields):  # else every field, in order
+            values = {**self._defaults, **dict(zip(fields, args)), **kw}
+            if (len(args) > len(fields) or len(values) != len(fields)
+                    or not set(kw) <= set(fields[len(args):])):
+                raise TypeError("%s(%s) cannot bind %d positional and %s" % (
+                    type(self).__qualname__, ", ".join(fields), len(args),
+                    "keywords %s" % sorted(kw) if kw else "no keywords"))
+            args = [values[f] for f in fields]
+        self.__dict__.update(zip(fields, args))
 
     def __setattr__(self, name, value=None):
         raise AttributeError("cannot assign to or delete field %r" % name)
@@ -89,7 +105,7 @@ class ManifoldDescriptor(_Value):
             raise ValueError("need 1 <= p <= n, got n=%d p=%d" % (n, p))
         if not self.takes_p and p != 1:
             raise ValueError("%s takes no p parameter" % self.name)
-        self.__dict__.update(n=n, p=p)
+        super().__init__(n, p)
 
     @property
     def kind(self) -> str:
@@ -399,7 +415,7 @@ class Point(_Record):
             raise ValueError("ambient length %r, expected %d"
                              % (x.shape, manifold.ambient_dim))
         manifold.check_feasible(x[None])
-        self.__dict__.update(manifold=manifold, ambient=x)
+        super().__init__(manifold, x)
 
     def as_matrix(self) -> np.ndarray:
         return self.ambient.reshape(self.manifold.n, self.manifold.p, order="F")
@@ -420,7 +436,7 @@ class TangentVector(_Record):
         if v.shape != (m.ambient_dim,):
             raise ValueError("ambient length %r, expected %d" % (v.shape, m.ambient_dim))
         m.check_tangent(base.ambient, v[None])
-        self.__dict__.update(base=base, ambient=v)
+        super().__init__(base, v)
 
     @property
     def norm(self) -> float:
@@ -445,7 +461,7 @@ class TangentBasis(_Record):
                              % (B.shape, (m.ambient_dim, m.intrinsic_dim)))
         if _orthonormality_residual(B) > FEAS_TOL:
             raise ValueError("basis columns not orthonormal")
-        self.__dict__.update(base=base, columns=B)
+        super().__init__(base, B)
         return self
 
 

@@ -10,16 +10,13 @@ every iteration; convergence is declared on step norm, not gradient norm.
 
 from math import isfinite
 
-import numpy as np
-
 from .costs import value
 from .errors import (ChartDomainViolation, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
                      ProjectionUndefined, SingularHessian)
 from .linalg import all_finite, condition_estimate, norm, solve_finite
-from .linalg import symmetric_solve  # noqa: F401 (newton.symmetric_solve)
-from .manifolds import (Point, TangentBasis, TangentVector, _Record, _Value,
-                        distance, tangent_basis)
+from .manifolds import (Point, TangentVector, _Record, _Value, distance,
+                        tangent_basis)
 from .parametrizations import ParametrizationPair, apply_psi, pair_label
 from .rng import SplitMix64
 
@@ -30,11 +27,6 @@ class Jet2(_Record):
     solve checks the Hessian's symmetry (linalg's contract)."""
     _fields = ("basis", "value", "gradient", "hessian")
 
-    def __init__(self, basis: TangentBasis, value: float,
-                 gradient: np.ndarray, hessian: np.ndarray):
-        self.__dict__.update(basis=basis, value=value, gradient=gradient,
-                             hessian=hessian)
-
 
 class StepResult(_Record):
     """A step from a point; `base_value` is the cost there and `hessian` the
@@ -43,11 +35,6 @@ class StepResult(_Record):
     `hessian_condition` (condition_estimate of `hessian`) is computed when
     read."""
     _fields = ("next", "step_norm", "hessian", "pair_used", "base_value")
-
-    def __init__(self, next: Point, step_norm: float, hessian: np.ndarray,
-                 pair_used: ParametrizationPair, base_value: float):
-        self.__dict__.update(next=next, step_norm=step_norm, hessian=hessian,
-                             pair_used=pair_used, base_value=base_value)
 
     @property
     def hessian_condition(self) -> float:
@@ -66,9 +53,8 @@ class IterationTrace(_Record):
         if not (len(step_norms) == k and len(pairs_used) == k
                 and len(cost_values) == k + 1):
             raise ValueError("trace lengths inconsistent")
-        self.__dict__.update(points=points, step_norms=step_norms,
-                             cost_values=cost_values, termination=termination,
-                             pairs_used=pairs_used)
+        super().__init__(points, step_norms, cost_values, termination,
+                         pairs_used)
 
 
 # --- selector policies -----------------------------------------------------
@@ -88,9 +74,6 @@ class Fixed(_Value):
     name = "fixed"
     _fields = ("pair",)
 
-    def __init__(self, pair: ParametrizationPair):
-        self.__dict__["pair"] = pair
-
     def chooser(self):
         return lambda k, points: self.pair
 
@@ -100,7 +83,7 @@ class RoundRobin(_Value):
     _fields = ("pairs",)
 
     def __init__(self, pairs: tuple):
-        self.__dict__["pairs"] = _own_pairs(pairs)
+        super().__init__(_own_pairs(pairs))
 
     def chooser(self):
         return lambda k, points: self.pairs[k % len(self.pairs)]
@@ -111,7 +94,7 @@ class Random(_Value):
     _fields = ("pairs", "seed")
 
     def __init__(self, pairs: tuple, seed: int):
-        self.__dict__.update(pairs=_own_pairs(pairs), seed=seed)
+        super().__init__(_own_pairs(pairs), seed)
 
     def chooser(self):
         rng = SplitMix64(self.seed)
@@ -135,7 +118,7 @@ class PathDependent(_Value):
         pairs = _own_pairs(pairs)
         if rule not in self.rules:
             raise ValueError("unknown path rule %r" % (rule,))
-        self.__dict__.update(rule=rule, pairs=pairs)
+        super().__init__(rule, pairs)
 
     def chooser(self):
         pairs = self.pairs
@@ -179,7 +162,7 @@ def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
     H = 0.5 * (H + H.T)
     if not (all_finite(H) and all_finite(grad)):
         raise NotTwiceDifferentiable("non-finite pulled-back jet")
-    return Jet2(basis=B, value=c.value(p), gradient=grad, hessian=H)
+    return Jet2(B, c.value(p), grad, H)
 
 
 def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResult:
@@ -193,8 +176,7 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
         nxt = apply_psi(pair, w)
     finally:
         vars(p).pop("_lent_columns", None)
-    return StepResult(next=nxt, step_norm=norm(s), hessian=j.hessian,
-                      pair_used=pair, base_value=j.value)
+    return StepResult(nxt, norm(s), j.hessian, pair, j.value)
 
 
 def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> IterationTrace:

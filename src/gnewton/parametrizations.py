@@ -7,8 +7,8 @@ D phi_p(0) = I; the audit measures how well those and the quadratic
 remainder bound ||psi_p(y) - p - y|| <= beta ||y||^2 hold on samples.
 
 A kind is one class that owns its maths: its `name`, the manifold classes
-it lives on (`manifolds`), its map away from the origin (`_map`, on a stack
-of displacements) and the tangential part of its second-order term, if it
+it lives on (`manifolds`), its map away from the origin (`_map`, of one
+displacement) and the tangential part of its second-order term, if it
 has one.
 """
 
@@ -36,15 +36,13 @@ PROJECTION_GUARD = 0.1
 
 class _Kind(_LivesOn):
     """Base of every kind: `apply` checks the manifold, anchors
-    phi_p(0) = p exactly and otherwise calls the kind's map on one row.
+    phi_p(0) = p exactly and otherwise calls the kind's map.
 
-    `_map(p, V)` maps a (k, N) stack of nonzero tangent displacements at p
-    and returns the k mapped ambient rows, unchecked: the caller checks
-    each row once, and a kind that composes another calls its `_map`,
-    never its `apply`. Row i holds the bits a one-row call on V[i] gives.
-    A kind vectorises only arithmetic that works elementwise and loops
-    over the rows where a stacked call (a matrix product, say) could round
-    differently; `_map_each(P, V)` maps V[i] at P[i], one `_map` per point.
+    `_map(p, v)` maps one nonzero tangent displacement v at p and returns
+    the mapped ambient row, unchecked: the caller checks it once, and a
+    kind that composes another calls its map, never its `apply`.
+    `_map_each(P, V)` maps each row of V[i] at P[i], one `_map` per row,
+    unless the kind is elementwise in its base (`_Elementwise`).
     A kind whose `_map` reads `p.tangent_columns` sets `reads_basis`, so
     the audit lends it the basis it completed for the sample's direction.
 
@@ -62,10 +60,11 @@ class _Kind(_LivesOn):
         self.check_on(p.manifold)
         if norm(v.ambient) == 0.0:
             return p
-        return Point(p.manifold, self._map(p, v.ambient[None])[0])
+        return Point(p.manifold, self._map(p, v.ambient))
 
     def _map_each(self, P: list, V: np.ndarray) -> np.ndarray:
-        return np.array([self._map(p, v) for p, v in zip(P, V)])
+        return np.array([[self._map(p, v) for v in Vp]
+                         for p, Vp in zip(P, V)])
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         return p.manifold.second_fundamental_form(p, v)
@@ -76,10 +75,12 @@ class _Kind(_LivesOn):
 
 class _Elementwise(_Kind):
     """A kind elementwise in its base: `_at(m, X, V)` maps each row of V at
-    the row of X alongside, or at X itself where X is one row."""
+    the row of X alongside, or at X itself where X is one row, with the
+    bits of a one-row call: only elementwise arithmetic, or a call that
+    treats each matrix of a stack alone, so all points share one call."""
 
-    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
-        return self._at(p.manifold, p.ambient, V)
+    def _map(self, p: Point, v: np.ndarray) -> np.ndarray:
+        return self._at(p.manifold, p.ambient, v[None])[0]
 
     def _map_each(self, P: list, V: np.ndarray) -> np.ndarray:
         X = np.repeat([p.ambient for p in P], V.shape[1], axis=0)
@@ -181,19 +182,16 @@ class Custom1D(_Value, _LineTerms):
         coeffs = tuple(float(c) for c in coeffs)
         if not all(isfinite(c) for c in coeffs):
             raise ValueError("coeffs must be finite")
-        self.__dict__["coeffs"] = coeffs
+        super().__init__(coeffs)
 
-    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
-        out = np.empty_like(V)
-        for row, v in zip(out, V):
-            t = v[0]
-            result = p.ambient[0] + t
-            tp = t
-            for c in self.coeffs:
-                result += c * tp
-                tp = tp * t
-            row[0] = result
-        return out
+    def _map(self, p: Point, v: np.ndarray) -> np.ndarray:
+        t = v[0]
+        result = p.ambient[0] + t
+        tp = t
+        for c in self.coeffs:
+            result += c * tp
+            tp = tp * t
+        return np.array([result])
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         c2 = self.coeffs[1] if len(self.coeffs) >= 2 else 0.0
@@ -209,15 +207,13 @@ class ExampleBeta(_Value, _LineTerms):
     def __init__(self, beta: float):
         if not isfinite(beta):
             raise ValueError("beta must be finite")
-        self.__dict__["beta"] = beta
+        super().__init__(beta)
 
-    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
+    def _map(self, p: Point, v: np.ndarray) -> np.ndarray:
         x = p.ambient[0]
-        out = np.empty_like(V)
-        for row, v in zip(out, V):
-            t = v[0]
-            row[0] = x + t if x == 0.0 else x + t + (self.beta / x) * t * t
-        return out
+        t = v[0]
+        return np.array([x + t if x == 0.0
+                         else x + t + (self.beta / x) * t * t])
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         x = p.ambient[0]
@@ -239,24 +235,19 @@ class Recentred(_Value, _Kind):
     def __init__(self, base, rotation_seed: int = 0):
         if not isinstance(base, (Projection, SphereGeodesic)):
             raise ValueError("recentred base must be projection or geodesic")
-        self.__dict__.update(base=base, rotation_seed=rotation_seed)
+        super().__init__(base, rotation_seed)
 
-    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
-        """One rotation for the stack; each row goes through the base's
-        `_map` at e1, and its products with g are taken row by row. A row
-        that rotates to zero keeps apply's anchor and maps to e1."""
+    def _map(self, p: Point, v: np.ndarray) -> np.ndarray:
+        """g^T v through the elementwise base's `_at` at e1, and back by g;
+        a v that rotates to zero keeps apply's anchor and maps to e1."""
         m = p.manifold
         g = recentring_rotation(self, p)
         x = np.zeros(m.n)
         x[0] = 1.0
-        e1 = Point(m, x)
-        out = np.empty_like(V)
-        for row, v in zip(out, V):
-            w = g.T @ v
-            w[0] = 0.0  # exact tangency at e1; rotation rounding leaks in
-            y = x if norm(w) == 0.0 else self.base._map(e1, w[None])[0]
-            row[:] = g @ y
-        return out
+        w = g.T @ v
+        w[0] = 0.0  # exact tangency at e1; rotation rounding leaks in
+        y = x if norm(w) == 0.0 else self.base._at(m, x, w[None])[0]
+        return g @ y
 
 
 class Stereographic(_Kind):
@@ -282,7 +273,7 @@ class Stereographic(_Kind):
         if q.ndim != 1 or abs(norm(q) - 1.0) > 1e-10:
             raise ValueError("pole must be a unit vector")
         q.setflags(write=False)
-        self.__dict__["pole"] = q
+        super().__init__(q)
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
         return super().valid_on(m) and m.n == self.pole.size
@@ -298,13 +289,10 @@ class Stereographic(_Kind):
         y = (x - (x @ q) * q) / d
         return y, (np.eye(q.size) + np.outer(y - q, q)) / d
 
-    def _map(self, p: Point, V: np.ndarray) -> np.ndarray:
+    def _map(self, p: Point, v: np.ndarray) -> np.ndarray:
         y, D = self._chart(p)
-        out = np.empty_like(V)
-        for row, v in zip(out, V):
-            z = y + D @ v
-            row[:] = self.pole + 2.0 * (z - self.pole) / (1.0 + z @ z)
-        return out
+        z = y + D @ v
+        return self.pole + 2.0 * (z - self.pole) / (1.0 + z @ z)
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         y, D = self._chart(p)
@@ -332,9 +320,6 @@ class Stereographic(_Kind):
 
 class ParametrizationPair(_Value):
     _fields = ("phi", "psi")
-
-    def __init__(self, phi, psi):
-        self.__dict__.update(phi=phi, psi=psi)
 
 
 def pair_label(pair: ParametrizationPair) -> str:
@@ -383,15 +368,7 @@ class AuditReport(_Value):
     from the others."""
     _fields = ("alpha_hat", "beta_hat", "fitted_slope", "identity_residual",
                "dphi_residual", "pass_flags", "samples_dropped", "radii")
-
-    def __init__(self, alpha_hat: float, beta_hat: float, fitted_slope: float,
-                 identity_residual: float, dphi_residual: float,
-                 pass_flags: dict, samples_dropped: int = 0, radii: tuple = ()):
-        self.__dict__.update(
-            alpha_hat=alpha_hat, beta_hat=beta_hat, fitted_slope=fitted_slope,
-            identity_residual=identity_residual, dphi_residual=dphi_residual,
-            pass_flags=pass_flags, samples_dropped=samples_dropped,
-            radii=radii)
+    _defaults = {"samples_dropped": 0, "radii": ()}
 
     def _key(self) -> dict:
         return {f: v for f, v in self.__dict__.items() if f != "pass_flags"}
@@ -441,11 +418,11 @@ def _sweep(pair: ParametrizationPair, m: ManifoldDescriptor, P: list,
         for p, Yp, Vp in zip(P, Y[:, 2:], V[:, 2:]):
             for y, v in zip(Yp, Vp):
                 try:
-                    q = psi._map(p, v[None])
+                    q = psi._map(p, v)
                 except OutsideValidityRadius:
                     continue
-                m.check_feasible(q)
-                y[:] = q[0]
+                m.check_feasible(q[None])
+                y[:] = q
     else:
         m.check_feasible(Y.reshape(-1, N))
     fd = (Y[:, 0] - Y[:, 1]) / (2.0 * steps[1])
@@ -514,8 +491,5 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
         "dphi": dphi_residual <= 1e-6,
         "slope": fitted_slope >= 1.9,
     }
-    return AuditReport(alpha_hat=alpha_hat, beta_hat=beta_hat,
-                       fitted_slope=fitted_slope,
-                       identity_residual=identity_residual,
-                       dphi_residual=dphi_residual, pass_flags=flags,
-                       samples_dropped=dropped, radii=radii)
+    return AuditReport(alpha_hat, beta_hat, fitted_slope, identity_residual,
+                       dphi_residual, flags, dropped, radii)

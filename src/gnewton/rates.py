@@ -23,11 +23,6 @@ class RateEstimate(_Value):
     `n_points`: the number of consecutive pairs in the fit."""
     _fields = ("K", "kappa", "window", "fit_residual", "n_points")
 
-    def __init__(self, K: float, kappa: float, window: tuple,
-                 fit_residual: float, n_points: int):
-        self.__dict__.update(K=K, kappa=kappa, window=window,
-                             fit_residual=fit_residual, n_points=n_points)
-
 
 def log_log_fit(xs, ys):
     """Least-squares line ys = slope xs + intercept, for logs of a power

@@ -9,7 +9,7 @@ import pytest
 
 from gnewton.cli import main
 from gnewton.cli import _parse_truth_spec, _read_trace_csv, _truth_spec_string
-from gnewton.config import build_experiment
+from gnewton.config import build_audit_setup, build_experiment
 from gnewton.errors import ConfigError
 from gnewton.manifolds import (Sphere, Stiefel, euclidean, grassmann,
                                random_point, sphere, stiefel)
@@ -508,6 +508,62 @@ def test_non_finite_config_scalar_is_a_config_error(tmp_path, capsys, cfg, msg):
     assert code == 4
     assert msg in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+BIG = 10 ** 400  # a JSON integer beyond float range
+EUCLID_RUN = dict(SPHERE_RUN, manifold={"kind": "euclidean", "n": 3},
+                  cost={"kind": "quadratic", "A": "diag:1,2,3"},
+                  x0=[1.0, 1.0, 1.0])
+
+
+def _line_pair(phi):
+    return dict(LINE_RUN, pairs=[{"phi": phi, "psi": PROJ_PAIR}])
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("run", _line_pair({"kind": "custom1d", "coeffs": ["0.0", True]}),
+     "pairs[0].phi.coeffs"),
+    ("run", _line_pair({"kind": "custom1d", "coeffs": [None]}),
+     "pairs[0].phi.coeffs"),
+    ("run", _line_pair({"kind": "custom1d", "coeffs": [[1]]}),
+     "pairs[0].phi.coeffs"),
+    ("run", dict(EUCLID_RUN, cost={"kind": "quadratic", "A": "diag:1,2,3",
+                                   "b": [True, "0", 0]}), "cost.b"),
+    ("run", dict(SPHERE_RUN, cost={"kind": "quadratic", "A": [
+        [1, 0, 0, 0, 0, 0], [0, True, 0, 0, 0, 0], [0, 0, 3, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0], [0, 0, 0, 0, 5, 0], [0, 0, 0, 0, 0, 6]]}),
+     "cost.A"),
+    ("run", dict(SPHERE_RUN, manifold={"kind": "stiefel", "n": 3, "p": 2},
+                 cost={"kind": "brockett", "A": "diag:1,2,3",
+                       "N": [["1", 0], [0, 2]]}, x0="random:1"), "cost.N"),
+    ("run", dict(EUCLID_RUN, x0=[True, 0, 0]), "x0"),
+    ("run", dict(LINE_RUN, cost={"kind": "shifted_cubic", "z": BIG}),
+     "cost.z"),
+    ("run", _line_pair({"kind": "example_beta", "beta": BIG}),
+     "pairs[0].phi.beta"),
+    ("run", dict(SPHERE_RUN, tol=BIG), "tol"),
+    ("run", dict(SPHERE_RUN, rate_floor=BIG), "rate_floor"),
+    ("run", dict(SPHERE_RUN, rate_ceil=BIG), "rate_ceil"),
+    ("run", dict(EUCLID_RUN, x0=[BIG, 0, 0]), "x0"),
+    ("audit", dict(SPHERE_RUN, audit={"radii": [BIG, 0.1]}), "audit.radii"),
+], ids=["coeffs-str-bool", "coeffs-null", "coeffs-nested", "b-bool-str",
+        "a-bool", "n-str", "x0-bool", "z-big", "beta-big", "tol-big",
+        "floor-big", "ceil-big", "x0-big", "radii-big"])
+def test_config_numbers_follow_one_rule(tmp_path, capsys, command, cfg, key):
+    """a config number is an int or float, not a bool, within float range,
+    as a scalar and as a list entry: anything else is a ConfigError that
+    starts with the key and exit 4, not a run, a bool read as 1 or a
+    TypeError or OverflowError traceback"""
+    build = build_experiment if command == "run" else build_audit_setup
+    with pytest.raises(ConfigError) as raised:
+        build(json.loads(json.dumps(cfg)))
+    assert str(raised.value).startswith(key + ": ")
+    out = tmp_path / "r"
+    assert main([command, _write(tmp_path, "cfg.json", cfg),
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert str(raised.value) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_infinite_tol_is_a_config_error(tmp_path, capsys):

@@ -230,10 +230,14 @@ def test_polar_closest_orthonormal():
         except RankDeficient:
             continue  # vanishingly rare for Gaussian draws; not the property under test
         dU = np.linalg.norm(M - U)
-        for _ in range(100):
-            Q = polar_factor(rng.gaussians(n * p).reshape(n, p)
-                             + 0.1 * np.eye(n)[:, :p])
-            assert dU <= np.linalg.norm(M - Q) + 1e-12
+        # one draw for the 100 Q: n p is even, so these are the gaussians
+        # of 100 draws of n p each; their orthonormal factors W V^T
+        W, _, Vt = np.linalg.svd(rng.gaussians(100 * n * p).reshape(100, n, p)
+                                 + 0.1 * np.eye(n)[:, :p], full_matrices=False)
+        Q = W @ Vt
+        assert np.all(np.linalg.norm(Q.transpose(0, 2, 1) @ Q - np.eye(p),
+                                     axis=(1, 2)) <= 1e-12)
+        assert np.all(dU <= np.linalg.norm(M - Q, axis=(1, 2)) + 1e-12)
 
 
 # --- symmetric_eigen ------------------------------------------------------------
@@ -346,16 +350,16 @@ def test_symmetric_contract_rejects_non_finite():
 
 
 def test_symmetric_contract_messages():
-    from gnewton.linalg import _as_square_symmetric
+    from gnewton.linalg import _symmetric
     with pytest.raises(ValueError, match="^matrix must be square$"):
         symmetric_solve(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError, match="^matrix must be symmetric$"):
         symmetric_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
     with pytest.raises(ValueError, match="^A must be square$"):
-        _as_square_symmetric(np.ones(3), "A")
+        _symmetric(np.ones(3), "A")
     # within SYM_RTOL relative passes, and the array comes back as given
     A = np.array([[1.0, 1e-12], [0.0, 1.0]])
-    assert _as_square_symmetric(A) is A
+    assert _symmetric(A)[0] is A
 
 
 @pytest.mark.parametrize("H, broken", [

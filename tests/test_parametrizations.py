@@ -175,7 +175,7 @@ def test_recentred_row_rotating_to_zero_maps_to_p():
         q = kind.apply(TangentVector(p, 1e-11 * p.ambient))
         assert q.ambient.tobytes() == p.ambient.tobytes()
     with np.errstate(invalid="ignore"):
-        assert np.isnan(SphereGeodesic()._map(p, np.zeros((1, 5)))).all()
+        assert np.isnan(SphereGeodesic()._map(p, np.zeros(5))).all()
 
 
 def test_stereographic_refuses_a_non_finite_pole():
@@ -367,7 +367,7 @@ def _stack(p, rng, k=5):
 
 
 def test_stacked_map_is_bitwise_the_row_map():
-    """every kind on every manifold it lives on: _map on a 5-row stack
+    """every kind on every manifold it lives on: _map_each on a 5-row stack
     gives, row for row, the bytes of _map on that row alone and of apply"""
     rng = SplitMix64(90)
     for kind, m in _cases() + [(Projection(), euclidean(1)),
@@ -376,10 +376,10 @@ def test_stacked_map_is_bitwise_the_row_map():
         for seed in range(4):
             p = random_point(m, seed + 1)
             V = _stack(p, rng)
-            Y = kind._map(p, V)
+            Y = kind._map_each([p], V[None])[0]
             assert Y.shape == V.shape
             for v, y in zip(V, Y):
-                assert kind._map(p, v[None])[0].tobytes() == y.tobytes(), \
+                assert kind._map(p, v).tobytes() == y.tobytes(), \
                     (kind.name, m.kind, seed)
                 q = apply_phi(_pair(kind), TangentVector(p, v))
                 assert q.ambient.tobytes() == y.tobytes()
@@ -405,12 +405,11 @@ class _GuardedLine(_Kind):
     name = "guarded_line"
     limit: float = 0.05
 
-    def _map(self, p, V):
-        over = np.abs(V[:, 0]) > self.limit
-        if np.any(over):
+    def _map(self, p, v):
+        if abs(v[0]) > self.limit:
             raise OutsideValidityRadius("step %r over %g"
-                                        % (float(V[over, 0][0]), self.limit))
-        return p.ambient + V + V * V
+                                        % (float(v[0]), self.limit))
+        return p.ambient + v + v * v
 
 
 def test_audit_drops_exactly_the_guarded_radius():
@@ -484,10 +483,9 @@ class _Drifting(_Kind):
     """Projection whose rows of norm over 0.05 drift off the sphere."""
     name = "drifting"
 
-    def _map(self, p, V):
-        Y = Projection()._map(p, V)
-        Y[np.linalg.norm(V, axis=1) > 0.05] *= 1.001
-        return Y
+    def _map(self, p, v):
+        y = Projection()._map(p, v)
+        return 1.001 * y if np.linalg.norm(v) > 0.05 else y
 
 
 def test_audit_raises_the_point_error_of_a_bad_row():
@@ -500,7 +498,7 @@ def test_audit_raises_the_point_error_of_a_bad_row():
     p = m.sample_point(rng)
     d = random_unit_tangent(p, rng)
     with pytest.raises(InfeasiblePoint) as alone:
-        Point(m, _Drifting()._map(p, 0.1 * d[None])[0])
+        Point(m, _Drifting()._map(p, 0.1 * d))
     assert str(raised.value) == str(alone.value)
 
 

@@ -1,7 +1,9 @@
 """The record contract: every record is frozen; value records compare and
 hash on their class and fields, identity records on identity alone."""
 
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from gnewton.costs import (AbsPower, BrockettTrace, GrassmannTrace, Quadratic,
                            ShiftedCubic)
 from gnewton.manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
                                Sphere, Stiefel, TangentBasis, TangentVector,
-                               tangent_basis)
+                               _Record, tangent_basis)
 from gnewton.newton import (Fixed, IterationTrace, Jet2, PathDependent,
                             Random, RoundRobin, StepResult,
                             generalized_newton_step, pullback_jet,
@@ -180,6 +182,51 @@ def test_keyword_and_default_constructors():
     q = Quadratic(A=np.eye(2))
     assert np.array_equal(q.b, np.zeros(2)) and not q.b.flags.writeable
     assert PathDependent(rule="distance-keyed", pairs=[PP]).pairs == (PP,)
+
+
+def _required(cls) -> list:
+    """The fields that a constructor of cls cannot leave out: all but those
+    with a default in `_defaults` or in the signature of its own
+    `__init__`."""
+    params = inspect.signature(cls).parameters
+    return [f for f in cls._fields if f not in cls._defaults
+            and (f not in params or params[f].default is params[f].empty)]
+
+
+def test_every_record_binds_its_fields_in_one_place():
+    """each record's dict holds its fields in `_fields` order; a missing,
+    unknown, repeated or surplus argument is a TypeError, which the binder
+    words with the class and its fields"""
+    makers = [(cls, make) for cls, make, _ in VALUES] + _identities()
+    for cls, make in makers:
+        x = make()
+        assert list(vars(x)) == list(cls._fields), cls
+        fields = cls._fields
+        args = [getattr(x, f) for f in fields]
+        bad = [lambda: cls(*args, None),
+               lambda: cls(*args, no_such_field=None)]
+        if fields:
+            bad.append(lambda: cls(*args, **{fields[0]: args[0]}))
+        for f in _required(cls):
+            bad.append(lambda f=f: cls(**{g: v for g, v in zip(fields, args)
+                                          if g != f}))
+        words = "^%s\\(%s\\) cannot bind " % (cls.__qualname__,
+                                                ", ".join(fields))
+        for call in bad:
+            with pytest.raises(TypeError) as raised:
+                call()
+            if cls.__init__ is _Record.__init__:
+                assert re.match(words, str(raised.value)), raised.value
+    fields = AuditReport._fields
+    x = _audit()
+    a = AuditReport(*[getattr(x, f) for f in fields[:6]])
+    assert (a.samples_dropped, a.radii) == (0, ())
+    assert list(vars(a)) == list(fields)
+    with pytest.raises(TypeError, match=r"0 positional and "
+                       r"keywords \['alpha_hat', 'beta_hat', 'dphi_residual', "
+                       r"'identity_residual'\]$"):
+        AuditReport(alpha_hat=0.0, beta_hat=0.0, identity_residual=0.0,
+                    dphi_residual=0.0)
 
 
 def test_import_builds_no_dataclass_but_experiment():
