@@ -45,7 +45,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over 4300 digits
         raise ConfigError("config is not valid JSON: %s" % exc) from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be an object")

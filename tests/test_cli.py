@@ -566,6 +566,20 @@ def test_config_numbers_follow_one_rule(tmp_path, capsys, command, cfg, key):
     assert not out.exists()
 
 
+def test_integer_over_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    """json refuses a 5,000-digit integer with a ValueError that is no
+    JSONDecodeError: exit 4 from run and audit, not a traceback"""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SPHERE_RUN).replace(
+        '"max_iter": 15', '"max_iter": 1' + "0" * 4999))
+    for command in ("run", "audit"):
+        out = tmp_path / command
+        assert main([command, str(path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "config is not valid JSON: " in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_infinite_tol_is_a_config_error(tmp_path, capsys):
     """JSON 1e999 reads as inf: refused with exit 4 and a message that names
     tol, not run to a one-step Converged with "tol": null"""
