@@ -452,17 +452,23 @@ class TangentBasis(_Record):
     _fields = ("base", "columns")
 
     def __init__(self, base: Point, columns):
-        self._bind(base, _freeze(columns))
+        self._bind(base, _checked_basis(base.manifold, _freeze(columns)))
 
     def _bind(self, base: Point, B: np.ndarray) -> "TangentBasis":
-        m = base.manifold
-        if B.shape != (m.ambient_dim, m.intrinsic_dim):
-            raise ValueError("basis shape %r, expected %r"
-                             % (B.shape, (m.ambient_dim, m.intrinsic_dim)))
-        if _orthonormality_residual(B) > FEAS_TOL:
-            raise ValueError("basis columns not orthonormal")
+        """Binds columns B that `_checked_basis` has passed, uncopied."""
         super().__init__(base, B)
         return self
+
+
+def _checked_basis(m: ManifoldDescriptor, B: np.ndarray) -> np.ndarray:
+    """B, checked to be m's ambient_dim x intrinsic_dim with orthonormal
+    columns: the one rule of every basis."""
+    if B.shape != (m.ambient_dim, m.intrinsic_dim):
+        raise ValueError("basis shape %r, expected %r"
+                         % (B.shape, (m.ambient_dim, m.intrinsic_dim)))
+    if _orthonormality_residual(B) > FEAS_TOL:
+        raise ValueError("basis columns not orthonormal")
+    return B
 
 
 def _complete_orthonormal(K: np.ndarray) -> np.ndarray:
@@ -545,10 +551,16 @@ def _identity(m: int) -> np.ndarray:
 
 def tangent_basis(p: Point) -> TangentBasis:
     """Deterministic orthonormal basis of the tangent (Grassmann: horizontal)
-    space at p: the new `tangent_columns`, frozen in place, not copied."""
+    space at p: `_basis_columns`, not copied."""
+    return TangentBasis.__new__(TangentBasis)._bind(p, _basis_columns(p))
+
+
+def _basis_columns(p: Point) -> np.ndarray:
+    """The columns of `tangent_basis(p)`: the new `tangent_columns`, frozen
+    in place and checked once."""
     B = p.manifold.tangent_columns(p)
     B.setflags(write=False)
-    return TangentBasis.__new__(TangentBasis)._bind(p, B)
+    return _checked_basis(p.manifold, B)
 
 
 def random_unit_tangent(p: Point, rng: SplitMix64) -> np.ndarray:

@@ -15,9 +15,9 @@ from .errors import (ChartDomainViolation, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
                      ProjectionUndefined, SingularHessian)
 from .linalg import all_finite, condition_estimate, norm, solve_finite
-from .manifolds import (Point, TangentVector, _Record, _Value, distance,
+from .manifolds import (Point, _basis_columns, _Record, _Value, distance,
                         tangent_basis)
-from .parametrizations import ParametrizationPair, apply_psi, pair_label
+from .parametrizations import ParametrizationPair, pair_label
 from .rng import SplitMix64
 
 
@@ -29,7 +29,9 @@ class Jet2(_Record):
 
 
 class StepResult(_Record):
-    """A step from a point; `base_value` is the cost there and `hessian` the
+    """A step from a point, as `generalized_newton_step` returns it: the
+    record of the array step `_array_step`, which `run_iteration` takes
+    without it. `base_value` is the cost there and `hessian` the
     pulled-back Hessian the step solved with, both from its jet. The step
     takes no eigenvalues when its solve's Cholesky certificate holds, so
     `hessian_condition` (condition_estimate of `hessian`) is computed when
@@ -144,7 +146,8 @@ class PathDependent(_Value):
 # --- steps ------------------------------------------------------------------
 
 def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
-    """2-jet of the cost pulled back through phi at the tangent origin.
+    """2-jet of the cost pulled back through phi at the tangent origin: the
+    record of `_jet` over the basis of p.
 
     The gradient needs no correction (D phi_p(0) = I); the Hessian is
     B^T (ambient Hessian) B plus phi's curvature term
@@ -152,31 +155,49 @@ def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
     closed form. A jet that overflows is no usable second derivative.
     The cost is checked against the manifold once.
     """
-    B = tangent_basis(p)
-    c.check_on(p.manifold)
-    cols = B.columns
+    basis = tangent_basis(p)
+    return Jet2(basis, *_jet(c, pair.phi, p, basis.columns))
+
+
+def _jet(c, phi, p: Point, B):
+    """The jet of `pullback_jet` over the basis columns B at p, on arrays.
+    -> (value, gradient, Hessian)"""
+    m = p.manifold
+    c.check_on(m)
     g_amb = c.grad(p)
-    grad = cols.T @ g_amb
-    H = cols.T @ c.hess_vec(p, cols)
-    H = H + pair.phi.check_on(p.manifold).curvature(p, cols, g_amb)
+    grad = B.T @ g_amb
+    H = B.T @ c.hess_vec(p, B)
+    H = H + phi.check_on(m).curvature(p, B, g_amb)
     H = 0.5 * (H + H.T)
     if not (all_finite(H) and all_finite(grad)):
         raise NotTwiceDifferentiable("non-finite pulled-back jet")
-    return Jet2(B, c.value(p), grad, H)
+    return c.value(p), grad, H
 
 
 def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResult:
-    """One step of E_f = psi_p . N_{f o phi_p} at p; psi reads the jet's
-    tangent columns, lent to p only while it maps the increment."""
-    j = pullback_jet(c, pair, p)
-    s = -solve_finite(j.hessian, j.gradient)
-    w = TangentVector(p, j.basis.columns @ s)
-    vars(p)["_lent_columns"] = j.basis.columns
+    """One step of E_f = psi_p . N_{f o phi_p} at p: the record of the
+    array step `_array_step`, which `run_iteration` calls directly."""
+    nxt, step_norm, H, f = _array_step(c, pair, p)
+    return StepResult(nxt, step_norm, H, pair, f)
+
+
+def _array_step(c, pair: ParametrizationPair, p: Point):
+    """The step on arrays: the jet over p's checked basis, the solve, the
+    increment w = B s checked tangent as a TangentVector is, and psi's
+    map of w (p itself for a zero w), which reads the basis columns lent
+    to p only while it maps. It builds no record but the next Point.
+    -> (next point, |s|, Hessian, f(p))"""
+    B = _basis_columns(p)
+    f, grad, H = _jet(c, pair.phi, p, B)
+    s = -solve_finite(H, grad)
+    w = B @ s
+    p.manifold.check_tangent(p.ambient, w[None])
+    vars(p)["_lent_columns"] = B
     try:
-        nxt = apply_psi(pair, w)
+        nxt = pair.psi._apply(p, w)
     finally:
         vars(p).pop("_lent_columns", None)
-    return StepResult(nxt, norm(s), j.hessian, pair, j.value)
+    return nxt, norm(s), H, f
 
 
 def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> IterationTrace:
@@ -204,7 +225,7 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
     for k in range(max_iter):
         pair = choose(k, points)
         try:
-            res = generalized_newton_step(c, pair, points[-1])
+            nxt, step_norm, _, f = _array_step(c, pair, points[-1])
         except SingularHessian:
             termination = "SingularHessian"
             break
@@ -217,11 +238,11 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
             # other error is a bug and propagates.
             termination = "LeftValidityRegion"
             break
-        cost_values.append(res.base_value)
-        points.append(res.next)
-        step_norms.append(res.step_norm)
+        cost_values.append(f)
+        points.append(nxt)
+        step_norms.append(step_norm)
         pairs_used.append(pair_label(pair))
-        if res.step_norm <= tol:
+        if step_norm <= tol:
             termination = "Converged"
             break
     cost_values.append(value(c, points[-1]))

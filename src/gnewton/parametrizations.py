@@ -56,11 +56,14 @@ class _Kind(_LivesOn):
     reads_basis = False
 
     def apply(self, v: TangentVector) -> Point:
-        p = v.base
+        return self._apply(v.base, v.ambient)
+
+    def _apply(self, p: Point, v: np.ndarray) -> Point:
+        """`apply` on the ambient row v of a tangent vector at p."""
         self.check_on(p.manifold)
-        if norm(v.ambient) == 0.0:
+        if norm(v) == 0.0:
             return p
-        return Point(p.manifold, self._map(p, v.ambient))
+        return Point(p.manifold, self._map(p, v))
 
     def _map_each(self, P: list, V: np.ndarray) -> np.ndarray:
         return np.array([[self._map(p, v) for v in Vp]
@@ -238,10 +241,19 @@ class Recentred(_Value, _Kind):
         super().__init__(base, rotation_seed)
 
     def _map(self, p: Point, v: np.ndarray) -> np.ndarray:
+        return self._rotated(p.manifold, recentring_rotation(self, p), v)
+
+    def _map_each(self, P: list, V: np.ndarray) -> np.ndarray:
+        """One rotation per point, for all of its rows."""
+        out = []
+        for p, Vp in zip(P, V):
+            g = recentring_rotation(self, p)
+            out.append([self._rotated(p.manifold, g, v) for v in Vp])
+        return np.array(out)
+
+    def _rotated(self, m: Sphere, g: np.ndarray, v: np.ndarray) -> np.ndarray:
         """g^T v through the elementwise base's `_at` at e1, and back by g;
         a v that rotates to zero keeps apply's anchor and maps to e1."""
-        m = p.manifold
-        g = recentring_rotation(self, p)
         x = np.zeros(m.n)
         x[0] = 1.0
         w = g.T @ v

@@ -2,21 +2,24 @@ import numpy as np
 import pytest
 
 import oracles
-from gnewton.costs import (AbsPower, Quadratic, ShiftedCubic, value)
+from gnewton.costs import (AbsPower, BrockettTrace, GrassmannTrace,
+                           Quadratic, ShiftedCubic, value)
 import gnewton.linalg as linalg_mod
 import gnewton.manifolds as manifolds_mod
 import gnewton.newton as newton_mod
 from gnewton.errors import (ChartDomainViolation, InfeasiblePoint,
-                            NotTwiceDifferentiable, SingularHessian)
+                            NotTwiceDifferentiable, OutsideValidityRadius,
+                            ProjectionUndefined, SingularHessian)
 from gnewton.linalg import condition_estimate, symmetric_solve
-from gnewton.manifolds import (Point, distance, euclidean, random_point,
-                               sphere, tangent_basis)
+from gnewton.manifolds import (Point, distance, euclidean, grassmann,
+                               random_point, sphere, stiefel, tangent_basis)
 from gnewton.newton import (Fixed, PathDependent, Random, RoundRobin,
                             generalized_newton_step, pullback_jet,
                             run_iteration)
-from gnewton.parametrizations import (Custom1D, ExampleBeta,
+from gnewton.parametrizations import (QR, Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
-                                      Recentred, SphereGeodesic, Stereographic)
+                                      Recentred, SphereGeodesic, Stereographic,
+                                      pair_label)
 from gnewton.rates import estimate_rate
 from gnewton.rng import SplitMix64
 
@@ -267,7 +270,7 @@ def test_plain_value_error_in_a_step_propagates(monkeypatch):
     ValueError raised inside a step is a bug and is not swallowed"""
     def broken(c, pair, p):
         raise ValueError("operands could not be broadcast together")
-    monkeypatch.setattr(newton_mod, "generalized_newton_step", broken)
+    monkeypatch.setattr(newton_mod, "_array_step", broken)
     c = Quadratic(np.diag([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="broadcast"):
         run_iteration(c, Fixed(PP), random_point(sphere(3), 1), 5, 1e-12)
@@ -276,7 +279,7 @@ def test_plain_value_error_in_a_step_propagates(monkeypatch):
 def test_infeasible_step_is_left_validity(monkeypatch):
     def diverged(c, pair, p):
         raise InfeasiblePoint("non-finite ambient coordinates")
-    monkeypatch.setattr(newton_mod, "generalized_newton_step", diverged)
+    monkeypatch.setattr(newton_mod, "_array_step", diverged)
     c = Quadratic(np.diag([1.0, 2.0, 3.0]))
     tr = run_iteration(c, Fixed(PP), random_point(sphere(3), 1), 5, 1e-12)
     assert tr.termination == "LeftValidityRegion"
@@ -542,6 +545,143 @@ def test_one_step_checks_each_value_once(monkeypatch):
     calls.clear()
     generalized_newton_step(c, PP, q)
     assert len(eig) == 1 and calls.count("all_finite") == 4
+
+
+def _count_package_calls(monkeypatch, calls, name, inner):
+    """Every gnewton module's binding of `inner`, wrapped to append name to
+    calls."""
+    import sys
+
+    def counted(*args):
+        calls.append(name)
+        return inner(*args)
+    for mod in [m for k, m in sys.modules.items() if k.startswith("gnewton.")]:
+        if vars(mod).get(name) is inner:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_run_checks_each_value_once_and_builds_one_record_per_iterate(
+        monkeypatch):
+    """run_iteration takes the array step: a certified sphere(6) projection
+    run makes 4 finite tests and 1 orthonormality check per step, as one
+    generalized_newton_step does, and builds no TangentBasis, Jet2,
+    TangentVector or StepResult, one Point per accepted iterate (none where
+    a zero step returns p itself) and its trace; pullback_jet still checks
+    its basis once"""
+    from gnewton.config import near_truth_start
+    from gnewton.manifolds import _Record
+    c = Quadratic(np.diag(np.arange(1.0, 7.0)))
+    p0 = near_truth_start(sphere(6), c.truth(sphere(6)), 0.1, 0)
+    fixed = Fixed(PP)
+    calls, built = [], []
+    _count_package_calls(monkeypatch, calls, "all_finite",
+                         newton_mod.all_finite)
+    _count_package_calls(monkeypatch, calls, "_orthonormality_residual",
+                         manifolds_mod._orthonormality_residual)
+    bind = _Record.__init__
+
+    def counted_bind(self, *args, **kw):
+        built.append(type(self).__name__)
+        bind(self, *args, **kw)
+    monkeypatch.setattr(_Record, "__init__", counted_bind)
+    eig = _counting(monkeypatch, "eigvalsh")
+    tr = run_iteration(c, fixed, p0, 20, 1e-12)
+    steps = len(tr.step_norms)
+    moved = sum(q is not p for p, q in zip(tr.points, tr.points[1:]))
+    assert tr.termination == "Converged" and steps >= 3 and not eig
+    assert calls.count("all_finite") == 3 * steps + moved
+    assert calls.count("_orthonormality_residual") == steps
+    assert sorted(built) == ["IterationTrace"] + ["Point"] * moved
+    calls.clear()
+    del built[:]
+    pullback_jet(c, PP, p0)
+    assert calls.count("_orthonormality_residual") == 1
+    assert sorted(built) == ["Jet2", "TangentBasis"]
+
+
+# how run_iteration names the end that each typed step error makes
+_ENDS = {SingularHessian: "SingularHessian"}
+_ENDS.update(dict.fromkeys(
+    (NotTwiceDifferentiable, ProjectionUndefined, OutsideValidityRadius,
+     ChartDomainViolation, InfeasiblePoint), "LeftValidityRegion"))
+
+
+def _stepped_by_hand(c, pair, p0, max_iter, tol):
+    """run_iteration's loop for a fixed pair, over generalized_newton_step.
+    -> (points, step norms, cost values, termination)"""
+    points, norms, costs = [p0], [], []
+    end = "MaxIterations"
+    for _ in range(max_iter):
+        try:
+            res = generalized_newton_step(c, pair, points[-1])
+        except tuple(_ENDS) as exc:
+            end = _ENDS[type(exc)]
+            break
+        assert res.pair_used is pair
+        costs.append(res.base_value)
+        points.append(res.next)
+        norms.append(res.step_norm)
+        if res.step_norm <= tol:
+            end = "Converged"
+            break
+    return points, norms, costs + [value(c, points[-1])], end
+
+
+def _agreement_cases():
+    """(cost, pair, start) for every valid ordered pair of projection,
+    geodesic, QR, both recentred bases and stereographic on sphere(6), of
+    projection and QR on Stiefel(6,2) and Grassmann(8,2), and of projection
+    and the two line kinds, from seeded random starts: sphere and frame
+    seeds 0-3, line seeds 0-7"""
+    def ordered(kinds):
+        return [ParametrizationPair(a, b) for a in kinds for b in kinds]
+    sphere_kinds = (Projection(), SphereGeodesic(), QR(),
+                    Recentred(Projection(), 0), Recentred(SphereGeodesic(), 1),
+                    Stereographic(-np.eye(6)[:, 0]))
+    frames = ((sphere(6), Quadratic(np.diag(np.arange(1.0, 7.0))),
+               sphere_kinds),
+              (stiefel(6, 2), BrockettTrace(np.diag(np.arange(1.0, 7.0)),
+                                            np.diag([2.0, 1.0])),
+               (Projection(), QR())),
+              (grassmann(8, 2), GrassmannTrace(np.diag(np.arange(1.0, 9.0))),
+               (Projection(), QR())))
+    for m, c, kinds in frames:
+        for pair in ordered(kinds):
+            for seed in range(4):
+                yield c, pair, random_point(m, seed)
+    # x^2 with the map x + t - t^2 / (2x): its pulled-back Hessian is
+    # 2 - 2x (1 / x), 0 or rounding, so a run ends SingularHessian, or
+    # overflows and leaves the region, at the start or steps later
+    line = ((ShiftedCubic(0.3), (Projection(), Custom1D((0.0, -1.0)),
+                                 ExampleBeta(1.0))),
+            (Quadratic(np.array([[2.0]])), (Projection(), ExampleBeta(-0.5))))
+    for c, kinds in line:
+        for pair in ordered(kinds):
+            for seed in range(8):
+                yield c, pair, random_point(euclidean(1), seed)
+
+
+def test_run_iteration_is_the_public_step_bit_for_bit():
+    """run_iteration's array step and a loop of generalized_newton_step
+    give the same points, step norms, cost values, pairs and termination,
+    to the bit, and end with the same error class at the same step"""
+    ends = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, pair, p0 in _agreement_cases():
+            tr = run_iteration(c, Fixed(pair), p0, 30, 1e-12)
+            points, norms, costs, end = _stepped_by_hand(c, pair, p0, 30,
+                                                         1e-12)
+            case = (pair_label(pair), p0.ambient.tolist())
+            assert [q.ambient.tobytes() for q in tr.points] == \
+                [q.ambient.tobytes() for q in points], case
+            assert tr.step_norms == tuple(norms), case
+            assert tr.cost_values == tuple(costs), case
+            assert tr.termination == end, case
+            assert tr.pairs_used == (pair_label(pair),) * len(norms), case
+            ends.add((end, len(norms) > 0))
+    assert ends >= {("Converged", True), ("MaxIterations", True),
+                    ("SingularHessian", False), ("SingularHessian", True),
+                    ("LeftValidityRegion", True)}
 
 
 def test_one_value_per_iterate():
