@@ -593,7 +593,7 @@ def test_run_checks_each_value_once_and_builds_one_record_per_iterate(
     assert calls.count("_orthonormality_residual") == steps
     assert sorted(built) == ["IterationTrace"] + ["Point"] * moved
     calls.clear()
-    del built[:]
+    built.clear()
     pullback_jet(c, PP, p0)
     assert calls.count("_orthonormality_residual") == 1
     assert sorted(built) == ["Jet2", "TangentBasis"]
