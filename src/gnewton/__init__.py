@@ -15,9 +15,8 @@ from .costs import (AbsPower, BrockettTrace, GrassmannTrace, Quadratic,
                     ShiftedCubic, ambient_gradient, ambient_hessian_vec, value)
 from .errors import (ChartDomainViolation, ConfigError, GnewtonError,
                      InfeasiblePoint, InsufficientData, ManifoldMismatch,
-                     NoConvergence, NotTwiceDifferentiable,
-                     OutsideValidityRadius, ProjectionUndefined,
-                     RankDeficient, SingularHessian)
+                     NotTwiceDifferentiable, OutsideValidityRadius,
+                     ProjectionUndefined, RankDeficient, SingularHessian)
 from .config import (Experiment, build_experiment, compute_truth, load_config,
                      match_truth_signs, near_truth_start)
 from .linalg import polar_factor, symmetric_eigen, symmetric_solve

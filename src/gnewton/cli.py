@@ -147,7 +147,8 @@ def _run_one(config_path: str, out_dir: str, seed_override) -> int:
     truth = exp.truth
     if truth is not None:
         truth = match_truth_signs(truth, trace.points[-1])
-    errors = error_sequence(trace, truth)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run
+        errors = error_sequence(trace, truth)
     write_trace_csv(out / "trace.csv", trace,
                     None if truth is None else errors)
 

@@ -22,10 +22,6 @@ class RankDeficient(GnewtonError):
     """Matrix does not have full column rank; polar factor is non-unique."""
 
 
-class NoConvergence(GnewtonError):
-    """An iterative kernel exhausted its budget without converging."""
-
-
 class ManifoldMismatch(GnewtonError):
     """Operands live on different manifolds (or the wrong one)."""
 
@@ -35,7 +31,8 @@ class ProjectionUndefined(GnewtonError):
 
 
 class OutsideValidityRadius(GnewtonError):
-    """Tangent step is outside the region where the map is well-behaved."""
+    """Tangent step is outside the region where a kind's map is
+    well-behaved; no shipped kind has such a region."""
 
 
 class NotTwiceDifferentiable(GnewtonError):

@@ -14,8 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import (NoConvergence, OutsideValidityRadius, RankDeficient,
-                     SingularHessian)
+from .errors import RankDeficient, SingularHessian
 
 COND_LIMIT = 1e12
 SYM_RTOL = 1e-10
@@ -85,13 +84,6 @@ def condition_estimate(H) -> float:
     return _spectral_extremes(np.linalg.eigvalsh(_symmetric(H)[0]))[2]
 
 
-def solve_with_condition(H, b):
-    """Solve H s = b for a square, finite, symmetric H by the eigenvalue
-    rule (`_eigen_rule`). -> (s, condition)"""
-    H = _symmetric(H)[0]
-    return _eigen_rule(H, _checked_rhs(np.asarray(b, dtype=float), H.shape[0]))
-
-
 def _eigen_rule(H, b):
     """The eigenvalue rule, on an H and b that the contract has checked.
     -> (s, condition)
@@ -158,8 +150,8 @@ def _certified(H, h) -> bool:
 
 
 def symmetric_solve(H, b) -> np.ndarray:
-    """Solve H s = b for a square, finite, symmetric H: solve_with_condition's
-    s bit for bit, or its error, class and message."""
+    """Solve H s = b for a square, finite, symmetric H: the eigenvalue
+    rule's s bit for bit, or its error, class and message."""
     return _solve(*_symmetric(H), np.asarray(b, dtype=float))
 
 
@@ -179,29 +171,22 @@ def _solve(H, h, b) -> np.ndarray:
     return _eigen_rule(H, b)[0]
 
 
-def polar_factor(M, guard=None) -> np.ndarray:
+def polar_factor(M) -> np.ndarray:
     """Orthonormal polar factor U = M (M^T M)^{-1/2} of an n x p matrix.
 
     U is the Frobenius-closest matrix with orthonormal columns. Computed
     through the eigendecomposition of M^T M (p is tiny in every use here, so
-    no numerically fragile regime arises). Without a guard, a numerically
-    rank-deficient M raises RankDeficient. With one, the smallest singular
-    value must exceed the guard instead, or OutsideValidityRadius is raised:
-    a projection step p + v that collapses has left the map's validity
-    region, which a run reports as such, never as a rank error.
+    no numerically fragile regime arises). A numerically rank-deficient M
+    raises RankDeficient.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] < M.shape[1]:
         raise ValueError("expected n x p with n >= p, got shape %r" % (M.shape,))
     s, Q = np.linalg.eigh(M.T @ M)
     smin = np.sqrt(max(float(s[0]), 0.0))
-    if guard is not None:
-        if smin <= guard:
-            raise OutsideValidityRadius(
-                "smallest singular value %.3e under guard %g" % (smin, guard))
-    elif float(s[-1]) <= 0.0:
+    if float(s[-1]) <= 0.0:
         raise RankDeficient("matrix has no positive singular value")
-    elif smin <= 1e-12 * np.sqrt(float(s[-1])):
+    if smin <= 1e-12 * np.sqrt(float(s[-1])):
         raise RankDeficient(
             "smallest singular value %.3e below rank threshold" % smin)
     return M @ (Q * (1.0 / np.sqrt(s))) @ Q.T
@@ -214,11 +199,7 @@ def symmetric_eigen(A):
     magnitude is above 1e-12 is positive, making ground-truth comparisons
     deterministic.
     """
-    A = _symmetric(A)[0]
-    try:
-        lam, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence("eigensolver did not converge") from exc
+    lam, V = np.linalg.eigh(_symmetric(A)[0])
     V = V.copy()
     for k in range(V.shape[1]):
         col = V[:, k]

@@ -13,8 +13,8 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import (InfeasiblePoint, ManifoldMismatch, OutsideValidityRadius,
-                     ProjectionUndefined, RankDeficient)
+from .errors import (InfeasiblePoint, ManifoldMismatch, ProjectionUndefined,
+                     RankDeficient)
 from .linalg import all_finite, norm, polar_factor, row_dots, row_norms
 from .rng import SplitMix64
 
@@ -96,7 +96,6 @@ class ManifoldDescriptor(_Value):
     _fields = ("n", "p")
     name = None
     takes_p = False
-    draw_guard = None  # see draw
 
     def __init__(self, n: int, p: int = 1):
         if n < 1:
@@ -149,9 +148,9 @@ class ManifoldDescriptor(_Value):
         bases = X if X.ndim == 2 else repeat(X)
         return [self.tangency_residual(x, v) for x, v in zip(bases, V)]
 
-    def project(self, x: np.ndarray, guard=None) -> "Point":
+    def project(self, x: np.ndarray) -> "Point":
         """The closest point to x; see `_project`."""
-        return Point(self, self._project(x[None], guard)[0])
+        return Point(self, self._project(x[None])[0])
 
     def distance(self, x: "Point", y: "Point") -> float:
         """Ambient chordal distance."""
@@ -159,14 +158,12 @@ class ManifoldDescriptor(_Value):
 
     def draw(self, rng: SplitMix64) -> "Point":
         """A seeded gaussian draw, projected; drawn again where the
-        projection is undefined, trips `draw_guard` or, on an ill-conditioned
-        frame draw, misses FEAS_TOL."""
+        projection is undefined or, on an ill-conditioned frame draw,
+        misses FEAS_TOL."""
         while True:
             try:
-                return self.project(rng.gaussians(self.ambient_dim),
-                                    self.draw_guard)
-            except (ProjectionUndefined, OutsideValidityRadius,
-                    InfeasiblePoint):
+                return self.project(rng.gaussians(self.ambient_dim))
+            except (ProjectionUndefined, InfeasiblePoint):
                 continue
 
     def sample_point(self, rng: SplitMix64) -> "Point":
@@ -213,7 +210,7 @@ class Euclidean(ManifoldDescriptor):
         """A new array: the identity."""
         return np.eye(self.n)
 
-    def _project(self, X: np.ndarray, guard=None) -> np.ndarray:
+    def _project(self, X: np.ndarray) -> np.ndarray:
         return X
 
     def sample_point(self, rng: SplitMix64) -> "Point":
@@ -241,7 +238,6 @@ class Sphere(ManifoldDescriptor):
     II_p(v, v) = -|v|^2 p, so over an orthonormal basis the contraction is
     -(g . p) I."""
     name = "sphere"
-    draw_guard = 1e-6
 
     @property
     def intrinsic_dim(self) -> int:
@@ -257,15 +253,11 @@ class Sphere(ManifoldDescriptor):
         """A new array: the pivoted completion of p."""
         return _complete_orthonormal(p.ambient[:, None])
 
-    def _project(self, X: np.ndarray, guard=None) -> np.ndarray:
-        """Each row over its norm, which must exceed the guard and 0."""
+    def _project(self, X: np.ndarray) -> np.ndarray:
+        """Each row over its norm, which must not be 0."""
         norms = row_norms(X)
-        for nx in norms:
-            if guard is not None and nx <= guard:
-                raise OutsideValidityRadius("norm %.3e under guard %g"
-                                            % (nx, guard))
-            if nx == 0.0:
-                raise ProjectionUndefined("cannot project the zero vector")
+        if 0.0 in norms:
+            raise ProjectionUndefined("cannot project the zero vector")
         return X / np.array(norms)[:, None]
 
     def align_signs(self, truth: "Point", final: "Point") -> "Point":
@@ -310,12 +302,12 @@ class _Frame(ManifoldDescriptor):
             H[b, :, b] = P
         return out
 
-    def _project(self, X: np.ndarray, guard=None) -> np.ndarray:
+    def _project(self, X: np.ndarray) -> np.ndarray:
         """The polar factor of each row's frame, one row at a time."""
         out = np.empty_like(X)
         for row, x in zip(out, X):
             try:
-                U = polar_factor(x.reshape(self.n, self.p, order="F"), guard)
+                U = polar_factor(x.reshape(self.n, self.p, order="F"))
             except RankDeficient as exc:
                 raise ProjectionUndefined(str(exc)) from exc
             row[:] = U.flatten(order="F")
@@ -584,13 +576,9 @@ def tangent_gaussians(p: Point, rng: SplitMix64) -> np.ndarray:
             return g
 
 
-def project_to_manifold(m: ManifoldDescriptor, ambient, guard=None) -> Point:
-    """Euclidean-closest feasible point for the given ambient coordinates.
-
-    With a guard, a norm (sphere) or smallest singular value (Stiefel,
-    Grassmann) at or under it raises OutsideValidityRadius: a projection
-    step p + v that collapses has left the map's validity region."""
-    return m.project(np.asarray(ambient, dtype=float), guard)
+def project_to_manifold(m: ManifoldDescriptor, ambient) -> Point:
+    """Euclidean-closest feasible point for the given ambient coordinates."""
+    return m.project(np.asarray(ambient, dtype=float))
 
 
 def distance(p: Point, q: Point) -> float:

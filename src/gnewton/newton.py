@@ -10,6 +10,8 @@ every iteration; convergence is declared on step norm, not gradient norm.
 
 from math import isfinite
 
+import numpy as np
+
 from .costs import value
 from .errors import (ChartDomainViolation, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
@@ -200,6 +202,7 @@ def _array_step(c, pair: ParametrizationPair, p: Point):
     return nxt, norm(s), H, f
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run overflows
 def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> IterationTrace:
     """Iterate generalised Newton steps with the selector choosing the pair.
 

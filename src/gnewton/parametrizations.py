@@ -13,12 +13,11 @@ has one.
 """
 
 from functools import lru_cache
-from math import cos, isfinite, isnan, log, sin
+from math import cos, isfinite, log, sin
 
 import numpy as np
 
-from .errors import (ChartDomainViolation, GnewtonError,
-                     OutsideValidityRadius, ProjectionUndefined)
+from .errors import ChartDomainViolation, GnewtonError, ProjectionUndefined
 from .manifolds import (ManifoldDescriptor, Point, Sphere, Stiefel,
                         Grassmann, TangentVector, tangent_basis,
                         tangent_gaussians, _frame_product, _LivesOn,
@@ -28,10 +27,6 @@ from .rates import log_log_fit
 from .rng import SplitMix64
 
 _H = np.finfo(float).eps ** (1.0 / 3.0)  # the central difference step
-
-# norm or smallest singular value of p + v at or under this aborts a
-# projection step; see Projection for why a tangent v never reaches it
-PROJECTION_GUARD = 0.1
 
 
 class _Kind(_LivesOn):
@@ -101,16 +96,17 @@ class _LineTerms(_OnTheLine, _Kind):
 class Projection(_Value, _Elementwise):
     """Closest-point projection of p + v back onto the manifold.
 
-    For an exactly tangent v the projection is always defined:
+    It is defined on the whole tangent space, so it has no validity radius:
     |p + v|^2 = 1 + |v|^2 on the sphere, and X^T V + V^T X = 0 gives
     (X + V)^T (X + V) = I + V^T V on Stiefel and Grassmann, so the norm or
-    smallest singular value of p + v is at least 1. PROJECTION_GUARD can
-    therefore trip only when rounding has broken the tangency of v.
+    smallest singular value of p + v is at least 1. A step off the tangent
+    space by all that `check_tangent` lets through, FEAS_TOL max(1, |v|),
+    keeps it near 1 for |v| up to 1e8, far past any convergent step.
     """
     name = "projection"
 
     def _at(self, m, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return m._project(X + V, PROJECTION_GUARD)
+        return m._project(X + V)
 
 
 class SphereGeodesic(_Value, _Elementwise):
@@ -377,7 +373,8 @@ def second_order_term(pair: ParametrizationPair, v: TangentVector) -> np.ndarray
 
 class AuditReport(_Value):
     """Equal, and hashed, on every field but `pass_flags`, which follow
-    from the others."""
+    from the others. `samples_dropped` is 0: a sample the maps refuse
+    raises instead (audit.json keeps the key)."""
     _fields = ("alpha_hat", "beta_hat", "fitted_slope", "identity_residual",
                "dphi_residual", "pass_flags", "samples_dropped", "radii")
     _defaults = {"samples_dropped": 0, "radii": ()}
@@ -396,10 +393,8 @@ def _sweep(pair: ParametrizationPair, m: ManifoldDescriptor, P: list,
     in one sample's order: each direction d from its point's basis (one
     completion, kept only where a kind `reads_basis`); rows d, +-h d and
     r d checked; phi maps +-h d and psi r d, one `_map_each` each (one in
-    all when phi is psi), the mapped rows checked; on
-    OutsideValidityRadius phi's rows are mapped again and each psi row
-    alone, NaN where psi trips its guard. -> anchor, dphi and alpha
-    residuals per sample, psi residuals per row"""
+    all when phi is psi), the mapped rows checked. -> anchor, dphi and
+    alpha residuals per sample, psi residuals per row"""
     N = m.ambient_dim
     lend = pair.phi.reads_basis or pair.psi.reads_basis
     D = np.empty((len(P), N))
@@ -417,26 +412,12 @@ def _sweep(pair: ParametrizationPair, m: ManifoldDescriptor, P: list,
     m.check_tangent(np.repeat(X, len(steps), axis=0), rows.reshape(-1, N))
     alpha = [norm(phi.second_order(p, d)) for p, d in zip(P, D)]
     V = rows[:, 1:]
-    try:
-        if phi == psi:
-            Y = phi._map_each(P, V)
-        else:
-            Y = np.concatenate([phi._map_each(P, V[:, :2]),
-                                psi._map_each(P, V[:, 2:])], axis=1)
-    except OutsideValidityRadius:
-        Y = np.full(V.shape, np.nan)
-        Y[:, :2] = phi._map_each(P, V[:, :2])
-        m.check_feasible(Y[:, :2].reshape(-1, N))
-        for p, Yp, Vp in zip(P, Y[:, 2:], V[:, 2:]):
-            for y, v in zip(Yp, Vp):
-                try:
-                    q = psi._map(p, v)
-                except OutsideValidityRadius:
-                    continue
-                m.check_feasible(q[None])
-                y[:] = q
+    if phi == psi:
+        Y = phi._map_each(P, V)
     else:
-        m.check_feasible(Y.reshape(-1, N))
+        Y = np.concatenate([phi._map_each(P, V[:, :2]),
+                            psi._map_each(P, V[:, 2:])], axis=1)
+    m.check_feasible(Y.reshape(-1, N))
     fd = (Y[:, 0] - Y[:, 1]) / (2.0 * steps[1])
     Z = Y[:, 2:] - X[:, None] - steps[3:, None] * D[:, None]
     return anchor, row_norms(fd - D), alpha, row_norms(Z.reshape(-1, N))
@@ -454,8 +435,8 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
     A zero-dimensional manifold has no direction to sample: ManifoldMismatch.
 
     The samples are drawn in turn from one prefetched block of the stream,
-    then checked and mapped in one `_sweep`. A radius where psi trips its
-    guard is dropped; any other error propagates, the first sample's.
+    then checked and mapped in one `_sweep`. An error propagates, the
+    first sample's.
     """
     if type(sample_points) is not int or sample_points < 1:  # bool is not
         raise ValueError("sample_points must be a positive integer")
@@ -484,7 +465,6 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
         raise
     identity_residual, dphi_residual, alpha_hat = (
         max([0.0] + v) for v in (anchor, dphi, alpha))  # in sample order
-    dropped = sum(map(isnan, resid))  # NaN where psi tripped its guard
     # the ambient subtraction leaves ~1e-16 rounding residue even
     # when psi is exact (p + y computed then re-subtracted); below
     # this floor the residual is indistinguishable from zero and
@@ -504,4 +484,4 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
         "slope": fitted_slope >= 1.9,
     }
     return AuditReport(alpha_hat, beta_hat, fitted_slope, identity_residual,
-                       dphi_residual, flags, dropped, radii)
+                       dphi_residual, flags, 0, radii)

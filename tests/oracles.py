@@ -16,7 +16,10 @@ was contracted over a stack of per-direction matrices before the one
 product. `qr_second_order` is QR's second-order term with its tangential
 matrix formed by np.tril and np.triu, and `mean_log_log_fit` and
 `mean_pooled_rate` are the rate fit with its means taken by `.mean()`:
-kept verbatim in code, their bytes are the reference.
+kept verbatim in code, their bytes are the reference. `solve_with_condition`
+is the eigenvalue rule alone behind the symmetric contract, the solve
+before the Cholesky certificate: its bits, or its error, class and message,
+are what `symmetric_solve` gives.
 """
 
 from math import exp, log, sqrt
@@ -24,9 +27,9 @@ from math import exp, log, sqrt
 import numpy as np
 
 from gnewton.costs import ambient_gradient, ambient_hessian_vec, value
-from gnewton.errors import (ChartDomainViolation, InsufficientData,
-                            OutsideValidityRadius)
-from gnewton.linalg import norm, symmetric_solve
+from gnewton.errors import ChartDomainViolation, InsufficientData
+from gnewton.linalg import (_checked_rhs, _eigen_rule, _symmetric, norm,
+                            symmetric_solve)
 from gnewton.manifolds import (Point, TangentVector, _complete_unit,
                                random_unit_tangent)
 from gnewton.parametrizations import (QR, AuditReport, Custom1D, ExampleBeta,
@@ -333,15 +336,20 @@ def mean_pooled_rate(sequences, floor, ceil):
                         n_points=len(xs))
 
 
+def solve_with_condition(H, b):
+    """Solve H s = b for a square, finite, symmetric H by the eigenvalue
+    rule alone. -> (s, condition)"""
+    H = _symmetric(H)[0]
+    return _eigen_rule(H, _checked_rhs(np.asarray(b, dtype=float), H.shape[0]))
+
+
 def audit_rows(pair, m, sample_points, radii, seed):
     """`audit_conditions` one public call per displacement, from the same
     draws: apply_phi at 0 and at +-h d, second_order_term along d, then
-    apply_psi at r d for each radius, a radius where psi trips its guard
-    dropped. The radii are taken as valid."""
+    apply_psi at r d for each radius. The radii are taken as valid."""
     radii = tuple(float(r) for r in radii)
     rng = SplitMix64(seed)
     identity_residual = dphi_residual = alpha_hat = beta_hat = 0.0
-    dropped = 0
     log_r, log_resid = [], []
     h = _EPS ** (1.0 / 3.0)
     for _ in range(sample_points):
@@ -357,11 +365,7 @@ def audit_rows(pair, m, sample_points, radii, seed):
         alpha_hat = max(alpha_hat,
                         norm(second_order_term(pair, TangentVector(p, d))))
         for r in radii:
-            try:
-                q = apply_psi(pair, TangentVector(p, r * d)).ambient
-            except OutsideValidityRadius:
-                dropped += 1
-                continue
+            q = apply_psi(pair, TangentVector(p, r * d)).ambient
             resid = norm(q - p.ambient - r * d)
             if resid <= 1e-14:
                 continue
@@ -379,4 +383,4 @@ def audit_rows(pair, m, sample_points, radii, seed):
                        fitted_slope=fitted_slope,
                        identity_residual=identity_residual,
                        dphi_residual=dphi_residual, pass_flags=flags,
-                       samples_dropped=dropped, radii=radii)
+                       samples_dropped=0, radii=radii)

@@ -224,6 +224,28 @@ def test_exit_code_singular_hessian(tmp_path):
     assert s["termination"] == "SingularHessian"
 
 
+def test_diverging_run_prints_no_warning(tmp_path, capsys):
+    """x^2 from a start where the example_beta pair diverges: the iterates
+    overflow on their way out, and the run ends LeftValidityRegion with
+    exit 5 and nothing on stderr"""
+    cfg = {
+        "version": 1,
+        "manifold": {"kind": "euclidean", "n": 1},
+        "cost": {"kind": "quadratic", "A": [[2.0]]},
+        "pairs": [{"phi": {"kind": "example_beta", "beta": -0.5},
+                   "psi": {"kind": "example_beta", "beta": -0.5}}],
+        "selector": {"kind": "fixed"},
+        "x0": [-0.00547782865381088],
+        "max_iter": 50,
+        "tol": 1e-12,
+    }
+    code, out = _run(tmp_path, cfg)
+    assert code == 5
+    assert capsys.readouterr().err == ""
+    s = json.loads((out / "summary.json").read_text())
+    assert s["termination"] == "LeftValidityRegion"
+
+
 def test_exit_code_max_iterations(tmp_path):
     cfg = {
         "version": 1,

@@ -10,13 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gnewton.errors import (NoConvergence, OutsideValidityRadius,
-                            RankDeficient, SingularHessian)
+from gnewton.errors import RankDeficient, SingularHessian
 from gnewton.linalg import (COND_LIMIT, condition_estimate, norm,
                             polar_factor, row_dots, row_norms,
-                            solve_with_condition, symmetric_eigen,
-                            symmetric_solve)
+                            symmetric_eigen, symmetric_solve)
 from gnewton.rng import SplitMix64
+from oracles import solve_with_condition
 
 
 # --- symmetric_solve ----------------------------------------------------------
@@ -198,12 +197,6 @@ def test_polar_rank_deficient_raises():
     M = np.column_stack([np.ones(3), np.ones(3)])
     with pytest.raises(RankDeficient):
         polar_factor(M)
-    # with a guard, the guard decides before any rank check
-    for A in (M, np.zeros((3, 2)), np.diag([1.0, 0.05])):
-        with pytest.raises(OutsideValidityRadius):
-            polar_factor(A, guard=0.1)
-    assert np.array_equal(polar_factor(np.diag([2.0, 0.5]), guard=0.1),
-                          polar_factor(np.diag([2.0, 0.5])))
 
 
 def test_polar_optimality_conditions():
@@ -289,12 +282,6 @@ def test_eigen_reconstruction():
 def test_eigen_rejects_asymmetric():
     with pytest.raises(ValueError):
         symmetric_eigen(np.array([[1.0, 5.0], [0.0, 2.0]]))
-
-
-def test_noconvergence_is_importable():
-    # the sweep-budget failure mode is surfaced as a typed error; LAPACK
-    # converges on every matrix this suite generates, so just check the type
-    assert issubclass(NoConvergence, Exception)
 
 
 # --- norm ----------------------------------------------------------------------

@@ -261,7 +261,8 @@ def test_overflowing_jet_is_left_validity():
     with np.errstate(over="ignore"):
         with pytest.raises(NotTwiceDifferentiable):
             pullback_jet(c, PP, p)
-        tr = run_iteration(c, Fixed(PP), p, 5, 1e-12)
+    # run_iteration silences a diverging run's overflow on its own
+    tr = run_iteration(c, Fixed(PP), p, 5, 1e-12)
     assert tr.termination == "LeftValidityRegion"
 
 
@@ -742,7 +743,7 @@ def test_indefinite_steps_take_the_eigenvalue_rule_with_the_same_iterates(
     """near a middle eigenvector the pulled-back Hessian is indefinite: each
     step's Cholesky fails and the eigenvalue rule solves, giving the
     iterates of a step that calls solve_with_condition itself"""
-    from gnewton.linalg import solve_with_condition
+    from oracles import solve_with_condition
     c = Quadratic(np.diag(np.arange(1.0, 7.0)))
     x = np.eye(6)[2] + 0.05 * np.ones(6)
     p = Point(sphere(6), x / np.linalg.norm(x))

@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ import gnewton.parametrizations as par_mod
 import oracles
 from gnewton.config import build_audit_params
 from gnewton.errors import (ConfigError, GnewtonError, InfeasiblePoint,
-                            ManifoldMismatch, OutsideValidityRadius,
-                            ProjectionUndefined)
+                            ManifoldMismatch, ProjectionUndefined)
 from gnewton.linalg import polar_factor
-from gnewton.manifolds import (Point, Sphere, TangentVector, euclidean,
-                               grassmann, random_point, random_unit_tangent,
-                               sphere, stiefel, tangent_basis)
+from gnewton.manifolds import (FEAS_TOL, Point, Sphere, TangentVector,
+                               euclidean, grassmann, random_point,
+                               random_unit_tangent, sphere, stiefel,
+                               tangent_basis)
 from gnewton.parametrizations import (Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection, QR,
                                       Recentred, SphereGeodesic,
@@ -80,20 +81,35 @@ def test_sphere_projection_example():
     assert np.allclose(q.ambient, np.array([1.0, 0.5]) / np.sqrt(1.25), atol=1e-15)
 
 
-def test_projection_guard_unreachable_for_tangent_steps():
+def test_projection_needs_no_guard_as_p_plus_v_keeps_full_rank():
     """|p + v|^2 = 1 + |v|^2 on the sphere and (X + V)^T (X + V) = I + V^T V
-    on Stiefel and Grassmann, so p + v never comes near PROJECTION_GUARD"""
+    on Stiefel and Grassmann, so the smallest singular value of p + v is at
+    least 1 for a tangent v. A v pushed off the tangent space along -X u u^T
+    by all the tangency rule lets through, FEAS_TOL max(1, |v|), keeps it
+    over 0.99 for |v| up to 1e8, also where v moves one column alone (a
+    basis column) and leaves the others' singular values near 1"""
     rng = SplitMix64(4)
     for m in (sphere(6), stiefel(6, 2), stiefel(5, 3), grassmann(7, 3)):
         for seed in range(10):
             p = random_point(m, seed)
-            d = tangent_basis(p).columns @ rng.gaussians(m.intrinsic_dim)
-            for scale in 10.0 ** np.arange(-3, 7):
-                v = TangentVector(p, scale * d / np.linalg.norm(d))
-                M = (p.ambient + v.ambient).reshape(m.n, m.p, order="F")
-                smin = np.linalg.svd(M, compute_uv=False).min()
-                assert smin >= 1.0 - 1e-12, (m, seed, scale, smin)
-                apply_psi(_pair(Projection()), v)
+            X = p.as_matrix()
+            B = tangent_basis(p).columns
+            d = B @ rng.gaussians(m.intrinsic_dim)
+            for scale in 10.0 ** np.arange(-3, 9):
+                v = scale * d / np.linalg.norm(d)
+                if scale <= 1e6:  # past it, X + v rounds off more
+                    M = X + v.reshape(m.n, m.p, order="F")
+                    smin = np.linalg.svd(M, compute_uv=False).min()
+                    assert smin >= 1.0 - 1e-12, (m, seed, scale, smin)
+                    apply_psi(_pair(Projection()), TangentVector(p, v))
+                for w, u in product((v, scale * B[:, -1]), np.eye(m.p)):
+                    off = -(X @ np.outer(u, u)).flatten(order="F")
+                    off *= (0.999 * FEAS_TOL * max(1.0, scale) / m
+                            .tangency_residuals(p.ambient[None], off[None])[0])
+                    TangentVector(p, w + off)  # the rule lets it through
+                    M = X + (w + off).reshape(m.n, m.p, order="F")
+                    smin = np.linalg.svd(M, compute_uv=False).min()
+                    assert smin >= 0.99, (m, seed, scale, smin)
 
 
 def test_sphere_geodesic_quarter_turn():
@@ -398,58 +414,6 @@ def test_stacked_audit_is_bitwise_the_row_audit():
             oracles.audit_rows(*args)), pair_label(pair)
 
 
-@dataclass(frozen=True)
-class _GuardedLine(_Kind):
-    """x + t + t^2 on the line, refusing |t| over `limit` as outside its
-    validity radius; the message names the first step refused."""
-    name = "guarded_line"
-    limit: float = 0.05
-
-    def _map(self, p, v):
-        if abs(v[0]) > self.limit:
-            raise OutsideValidityRadius("step %r over %g"
-                                        % (float(v[0]), self.limit))
-        return p.ambient + v + v * v
-
-
-def test_audit_drops_exactly_the_guarded_radius():
-    """psi trips its guard at the largest radius only: the stacked call
-    raises, the psi rows are mapped one at a time, and that radius alone
-    is dropped, once per sample"""
-    pair = _pair(_GuardedLine())
-    args = (pair, euclidean(1), 7, [1e-1, 1e-2, 1e-3], 4)
-    rep = audit_conditions(*args)
-    assert rep.samples_dropped == 7
-    assert abs(rep.fitted_slope - 2.0) <= 1e-6
-    assert 0.9 <= rep.beta_hat <= 1.1
-    assert repr(rep) == repr(oracles.audit_rows(*args))
-    rep = audit_conditions(pair, euclidean(1), 7, [4e-2, 1e-2, 1e-3], 4)
-    assert rep.samples_dropped == 0
-
-
-def test_audit_guard_trips_are_the_row_audit():
-    """psi tripping at two radii, with phi == psi and with phi != psi,
-    drops those radii as one apply per displacement does; a phi trip at
-    +-h d raises the class and message the row audit raises"""
-    radii = [1e-1, 6e-2, 1e-2, 1e-3]
-    for pair in (_pair(_GuardedLine()),
-                 ParametrizationPair(Projection(), _GuardedLine()),
-                 ParametrizationPair(Custom1D((0.0, 1.0)), _GuardedLine())):
-        args = (pair, euclidean(1), 7, radii, 4)
-        rep = audit_conditions(*args)
-        assert rep.samples_dropped == 14
-        assert abs(rep.fitted_slope - 2.0) <= 1e-6
-        assert repr(rep) == repr(oracles.audit_rows(*args))
-    for pair in (_pair(_GuardedLine(1e-6)),
-                 ParametrizationPair(_GuardedLine(1e-6), Projection())):
-        args = (pair, euclidean(1), 7, radii, 4)
-        with pytest.raises(OutsideValidityRadius) as stacked:
-            audit_conditions(*args)
-        with pytest.raises(OutsideValidityRadius) as rows:
-            oracles.audit_rows(*args)
-        assert str(stacked.value) == str(rows.value)
-
-
 def test_stacked_row_checks_are_the_point_and_tangent_rules():
     """a bad row of a stack raises the class and message that Point or
     TangentVector raises for that row alone"""
@@ -536,17 +500,16 @@ def test_sweep_is_the_row_audit_for_every_pair_on_every_manifold():
 
 
 class _Skittish(Sphere):
-    """A sphere whose draws trip the guard about half the time (a 6-d
-    gaussian has norm under 2.2 with chance 0.44); `trips` counts them."""
-    draw_guard = 2.2
+    """A sphere whose draws are refused about half the time (a 6-d gaussian
+    has norm under 2.2 with chance 0.44), as an undefined projection, so
+    `draw` draws again; `trips` counts them."""
     trips = []
 
-    def _project(self, X, guard=None):
-        try:
-            return super()._project(X, guard)
-        except OutsideValidityRadius:
+    def project(self, x):
+        if np.linalg.norm(x) <= 2.2:
             self.trips.append(1)
-            raise
+            raise ProjectionUndefined("draw refused")
+        return super().project(x)
 
 
 def test_sweep_draws_retries_from_the_stream_in_order():
