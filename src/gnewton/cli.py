@@ -95,14 +95,11 @@ def _parse_truth_spec(spec: str):
     try:
         dd = [int(t) for t in dims.split(",")]
         cs = [float(t) for t in coords.split(",")]
-    except ValueError as exc:
-        raise ConfigError("truth spec: %s" % exc) from exc
-    if len(dd) not in (1, 2):
-        raise ConfigError("truth spec: dims must be n or n,p")
-    try:
+        if len(dd) not in (1, 2):
+            raise ValueError("dims must be n or n,p")
         m = build_manifold(dict(zip(("kind", "n", "p"), [kind] + dd)))
         return Point(m, np.array(cs))
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError too
         raise ConfigError("truth spec: %s" % exc) from exc
 
 
@@ -136,19 +133,18 @@ def _run_one(config_path: str, out_dir: str, seed_override) -> int:
     try:
         cfg = load_config(config_path)
         exp = build_experiment(cfg, seed_override)
+        trace = run_iteration(exp.cost, exp.selector, exp.x0, exp.max_iter,
+                              exp.tol)  # refuses its budget before a step
     except (ConfigError, OSError) as exc:
         print("error: %s: %s" % (config_path, exc), file=sys.stderr)
         return 4
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace = run_iteration(exp.cost, exp.selector, exp.x0, exp.max_iter, exp.tol)
-
     truth = exp.truth
     if truth is not None:
         truth = match_truth_signs(truth, trace.points[-1])
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run
-        errors = error_sequence(trace, truth)
+    errors = error_sequence(trace, truth)
     write_trace_csv(out / "trace.csv", trace,
                     None if truth is None else errors)
 
@@ -170,17 +166,15 @@ def _run_one(config_path: str, out_dir: str, seed_override) -> int:
 
 def cmd_run(args) -> int:
     if args.jobs < 1:
-        print("error: --jobs: must be >= 1", file=sys.stderr)
-        return 4
+        raise ConfigError("--jobs: must be >= 1")
     if len(args.configs) == 1:
         tasks = [(args.configs[0], args.out, args.seed_override)]
     else:
         stems = [Path(p).stem for p in args.configs]
         dups = sorted({s for s in stems if stems.count(s) > 1})
         if dups:
-            print("error: duplicate config stem %r; outputs would collide"
-                  % dups[0], file=sys.stderr)
-            return 4
+            raise ConfigError("duplicate config stem %r; outputs would collide"
+                              % dups[0])
         tasks = [(p, str(Path(args.out) / Path(p).stem), args.seed_override)
                  for p in args.configs]
     if args.jobs > 1 and len(tasks) > 1:
@@ -358,13 +352,12 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
-    return args.func(args)
 
 
 if __name__ == "__main__":

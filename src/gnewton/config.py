@@ -114,8 +114,9 @@ def _build(table, spec, key, *context):
     kind = _need(spec, "kind", str, key + ".")
     for cls, parse in table.items():
         if cls.name == kind:
+            args = parse(spec, key, *context)  # its ConfigError names a key
             try:
-                return cls(*parse(spec, key, *context))
+                return cls(*args)
             except ValueError as exc:
                 raise ConfigError("%s: %s" % (key, exc)) from exc
     raise ConfigError("%s.kind: unknown kind %r" % (key, kind))
@@ -264,8 +265,9 @@ def near_truth_start(m: ManifoldDescriptor, truth: Point, delta: float,
 def _build_x0(cfg, m, truth, seed_override) -> Point:
     spec = _need(cfg, "x0", (list, str))
     if isinstance(spec, list):
+        xs = np.array(_numbers(spec, "x0"))
         try:
-            return Point(m, np.array(_numbers(spec, "x0")))
+            return Point(m, xs)
         except ValueError as exc:
             raise ConfigError("x0: %s" % exc) from exc
     parts = spec.split(":")
@@ -324,14 +326,9 @@ def build_experiment(cfg: dict, seed_override=None) -> Experiment:
     selector = _build(_SELECTORS, _need(cfg, "selector", dict), "selector",
                       pairs, seed_override)
 
+    # their ranges are run_iteration's rules
     max_iter = _need(cfg, "max_iter", int)
-    if max_iter < 1:
-        raise ConfigError("max_iter: must be >= 1")
     tol = _need(cfg, "tol", float)
-    if not tol > 0:
-        raise ConfigError("tol: must be positive")
-    if not isfinite(tol):
-        raise ConfigError("tol: must be finite")
     floor = _number(cfg.get("rate_floor", DEFAULT_FLOOR), "rate_floor")
     if floor is None:
         raise ConfigError("rate_floor: wrong type")
@@ -364,18 +361,13 @@ def build_audit_setup(cfg: dict, seed_override=None):
 
 
 def build_audit_params(cfg: dict, seed_override=None):
-    """(sample_points, radii, seed) for an audit config."""
+    """(sample_points, radii, seed) for an audit config; the count, and
+    the radii's range, are audit_conditions' rules."""
     spec = cfg.get("audit", {})
     if not isinstance(spec, dict):
         raise ConfigError("audit: expected an object")
     points = spec.get("sample_points", 20)
-    if not _typed(points, int) or points < 1:
-        raise ConfigError("audit.sample_points: expected a positive integer")
     radii = _numbers(spec.get("radii", [1e-1, 1e-2, 1e-3]), "audit.radii")
-    if not all(isfinite(r) for r in radii):
-        raise ConfigError("audit.radii: must be finite")
-    if len(radii) < 2 or any(a <= b for a, b in zip(radii, radii[1:])):
-        raise ConfigError("audit.radii: need two or more, strictly descending")
     seed = spec.get("seed", 0)
     if not _typed(seed, int):
         raise ConfigError("audit.seed: expected an integer")

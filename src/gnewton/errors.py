@@ -47,6 +47,6 @@ class InsufficientData(GnewtonError):
     """Too few usable samples to produce a rate estimate."""
 
 
-class ConfigError(GnewtonError):
+class ConfigError(GnewtonError, ValueError):
     """A config, argument or trace file is malformed; the message names the
     key, argument or row."""

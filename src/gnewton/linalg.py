@@ -175,9 +175,10 @@ def polar_factor(M) -> np.ndarray:
     """Orthonormal polar factor U = M (M^T M)^{-1/2} of an n x p matrix.
 
     U is the Frobenius-closest matrix with orthonormal columns. Computed
-    through the eigendecomposition of M^T M (p is tiny in every use here, so
-    no numerically fragile regime arises). A numerically rank-deficient M
-    raises RankDeficient.
+    through the eigendecomposition of M^T M, which squares M's condition:
+    for M = X + V, a frame moved by a step, U's orthonormality residual can
+    grow as about eps |V|^2, past FEAS_TOL near |V| = 1e3. A numerically
+    rank-deficient M raises RankDeficient.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] < M.shape[1]:

@@ -13,7 +13,7 @@ from math import isfinite
 import numpy as np
 
 from .costs import value
-from .errors import (ChartDomainViolation, InfeasiblePoint,
+from .errors import (ChartDomainViolation, ConfigError, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
                      ProjectionUndefined, SingularHessian)
 from .linalg import all_finite, condition_estimate, norm, solve_finite
@@ -211,14 +211,15 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
     defined terminates with "LeftValidityRegion". The trace keeps everything
     collected up to the failure, starting from p0 itself. A point's cost
     value comes from the jet of the step taken from it; the last point,
-    from which no step completed, has it taken on its own.
+    from which no step completed, has it taken on its own. A budget out of
+    range (max_iter < 1, tol not positive or not finite) is a ConfigError.
     """
     if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+        raise ConfigError("max_iter: must be >= 1")
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise ConfigError("tol: must be positive")
     if not isfinite(tol):
-        raise ValueError("tol must be finite")
+        raise ConfigError("tol: must be finite")
     choose = selector.chooser()
     points = [p0]
     step_norms = []

@@ -36,6 +36,7 @@ def log_log_fit(xs, ys):
     return slope, float(my - slope * mx)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged trace overflows
 def error_sequence(trace, truth) -> list:
     """Distances of trace points to the truth.
 

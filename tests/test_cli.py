@@ -246,6 +246,24 @@ def test_diverging_run_prints_no_warning(tmp_path, capsys):
     assert s["termination"] == "LeftValidityRegion"
 
 
+def test_rates_on_a_diverged_trace_prints_no_warning(tmp_path, capsys):
+    """the diverging run's trace, iterates up to about 1e282, measured
+    against its truth: the distances overflow, and `gnewton rates` reports
+    insufficient data with exit 0 and nothing on stderr"""
+    cfg = dict(CUBIC_RUN, cost={"kind": "quadratic", "A": [[2.0]]},
+               pairs=[{"phi": {"kind": "example_beta", "beta": -0.5},
+                       "psi": {"kind": "example_beta", "beta": -0.5}}],
+               x0=[-0.00547782865381088], max_iter=50, tol=1e-12)
+    code, out = _run(tmp_path, cfg)
+    assert code == 5
+    capsys.readouterr()
+    assert main(["rates", str(out / "trace.csv"),
+                 "--truth", "euclidean:1:0.0"]) == 0
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert json.loads(got.out)["insufficient_data"] is True
+
+
 def test_exit_code_max_iterations(tmp_path):
     cfg = {
         "version": 1,
@@ -386,7 +404,7 @@ def test_audit_rejects_single_and_duplicate_radii(tmp_path, capsys):
         path = _write(tmp_path, "audit%d.json" % i, cfg)
         out = tmp_path / ("audit_out%d" % i)
         assert main(["audit", path, "--out", str(out)]) == 4
-        assert "audit.radii" in capsys.readouterr().err
+        assert "sample_radii" in capsys.readouterr().err
         assert not (out / "audit.json").exists()
 
 
@@ -580,6 +598,7 @@ def test_config_numbers_follow_one_rule(tmp_path, capsys, command, cfg, key):
     with pytest.raises(ConfigError) as raised:
         build(json.loads(json.dumps(cfg)))
     assert str(raised.value).startswith(key + ": ")
+    assert not str(raised.value).startswith(key + ": " + key)
     out = tmp_path / "r"
     assert main([command, _write(tmp_path, "cfg.json", cfg),
                  "--out", str(out)]) == 4
@@ -672,3 +691,57 @@ def test_malformed_trace_csv_is_a_config_error(tmp_path, capsys):
     assert main(["rates", str(p), "--truth", "none"]) == 4
     assert capsys.readouterr().err == \
         "error: trace CSV row 2: iter 7 out of sequence\n"
+
+
+ONE_POINT_TRACE = "iter,step_norm,cost,error,coord_0\n0,,1.0,,0.5\n"
+
+
+@pytest.mark.parametrize("argv, cfg, err", [
+    (["run", "{cfg}", "--out", "{out}", "--jobs", "0"], SPHERE_RUN,
+     "error: --jobs: must be >= 1\n"),
+    (["run", "{cfg}", "{dup}", "--out", "{out}"], SPHERE_RUN,
+     "error: duplicate config stem 'cfg'; outputs would collide\n"),
+    (["run", "{cfg}", "--out", "{out}"], dict(SPHERE_RUN, max_iter=0),
+     "error: {cfg}: max_iter: must be >= 1\n"),
+    (["run", "{cfg}", "--out", "{out}"], dict(SPHERE_RUN, tol=-1),
+     "error: {cfg}: tol: must be positive\n"),
+    (["run", "{cfg}", "--out", "{out}"],
+     dict(SPHERE_RUN, rate_floor=0.5, rate_ceil=0.5),
+     "error: {cfg}: rate_floor: need 0 <= floor < ceil\n"),
+    (["audit", "{cfg}", "--out", "{out}"],
+     dict(SPHERE_RUN, audit={"radii": [0.1, 1e-7]}),
+     "error: {cfg}: audit: smallest radius must be >= 1e-6\n"),
+    (["audit", "{cfg}", "--out", "{out}"],
+     dict(SPHERE_RUN, audit={"radii": [0.1, -1]}),
+     "error: {cfg}: audit: sample_radii must be positive\n"),
+    (["audit", "{cfg}", "--out", "{out}"],
+     dict(SPHERE_RUN, manifold={"kind": "sphere", "n": 1}),
+     "error: {cfg}: audit: sphere(n=1, p=1) is zero-dimensional: no unit "
+     "tangent direction\n"),
+    (["rates", "{trace}", "--truth", "none", "--floor", "1", "--ceil", "0.5"],
+     None, "error: --floor/--ceil: need 0 <= floor < ceil\n"),
+    (["rates", "{trace}", "--truth", "euclidean:1"], None,
+     'error: truth spec: expected "none" or KIND:DIMS:COORDS\n'),
+    (["rates", "{trace}", "--truth", "euclidean:x:0.0"], None,
+     "error: truth spec: invalid literal for int() with base 10: 'x'\n"),
+    (["rates", "{trace}", "--truth", "euclidean:1,1,1:0.0"], None,
+     "error: truth spec: dims must be n or n,p\n"),
+], ids=["jobs-0", "duplicate-stem", "max-iter-0", "tol-negative",
+        "floor-not-below-ceil", "radius-below-1e-6", "radius-negative",
+        "audit-zero-dimensional", "rates-floor-not-below-ceil",
+        "truth-two-parts", "truth-dims-not-int", "truth-three-dims"])
+def test_every_refusal_exits_4_with_its_message(tmp_path, capsys, argv, cfg,
+                                                err):
+    """each refusal, the front end's and the library's, exits 4 with its
+    one message on stderr, prints nothing else and makes no output
+    directory: every check runs before a step, a sample or a write"""
+    (tmp_path / "sub").mkdir()
+    names = {"cfg": _write(tmp_path, "cfg.json", cfg),
+             "dup": _write(tmp_path / "sub", "cfg.json", cfg),
+             "trace": str(tmp_path / "trace.csv"),
+             "out": str(tmp_path / "out")}
+    (tmp_path / "trace.csv").write_text(ONE_POINT_TRACE)
+    assert main([a.format(**names) for a in argv]) == 4
+    got = capsys.readouterr()
+    assert (got.err, got.out) == (err.format(**names), "")
+    assert not (tmp_path / "out").exists()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gnewton.cli import main
 from gnewton.config import (build_audit_setup, build_experiment, compute_truth,
                             load_config, match_truth_signs, near_truth_start)
 from gnewton.costs import BrockettTrace, Quadratic, value
@@ -317,28 +318,32 @@ def test_audit_defaults(tmp_path):
     assert over == 11
 
 
-def test_audit_params_validation(tmp_path):
+def test_audit_params_validation(tmp_path, capsys):
+    """config checks the JSON types; the ranges are audit_conditions'
+    rules, which `gnewton audit` reports with exit 4"""
     cfg = _base()
     cfg["audit"] = {"radii": ["big", "small"]}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match="radii"):
         build_audit_setup(load_config(str(p)))
+    out = str(tmp_path / "out")
     cfg["audit"] = {"sample_points": 0}
     p.write_text(json.dumps(cfg))
-    with pytest.raises(ConfigError, match="sample_points"):
-        build_audit_setup(load_config(str(p)))
+    assert main(["audit", str(p), "--out", out]) == 4
+    assert "sample_points" in capsys.readouterr().err
     for radii in ([], [1e-1], [1e-1, 1e-1], [1e-2, 1e-1]):
         cfg["audit"] = {"radii": radii}
         p.write_text(json.dumps(cfg))
-        with pytest.raises(ConfigError, match="strictly descending"):
-            build_audit_setup(load_config(str(p)))
+        assert main(["audit", str(p), "--out", out]) == 4
+        assert "strictly descending" in capsys.readouterr().err
     for radii in ([float("nan"), 1e-2], [1e-1, float("nan")],
                   [float("inf"), 1e-2]):
         cfg["audit"] = {"radii": radii}
         p.write_text(json.dumps(cfg))
-        with pytest.raises(ConfigError, match="audit.radii: must be finite"):
-            build_audit_setup(load_config(str(p)))
+        assert main(["audit", str(p), "--out", out]) == 4
+        assert "audit: sample_radii must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_rate_rails_forwarded(tmp_path):

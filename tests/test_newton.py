@@ -312,7 +312,7 @@ def test_non_finite_tol_is_refused(tol):
     """an infinite tol would end any run Converged after one step"""
     c = Quadratic(np.eye(2))
     p = Point(euclidean(2), np.ones(2))
-    with pytest.raises(ValueError, match="^tol must be"):
+    with pytest.raises(ValueError, match="^tol: must be"):
         run_iteration(c, Fixed(PP), p, 5, tol)
 
 

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -9,9 +10,10 @@ import pytest
 import gnewton.manifolds as manifolds_mod
 import gnewton.parametrizations as par_mod
 import oracles
+from gnewton.cli import main
 from gnewton.config import build_audit_params
-from gnewton.errors import (ConfigError, GnewtonError, InfeasiblePoint,
-                            ManifoldMismatch, ProjectionUndefined)
+from gnewton.errors import (GnewtonError, InfeasiblePoint, ManifoldMismatch,
+                            ProjectionUndefined)
 from gnewton.linalg import polar_factor
 from gnewton.manifolds import (FEAS_TOL, Point, Sphere, TangentVector,
                                euclidean, grassmann, random_point,
@@ -607,16 +609,27 @@ def test_recentred_audit_completes_each_tangent_space_once(monkeypatch):
             assert repr(rep) == repr(oracles.audit_rows(*args))
 
 
-def test_audit_refuses_what_the_config_refuses_as_sample_points():
+def test_audit_refuses_what_the_config_refuses_as_sample_points(tmp_path,
+                                                                capsys):
     """a float or a bool is no sample count: 2.0 raised a bare TypeError
-    from range(), and True audited one sample"""
+    from range(), and True audited one sample; `gnewton audit` reports the
+    library's refusal with exit 4"""
     radii = [1e-1, 1e-2]
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
     for bad in (2.0, True, False, 0, -3, 1.5):
         with pytest.raises(ValueError, match="^sample_points must be a "
                                              "positive integer$"):
             audit_conditions(_pair(Projection()), sphere(3), bad, radii, 0)
-        with pytest.raises(ConfigError, match="sample_points"):
-            build_audit_params({"audit": {"sample_points": bad}})
+        cfg_path.write_text(json.dumps({
+            "version": 1, "manifold": {"kind": "sphere", "n": 3},
+            "pairs": [{"phi": {"kind": "projection"},
+                       "psi": {"kind": "projection"}}],
+            "audit": {"sample_points": bad}}))
+        assert main(["audit", str(cfg_path), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: %s: audit: sample_points must be a positive integer\n"
+            % cfg_path)
+        assert not out.exists()
     for good in (1, 3):
         audit_conditions(_pair(Projection()), sphere(3), good, radii, 0)
         build_audit_params({"audit": {"sample_points": good}})
