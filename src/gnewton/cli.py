@@ -135,32 +135,32 @@ def _run_one(config_path: str, out_dir: str, seed_override) -> int:
         exp = build_experiment(cfg, seed_override)
         trace = run_iteration(exp.cost, exp.selector, exp.x0, exp.max_iter,
                               exp.tol)  # refuses its budget before a step
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        truth = exp.truth
+        if truth is not None:
+            truth = match_truth_signs(truth, trace.points[-1])
+        errors = error_sequence(trace, truth)
+        write_trace_csv(out / "trace.csv", trace,
+                        None if truth is None else errors)
+
+        summary = {
+            "config": cfg,
+            "termination": trace.termination,
+            "iterations": len(trace.points) - 1,
+            "final_cost": float(trace.cost_values[-1]),
+            "truth": None,
+            "rate": _rate_payload(errors, exp.rate_floor, exp.rate_ceil),
+            "artifacts": {"trace_csv": "trace.csv",
+                          "summary_json": "summary.json"},
+        }
+        if truth is not None:
+            summary["truth"] = {"spec": _truth_spec_string(truth),
+                                "distance": errors[-1]}
+        _dump_json(out / "summary.json", summary)
     except (ConfigError, OSError) as exc:
         print("error: %s: %s" % (config_path, exc), file=sys.stderr)
         return 4
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    truth = exp.truth
-    if truth is not None:
-        truth = match_truth_signs(truth, trace.points[-1])
-    errors = error_sequence(trace, truth)
-    write_trace_csv(out / "trace.csv", trace,
-                    None if truth is None else errors)
-
-    summary = {
-        "config": cfg,
-        "termination": trace.termination,
-        "iterations": len(trace.points) - 1,
-        "final_cost": float(trace.cost_values[-1]),
-        "truth": None,
-        "rate": _rate_payload(errors, exp.rate_floor, exp.rate_ceil),
-        "artifacts": {"trace_csv": "trace.csv", "summary_json": "summary.json"},
-    }
-    if truth is not None:
-        summary["truth"] = {"spec": _truth_spec_string(truth),
-                            "distance": errors[-1]}
-    _dump_json(out / "summary.json", summary)
     return _EXIT_BY_TERMINATION[trace.termination]
 
 
@@ -195,28 +195,27 @@ def cmd_audit(args) -> int:
         m, pairs, (points, radii, seed) = build_audit_setup(cfg,
                                                             args.seed_override)
         report = audit_conditions(pairs[0], m, points, radii, seed)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        payload = {
+            "config": cfg,
+            "pair": pair_label(pairs[0]),
+            "alpha_hat": report.alpha_hat,
+            "beta_hat": report.beta_hat,
+            "fitted_slope": report.fitted_slope,
+            "identity_residual": report.identity_residual,
+            "dphi_residual": report.dphi_residual,
+            "pass": dict(report.pass_flags),
+            "samples_dropped": report.samples_dropped,
+            "radii": list(report.radii),
+        }
+        _dump_json(out / "audit.json", payload)
     except (ConfigError, OSError) as exc:
         print("error: %s: %s" % (args.config, exc), file=sys.stderr)
         return 4
     except (ValueError, ManifoldMismatch) as exc:
         print("error: %s: audit: %s" % (args.config, exc), file=sys.stderr)
         return 4
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "config": cfg,
-        "pair": pair_label(pairs[0]),
-        "alpha_hat": report.alpha_hat,
-        "beta_hat": report.beta_hat,
-        "fitted_slope": report.fitted_slope,
-        "identity_residual": report.identity_residual,
-        "dphi_residual": report.dphi_residual,
-        "pass": dict(report.pass_flags),
-        "samples_dropped": report.samples_dropped,
-        "radii": list(report.radii),
-    }
-    _dump_json(out / "audit.json", payload)
     return 0
 
 
@@ -289,7 +288,7 @@ def cmd_rates(args) -> int:
             raise ConfigError("trace CSV: row not on %s: %s"
                               % (m.kind, exc)) from exc
         errors = error_sequence(pts, truth)
-    except (ConfigError, OSError) as exc:
+    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
     payload = _rate_payload(errors, args.floor, args.ceil)

@@ -397,8 +397,7 @@ def _orthonormality_residual(A: np.ndarray) -> float:
 
 
 class Point(_Record):
-    """A feasible point; its dict also holds the tangent columns a running
-    step lends it (see `tangent_columns`)."""
+    """A feasible point."""
     _fields = ("manifold", "ambient")
 
     def __init__(self, manifold: ManifoldDescriptor, ambient):
@@ -411,12 +410,6 @@ class Point(_Record):
 
     def as_matrix(self) -> np.ndarray:
         return self.ambient.reshape(self.manifold.n, self.manifold.p, order="F")
-
-    @property
-    def tangent_columns(self) -> np.ndarray:
-        """The tangent columns here: a running step's lent ones, else new."""
-        lent = vars(self).get("_lent_columns")
-        return self.manifold.tangent_columns(self) if lent is None else lent
 
 
 class TangentVector(_Record):

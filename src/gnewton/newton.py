@@ -186,20 +186,15 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
 def _array_step(c, pair: ParametrizationPair, p: Point):
     """The step on arrays: the jet over p's checked basis, the solve, the
     increment w = B s checked tangent as a TangentVector is, and psi's
-    map of w (p itself for a zero w), which reads the basis columns lent
-    to p only while it maps. It builds no record but the next Point.
+    map of w (p itself for a zero w). It builds no record but the next
+    Point.
     -> (next point, |s|, Hessian, f(p))"""
     B = _basis_columns(p)
     f, grad, H = _jet(c, pair.phi, p, B)
     s = -solve_finite(H, grad)
     w = B @ s
     p.manifold.check_tangent(p.ambient, w[None])
-    vars(p)["_lent_columns"] = B
-    try:
-        nxt = pair.psi._apply(p, w)
-    finally:
-        vars(p).pop("_lent_columns", None)
-    return nxt, norm(s), H, f
+    return pair.psi._apply(p, w), norm(s), H, f
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging run overflows

@@ -2,8 +2,8 @@
 
 A pair defines one generalised Newton method: phi pulls the cost back to the
 tangent space at the current point, psi maps the Euclidean Newton increment
-back to the manifold. Every kind anchors the identity phi_p(0) = p and
-D phi_p(0) = I; the audit measures how well those and the quadratic
+back to the manifold. Every kind anchors phi_p(0) = p exactly and has
+D phi_p(0) = I; the audit measures how well the latter and the quadratic
 remainder bound ||psi_p(y) - p - y|| <= beta ||y||^2 hold on samples.
 
 A kind is one class that owns its maths: its `name`, the manifold classes
@@ -38,8 +38,6 @@ class _Kind(_LivesOn):
     kind that composes another calls its map, never its `apply`.
     `_map_each(P, V)` maps each row of V[i] at P[i], one `_map` per row,
     unless the kind is elementwise in its base (`_Elementwise`).
-    A kind whose `_map` reads `p.tangent_columns` sets `reads_basis`, so
-    the audit lends it the basis it completed for the sample's direction.
 
     `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
     matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
@@ -48,7 +46,6 @@ class _Kind(_LivesOn):
     default; the second-order retractions (projection, geodesic, recentred)
     have no tangential part, and other kinds add theirs.
     """
-    reads_basis = False
 
     def apply(self, v: TangentVector) -> Point:
         return self._apply(v.base, v.ambient)
@@ -229,7 +226,6 @@ class Recentred(_Value, _Kind):
     name = "recentred"
     manifolds = (Sphere,)
     _fields = ("base", "rotation_seed")
-    reads_basis = True
 
     def __init__(self, base, rotation_seed: int = 0):
         if not isinstance(base, (Projection, SphereGeodesic)):
@@ -352,7 +348,7 @@ def recentring_rotation(kind: Recentred, p: Point) -> np.ndarray:
     n = p.manifold.n
     if n > 1:
         R = _seeded_rotation(kind.rotation_seed, n - 1)
-        C = p.tangent_columns @ R
+        C = p.manifold.tangent_columns(p) @ R
         return np.column_stack([p.ambient, C])
     return p.ambient.reshape(1, 1).copy()
 
@@ -391,21 +387,15 @@ def _sweep(pair: ParametrizationPair, m: ManifoldDescriptor, P: list,
            G: list, steps: np.ndarray):
     """The audit's stages for the samples at P (gaussians G), each one pass,
     in one sample's order: each direction d from its point's basis (one
-    completion, kept only where a kind `reads_basis`); rows d, +-h d and
-    r d checked; phi maps +-h d and psi r d, one `_map_each` each (one in
-    all when phi is psi), the mapped rows checked. -> anchor, dphi and
-    alpha residuals per sample, psi residuals per row"""
+    completion, which no sample keeps); rows d, +-h d and r d checked; phi
+    maps +-h d and psi r d, one `_map_each` each (one in all when phi is
+    psi), the mapped rows checked. -> dphi and alpha residuals per sample,
+    psi residuals per row"""
     N = m.ambient_dim
-    lend = pair.phi.reads_basis or pair.psi.reads_basis
     D = np.empty((len(P), N))
-    for p, g, d in zip(P, G, D):  # one basis live, unless a kind reads it
-        B = tangent_basis(p).columns
-        d[:] = B @ g
-        if lend:
-            vars(p)["_lent_columns"] = B
+    for p, g, d in zip(P, G, D):  # one basis live at a time
+        d[:] = tangent_basis(p).columns @ g
     D /= np.array(row_norms(D))[:, None]
-    anchor = [norm(apply_phi(pair, TangentVector(p, np.zeros(N))).ambient
-                   - p.ambient) for p in P]
     phi, psi = pair.phi.check_on(m), pair.psi.check_on(m)
     rows = steps[:, None] * D[:, None]
     X = np.array([p.ambient for p in P])
@@ -420,18 +410,19 @@ def _sweep(pair: ParametrizationPair, m: ManifoldDescriptor, P: list,
     m.check_feasible(Y.reshape(-1, N))
     fd = (Y[:, 0] - Y[:, 1]) / (2.0 * steps[1])
     Z = Y[:, 2:] - X[:, None] - steps[3:, None] * D[:, None]
-    return anchor, row_norms(fd - D), alpha, row_norms(Z.reshape(-1, N))
+    return row_norms(fd - D), alpha, row_norms(Z.reshape(-1, N))
 
 
 def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
                      sample_points: int, sample_radii, seed: int) -> AuditReport:
     """Finite-sample audit of the pair's defining conditions.
 
-    Per sampled base point and tangent direction: checks phi_p(0) = p,
-    estimates ||D phi_p(0) - I|| by central differences, bounds the
+    Per sampled base point and tangent direction: estimates
+    ||D phi_p(0) - I|| by central differences, bounds the
     second-order term, and measures ||psi_p(y) - p - y|| against ||y||^2
     over the given radii. The result is sampling evidence, not a proof:
     finitely many base points cannot rule out non-uniformity between them.
+    phi_p(0) = p holds exactly for every kind, so `identity_residual` is 0.
     A zero-dimensional manifold has no direction to sample: ManifoldMismatch.
 
     The samples are drawn in turn from one prefetched block of the stream,
@@ -458,13 +449,13 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
     P, G = zip(*[(p, tangent_gaussians(p, rng)) for p in drawn])
     steps = np.array((1.0, _H, -_H) + radii)
     try:
-        anchor, dphi, alpha, resid = _sweep(pair, m, P, G, steps)
+        dphi, alpha, resid = _sweep(pair, m, P, G, steps)
     except (GnewtonError, ValueError):
         for i in range(sample_points):  # the first sample that raises alone
             _sweep(pair, m, P[i:i + 1], G[i:i + 1], steps)
         raise
-    identity_residual, dphi_residual, alpha_hat = (
-        max([0.0] + v) for v in (anchor, dphi, alpha))  # in sample order
+    identity_residual = 0.0  # `_Kind._apply` returns p itself at v = 0
+    dphi_residual, alpha_hat = (max([0.0] + v) for v in (dphi, alpha))
     # the ambient subtraction leaves ~1e-16 rounding residue even
     # when psi is exact (p + y computed then re-subtracted); below
     # this floor the residual is indistinguishable from zero and

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -314,6 +315,20 @@ def test_exit_code_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_out_beneath_a_file_exits_4(tmp_path, capsys, command):
+    """an --out that lies beneath a regular file is a rejected input: exit
+    4 with the OSError after the config's path, and nothing on stdout"""
+    path = _write(tmp_path, "cfg.json", SPHERE_RUN)
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / "afile" / "x")
+    assert main([command, path, "--out", out]) == 4
+    got = capsys.readouterr()
+    assert got.err.startswith("error: %s: [Errno %d] "
+                              % (path, errno.ENOTDIR)), got.err
+    assert got.out == ""
 
 
 def test_usage_error_exits_4(capsys):

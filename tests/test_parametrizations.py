@@ -591,21 +591,24 @@ def test_sweep_raises_the_tangent_rule_of_the_first_bad_row():
         assert "tangency residual" in str(raised.value)
 
 
-def test_recentred_audit_completes_each_tangent_space_once(monkeypatch):
-    """the sweep lends each sample's basis to Recentred's rotation: one
-    completion per sample, as for a kind that reads no basis"""
+def test_recentred_audit_completes_each_tangent_space_twice(monkeypatch):
+    """the sweep completes each sample's basis for its direction, and
+    Recentred's rotation completes it once more: two completions per
+    sample, against one for a kind that reads no basis"""
     calls = []
     complete = manifolds_mod._complete_unit
     monkeypatch.setattr(manifolds_mod, "_complete_unit",
                         lambda p: calls.append(1) or complete(p))
-    for kind in (Recentred(Projection(), 0), Recentred(SphereGeodesic(), 2),
-                 Projection()):
+    for kind, per_sample in ((Recentred(Projection(), 0), 2),
+                             (Recentred(SphereGeodesic(), 2), 2),
+                             (Projection(), 1)):
         for sample_points in (1, 7, 20):
             del calls[:]
             args = (_pair(kind), sphere(6), sample_points,
                     [1e-1, 1e-2, 1e-3], 3)
             rep = audit_conditions(*args)
-            assert len(calls) == sample_points, (kind, sample_points)
+            assert len(calls) == per_sample * sample_points, (kind,
+                                                              sample_points)
             assert repr(rep) == repr(oracles.audit_rows(*args))
 
 
@@ -636,18 +639,21 @@ def test_audit_refuses_what_the_config_refuses_as_sample_points(tmp_path,
 
 
 def test_audit_holds_no_basis_per_sample():
-    """a kind that reads no basis leaves each sample's completed basis
-    behind: the audit's peak grows per sample by its stacked rows alone,
-    well under one sphere(80) basis (80 x 79 floats)"""
+    """no sample keeps a completed basis, neither its direction's nor a
+    recentring rotation's: the audit's peak grows per sample by its
+    stacked rows alone, well under one sphere(80) basis (80 x 79 floats)"""
     m = sphere(80)
-    pair = _pair(Projection())
     radii = [1e-1, 1e-2, 1e-3]
-    audit_conditions(pair, m, 2, radii, 0)
-    peaks = []
-    for sample_points in (10, 60):
-        tracemalloc.start()
-        audit_conditions(pair, m, sample_points, radii, 0)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-    per_sample = (peaks[1] - peaks[0]) / 50
-    assert per_sample < 0.5 * m.ambient_dim * m.intrinsic_dim * 8, per_sample
+    for kind in (Projection(), Recentred(Projection(), 0),
+                 Recentred(SphereGeodesic(), 2)):
+        pair = _pair(kind)
+        audit_conditions(pair, m, 2, radii, 0)
+        peaks = []
+        for sample_points in (10, 60):
+            tracemalloc.start()
+            audit_conditions(pair, m, sample_points, radii, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        per_sample = (peaks[1] - peaks[0]) / 50
+        assert per_sample < 0.5 * m.ambient_dim * m.intrinsic_dim * 8, (
+            kind, per_sample)
