@@ -87,7 +87,8 @@ class ManifoldDescriptor(_Value):
     `intrinsic_dim`, the feasibility and tangency residuals, of one row
     or (overriding `feasibility_residuals` and `tangency_residuals`) of a
     stack (`check_feasible` and `check_tangent` make the one rule of each),
-    the `tangent_columns` (a new array each call), `_project` on a stack
+    the `tangent_columns` (a new array each call) and the Newton step's
+    `_step_columns`, `_project` on a stack
     of rows, and its second fundamental form II_p(v, v), the normal part
     of the acceleration of every curve through p with velocity v, twice
     over: `second_fundamental_form(p, v)`, and `weingarten(p, B, g)`, the
@@ -140,6 +141,11 @@ class ManifoldDescriptor(_Value):
             if resid > FEAS_TOL and resid > FEAS_TOL * norm(v):
                 raise InfeasiblePoint("tangency residual %.3e too large"
                                       % resid)
+
+    def _step_columns(self, p: "Point") -> np.ndarray:
+        """The columns the Newton step solves over: `tangent_columns`,
+        unless the class has a cheaper orthonormal basis (`_Frame`)."""
+        return self.tangent_columns(p)
 
     def feasibility_residuals(self, X: np.ndarray) -> list:
         return [self.feasibility_residual(x) for x in X]
@@ -284,18 +290,31 @@ class _Frame(ManifoldDescriptor):
         return _orthonormality_residual(x.reshape(self.n, self.p, order="F"))
 
     def tangent_columns(self, p: "Point") -> np.ndarray:
-        """A new array, the horizontal block: column b moves along the a-th
-        completion vector P_a of X, b outer, a inner, in column-major
-        coordinates kron(I_p, P), filled in place byte for byte as kron
-        gives it: P in the p diagonal blocks, 0.0 * P (signed zeros) off."""
-        return self._columns(p.as_matrix(), 0)
+        """A new array: `_columns` over the pivoted completion of X."""
+        X = p.as_matrix()
+        return self._columns(X, _complete_orthonormal(X))
 
-    def _columns(self, X: np.ndarray, k: int) -> np.ndarray:
-        """The tangent columns at X: k zero ones for the caller to fill,
-        then the horizontal block."""
+    def _step_columns(self, p: "Point") -> np.ndarray:
+        """A new array: `_columns` over the completion that one Householder
+        QR of X gives. The Newton step does not depend on which orthonormal
+        basis carries it, so the step takes this one LAPACK call; every
+        result whose bits are published keeps `tangent_columns`."""
+        X = p.as_matrix()
+        return self._columns(X, np.linalg.qr(X, mode="complete")[0][:, self.p:])
+
+    def _columns(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """The tangent columns at X over its orthonormal completion P: the
+        horizontal block."""
+        return self._horizontal(P, 0)
+
+    def _horizontal(self, P: np.ndarray, k: int) -> np.ndarray:
+        """k zero columns for the caller to fill, then the horizontal block:
+        column b moves along the a-th completion vector P_a, b outer, a
+        inner, in column-major coordinates kron(I_p, P), filled in place
+        byte for byte as kron gives it: P in the p diagonal blocks,
+        0.0 * P (signed zeros) off."""
         n, pp = self.n, self.p
         out = np.zeros((n * pp, k + pp * (n - pp)))
-        P = _complete_orthonormal(X)
         H = out[:, k:].reshape(pp, n, pp, n - pp)  # a view: block (b, b')
         H[...] = 0.0 * P[:, None, :]
         for b in range(pp):
@@ -335,14 +354,13 @@ class Stiefel(_Frame):
         V = v.reshape(self.n, self.p, order="F")
         return norm(X.T @ V + V.T @ X)
 
-    def tangent_columns(self, p: "Point") -> np.ndarray:
+    def _columns(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """The skew block first: the pair (i, j), i < j, in row-major
         order, moves column j along x_i and column i along -x_j; then the
-        horizontal block. Returns a new array."""
-        X = p.as_matrix()
+        horizontal block over P."""
         pp = self.p
         k = pp * (pp - 1) // 2
-        out = self._columns(X, k)
+        out = self._horizontal(P, k)
         S = out[:, :k].reshape(pp, self.n, k)  # a view: S[c, :, pair]
         Xs = X / sqrt(2.0)
         for c, (i, j) in enumerate(combinations(range(pp), 2)):
@@ -536,16 +554,16 @@ def _identity(m: int) -> np.ndarray:
 
 def tangent_basis(p: Point) -> TangentBasis:
     """Deterministic orthonormal basis of the tangent (Grassmann: horizontal)
-    space at p: `_basis_columns`, not copied."""
-    return TangentBasis.__new__(TangentBasis)._bind(p, _basis_columns(p))
+    space at p, the published one: the new `tangent_columns` through
+    `_basis_columns`, not copied."""
+    B = _basis_columns(p.manifold, p.manifold.tangent_columns(p))
+    return TangentBasis.__new__(TangentBasis)._bind(p, B)
 
 
-def _basis_columns(p: Point) -> np.ndarray:
-    """The columns of `tangent_basis(p)`: the new `tangent_columns`, frozen
-    in place and checked once."""
-    B = p.manifold.tangent_columns(p)
+def _basis_columns(m: ManifoldDescriptor, B: np.ndarray) -> np.ndarray:
+    """The new columns B of a basis on m, frozen in place and checked once."""
     B.setflags(write=False)
-    return _checked_basis(p.manifold, B)
+    return _checked_basis(m, B)
 
 
 def random_unit_tangent(p: Point, rng: SplitMix64) -> np.ndarray:

@@ -34,10 +34,13 @@ class StepResult(_Record):
     """A step from a point, as `generalized_newton_step` returns it: the
     record of the array step `_array_step`, which `run_iteration` takes
     without it. `base_value` is the cost there and `hessian` the
-    pulled-back Hessian the step solved with, both from its jet. The step
-    takes no eigenvalues when its solve's Cholesky certificate holds, so
-    `hessian_condition` (condition_estimate of `hessian`) is computed when
-    read."""
+    pulled-back Hessian the step solved with, both from its jet, in the
+    step's own orthonormal basis (`_step_columns`): on the sphere and the
+    line that is `tangent_basis`, so `hessian` is `pullback_jet`'s to the
+    bit; on Stiefel and Grassmann it is QᵀHQ for an orthogonal Q, with the
+    jet's spectrum. The step takes no eigenvalues when its solve's Cholesky
+    certificate holds, so `hessian_condition` (condition_estimate of
+    `hessian`) is computed when read."""
     _fields = ("next", "step_norm", "hessian", "pair_used", "base_value")
 
     @property
@@ -178,22 +181,31 @@ def _jet(c, phi, p: Point, B):
 
 def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResult:
     """One step of E_f = psi_p . N_{f o phi_p} at p: the record of the
-    array step `_array_step`, which `run_iteration` calls directly."""
+    array step `_array_step`, which `run_iteration` calls directly.
+
+    The step does not depend on the orthonormal basis of T_p that carries
+    it: with B' = BQ the jet is (Q^T g, Q^T H Q), so w = B's' = Bs. It
+    solves over `_step_columns`, which on Stiefel and Grassmann complete
+    the frame with one Householder QR instead of the pivoted completion of
+    the published `tangent_basis`; there the next point and |s| agree with
+    the step composed over `tangent_basis` within rounding, not bit for
+    bit."""
     nxt, step_norm, H, f = _array_step(c, pair, p)
     return StepResult(nxt, step_norm, H, pair, f)
 
 
 def _array_step(c, pair: ParametrizationPair, p: Point):
-    """The step on arrays: the jet over p's checked basis, the solve, the
-    increment w = B s checked tangent as a TangentVector is, and psi's
-    map of w (p itself for a zero w). It builds no record but the next
-    Point.
+    """The step on arrays: the jet over p's checked step columns, the
+    solve, the increment w = B s checked tangent as a TangentVector is, and
+    psi's map of w (p itself for a zero w). It builds no record but the
+    next Point.
     -> (next point, |s|, Hessian, f(p))"""
-    B = _basis_columns(p)
+    m = p.manifold
+    B = _basis_columns(m, m._step_columns(p))
     f, grad, H = _jet(c, pair.phi, p, B)
     s = -solve_finite(H, grad)
     w = B @ s
-    p.manifold.check_tangent(p.ambient, w[None])
+    m.check_tangent(p.ambient, w[None])
     return pair.psi._apply(p, w), norm(s), H, f
 
 
