@@ -223,8 +223,11 @@ def cmd_audit(args) -> int:
 
 def _read_trace_csv(path):
     """Coordinate rows from a trace CSV, schema-checked. -> (rows, ncoords)"""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("trace CSV: %s" % exc) from exc
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

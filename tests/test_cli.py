@@ -741,10 +741,14 @@ ONE_POINT_TRACE = "iter,step_norm,cost,error,coord_0\n0,,1.0,,0.5\n"
      "error: truth spec: invalid literal for int() with base 10: 'x'\n"),
     (["rates", "{trace}", "--truth", "euclidean:1,1,1:0.0"], None,
      "error: truth spec: dims must be n or n,p\n"),
+    (["rates", "{bad}", "--truth", "none"], None,
+     "error: trace CSV: 'utf-8' codec can't decode byte 0xff in position 37: "
+     "invalid start byte\n"),
 ], ids=["jobs-0", "duplicate-stem", "max-iter-0", "tol-negative",
         "floor-not-below-ceil", "radius-below-1e-6", "radius-negative",
         "audit-zero-dimensional", "rates-floor-not-below-ceil",
-        "truth-two-parts", "truth-dims-not-int", "truth-three-dims"])
+        "truth-two-parts", "truth-dims-not-int", "truth-three-dims",
+        "rates-trace-not-utf8"])
 def test_every_refusal_exits_4_with_its_message(tmp_path, capsys, argv, cfg,
                                                 err):
     """each refusal, the front end's and the library's, exits 4 with its
@@ -754,8 +758,11 @@ def test_every_refusal_exits_4_with_its_message(tmp_path, capsys, argv, cfg,
     names = {"cfg": _write(tmp_path, "cfg.json", cfg),
              "dup": _write(tmp_path / "sub", "cfg.json", cfg),
              "trace": str(tmp_path / "trace.csv"),
+             "bad": str(tmp_path / "bad.csv"),
              "out": str(tmp_path / "out")}
     (tmp_path / "trace.csv").write_text(ONE_POINT_TRACE)
+    (tmp_path / "bad.csv").write_bytes(
+        b"iter,step_norm,cost,error,coord_0\n0,,\xff\xfe,,1.0\n")
     assert main([a.format(**names) for a in argv]) == 4
     got = capsys.readouterr()
     assert (got.err, got.out) == (err.format(**names), "")

@@ -4,22 +4,24 @@ import pytest
 import oracles
 from gnewton.costs import (AbsPower, BrockettTrace, GrassmannTrace,
                            Quadratic, ShiftedCubic, value)
+from gnewton.config import near_truth_start
 import gnewton.linalg as linalg_mod
 import gnewton.manifolds as manifolds_mod
 import gnewton.newton as newton_mod
 from gnewton.errors import (ChartDomainViolation, InfeasiblePoint,
                             NotTwiceDifferentiable, OutsideValidityRadius,
                             ProjectionUndefined, SingularHessian)
-from gnewton.linalg import condition_estimate, symmetric_solve
-from gnewton.manifolds import (Point, distance, euclidean, grassmann,
-                               random_point, sphere, stiefel, tangent_basis)
+from gnewton.linalg import condition_estimate, norm, symmetric_solve
+from gnewton.manifolds import (Point, TangentVector, distance, euclidean,
+                               grassmann, random_point, sphere, stiefel,
+                               tangent_basis)
 from gnewton.newton import (Fixed, PathDependent, Random, RoundRobin,
                             generalized_newton_step, pullback_jet,
                             run_iteration)
 from gnewton.parametrizations import (QR, Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
                                       Recentred, SphereGeodesic, Stereographic,
-                                      pair_label)
+                                      apply_psi, audit_conditions, pair_label)
 from gnewton.rates import estimate_rate
 from gnewton.rng import SplitMix64
 
@@ -598,6 +600,117 @@ def test_run_checks_each_value_once_and_builds_one_record_per_iterate(
     pullback_jet(c, PP, p0)
     assert calls.count("_orthonormality_residual") == 1
     assert sorted(built) == ["Jet2", "TangentBasis"]
+
+
+# every frame shape the basis tests draw: p = 1, 1 < p < n and p = n (a
+# zero-dimensional Grassmann, whose every step is a SingularHessian)
+_FRAMES = (stiefel(5, 1), stiefel(6, 3), stiefel(4, 4),
+           grassmann(5, 1), grassmann(7, 3), grassmann(4, 4))
+_FRAME_PAIRS = [ParametrizationPair(a, b) for a in (Projection(), QR())
+                for b in (Projection(), QR())]
+
+
+def _frame_cost(m, seed):
+    """a seeded symmetric A: Brockett with N = diag(p, ..., 1) on Stiefel,
+    the trace cost on Grassmann"""
+    G = SplitMix64(seed).gaussians(m.n * m.n).reshape(m.n, m.n)
+    if m.kind == "stiefel":
+        return BrockettTrace(G + G.T, np.diag(np.arange(m.p, 0.0, -1.0)))
+    return GrassmannTrace(G + G.T)
+
+
+def _composed_step(c, pair, p):
+    """the step composed over the published basis: pullback_jet, the solve,
+    psi of w = B s. -> (next point, s, H)"""
+    jet = pullback_jet(c, pair, p)
+    s = -symmetric_solve(jet.hessian, jet.gradient)
+    w = TangentVector(p, jet.basis.columns @ s)
+    return apply_psi(pair, w), s, jet.hessian
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # compared by class below
+        return exc
+
+
+# C in the bound C cond(H) eps: the largest ratio on seeds 0-19 was 10.6
+# (the spectrum; next point 2.3, |s| 1.7, condition 4.3), and seeds 20-39
+# were not looked at while choosing it
+BASIS_TOL = 32.0
+
+
+@pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)],
+                         ids=["set-on-0-19", "checked-on-20-39"])
+def test_frame_step_does_not_depend_on_the_basis(seeds):
+    """on Stiefel and Grassmann the step solves over its own (Householder)
+    basis, B' = B Q: at seeded random and near-truth points, for every
+    ordered pair of projection and QR, generalized_newton_step raises the
+    class the step composed over tangent_basis raises, or agrees with it
+    in the next point and |s| within C cond(H) eps max(1, |s|), in each
+    eigenvalue of its Hessian within C cond(H) eps |lambda|_min (Weyl's
+    C eps |H|_2) and in hessian_condition within C cond(H)^2 eps"""
+    eps = np.finfo(float).eps
+    cases = raised = 0
+    for m in _FRAMES:
+        for seed in seeds:
+            c = _frame_cost(m, seed)
+            points = [random_point(m, seed)]
+            if m.intrinsic_dim:
+                points.append(near_truth_start(m, c.truth(m), 0.1, seed))
+            for p in points:
+                for pair in _FRAME_PAIRS:
+                    cases += 1
+                    ref = _outcome(_composed_step, c, pair, p)
+                    got = _outcome(generalized_newton_step, c, pair, p)
+                    if isinstance(ref, Exception) or isinstance(got, Exception):
+                        assert type(got) is type(ref), (m, seed, pair, got, ref)
+                        raised += 1
+                        continue
+                    nxt, s, H = ref
+                    kappa = condition_estimate(H)
+                    tol = BASIS_TOL * kappa * eps * max(1.0, norm(s))
+                    assert norm(got.next.ambient - nxt.ambient) <= tol
+                    assert abs(got.step_norm - norm(s)) <= tol
+                    lam = np.linalg.eigvalsh(H)
+                    gap = np.abs(np.linalg.eigvalsh(got.hessian) - lam)
+                    assert gap.max() <= (BASIS_TOL * kappa * eps
+                                         * np.abs(lam).min())
+                    assert (abs(got.hessian_condition - kappa)
+                            <= BASIS_TOL * kappa * kappa * eps)
+    # every Grassmann(4, 4) step is singular, and nothing else raised
+    assert (cases, raised) == (len(seeds) * 4 * 11, len(seeds) * 4)
+
+
+@pytest.mark.parametrize("m", [stiefel(6, 3), grassmann(7, 3)],
+                         ids=["stiefel", "grassmann"])
+@pytest.mark.parametrize("kind", [Projection(), QR()], ids=lambda k: k.name)
+def test_frame_step_makes_no_pivoted_completion(monkeypatch, m, kind):
+    """a frame run completes each iterate's frame with one Householder QR:
+    no pivoted completion, and one basis check per step; pullback_jet,
+    near_truth_start and audit_conditions, whose bits are published, each
+    still take the pivoted completion once per point"""
+    c = _frame_cost(m, 0)
+    calls = []
+    for name in ("_complete_orthonormal", "_checked_basis"):
+        _count_package_calls(monkeypatch, calls, name,
+                             getattr(manifolds_mod, name))
+    p0 = near_truth_start(m, c.truth(m), 0.1, 0)
+    assert calls == ["_complete_orthonormal", "_checked_basis"]
+    calls.clear()
+    tr = run_iteration(c, Fixed(_pair(kind)), p0, 20, 1e-12)
+    steps = len(tr.step_norms)
+    assert tr.termination == "Converged" and steps >= 3
+    assert (calls.count("_complete_orthonormal"),
+            calls.count("_checked_basis")) == (0, steps)
+    calls.clear()
+    for p in tr.points:
+        pullback_jet(c, _pair(kind), p)
+    assert calls.count("_complete_orthonormal") == len(tr.points)
+    calls.clear()
+    audit_conditions(_pair(kind), m, 5, [0.1, 0.01], 0)
+    assert calls.count("_complete_orthonormal") == 5
 
 
 # how run_iteration names the end that each typed step error makes
