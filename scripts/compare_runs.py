@@ -190,9 +190,8 @@ def compare(parent, change):
     flips = sum((d["parent"] or {}).get("insufficient_data")
                 != (d["change"] or {}).get("insufficient_data")
                 for d in rate_diffs)
-    big_k = sum(abs(d["parent"]["K"] - d["change"]["K"]) > 0.1
-                for d in rate_diffs
-                if "K" in (d["parent"] or {}) and "K" in (d["change"] or {}))
+    moved_k = [abs(d["parent"]["K"] - d["change"]["K"]) for d in rate_diffs
+               if "K" in (d["parent"] or {}) and "K" in (d["change"] or {})]
     report = {"runs": runs, "audits": audits, "hard_differences": hard,
               "max_iterate_difference": {"value": iterate_max[0],
                                          "config": iterate_max[1]},
@@ -205,7 +204,9 @@ def compare(parent, change):
                   "by_source": {s: sum(d["source"] == s for d in rate_diffs)
                                 for s in RATE_SOURCES},
                   "insufficient_data_flips": flips,
-                  "K_moved_over_0.1": big_k},
+                  # 0.01: the most a published K may move with rounding
+                  "K_moved_over_0.01": sum(k > 0.01 for k in moved_k),
+                  "K_moved_over_0.1": sum(k > 0.1 for k in moved_k)},
               "rate_differences": rate_diffs}
     return report, bool(hard)
 

@@ -33,7 +33,7 @@ from .parametrizations import (AuditReport, Custom1D, ExampleBeta,
                                apply_psi, audit_conditions, pair_label,
                                recentring_rotation, second_order_term)
 from .rates import (DEFAULT_CEIL, DEFAULT_FLOOR, RateEstimate, error_sequence,
-                    estimate_rate, pooled_rate, usable_pairs)
+                    estimate_rate, pooled_rate, resolvable_rate, usable_pairs)
 from .rng import SplitMix64
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .errors import ConfigError, InsufficientData, ManifoldMismatch
 from .manifolds import Point, euclidean
 from .newton import run_iteration
 from .parametrizations import audit_conditions, pair_label
-from .rates import DEFAULT_CEIL, DEFAULT_FLOOR, error_sequence, estimate_rate
+from .rates import DEFAULT_CEIL, DEFAULT_FLOOR, error_sequence, resolvable_rate
 
 _EXIT_BY_TERMINATION = {
     "Converged": 0,
@@ -103,9 +103,11 @@ def _parse_truth_spec(spec: str):
         raise ConfigError("truth spec: %s" % exc) from exc
 
 
-def _rate_payload(errors, floor, ceil) -> dict:
+def _rate_payload(sequences, limits, floor, ceil) -> dict:
+    """The rate object of `resolvable_rate` over the error sequences, each
+    measured to its limit point."""
     try:
-        est = estimate_rate(errors, floor, ceil)
+        est = resolvable_rate(sequences, limits, floor, ceil)
     except InsufficientData as exc:
         return {"insufficient_data": True, "reason": str(exc)}
     rho_bar = None
@@ -150,7 +152,8 @@ def _run_one(config_path: str, out_dir: str, seed_override) -> int:
             "iterations": len(trace.points) - 1,
             "final_cost": float(trace.cost_values[-1]),
             "truth": None,
-            "rate": _rate_payload(errors, exp.rate_floor, exp.rate_ceil),
+            "rate": _rate_payload([errors], [truth or trace.points[-1]],
+                                  exp.rate_floor, exp.rate_ceil),
             "artifacts": {"trace_csv": "trace.csv",
                           "summary_json": "summary.json"},
         }
@@ -269,32 +272,39 @@ def _read_trace_csv(path):
     return rows, ncoords
 
 
+def _trace_points(path, truth):
+    """The iterates of one trace CSV, on the truth's manifold, or as
+    ambient vectors where there is no truth."""
+    rows, ncoords = _read_trace_csv(path)
+    if truth is not None:
+        m = truth.manifold
+        if ncoords != m.ambient_dim:
+            raise ConfigError("trace CSV has %d coordinates but truth "
+                              "lives in dimension %d"
+                              % (ncoords, m.ambient_dim))
+    else:
+        # no truth: rows are treated as ambient vectors, the last iterate
+        # stands in for the limit and the final two rows are dropped
+        m = euclidean(ncoords)
+    try:
+        return [Point(m, c) for c in rows]
+    except ValueError as exc:
+        raise ConfigError("trace CSV: row not on %s: %s"
+                          % (m.kind, exc)) from exc
+
+
 def cmd_rates(args) -> int:
     try:
         if not (0 <= args.floor < args.ceil):
             raise ConfigError("--floor/--ceil: need 0 <= floor < ceil")
-        rows, ncoords = _read_trace_csv(args.trace)
         truth = _parse_truth_spec(args.truth)
-        if truth is not None:
-            m = truth.manifold
-            if ncoords != m.ambient_dim:
-                raise ConfigError("trace CSV has %d coordinates but truth "
-                                  "lives in dimension %d"
-                                  % (ncoords, m.ambient_dim))
-        else:
-            # no truth: rows are treated as ambient vectors, the last iterate
-            # stands in for the limit and the final two rows are dropped
-            m = euclidean(ncoords)
-        try:
-            pts = [Point(m, c) for c in rows]
-        except ValueError as exc:
-            raise ConfigError("trace CSV: row not on %s: %s"
-                              % (m.kind, exc)) from exc
-        errors = error_sequence(pts, truth)
+        traces = [_trace_points(path, truth) for path in args.traces]
+        errors = [error_sequence(pts, truth) for pts in traces]
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
-    payload = _rate_payload(errors, args.floor, args.ceil)
+    payload = _rate_payload(errors, [truth or pts[-1] for pts in traces],
+                            args.floor, args.ceil)
     print(json.dumps(_sanitize(payload), indent=2))
     return 0
 
@@ -337,12 +347,14 @@ def _build_parser():
                    help="replace the audit sampling seed")
     a.set_defaults(func=cmd_audit)
 
-    t = sub.add_parser("rates", help="fit a convergence rate to a trace CSV, "
+    t = sub.add_parser("rates", help="fit a convergence rate to one trace "
+                                     "CSV, or one pooled rate to several, "
                                      "print JSON")
-    t.add_argument("trace", help="trace.csv produced by the run subcommand")
+    t.add_argument("traces", nargs="+", metavar="trace",
+                   help="trace.csv produced by the run subcommand")
     t.add_argument("--truth", required=True,
                    help="\"none\" or KIND:DIMS:COORDS (the summary.json "
-                        "truth spec)")
+                        "truth spec), one for every trace")
     t.add_argument("--floor", type=float, default=DEFAULT_FLOOR,
                    help="ignore errors at or below this (default %g)"
                         % DEFAULT_FLOOR)

@@ -11,10 +11,12 @@ from math import exp, log, sqrt
 import numpy as np
 
 from .errors import InsufficientData, ManifoldMismatch
+from .linalg import norm
 from .manifolds import Point, _Value, distance
 
 DEFAULT_FLOOR = 1e-12
 DEFAULT_CEIL = 1e-1
+_ROUNDING = 8 * float(np.finfo(float).eps)  # times |x*|_F: the level of x*
 
 
 class RateEstimate(_Value):
@@ -53,6 +55,37 @@ def error_sequence(trace, truth) -> list:
     elif isinstance(truth, Point) and truth.manifold != points[0].manifold:
         raise ManifoldMismatch("truth lives on a different manifold")
     return [distance(p, truth) for p in points]
+
+
+def resolvable_rate(sequences, limits, floor: float = DEFAULT_FLOOR,
+                    ceil: float = DEFAULT_CEIL) -> RateEstimate:
+    """The fit a run publishes: ``estimate_rate`` of one error sequence, or
+    ``pooled_rate`` of several, over the rungs that rounding can resolve.
+
+    ``limits`` holds, per sequence, the point x* its errors are measured
+    to: the truth, or the final iterate where ``error_sequence`` has none.
+    An error at or under x*'s rounding level 8 eps |x*|_F reads as 0, so it
+    falls outside (floor, ceil): a step of length about e_k moves x by
+    rounding of that size, so a rung there is noise, not a power law. A
+    truth at 0 has level 0 and keeps every rung. Where a level lies above
+    the floor, InsufficientData names it, whether or not a rung fell
+    under it, so the reason does not change with rounding either.
+    """
+    guarded, top = [], 0.0
+    for errors, x in zip(sequences, limits):
+        level = _ROUNDING * norm(x.ambient)
+        top = max(top, level)
+        guarded.append([0.0 if e <= level else e for e in errors])
+    try:
+        if len(guarded) == 1:
+            return estimate_rate(guarded[0], floor, ceil)
+        return pooled_rate(guarded, floor, ceil)
+    except InsufficientData as exc:
+        if top <= floor:
+            raise
+        raise InsufficientData("%s; errors at or under the rounding level "
+                               "%.3g of the limit read as 0" % (exc, top)
+                               ) from None
 
 
 def usable_pairs(errors, floor: float = DEFAULT_FLOOR,

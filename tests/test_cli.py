@@ -58,7 +58,11 @@ def _run(tmp_path, cfg, sub="r", name="cfg.json"):
     return code, out
 
 
-def test_run_writes_artifacts(tmp_path):
+# every start seed of SPHERE_RUN that the pooled rate reads: none skipped
+POOLED_SEEDS = range(10)
+
+
+def test_run_writes_artifacts(tmp_path, capsys):
     code, out = _run(tmp_path, SPHERE_RUN)
     assert code == 0
     assert (out / "trace.csv").is_file()
@@ -67,10 +71,29 @@ def test_run_writes_artifacts(tmp_path):
     assert s["termination"] == "Converged"
     assert s["iterations"] <= 15
     assert s["truth"]["distance"] <= 1e-12
-    assert s["rate"]["insufficient_data"] is False
-    assert s["rate"]["K"] >= 1.8
+    # one cubic trace from 0.1 holds two rungs above the rounding level
+    # 8 eps |x*| (the third, 2.1e-25, is rounding noise): no fit of its own
+    assert s["rate"]["insufficient_data"] is True
+    assert "rounding level 1.78e-15" in s["rate"]["reason"]
     assert s["artifacts"] == {"trace_csv": "trace.csv",
                               "summary_json": "summary.json"}
+    # `gnewton rates` pools SPHERE_RUN's traces over a declared seed range,
+    # every one of them, under one --truth: the rate from resolvable rungs
+    traces, specs = [], set()
+    for seed in POOLED_SEEDS:
+        run = tmp_path / ("s%d" % seed)
+        assert main(["run", str(tmp_path / "cfg.json"), "--out", str(run),
+                     "--seed-override", str(seed)]) == 0
+        specs.add(json.loads((run / "summary.json").read_text())
+                  ["truth"]["spec"])
+        traces.append(str(run / "trace.csv"))
+    assert len(specs) == 1
+    assert main(["rates", *traces, "--truth", specs.pop(),
+                 "--floor", "1e-30", "--ceil", "0.5"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["insufficient_data"] is False
+    assert got["K"] >= 2.5
+    assert got["n_points"] == 2 * len(POOLED_SEEDS)
 
 
 def test_run_deterministic_bytes(tmp_path):
@@ -108,10 +131,7 @@ def test_rates_round_trip(tmp_path, capsys):
                  "--truth", s["truth"]["spec"],
                  "--floor", "1e-30", "--ceil", "0.5"])
     assert code == 0
-    got = json.loads(capsys.readouterr().out)
-    assert got["K"] == s["rate"]["K"]
-    assert got["kappa"] == s["rate"]["kappa"]
-    assert got["window"] == s["rate"]["window"]
+    assert json.loads(capsys.readouterr().out) == s["rate"]
 
 
 def test_rates_without_truth(tmp_path, capsys):

@@ -12,7 +12,11 @@ from gnewton.manifolds import Point, euclidean, random_point, sphere
 from gnewton.newton import Fixed, run_iteration
 from gnewton.parametrizations import ParametrizationPair, Projection
 from gnewton.rates import (DEFAULT_CEIL, DEFAULT_FLOOR, error_sequence,
-                           estimate_rate, pooled_rate, usable_pairs)
+                           estimate_rate, pooled_rate, resolvable_rate,
+                           usable_pairs)
+from gnewton.rng import SplitMix64
+
+EPS = np.finfo(float).eps
 
 
 def _synthetic(K, kappa, e0, n):
@@ -247,3 +251,98 @@ def test_fit_matches_mean_oracle_byte_for_byte(e0, K, kappa, noise, stall,
     seqs = [errs[i * n // parts:(i + 1) * n // parts] for i in range(parts)]
     assert (_fit(pooled_rate, seqs, floor, ceil)
             == _fit(oracles.mean_pooled_rate, seqs, floor, ceil))
+
+
+# --- the resolvability guard ----------------------------------------------------
+
+def test_resolvable_rate_reads_sub_rounding_errors_as_zero():
+    """on the unit sphere the rounding level is 8 eps: a rung at or under it
+    reads as 0 and leaves the fit, and the reason names the level; a truth
+    at 0 on the line has level 0 and keeps every rung"""
+    ladder = [0.0996, 1.32e-3, 2.86e-9, 2.09e-25, 0.0]  # a cubic, as run
+    e1 = Point(sphere(6), np.eye(6)[0])
+    with pytest.raises(InsufficientData,
+                       match=r"only 2 usable pairs .*rounding level 1\.78e-15"):
+        resolvable_rate([ladder], [e1], 1e-30, 0.5)
+    assert (resolvable_rate([ladder], [Point(euclidean(1), [0.0])], 1e-30, 0.5)
+            == estimate_rate(ladder, 1e-30, 0.5))
+    level = 8 * EPS
+    cut = [0.09, 0.09 ** 2, 0.09 ** 4, 0.09 ** 8, level, level / 2]
+    assert resolvable_rate([cut], [e1], 0.0, 0.5).window == (0, 3)
+    assert resolvable_rate([cut[:4] + [1.01 * level]], [e1], 0.0,
+                           0.5).window == (0, 4)
+
+
+def test_resolvable_rate_is_the_plain_fit_above_the_level():
+    """with every rung above the level, one sequence gives estimate_rate's
+    fit and several give pooled_rate's, to the bit; an InsufficientData the
+    level plays no part in keeps the plain message"""
+    e1 = Point(sphere(3), np.eye(3)[0])
+    one = _synthetic(2.0, 0.8, 0.05, 6)
+    two = _synthetic(3.0, 1.4, 0.09, 4)
+    assert resolvable_rate([one], [e1], 1e-12) == estimate_rate(one, 1e-12)
+    assert (resolvable_rate([one, two], [e1, e1], 1e-12)
+            == pooled_rate([one, two], 1e-12))
+    with pytest.raises(InsufficientData) as raised:
+        resolvable_rate([one[:3]], [e1])
+    assert str(raised.value) == "need at least 4 errors, got 3"
+    with pytest.raises(InsufficientData, match=r"in \(1e-12, 0.1\)$"):
+        resolvable_rate([[0.1, 1e-14, 1e-15, 1e-16]], [e1])
+
+
+def _workload_traces():
+    """(points, truth, floor, ceil) of every solve of the three benchmark
+    workloads at run seed 0 (bench/workloads.py, loaded by path), as
+    `gnewton run` fits them: the sign-matched truth, or None"""
+    import importlib.util
+    from pathlib import Path
+    from gnewton.config import build_experiment, match_truth_signs
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = []
+    for name in workloads.WORKLOADS:
+        for solve in workloads.make(name, 0).solves:
+            exp = build_experiment(solve.config)
+            tr = run_iteration(exp.cost, exp.selector, exp.x0, exp.max_iter,
+                               exp.tol)
+            truth = (match_truth_signs(exp.truth, tr.points[-1])
+                     if solve.rate_truth and exp.truth is not None else None)
+            out.append((tr.points, truth, exp.rate_floor, exp.rate_ceil))
+    return out
+
+
+_TRACES = []
+
+
+def _published_K(points, truth, floor, ceil):
+    """the K that `gnewton run` publishes for the trace, or None"""
+    try:
+        return resolvable_rate([error_sequence(points, truth)],
+                               [truth or points[-1]], floor, ceil).K
+    except InsufficientData:
+        return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.integers(0, 10 ** 6), seed=st.integers(0, 2 ** 32),
+       ulps=st.integers(1, 4))
+def test_published_rate_survives_rounding_of_the_iterates(case, seed, ulps):
+    """every coordinate x of every recorded iterate of a workload solve
+    moved by up to `ulps` eps |x|, as rounding moves it: the published
+    fit, down to the workloads' floor 1e-30, neither flips
+    insufficient_data nor moves K by more than 0.01"""
+    if not _TRACES:
+        _TRACES.extend(_workload_traces())
+    points, truth, floor, ceil = _TRACES[case % len(_TRACES)]
+    rng = SplitMix64(seed)
+    moved = [Point(p.manifold, p.ambient + ulps * EPS * np.abs(p.ambient)
+                   * (2.0 * np.array([rng.uniform() for _ in p.ambient]) - 1.0))
+             for p in points]
+    base = _published_K(points, truth, floor, ceil)
+    got = _published_K(moved, truth, floor, ceil)
+    assert (base is None) == (got is None), (base, got)
+    if base is not None:
+        assert abs(got - base) <= 0.01
