@@ -144,7 +144,8 @@ class ManifoldDescriptor(_Value):
 
     def _step_columns(self, p: "Point") -> np.ndarray:
         """The columns the Newton step solves over: `tangent_columns`,
-        unless the class has a cheaper orthonormal basis (`_Frame`)."""
+        unless the class has a cheaper orthonormal basis (`Sphere`,
+        `_Frame`)."""
         return self.tangent_columns(p)
 
     def feasibility_residuals(self, X: np.ndarray) -> list:
@@ -258,6 +259,21 @@ class Sphere(ManifoldDescriptor):
     def tangent_columns(self, p: "Point") -> np.ndarray:
         """A new array: the pivoted completion of p."""
         return _complete_orthonormal(p.ambient[:, None])
+
+    def _step_columns(self, p: "Point") -> np.ndarray:
+        """A new array: columns 2..n of the Householder reflector
+        I - 2 v v^T / v^T v with v = p + s e_1, s = sign(p_1) (+1 at 0),
+        which maps e_1 to -s p. As v^T v = 2 (1 + |p_1|) and v_{2..n} =
+        p_{2..n}, they are I[:, 1:] - v p_{2..n}^T / (1 + |p_1|): a few
+        array operations, without the pivoted completion's sort. The
+        Newton step does not depend on which orthonormal basis carries it;
+        every result whose bits are published keeps `tangent_columns`."""
+        x, n = p.ambient, self.n
+        v = x.copy()
+        v[0] += 1.0 if x[0] >= 0.0 else -1.0
+        B = v[:, None] * (x[1:] / (-1.0 - abs(x[0])))
+        B.reshape(-1)[n - 1::n] += 1.0  # entry (j + 1, j) is flat j n + n - 1
+        return B
 
     def _project(self, X: np.ndarray) -> np.ndarray:
         """Each row over its norm, which must not be 0."""

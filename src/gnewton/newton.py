@@ -35,9 +35,9 @@ class StepResult(_Record):
     record of the array step `_array_step`, which `run_iteration` takes
     without it. `base_value` is the cost there and `hessian` the
     pulled-back Hessian the step solved with, both from its jet, in the
-    step's own orthonormal basis (`_step_columns`): on the sphere and the
-    line that is `tangent_basis`, so `hessian` is `pullback_jet`'s to the
-    bit; on Stiefel and Grassmann it is QᵀHQ for an orthogonal Q, with the
+    step's own orthonormal basis (`_step_columns`): on the line that is
+    `tangent_basis`, so `hessian` is `pullback_jet`'s to the bit; on the
+    sphere, Stiefel and Grassmann it is QᵀHQ for an orthogonal Q, with the
     jet's spectrum. The step takes no eigenvalues when its solve's Cholesky
     certificate holds, so `hessian_condition` (condition_estimate of
     `hessian`) is computed when read."""
@@ -185,11 +185,11 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
 
     The step does not depend on the orthonormal basis of T_p that carries
     it: with B' = BQ the jet is (Q^T g, Q^T H Q), so w = B's' = Bs. It
-    solves over `_step_columns`, which on Stiefel and Grassmann complete
-    the frame with one Householder QR instead of the pivoted completion of
-    the published `tangent_basis`; there the next point and |s| agree with
-    the step composed over `tangent_basis` within rounding, not bit for
-    bit."""
+    solves over `_step_columns` instead of the pivoted completion of the
+    published `tangent_basis`: on the sphere the columns of one Householder
+    reflector, on Stiefel and Grassmann the frame completed by one
+    Householder QR. There the next point and |s| agree with the step
+    composed over `tangent_basis` within rounding, not bit for bit."""
     nxt, step_norm, H, f = _array_step(c, pair, p)
     return StepResult(nxt, step_norm, H, pair, f)
 

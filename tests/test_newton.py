@@ -148,10 +148,11 @@ def test_step_result_reports_condition():
     assert res.pair_used is PP
 
 
-def test_recentred_step_completes_the_tangent_basis_twice(monkeypatch):
-    """the jet's basis and psi's recentring rotation each complete p's
-    tangent space; p keeps neither and holds its two fields alone, so a
-    second step from the same point completes both again, to the same bits"""
+def test_recentred_step_completes_the_tangent_basis_once(monkeypatch):
+    """the step solves over its own reflector columns, and only psi's
+    recentring rotation completes p's tangent space; p keeps nothing of it
+    and holds its two fields alone, so a second step from the same point
+    completes it again, to the same bits"""
     calls = []
     complete = manifolds_mod._complete_unit
     monkeypatch.setattr(manifolds_mod, "_complete_unit",
@@ -162,12 +163,14 @@ def test_recentred_step_completes_the_tangent_basis_twice(monkeypatch):
         p = random_point(sphere(6), seed)
         del calls[:]
         first = generalized_newton_step(c, pair, p)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert list(vars(p)) == ["manifold", "ambient"]
         again = generalized_newton_step(c, pair, p)
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert np.array_equal(first.next.ambient, again.next.ambient)
         assert all(np.array_equal(x, p.ambient) for x in calls)
+        generalized_newton_step(c, PP, p)  # a map that reads no basis
+        assert len(calls) == 2
 
 
 def test_affine_invariance():
@@ -290,14 +293,20 @@ def test_infeasible_step_is_left_validity(monkeypatch):
 
 
 def test_step_condition_is_the_jet_condition():
+    """the step's Hessian is the jet's in the step's own basis, Q^T H Q:
+    its condition is the jet's, and |s| the step's over the published
+    basis, within the bounds of the basis tests below"""
+    eps = np.finfo(float).eps
     c = Quadratic(np.diag([1.0, 2.0, 3.0, 4.0]))
     for seed in range(10):
         p = random_point(sphere(4), seed)
         res = generalized_newton_step(c, PP, p)
         j = pullback_jet(c, PP, p)
-        assert res.hessian_condition == condition_estimate(j.hessian)
-        s = -symmetric_solve(j.hessian, j.gradient)
-        assert res.step_norm == float(np.linalg.norm(s))
+        kappa = condition_estimate(j.hessian)
+        assert (abs(res.hessian_condition - kappa)
+                <= BASIS_TOL * kappa * kappa * eps)
+        s = norm(symmetric_solve(j.hessian, j.gradient))
+        assert abs(res.step_norm - s) <= BASIS_TOL * kappa * eps * max(1.0, s)
 
 
 def test_validates_arguments():
@@ -641,46 +650,107 @@ def _outcome(f, *args):
 BASIS_TOL = 32.0
 
 
+def _step_agrees_across_bases(m, c, seed, pairs, jet_rounding=False):
+    """at m's seeded random point and, where m has a tangent direction, a
+    near-truth start, for each pair: generalized_newton_step raises the
+    class the step composed over tangent_basis raises, or agrees with it
+    in the next point and |s| within C cond(H) eps max(1, |s|), in each
+    eigenvalue of its Hessian within C cond(H) eps |lambda|_min (Weyl's
+    C eps |H|_2) and in hessian_condition within C cond(H)^2 eps.
+
+    With jet_rounding, the bounds read the rounding of the jet itself:
+    cond(H) becomes kappa_J = (|B^T A B|_2 + |C|_2) / |lambda|_min (A the
+    ambient Hessian, C phi's curvature term), which is cond(H) unless the
+    sum H = B^T A B + C cancels, except in hessian_condition's own factor,
+    and the next point and |s| also carry the gradient's rounding,
+    C eps |grad f| / |lambda|_min. A sphere(2) H is one 1 x 1 difference of
+    O(1) terms, whose cancellation cond(H) = 1 does not see.
+    -> (cases, cases raised)"""
+    eps = np.finfo(float).eps
+    cases = raised = 0
+    points = [random_point(m, seed)]
+    if m.intrinsic_dim:
+        points.append(near_truth_start(m, c.truth(m), 0.1, seed))
+    for p in points:
+        scales = {}  # by phi, which alone makes the jet: checked once
+        for pair in pairs:
+            cases += 1
+            ref = _outcome(_composed_step, c, pair, p)
+            got = _outcome(generalized_newton_step, c, pair, p)
+            if isinstance(ref, Exception) or isinstance(got, Exception):
+                assert type(got) is type(ref), (m, seed, pair, got, ref)
+                raised += 1
+                continue
+            nxt, s, H = ref
+            if id(pair.phi) not in scales:
+                kappa = condition_estimate(H)
+                lam = np.linalg.eigvalsh(H)
+                low = np.abs(lam).min()
+                kappa_j, grad_term = kappa, 0.0
+                if jet_rounding:
+                    B, g = tangent_basis(p).columns, c.grad(p)
+                    kappa_j = (np.linalg.norm(B.T @ c.hess_vec(p, B), 2)
+                               + np.linalg.norm(pair.phi.curvature(p, B, g),
+                                                2)) / low
+                    grad_term = norm(g) / low
+                gap = np.abs(np.linalg.eigvalsh(got.hessian) - lam)
+                assert gap.max() <= BASIS_TOL * kappa_j * eps * low
+                assert (abs(got.hessian_condition - kappa)
+                        <= BASIS_TOL * kappa * kappa_j * eps)
+                scales[id(pair.phi)] = kappa_j, grad_term
+            kappa_j, grad_term = scales[id(pair.phi)]
+            tol = BASIS_TOL * eps * (kappa_j * max(1.0, norm(s)) + grad_term)
+            assert norm(got.next.ambient - nxt.ambient) <= tol
+            assert abs(got.step_norm - norm(s)) <= tol
+    return cases, raised
+
+
 @pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)],
                          ids=["set-on-0-19", "checked-on-20-39"])
 def test_frame_step_does_not_depend_on_the_basis(seeds):
     """on Stiefel and Grassmann the step solves over its own (Householder)
-    basis, B' = B Q: at seeded random and near-truth points, for every
-    ordered pair of projection and QR, generalized_newton_step raises the
-    class the step composed over tangent_basis raises, or agrees with it
-    in the next point and |s| within C cond(H) eps max(1, |s|), in each
-    eigenvalue of its Hessian within C cond(H) eps |lambda|_min (Weyl's
-    C eps |H|_2) and in hessian_condition within C cond(H)^2 eps"""
-    eps = np.finfo(float).eps
+    basis, B' = B Q: for every ordered pair of projection and QR it agrees
+    with the step over tangent_basis (`_step_agrees_across_bases`)"""
     cases = raised = 0
     for m in _FRAMES:
         for seed in seeds:
-            c = _frame_cost(m, seed)
-            points = [random_point(m, seed)]
-            if m.intrinsic_dim:
-                points.append(near_truth_start(m, c.truth(m), 0.1, seed))
-            for p in points:
-                for pair in _FRAME_PAIRS:
-                    cases += 1
-                    ref = _outcome(_composed_step, c, pair, p)
-                    got = _outcome(generalized_newton_step, c, pair, p)
-                    if isinstance(ref, Exception) or isinstance(got, Exception):
-                        assert type(got) is type(ref), (m, seed, pair, got, ref)
-                        raised += 1
-                        continue
-                    nxt, s, H = ref
-                    kappa = condition_estimate(H)
-                    tol = BASIS_TOL * kappa * eps * max(1.0, norm(s))
-                    assert norm(got.next.ambient - nxt.ambient) <= tol
-                    assert abs(got.step_norm - norm(s)) <= tol
-                    lam = np.linalg.eigvalsh(H)
-                    gap = np.abs(np.linalg.eigvalsh(got.hessian) - lam)
-                    assert gap.max() <= (BASIS_TOL * kappa * eps
-                                         * np.abs(lam).min())
-                    assert (abs(got.hessian_condition - kappa)
-                            <= BASIS_TOL * kappa * kappa * eps)
+            more = _step_agrees_across_bases(m, _frame_cost(m, seed), seed,
+                                             _FRAME_PAIRS)
+            cases, raised = cases + more[0], raised + more[1]
     # every Grassmann(4, 4) step is singular, and nothing else raised
     assert (cases, raised) == (len(seeds) * 4 * 11, len(seeds) * 4)
+
+
+# sphere(1) has a 1 x 0 basis: its every step is a SingularHessian
+_SPHERES = (sphere(1), sphere(2), sphere(3), sphere(6), sphere(30))
+
+
+def _sphere_pairs(n):
+    """every ordered pair of the sphere kinds: projection, geodesic, QR,
+    both recentred bases and stereographic (pole -e1)"""
+    kinds = (Projection(), SphereGeodesic(), QR(),
+             Recentred(Projection(), 0), Recentred(SphereGeodesic(), 1),
+             Stereographic(-np.eye(n)[:, 0]))
+    return [ParametrizationPair(a, b) for a in kinds for b in kinds]
+
+
+@pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)],
+                         ids=["set-on-0-19", "checked-on-20-39"])
+def test_sphere_step_does_not_depend_on_the_basis(seeds):
+    """on the sphere the step solves over the columns of one Householder
+    reflector, not the published pivoted completion: for every ordered
+    pair of the sphere kinds, with a seeded symmetric A, it agrees with
+    the step over tangent_basis (`_step_agrees_across_bases`)"""
+    cases = raised = 0
+    for m in _SPHERES:
+        pairs = _sphere_pairs(m.n)
+        for seed in seeds:
+            G = SplitMix64(seed).gaussians(m.n * m.n).reshape(m.n, m.n)
+            more = _step_agrees_across_bases(m, Quadratic(G + G.T), seed,
+                                             pairs, jet_rounding=True)
+            cases, raised = cases + more[0], raised + more[1]
+    # every sphere(1) step is singular, and nothing else raised
+    assert (cases, raised) == (len(seeds) * 36 * 9, len(seeds) * 36)
 
 
 @pytest.mark.parametrize("m", [stiefel(6, 3), grassmann(7, 3)],
@@ -837,7 +907,8 @@ def _counting(monkeypatch, name):
 def test_certified_step_calls_no_eigensolver(monkeypatch):
     """a sphere(100) projection step near the minimiser is certified by
     one Cholesky and takes no eigenvalues; reading hessian_condition
-    takes them once"""
+    takes them once, and gives the jet's condition within the bound of
+    the basis tests"""
     from gnewton.config import near_truth_start
     m = sphere(100)
     c = Quadratic(np.diag(np.arange(1.0, 101.0)))
@@ -848,7 +919,8 @@ def test_certified_step_calls_no_eigensolver(monkeypatch):
     assert (len(eig), len(chol)) == (0, 1)
     cond = res.hessian_condition
     assert len(eig) == 1
-    assert cond == condition_estimate(pullback_jet(c, PP, p).hessian)
+    kappa = condition_estimate(pullback_jet(c, PP, p).hessian)
+    assert abs(cond - kappa) <= BASIS_TOL * kappa * kappa * np.finfo(float).eps
 
 
 def test_indefinite_steps_take_the_eigenvalue_rule_with_the_same_iterates(
