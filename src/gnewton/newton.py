@@ -38,9 +38,11 @@ class StepResult(_Record):
     step's own orthonormal basis (`_step_columns`): on the line that is
     `tangent_basis`, so `hessian` is `pullback_jet`'s to the bit; on the
     sphere, Stiefel and Grassmann it is QᵀHQ for an orthogonal Q, with the
-    jet's spectrum. The step takes no eigenvalues when its solve's Cholesky
-    certificate holds, so `hessian_condition` (condition_estimate of
-    `hessian`) is computed when read."""
+    jet's spectrum; `next` is psi's `_step_map` of the increment, within
+    rounding of `apply_psi`'s for a one-column QR. The step takes no
+    eigenvalues when its solve's Cholesky certificate holds, so
+    `hessian_condition` (condition_estimate of `hessian`) is computed when
+    read."""
     _fields = ("next", "step_norm", "hessian", "pair_used", "base_value")
 
     @property
@@ -189,7 +191,9 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
     published `tangent_basis`: on the sphere the columns of one Householder
     reflector, on Stiefel and Grassmann the frame completed by one
     Householder QR. There the next point and |s| agree with the step
-    composed over `tangent_basis` within rounding, not bit for bit."""
+    composed over `tangent_basis` within rounding, not bit for bit. Psi
+    maps w through `_step_map`: a one-column QR normalises p + w, which is
+    `apply_psi`'s LAPACK QR in exact arithmetic."""
     nxt, step_norm, H, f = _array_step(c, pair, p)
     return StepResult(nxt, step_norm, H, pair, f)
 
@@ -197,8 +201,8 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
 def _array_step(c, pair: ParametrizationPair, p: Point):
     """The step on arrays: the jet over p's checked step columns, the
     solve, the increment w = B s checked tangent as a TangentVector is, and
-    psi's map of w (p itself for a zero w). It builds no record but the
-    next Point.
+    psi's step map of w (p itself for a zero w). It builds no record but
+    the next Point.
     -> (next point, |s|, Hessian, f(p))"""
     m = p.manifold
     B = _basis_columns(m, m._step_columns(p))
@@ -206,7 +210,7 @@ def _array_step(c, pair: ParametrizationPair, p: Point):
     s = -solve_finite(H, grad)
     w = B @ s
     m.check_tangent(p.ambient, w[None])
-    return pair.psi._apply(p, w), norm(s), H, f
+    return pair.psi._step_map(p, w), norm(s), H, f
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging run overflows

@@ -13,7 +13,7 @@ has one.
 """
 
 from functools import lru_cache
-from math import cos, isfinite, log, sin
+from math import cos, inf, isfinite, log, sin
 
 import numpy as np
 
@@ -38,6 +38,9 @@ class _Kind(_LivesOn):
     kind that composes another calls its map, never its `apply`.
     `_map_each(P, V)` maps each row of V[i] at P[i], one `_map` per row,
     unless the kind is elementwise in its base (`_Elementwise`).
+    `_step_map(p, w)` is the Newton step's map: `_apply`, unless the kind
+    has a cheaper route equal to its own map in exact arithmetic (`QR` on
+    one column); everything whose bits are published keeps `_apply`.
 
     `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
     matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
@@ -56,6 +59,9 @@ class _Kind(_LivesOn):
         if norm(v) == 0.0:
             return p
         return Point(p.manifold, self._map(p, v))
+
+    def _step_map(self, p: Point, w: np.ndarray) -> Point:
+        return self._apply(p, w)
 
     def _map_each(self, P: list, V: np.ndarray) -> np.ndarray:
         return np.array([[self._map(p, v) for v in Vp]
@@ -125,7 +131,8 @@ class QR(_Value, _Elementwise):
     Q' = V, and then Q'' = -X (2 triu(M, 1) + diag(M)) with M = V^T V.
     Beside the normal part II = -X M that leaves the tangential term
     T(V, V) = X (tril(M, -1) - triu(M, 1)); with one column (the sphere) it
-    is 0 and QR is normalisation.
+    is 0 and QR is normalisation. The Newton step maps one column so
+    (`_step_map`); `apply` and the audit keep LAPACK's QR.
     """
     name = "qr"
     manifolds = (Sphere, Stiefel, Grassmann)
@@ -140,6 +147,20 @@ class QR(_Value, _Elementwise):
             raise ProjectionUndefined("rank-deficient QR factor")
         return ((Q * np.sign(d)[:, None, :]).transpose(0, 2, 1)
                 .reshape(k, m.n * m.p))
+
+    def _step_map(self, p: Point, w: np.ndarray) -> Point:
+        """`_apply`, but one column x = p + w maps to x/|x|, the positive-R
+        QR factor in exact arithmetic, without LAPACK's geqrf and orgqr; an
+        |x| that is 0 or overflows keeps `_apply` (the former raises)."""
+        m = p.manifold
+        self.check_on(m)
+        if m.p > 1 or norm(w) == 0.0:
+            return self._apply(p, w)
+        x = p.ambient + w
+        r = norm(x)
+        if not 0.0 < r < inf:
+            return self._apply(p, w)
+        return Point(m, x / r)
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         S = super().second_order(p, v)

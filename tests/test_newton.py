@@ -783,6 +783,36 @@ def test_frame_step_makes_no_pivoted_completion(monkeypatch, m, kind):
     assert calls.count("_complete_orthonormal") == 5
 
 
+@pytest.mark.parametrize("m", [sphere(6), stiefel(5, 1), grassmann(4, 1),
+                               stiefel(6, 3)],
+                         ids=["sphere6", "stiefel5x1", "grassmann4x1",
+                              "stiefel6x3"])
+def test_one_column_qr_step_makes_no_qr_call(monkeypatch, m):
+    """a one-column QR run maps each step by normalisation, with no
+    np.linalg.qr of the map; a Stiefel(6, 3) run still makes one per step
+    that moves. Frames complete their step columns with one complete QR
+    per step, the sphere with none"""
+    if m.kind == "sphere":
+        G = SplitMix64(0).gaussians(m.n * m.n).reshape(m.n, m.n)
+        c = Quadratic(G + G.T)
+    else:
+        c = _frame_cost(m, 0)
+    p0 = near_truth_start(m, c.truth(m), 0.1, 0)
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, mode="reduced"):
+        calls.append(mode)
+        return qr(a, mode)
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    tr = run_iteration(c, Fixed(_pair(QR())), p0, 20, 1e-12)
+    steps = len(tr.step_norms)
+    moved = sum(q is not p for p, q in zip(tr.points, tr.points[1:]))
+    assert tr.termination == "Converged" and steps >= 3
+    assert calls.count("reduced") == (0 if m.p == 1 else moved)
+    assert calls.count("complete") == (0 if m.kind == "sphere" else steps)
+
+
 # how run_iteration names the end that each typed step error makes
 _ENDS = {SingularHessian: "SingularHessian"}
 _ENDS.update(dict.fromkeys(

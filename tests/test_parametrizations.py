@@ -158,6 +158,49 @@ def test_qr_on_sphere_matches_projection():
         assert np.linalg.norm(a.ambient - b.ambient) <= 1e-14
 
 
+# C in the bound C eps between QR's one-column step map and its apply:
+# the largest ratio on seeds 0-19 was 1.5, and seeds 20-39 were not looked
+# at while choosing it
+STEP_MAP_TOL = 4.0
+
+
+@pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)],
+                         ids=["set-on-0-19", "checked-on-20-39"])
+def test_qr_step_map_is_apply_within_rounding(seeds):
+    """on one column the Newton step maps p + w to (p + w)/|p + w|, which
+    agrees with QR's apply (LAPACK's QR) within C eps in each coordinate,
+    for steps from 1e-3 to 1e2 in length"""
+    eps = np.finfo(float).eps
+    for m in (sphere(2), sphere(3), sphere(6), sphere(30), sphere(100),
+              stiefel(5, 1), grassmann(4, 1)):
+        for seed in seeds:
+            p = random_point(m, seed)
+            rng = SplitMix64(1000 + seed)
+            w = random_unit_tangent(p, rng) * 10.0 ** (2.0 - 5.0 * rng.uniform())
+            got = QR()._step_map(p, w).ambient
+            want = QR().apply(TangentVector(p, w)).ambient
+            assert np.abs(got - want).max() <= STEP_MAP_TOL * eps, (m, seed)
+
+
+def test_qr_step_map_keeps_apply_off_the_one_column_path():
+    """a zero w returns p itself; a frame of p > 1 columns maps through
+    apply's QR, to the bit; a non-QR manifold is refused first; a zero
+    column raises apply's error"""
+    kind = QR()
+    for m in (sphere(3), stiefel(5, 1), stiefel(4, 2)):
+        p = random_point(m, 0)
+        assert kind._step_map(p, np.zeros(m.ambient_dim)) is p
+    w = 0.3 * tangent_basis(p).columns[:, 1]
+    assert (kind._step_map(p, w).ambient.tobytes()
+            == kind.apply(TangentVector(p, w)).ambient.tobytes())
+    for w in (np.zeros(3), np.ones(3)):
+        with pytest.raises(ManifoldMismatch):
+            kind._step_map(Point(euclidean(3), np.ones(3)), w)
+    p = random_point(sphere(3), 0)
+    with pytest.raises(ProjectionUndefined, match="rank-deficient QR factor"):
+        kind._step_map(p, -p.ambient)
+
+
 def test_qr_deterministic():
     m = stiefel(4, 2)
     p = random_point(m, 1)
