@@ -153,8 +153,8 @@ def test_criterion_06_grassmann_near_degenerate():
         tr = g.run_iteration(c, g.Fixed(PP), x0, 40, 1e-12)
         assert tr.termination == "Converged"
         # Converged alone also admits another critical point (seed 25
-        # ends 1.414 away): the rate is the truth's, pooled over the
-        # seeds that land on it, and all but two of them must
+        # ends 1.414 away): all but two seeds must land on the truth, and
+        # the rate pools the ladders of those that do
         dists.append(g.distance(tr.points[-1], truth))
         if dists[-1] <= 1e-10:
             ladders.append(_errors(tr, truth))

@@ -176,7 +176,8 @@ def test_qr_step_map_is_apply_within_rounding(seeds):
         for seed in seeds:
             p = random_point(m, seed)
             rng = SplitMix64(1000 + seed)
-            w = random_unit_tangent(p, rng) * 10.0 ** (2.0 - 5.0 * rng.uniform())
+            length = 10.0 ** (2.0 - 5.0 * rng.uniform())
+            w = random_unit_tangent(p, rng) * length
             got = QR()._step_map(p, w).ambient
             want = QR().apply(TangentVector(p, w)).ambient
             assert np.abs(got - want).max() <= STEP_MAP_TOL * eps, (m, seed)
