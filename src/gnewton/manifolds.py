@@ -8,7 +8,7 @@ manifold is one class that owns its geometry.
 """
 
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from math import sqrt
 
 import numpy as np
@@ -84,11 +84,11 @@ class _Value(_Record):
 class ManifoldDescriptor(_Value):
     """Base of the manifold classes: dims n and p (p > 1 only where the
     class `takes_p`) and `kind`, the config name. Each class defines
-    `intrinsic_dim`, the feasibility and tangency residuals, of one row
-    or (overriding `feasibility_residuals` and `tangency_residuals`) of a
-    stack (`check_feasible` and `check_tangent` make the one rule of each),
-    the `tangent_columns` (a new array each call) and the Newton step's
-    `_step_columns`, `_project` on a stack
+    `intrinsic_dim`, one residual hook per rule on a stack of rows,
+    `feasibility_residuals(X)` and `tangency_residuals(X, V)`, each row's
+    with the bits of that row alone (`check_feasible` and `check_tangent`
+    make the one rule of each), the `tangent_columns` (a new array each
+    call) and the Newton step's `_step_columns`, `_project` on a stack
     of rows, and its second fundamental form II_p(v, v), the normal part
     of the acceleration of every curve through p with velocity v, twice
     over: `second_fundamental_form(p, v)`, and `weingarten(p, B, g)`, the
@@ -148,13 +148,6 @@ class ManifoldDescriptor(_Value):
         `_Frame`)."""
         return self.tangent_columns(p)
 
-    def feasibility_residuals(self, X: np.ndarray) -> list:
-        return [self.feasibility_residual(x) for x in X]
-
-    def tangency_residuals(self, X: np.ndarray, V: np.ndarray) -> list:
-        bases = X if X.ndim == 2 else repeat(X)
-        return [self.tangency_residual(x, v) for x, v in zip(bases, V)]
-
     def project(self, x: np.ndarray) -> "Point":
         """The closest point to x; see `_project`."""
         return Point(self, self._project(x[None])[0])
@@ -207,11 +200,11 @@ class Euclidean(ManifoldDescriptor):
     def intrinsic_dim(self) -> int:
         return self.n
 
-    def feasibility_residual(self, x: np.ndarray) -> float:
-        return 0.0
+    def feasibility_residuals(self, X: np.ndarray) -> list:
+        return [0.0] * len(X)
 
-    def tangency_residual(self, x: np.ndarray, v: np.ndarray) -> float:
-        return 0.0
+    def tangency_residuals(self, X: np.ndarray, V: np.ndarray) -> list:
+        return [0.0] * len(V)
 
     def tangent_columns(self, p: "Point") -> np.ndarray:
         """A new array: the identity."""
@@ -302,8 +295,14 @@ class _Frame(ManifoldDescriptor):
     basis B it is one product B^T (S kron I_n) B (`_frame_product`)."""
     takes_p = True
 
-    def feasibility_residual(self, x: np.ndarray) -> float:
-        return _orthonormality_residual(x.reshape(self.n, self.p, order="F"))
+    def feasibility_residuals(self, X: np.ndarray) -> list:
+        """|X^T X - I|_F per frame, as stacked matmuls over the (k, p, n)
+        view of the stack (a column-major frame is its transpose row-major),
+        with each frame's bits alone; 1 comes off the diagonals in place."""
+        T = X.reshape(-1, self.p, self.n)
+        G = np.matmul(T, T.transpose(0, 2, 1)).reshape(len(T), -1)
+        G[:, ::self.p + 1] -= 1.0
+        return row_norms(G)
 
     def tangent_columns(self, p: "Point") -> np.ndarray:
         """A new array: `_columns` over the pivoted completion of X."""
@@ -365,10 +364,12 @@ class Stiefel(_Frame):
     def intrinsic_dim(self) -> int:
         return self.n * self.p - self.p * (self.p + 1) // 2
 
-    def tangency_residual(self, x: np.ndarray, v: np.ndarray) -> float:
-        X = x.reshape(self.n, self.p, order="F")
-        V = v.reshape(self.n, self.p, order="F")
-        return norm(X.T @ V + V.T @ X)
+    def tangency_residuals(self, X: np.ndarray, V: np.ndarray) -> list:
+        """|X^T V + V^T X|_F per row, over (k, p, n) views."""
+        A, B = (Y.reshape(-1, self.p, self.n) for Y in (X, V))
+        S = np.matmul(A, B.transpose(0, 2, 1))
+        S += np.matmul(B, A.transpose(0, 2, 1))
+        return row_norms(S.reshape(len(V), -1))
 
     def _columns(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """The skew block first: the pair (i, j), i < j, in row-major
@@ -401,9 +402,11 @@ class Grassmann(_Frame):
     def intrinsic_dim(self) -> int:
         return self.p * (self.n - self.p)
 
-    def tangency_residual(self, x: np.ndarray, v: np.ndarray) -> float:
-        X = x.reshape(self.n, self.p, order="F")
-        return norm(X.T @ v.reshape(self.n, self.p, order="F"))
+    def tangency_residuals(self, X: np.ndarray, V: np.ndarray) -> list:
+        """|X^T V|_F per row, over (k, p, n) views."""
+        A, B = (Y.reshape(-1, self.p, self.n) for Y in (X, V))
+        S = np.matmul(A, B.transpose(0, 2, 1))
+        return row_norms(S.reshape(len(V), -1))
 
     def distance(self, x: "Point", y: "Point") -> float:
         X, Y = x.as_matrix(), y.as_matrix()

@@ -7,12 +7,13 @@ D phi_p(0) = I; the audit measures how well the latter and the quadratic
 remainder bound ||psi_p(y) - p - y|| <= beta ||y||^2 hold on samples.
 
 A kind is one class that owns its maths: its `name`, the manifold classes
-it lives on (`manifolds`), its map away from the origin (`_map`, of one
-displacement) and the tangential part of its second-order term, if it
-has one.
+it lives on (`manifolds`), its map away from the origin (`_at`, on a
+stack of displacements) and the tangential part of its second-order
+term, if it has one.
 """
 
 from functools import lru_cache
+from itertools import repeat
 from math import cos, inf, isfinite, log, sin
 
 import numpy as np
@@ -21,8 +22,8 @@ from .errors import ChartDomainViolation, GnewtonError, ProjectionUndefined
 from .manifolds import (ManifoldDescriptor, Point, Sphere, Stiefel,
                         Grassmann, TangentVector, tangent_basis,
                         tangent_gaussians, _frame_product, _LivesOn,
-                        _lower_mask, _OnTheLine, _Value)
-from .linalg import all_finite, norm, polar_factor, row_norms
+                        _identity, _lower_mask, _OnTheLine, _Value)
+from .linalg import all_finite, norm, polar_factor, row_dots, row_norms
 from .rates import log_log_fit
 from .rng import SplitMix64
 
@@ -33,11 +34,14 @@ class _Kind(_LivesOn):
     """Base of every kind: `apply` checks the manifold, anchors
     phi_p(0) = p exactly and otherwise calls the kind's map.
 
-    `_map(p, v)` maps one nonzero tangent displacement v at p and returns
-    the mapped ambient row, unchecked: the caller checks it once, and a
-    kind that composes another calls its map, never its `apply`.
-    `_map_each(P, V)` maps each row of V[i] at P[i], one `_map` per row,
-    unless the kind is elementwise in its base (`_Elementwise`).
+    `_at(m, X, V)` is the kind's one map: each row of the (k, N) stack V
+    of tangent displacements mapped at the row of X beside it (or at X
+    itself, one row), returned as a stack, unchecked: the caller checks
+    each row once, and a kind that composes another calls its `_at`, never
+    its `apply`. Row i holds the bits a one-row call on V[i] gives, so a
+    stack takes only elementwise arithmetic, `row_dots`, a call that
+    treats each matrix of a stack alone (a stacked `matmul`, `qr`), or a
+    loop over the rows.
     `_step_map(p, w)` is the Newton step's map: `_apply`, unless the kind
     has a cheaper route equal to its own map in exact arithmetic (`QR` on
     one column); everything whose bits are published keeps `_apply`.
@@ -58,34 +62,16 @@ class _Kind(_LivesOn):
         self.check_on(p.manifold)
         if norm(v) == 0.0:
             return p
-        return Point(p.manifold, self._map(p, v))
+        return Point(p.manifold, self._at(p.manifold, p.ambient, v[None])[0])
 
     def _step_map(self, p: Point, w: np.ndarray) -> Point:
         return self._apply(p, w)
-
-    def _map_each(self, P: list, V: np.ndarray) -> np.ndarray:
-        return np.array([[self._map(p, v) for v in Vp]
-                         for p, Vp in zip(P, V)])
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         return p.manifold.second_fundamental_form(p, v)
 
     def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
         return p.manifold.weingarten(p, B, g)
-
-
-class _Elementwise(_Kind):
-    """A kind elementwise in its base: `_at(m, X, V)` maps each row of V at
-    the row of X alongside, or at X itself where X is one row, with the
-    bits of a one-row call: only elementwise arithmetic, or a call that
-    treats each matrix of a stack alone, so all points share one call."""
-
-    def _map(self, p: Point, v: np.ndarray) -> np.ndarray:
-        return self._at(p.manifold, p.ambient, v[None])[0]
-
-    def _map_each(self, P: list, V: np.ndarray) -> np.ndarray:
-        X = np.repeat([p.ambient for p in P], V.shape[1], axis=0)
-        return self._at(P[0].manifold, X, V.reshape(X.shape)).reshape(V.shape)
 
 
 class _LineTerms(_OnTheLine, _Kind):
@@ -96,7 +82,14 @@ class _LineTerms(_OnTheLine, _Kind):
         return np.array([[float(g @ self.second_order(p, B[:, 0]))]])
 
 
-class Projection(_Value, _Elementwise):
+def _line_rows(X: np.ndarray, V: np.ndarray):
+    """(x, t) for each row (t,) of V and its base (x,): the row of X beside
+    it, or X itself. A line kind maps them one at a time on numpy scalars,
+    which keeps each row's bits and costs a one-row step least."""
+    return zip(X.ravel() if X.ndim == 2 else repeat(X[0]), V.ravel())
+
+
+class Projection(_Value, _Kind):
     """Closest-point projection of p + v back onto the manifold.
 
     It is defined on the whole tangent space, so it has no validity radius:
@@ -112,7 +105,7 @@ class Projection(_Value, _Elementwise):
         return m._project(X + V)
 
 
-class SphereGeodesic(_Value, _Elementwise):
+class SphereGeodesic(_Value, _Kind):
     """Great-circle map cos(|v|) p + sin(|v|) v/|v| (sphere only)."""
     name = "sphere_geodesic"
     manifolds = (Sphere,)
@@ -124,7 +117,7 @@ class SphereGeodesic(_Value, _Elementwise):
         return c * X + s * (V / np.array(norms)[:, None])
 
 
-class QR(_Value, _Elementwise):
+class QR(_Value, _Kind):
     """Orthonormal factor of p + v with positive-diagonal R.
 
     Differentiating X + tV = Q R at t = 0 for a tangent V gives R' = 0 and
@@ -201,14 +194,15 @@ class Custom1D(_Value, _LineTerms):
             raise ValueError("coeffs must be finite")
         super().__init__(coeffs)
 
-    def _map(self, p: Point, v: np.ndarray) -> np.ndarray:
-        t = v[0]
-        result = p.ambient[0] + t
-        tp = t
-        for c in self.coeffs:
-            result += c * tp
-            tp = tp * t
-        return np.array([result])
+    def _at(self, m, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        out = []
+        for x, t in _line_rows(X, V):
+            y, tp = x + t, t
+            for c in self.coeffs:
+                y += c * tp
+                tp = tp * t
+            out.append(y)
+        return np.array(out)[:, None]
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         c2 = self.coeffs[1] if len(self.coeffs) >= 2 else 0.0
@@ -226,11 +220,10 @@ class ExampleBeta(_Value, _LineTerms):
             raise ValueError("beta must be finite")
         super().__init__(beta)
 
-    def _map(self, p: Point, v: np.ndarray) -> np.ndarray:
-        x = p.ambient[0]
-        t = v[0]
+    def _at(self, m, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         return np.array([x + t if x == 0.0
-                         else x + t + (self.beta / x) * t * t])
+                         else x + t + (self.beta / x) * t * t
+                         for x, t in _line_rows(X, V)])[:, None]
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         x = p.ambient[0]
@@ -253,26 +246,27 @@ class Recentred(_Value, _Kind):
             raise ValueError("recentred base must be projection or geodesic")
         super().__init__(base, rotation_seed)
 
-    def _map(self, p: Point, v: np.ndarray) -> np.ndarray:
-        return self._rotated(p.manifold, recentring_rotation(self, p), v)
-
-    def _map_each(self, P: list, V: np.ndarray) -> np.ndarray:
-        """One rotation per point, for all of its rows."""
-        out = []
-        for p, Vp in zip(P, V):
-            g = recentring_rotation(self, p)
-            out.append([self._rotated(p.manifold, g, v) for v in Vp])
-        return np.array(out)
-
-    def _rotated(self, m: Sphere, g: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """g^T v through the elementwise base's `_at` at e1, and back by g;
-        a v that rotates to zero keeps apply's anchor and maps to e1."""
-        x = np.zeros(m.n)
-        x[0] = 1.0
-        w = g.T @ v
-        w[0] = 0.0  # exact tangency at e1; rotation rounding leaks in
-        y = x if norm(w) == 0.0 else self.base._at(m, x, w[None])[0]
-        return g @ y
+    def _at(self, m, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """One rotation g per run of equal base rows (the audit repeats each
+        point's row), held one at a time: its rows w = g^T v through the
+        base's `_at` at e1, and back by g, as stacked matmuls, which give
+        each row the bits of g^T v and g y. A row that rotates to zero
+        keeps apply's anchor and maps to e1, so to p."""
+        X = X.reshape(-1, m.n)
+        cuts = (np.flatnonzero((X[1:] != X[:-1]).any(axis=1)) + 1
+                if len(X) > 1 else [])
+        e1 = _identity(m.n)[:1]
+        out = np.empty_like(V)
+        for i, j in zip([0, *cuts], [*cuts, len(V)]):
+            g = recentring_rotation(self, Point(m, X[i]))
+            W = np.matmul(g.T, V[i:j, :, None])[..., 0]
+            W[:, 0] = 0.0  # exact tangency at e1; rotation rounding leaks in
+            norms = row_norms(W)
+            live = np.array(norms) != 0.0 if 0.0 in norms else slice(None)
+            Y = np.repeat(e1, len(W), axis=0)
+            Y[live] = self.base._at(m, e1[0], W[live])
+            out[i:j] = np.matmul(g, Y[..., None])[..., 0]
+        return out
 
 
 class Stereographic(_Kind):
@@ -303,24 +297,27 @@ class Stereographic(_Kind):
     def valid_on(self, m: ManifoldDescriptor) -> bool:
         return super().valid_on(m) and m.n == self.pole.size
 
-    def _chart(self, p: Point):
-        """y = s(p) and the matrix of Ds(p),
-        Ds(p) v = ((v - (q.v) q) + (q.v) y) / (1 - q.p)."""
+    def _chart(self, X: np.ndarray):
+        """y = s(x) and the matrix of Ds(x),
+        Ds(x) v = ((v - (q.v) q) + (q.v) y) / (1 - q.x), for each row x of
+        the stack X, stacked: q.x by `row_dots`, the rest elementwise."""
         q = self.pole
-        x = p.ambient
-        d = 1.0 - q @ x
-        if d <= 1e-12:
+        qx = np.array(row_dots(X, q))[:, None]
+        d = 1.0 - qx
+        if (d <= 1e-12).any():
             raise ChartDomainViolation("point is (numerically) at the chart pole")
-        y = (x - (x @ q) * q) / d
-        return y, (np.eye(q.size) + np.outer(y - q, q)) / d
+        Y = (X - qx * q) / d
+        return Y, (_identity(q.size) + (Y - q)[..., None] * q) / d[..., None]
 
-    def _map(self, p: Point, v: np.ndarray) -> np.ndarray:
-        y, D = self._chart(p)
-        z = y + D @ v
-        return self.pole + 2.0 * (z - self.pole) / (1.0 + z @ z)
+    def _at(self, m, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """D v as a stacked matmul, the bits of each row's D @ v."""
+        q = self.pole
+        Y, D = self._chart(X.reshape(-1, m.n))
+        Z = Y + np.matmul(D, V[..., None])[..., 0]
+        return q + 2.0 * (Z - q) / (1.0 + np.array(row_dots(Z, Z)))[:, None]
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
-        y, D = self._chart(p)
+        (y,), (D,) = self._chart(p.ambient[None])
         u = D @ v
         r = 1.0 + y @ y
         yu = y @ u
@@ -332,7 +329,7 @@ class Stereographic(_Kind):
         """With U = Ds(p) B, a = U^T g, b = U^T y and gamma = g . (y - q):
         C = -4 (a b^T + b a^T) / r^2 - 4 gamma U^T U / r^2
         + 16 gamma b b^T / r^3."""
-        y, D = self._chart(p)
+        (y,), (D,) = self._chart(p.ambient[None])
         U = D @ B
         a = U.T @ g
         b = U.T @ y
@@ -409,9 +406,9 @@ def _sweep(pair: ParametrizationPair, m: ManifoldDescriptor, P: list,
     """The audit's stages for the samples at P (gaussians G), each one pass,
     in one sample's order: each direction d from its point's basis (one
     completion, which no sample keeps); rows d, +-h d and r d checked; phi
-    maps +-h d and psi r d, one `_map_each` each (one in all when phi is
-    psi), the mapped rows checked. -> dphi and alpha residuals per sample,
-    psi residuals per row"""
+    maps +-h d and psi r d, one `_at` each on the repeated points (one in
+    all when phi is psi), the mapped rows checked. -> dphi and alpha
+    residuals per sample, psi residuals per row"""
     N = m.ambient_dim
     D = np.empty((len(P), N))
     for p, g, d in zip(P, G, D):  # one basis live at a time
@@ -422,12 +419,11 @@ def _sweep(pair: ParametrizationPair, m: ManifoldDescriptor, P: list,
     X = np.array([p.ambient for p in P])
     m.check_tangent(np.repeat(X, len(steps), axis=0), rows.reshape(-1, N))
     alpha = [norm(phi.second_order(p, d)) for p, d in zip(P, D)]
-    V = rows[:, 1:]
-    if phi == psi:
-        Y = phi._map_each(P, V)
-    else:
-        Y = np.concatenate([phi._map_each(P, V[:, :2]),
-                            psi._map_each(P, V[:, 2:])], axis=1)
+    V = rows[:, 1:]  # each sample's rows mapped at its repeated point
+    maps = [(phi, V)] if phi == psi else [(phi, V[:, :2]), (psi, V[:, 2:])]
+    Y = np.concatenate([kind._at(m, np.repeat(X, U.shape[1], axis=0),
+                                 U.reshape(-1, N)).reshape(U.shape)
+                        for kind, U in maps], axis=1)
     m.check_feasible(Y.reshape(-1, N))
     fd = (Y[:, 0] - Y[:, 1]) / (2.0 * steps[1])
     Z = Y[:, 2:] - X[:, None] - steps[3:, None] * D[:, None]

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -200,10 +202,18 @@ def test_random_point_seeds_differ():
             assert distance(pts[i], pts[j]) > 1e-6
 
 
+# the seeds of the frame residual stacks: each seed draws a 5-row stack
+FRAME_RESIDUAL_SEEDS = range(8)
+
+
 def test_orthonormality_residual_is_gram_minus_identity_bit_for_bit():
     """Taking 1 off the Gram diagonal in place gives the bits of
     ||A^T A - I||_F, on tangent bases, Stiefel points and arbitrary
-    matrices (where the residual is far from 0)."""
+    matrices (where the residual is far from 0). A frame's stacked
+    residual hooks give, row for row, the bits of ||X^T X - I||_F and of
+    the tangency formula, ||X^T V + V^T X||_F on Stiefel and ||X^T V||_F
+    on Grassmann, on 5-row stacks of frames (every other row moved 1e-9
+    off the manifold) at their own rows or at one row for all."""
     def old(A):
         return np.linalg.norm(A.T @ A - np.eye(A.shape[1]))
 
@@ -215,8 +225,27 @@ def test_orthonormality_residual_is_gram_minus_identity_bit_for_bit():
             assert _orthonormality_residual(B) == old(B)
             if m.kind != "sphere":
                 X = p.as_matrix()
-                assert m.feasibility_residual(p.ambient) == old(X)
+                assert m.feasibility_residuals(p.ambient[None])[0] == old(X)
                 assert _orthonormality_residual(X) == old(X)
+    formulas = {"stiefel": lambda X, V: np.linalg.norm(X.T @ V + V.T @ X),
+                "grassmann": lambda X, V: np.linalg.norm(X.T @ V)}
+    for (n, k), make in product(((3, 3), (5, 2), (7, 3), (12, 3), (20, 4),
+                                 (6, 1)), (stiefel, grassmann)):
+        m = make(n, k)
+        tangency = formulas[m.kind]
+        for seed in FRAME_RESIDUAL_SEEDS:
+            rng = SplitMix64(seed)
+            X = np.array([random_point(m, 5 * seed + i).ambient
+                          for i in range(5)])
+            X[1::2] += 1e-9 * rng.gaussians(X[1::2].size).reshape(2, -1)
+            V = rng.gaussians(X.size).reshape(X.shape)
+            F = [x.reshape(n, k, order="F") for x in X]
+            G = [v.reshape(n, k, order="F") for v in V]
+            assert m.feasibility_residuals(X) == [old(A) for A in F]
+            assert m.tangency_residuals(X, V) == [
+                tangency(A, C) for A, C in zip(F, G)]
+            assert m.tangency_residuals(X[0], V) == [
+                tangency(F[0], C) for C in G]
     rng = SplitMix64(5)
     for n, k in ((5, 2), (9, 4), (3, 3), (6, 1)):
         A = rng.gaussians(n * k).reshape(n, k, order="F")
@@ -234,7 +263,7 @@ def test_random_point_redraws_ill_conditioned_frames():
             with pytest.raises(InfeasiblePoint):
                 m.project(SplitMix64(s).gaussians(m.ambient_dim))
             p = random_point(m, s)
-            assert m.feasibility_residual(p.ambient) <= FEAS_TOL
+            assert m.feasibility_residuals(p.ambient[None])[0] <= FEAS_TOL
             assert np.array_equal(p.ambient, random_point(m, s).ambient)
         for s in range(50):
             first = m.project(SplitMix64(s).gaussians(m.ambient_dim))
