@@ -13,7 +13,8 @@ from math import isfinite
 import numpy as np
 
 from .errors import NotTwiceDifferentiable, SingularHessian
-from .linalg import _symmetric, all_finite, symmetric_eigen, symmetric_solve
+from .linalg import (_eigvalsh, _symmetric, all_finite, symmetric_eigen,
+                     symmetric_solve)
 from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
                         Sphere, Stiefel, _LivesOn, _OnTheLine, _Value)
 
@@ -144,7 +145,7 @@ class GrassmannTrace(_MatrixCost):
 
     def __init__(self, A):
         A = _frozen_symmetric(A)
-        lam = np.linalg.eigvalsh(A)
+        lam = _eigvalsh(A)
         scale = max(abs(lam[0]), abs(lam[-1]), np.finfo(float).tiny)
         if np.min(np.diff(lam)) <= 1e-10 * scale:
             raise ValueError("A must have distinct eigenvalues")

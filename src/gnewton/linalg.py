@@ -4,15 +4,20 @@ Everything here is small (sphere(100) gives a 99 x 99 Hessian) and dense;
 the Newton solve tries one Cholesky factorisation of a shifted H, whose
 success proves the condition limit, then takes one LU; eigenvalues are
 taken only where that proof fails, or where a condition is asked for.
-LAPACK via numpy does the heavy lifting; this module owns the contracts
-around it: the one symmetric-matrix check (square, finite, symmetric), the
-one finite test (`all_finite`), the condition limit, sign conventions,
-error taxonomy.
+This module owns every LAPACK call of the package: it calls numpy's own
+linalg gufuncs (`numpy.linalg._umath_linalg`) under the error policy that
+numpy's wrappers set, so each result is the wrapper's array bit for bit
+and each refusal the wrapper's LinAlgError, without the wrapper's
+per-call checks and casts. Around them it owns the contracts: the one
+symmetric-matrix check (square, finite, symmetric), the one finite test
+(`all_finite`), the condition limit, sign conventions, error taxonomy.
 """
 
 from math import sqrt
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg as _lapack
 
 from .errors import RankDeficient, SingularHessian
 
@@ -20,6 +25,54 @@ COND_LIMIT = 1e12
 SYM_RTOL = 1e-10
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
+
+
+def _policy(message):
+    """numpy's linalg error policy, as a decorator: a LAPACK failure (the
+    gufunc's invalid flag) raises LinAlgError(message), and overflow,
+    division and underflow inside LAPACK are ignored. Each call enters it
+    afresh, so the caller's own errstate neither warns nor raises there."""
+    def fail(err, flag):
+        raise LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+@_policy("Matrix is not positive definite")
+def _cholesky(A):
+    """np.linalg.cholesky of a float A: its lower factor."""
+    return _lapack.cholesky_lo(A, signature="d->d")
+
+
+@_policy("Singular matrix")
+def _lu_solve(A, b):
+    """np.linalg.solve of a float A and a float vector b."""
+    return _lapack.solve1(A, b, signature="dd->d")
+
+
+@_policy("Eigenvalues did not converge")
+def _eigvalsh(A):
+    """np.linalg.eigvalsh of a float A: ascending, from the lower triangle."""
+    return _lapack.eigvalsh_lo(A, signature="d->d")
+
+
+@_policy("Eigenvalues did not converge")
+def _eigh(A):
+    """np.linalg.eigh of a float A. -> (eigenvalues, eigenvectors)"""
+    return _lapack.eigh_lo(A, signature="d->dd")
+
+
+@_policy("Incorrect argument found while performing QR factorization")
+def _qr(A, complete=False):
+    """np.linalg.qr of a float A, or of a stack of them, in mode "complete"
+    if complete else "reduced": Q, and the diagonal of R, read off the
+    factored copy whose upper triangle R is. -> (Q, diag R)"""
+    a = A.astype(float, copy=True)  # geqrf factors it in place
+    tau = _lapack.qr_r_raw(a, signature="d->d")
+    m, n = a.shape[-2:]
+    q = (_lapack.qr_complete if complete and m > n
+         else _lapack.qr_reduced)(a, tau, signature="dd->d")
+    return q, np.diagonal(a, axis1=-2, axis2=-1)
 
 
 def norm(x) -> float:
@@ -81,7 +134,7 @@ def _spectral_extremes(lam):
 def condition_estimate(H) -> float:
     """Spectral condition number estimate |lambda|_max / |lambda|_min of
     symmetric H, from its eigenvalues alone."""
-    return _spectral_extremes(np.linalg.eigvalsh(_symmetric(H)[0]))[2]
+    return _spectral_extremes(_eigvalsh(_symmetric(H)[0]))[2]
 
 
 def _eigen_rule(H, b):
@@ -96,13 +149,13 @@ def _eigen_rule(H, b):
     so it is refused before LU could raise). The Newton step reaches this
     rule only for an H that the Cholesky certificate of `solve_finite` refuses.
     """
-    lmax, _, cond = _spectral_extremes(np.linalg.eigvalsh(H))
+    lmax, _, cond = _spectral_extremes(_eigvalsh(H))
     if lmax == 0.0:
         raise SingularHessian("Hessian has no nonzero eigenvalue (%d x %d)"
                               % H.shape)
     if cond > COND_LIMIT:
         raise SingularHessian("condition estimate %.3e exceeds limits" % cond)
-    return np.linalg.solve(H, b), cond
+    return _lu_solve(H, b), cond
 
 
 def _certified(H, h) -> bool:
@@ -143,8 +196,8 @@ def _certified(H, h) -> bool:
     A = H.copy()
     A.reshape(-1)[::n + 1] -= tau
     try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
+        _cholesky(A)
+    except LinAlgError:
         return False
     return True
 
@@ -167,7 +220,7 @@ def _solve(H, h, b) -> np.ndarray:
     any other H takes the eigenvalue rule."""
     b = _checked_rhs(b, H.shape[0])
     if _certified(H, h):
-        return np.linalg.solve(H, b)
+        return _lu_solve(H, b)
     return _eigen_rule(H, b)[0]
 
 
@@ -183,7 +236,7 @@ def polar_factor(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] < M.shape[1]:
         raise ValueError("expected n x p with n >= p, got shape %r" % (M.shape,))
-    s, Q = np.linalg.eigh(M.T @ M)
+    s, Q = _eigh(M.T @ M)
     smin = np.sqrt(max(float(s[0]), 0.0))
     if float(s[-1]) <= 0.0:
         raise RankDeficient("matrix has no positive singular value")
@@ -200,7 +253,7 @@ def symmetric_eigen(A):
     magnitude is above 1e-12 is positive, making ground-truth comparisons
     deterministic.
     """
-    lam, V = np.linalg.eigh(_symmetric(A)[0])
+    lam, V = _eigh(_symmetric(A)[0])
     V = V.copy()
     for k in range(V.shape[1]):
         col = V[:, k]

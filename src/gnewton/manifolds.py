@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import (InfeasiblePoint, ManifoldMismatch, ProjectionUndefined,
                      RankDeficient)
-from .linalg import all_finite, norm, polar_factor, row_dots, row_norms
+from .linalg import (_qr, all_finite, norm, polar_factor, row_dots,
+                     row_norms)
 from .rng import SplitMix64
 
 FEAS_TOL = 1e-10
@@ -315,7 +316,7 @@ class _Frame(ManifoldDescriptor):
         basis carries it, so the step takes this one LAPACK call; every
         result whose bits are published keeps `tangent_columns`."""
         X = p.as_matrix()
-        return self._columns(X, np.linalg.qr(X, mode="complete")[0][:, self.p:])
+        return self._columns(X, _qr(X, complete=True)[0][:, self.p:])
 
     def _columns(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """The tangent columns at X over its orthonormal completion P: the

@@ -21,9 +21,10 @@ import numpy as np
 from .errors import ChartDomainViolation, GnewtonError, ProjectionUndefined
 from .manifolds import (ManifoldDescriptor, Point, Sphere, Stiefel,
                         Grassmann, TangentVector, tangent_basis,
-                        tangent_gaussians, _frame_product, _LivesOn,
-                        _identity, _lower_mask, _OnTheLine, _Value)
-from .linalg import all_finite, norm, polar_factor, row_dots, row_norms
+                        tangent_gaussians, _complete_unit, _frame_product,
+                        _LivesOn, _identity, _lower_mask, _OnTheLine, _Value)
+from .linalg import (_qr, all_finite, norm, polar_factor, row_dots,
+                     row_norms)
 from .rates import log_log_fit
 from .rng import SplitMix64
 
@@ -133,9 +134,7 @@ class QR(_Value, _Kind):
     def _at(self, m, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """One stacked QR; LAPACK factors each matrix of the stack alone."""
         k = V.shape[0]
-        Q, R = np.linalg.qr((X + V).reshape(k, m.p, m.n)
-                            .transpose(0, 2, 1))
-        d = np.diagonal(R, axis1=1, axis2=2)
+        Q, d = _qr((X + V).reshape(k, m.p, m.n).transpose(0, 2, 1))
         if np.any(d == 0.0):
             raise ProjectionUndefined("rank-deficient QR factor")
         return ((Q * np.sign(d)[:, None, :]).transpose(0, 2, 1)
@@ -248,17 +247,18 @@ class Recentred(_Value, _Kind):
 
     def _at(self, m, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """One rotation g per run of equal base rows (the audit repeats each
-        point's row), held one at a time: its rows w = g^T v through the
-        base's `_at` at e1, and back by g, as stacked matmuls, which give
-        each row the bits of g^T v and g y. A row that rotates to zero
-        keeps apply's anchor and maps to e1, so to p."""
+        point's row), held one at a time and built on the row itself, which
+        the caller has checked: its rows w = g^T v through the base's `_at`
+        at e1, and back by g, as stacked matmuls, which give each row the
+        bits of g^T v and g y. A row that rotates to zero keeps apply's
+        anchor and maps to e1, so to p."""
         X = X.reshape(-1, m.n)
         cuts = (np.flatnonzero((X[1:] != X[:-1]).any(axis=1)) + 1
                 if len(X) > 1 else [])
         e1 = _identity(m.n)[:1]
         out = np.empty_like(V)
         for i, j in zip([0, *cuts], [*cuts, len(V)]):
-            g = recentring_rotation(self, Point(m, X[i]))
+            g = _rotation(self.rotation_seed, X[i])
             W = np.matmul(g.T, V[i:j, :, None])[..., 0]
             W[:, 0] = 0.0  # exact tangency at e1; rotation rounding leaks in
             norms = row_norms(W)
@@ -363,12 +363,18 @@ def recentring_rotation(kind: Recentred, p: Point) -> np.ndarray:
 
     The stabiliser of e1 leaves g underdetermined; the seed picks a fixed
     rotation of the completion columns."""
-    n = p.manifold.n
-    if n > 1:
-        R = _seeded_rotation(kind.rotation_seed, n - 1)
-        C = p.manifold.tangent_columns(p) @ R
-        return np.column_stack([p.ambient, C])
-    return p.ambient.reshape(1, 1).copy()
+    return _rotation(kind.rotation_seed, p.ambient)
+
+
+def _rotation(seed: int, x: np.ndarray) -> np.ndarray:
+    """recentring_rotation at the unit row x: x beside its pivoted
+    completion (the sphere's tangent columns at x) turned by the seeded
+    rotation."""
+    n = x.size
+    if n == 1:
+        return x.reshape(1, 1).copy()
+    C = _complete_unit(x) @ _seeded_rotation(seed, n - 1)
+    return np.column_stack([x, C])
 
 
 def apply_phi(pair: ParametrizationPair, v: TangentVector) -> Point:

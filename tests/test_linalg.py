@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gnewton.errors import RankDeficient, SingularHessian
-from gnewton.linalg import (COND_LIMIT, condition_estimate, norm,
+from gnewton.errors import GnewtonError, RankDeficient, SingularHessian
+from gnewton.linalg import (COND_LIMIT, all_finite, condition_estimate, norm,
                             polar_factor, row_dots, row_norms,
                             symmetric_eigen, symmetric_solve)
 from gnewton.rng import SplitMix64
@@ -403,6 +404,20 @@ def _certificate_spectrum(kind, n, rng):
     return mags
 
 
+def _certificate_sweep(sizes):
+    """(lam, H, b) for the certificate sweep at each n of sizes: positive
+    and negative definite, indefinite and rank-deficient spectra, rotated
+    or diagonal, with conditions on both sides of the limit"""
+    rng = SplitMix64(1414)
+    kinds = ("positive", "negative", "indefinite", "rank-deficient")
+    for n in sizes:
+        rotate = _rotated if n < 600 else _reflected
+        for k in range(48 if n <= 16 else 8):
+            lam = _certificate_spectrum(kinds[k % 4], n, rng)
+            H = rotate(lam, rng.next_u64()) if k % 8 < 4 else np.diag(lam)
+            yield lam, H, rng.gaussians(n)
+
+
 def test_certificate_sweep_accepts_only_what_the_eigenvalue_rule_accepts():
     """n = 1..16, 29, 99 and 600 (where 2 n^2 eps is the larger shift):
     positive and negative definite, indefinite and rank-deficient H, rotated
@@ -413,24 +428,17 @@ def test_certificate_sweep_accepts_only_what_the_eigenvalue_rule_accepts():
     from gnewton.linalg import _certified
     eps = np.finfo(float).eps
     assert 2.0 * 600 ** 2 * eps > 100.0 / COND_LIMIT > 2.0 * 99 ** 2 * eps
-    rng = SplitMix64(1414)
-    kinds = ("positive", "negative", "indefinite", "rank-deficient")
     certified = {True: 0, False: 0}
-    for n in list(range(1, 17)) + [29, 99, 600]:
-        rotate = _rotated if n < 600 else _reflected
-        for k in range(48 if n <= 16 else 8):
-            lam = _certificate_spectrum(kinds[k % 4], n, rng)
-            H = rotate(lam, rng.next_u64()) if k % 8 < 4 else np.diag(lam)
-            b = rng.gaussians(n)
-            if _certified(H, norm(H)):
-                assert lam.min() > 0.0 and np.linalg.eigvalsh(H)[0] > 0.0
-                assert condition_estimate(H) <= COND_LIMIT / 10
-                certified[True] += 1
-            elif lam.min() > 0.0:
-                certified[False] += 1
-            assert (_outcome(symmetric_solve, H, b)
-                    == _outcome(lambda H, b: solve_with_condition(H, b)[0],
-                                H, b))
+    for lam, H, b in _certificate_sweep(list(range(1, 17)) + [29, 99, 600]):
+        if _certified(H, norm(H)):
+            assert lam.min() > 0.0 and np.linalg.eigvalsh(H)[0] > 0.0
+            assert condition_estimate(H) <= COND_LIMIT / 10
+            certified[True] += 1
+        elif lam.min() > 0.0:
+            certified[False] += 1
+        assert (_outcome(symmetric_solve, H, b)
+                == _outcome(lambda H, b: solve_with_condition(H, b)[0],
+                            H, b))
     # positive definite spectra on both sides of what the shift proves
     assert certified[True] > 50 and certified[False] > 50
 
@@ -457,6 +465,126 @@ def test_positive_definite_past_the_limit_is_still_singular():
     np.linalg.cholesky(H)
     with pytest.raises(SingularHessian, match="^condition estimate 1.010e"):
         symmetric_solve(H, np.ones(3))
+
+
+# --- the LAPACK boundary: numpy's public wrappers as the oracle ---------------
+
+def _wrapped(f, *args):
+    """f(*args)'s arrays (or bool) as bytes, or its LinAlgError's class and
+    message"""
+    try:
+        out = f(*args)
+    except np.linalg.LinAlgError as exc:
+        return type(exc), str(exc)
+    return [np.asarray(x).tobytes()
+            for x in (out if isinstance(out, tuple) else (out,))]
+
+
+def test_lapack_routes_are_numpys_wrappers_bit_for_bit(monkeypatch):
+    """on the certificate sweep's H (n = 1..16, 29 and 99, certified and
+    refused), a 0 x 0 H and non-finite ones, each LAPACK route of linalg
+    gives np.linalg's bits, or raises its LinAlgError with its message:
+    a non-positive-definite Cholesky, a singular LU, an eigensolver that
+    meets NaN. With those wrappers patched in, the certificate and every
+    public solve and eigen route give the same outcome"""
+    from gnewton import linalg
+    routes = {"_cholesky": np.linalg.cholesky, "_lu_solve": np.linalg.solve,
+              "_eigvalsh": np.linalg.eigvalsh, "_eigh": np.linalg.eigh}
+    public = {"certified": lambda H, b: linalg._certified(H, norm(H)),
+              "symmetric_solve": lambda H, b: symmetric_solve(H, b),
+              "condition_estimate": lambda H, b: np.array(
+                  condition_estimate(H)),
+              "symmetric_eigen": lambda H, b: symmetric_eigen(H),
+              "polar_factor": lambda H, b: polar_factor(H)}
+
+    def outcomes(H, b):
+        out = {}
+        for k, f in public.items():
+            try:
+                out[k] = _wrapped(f, H, b)
+            except (GnewtonError, ValueError, IndexError) as exc:
+                out[k] = type(exc), str(exc)
+        return out
+    cases = [(H, b) for _, H, b in _certificate_sweep(list(range(1, 17))
+                                                      + [29, 99])]
+    cases += [(np.zeros((0, 0)), np.zeros(0)),
+              (np.diag([1.0, 0.0, 2.0]), np.ones(3)),
+              (np.full((3, 3), np.nan), np.ones(3)),
+              (np.diag([np.inf, 1.0]), np.ones(2))]
+    refused = {name: 0 for name in routes}
+    got = []
+    for H, b in cases:
+        for name, wrapper in routes.items():
+            args = (H, b) if name == "_lu_solve" else (H,)
+            want = _wrapped(wrapper, *args)
+            assert _wrapped(getattr(linalg, name), *args) == want, name
+            refused[name] += isinstance(want, tuple) and want[0] is not bytes
+        if all_finite(H):
+            got.append(outcomes(H, b))
+    # refused and accepted on both sides: the NaN H alone stops eigh
+    assert refused["_cholesky"] > 100 and refused["_lu_solve"] > 10
+    assert refused["_eigvalsh"] == refused["_eigh"] == 1
+    assert sum(g["certified"] == [np.True_.tobytes()] for g in got) > 50
+    for name, wrapper in routes.items():
+        monkeypatch.setattr(linalg, name, wrapper)
+    assert [outcomes(H, b) for H, b in cases if all_finite(H)] == got
+
+
+def _qr_inputs():
+    """(A, complete) for QR's stacked map and the frames' step columns:
+    stacks of sphere (one column) and frame shapes as QR._at builds them
+    (transposed views of (k, p, n)), C- and F-ordered single frames,
+    square ones, and a frame with a zero column"""
+    rng = SplitMix64(29)
+    for n, p in ((2, 1), (6, 1), (30, 1), (100, 1), (5, 2), (6, 2), (12, 3),
+                 (20, 4), (4, 4)):
+        for k in (1, 3, 7):
+            T = rng.gaussians(k * p * n).reshape(k, p, n)
+            yield T.transpose(0, 2, 1), False
+        X = rng.gaussians(n * p).reshape(n, p)
+        for view in (X, np.asfortranarray(X), X.T.copy().T):
+            yield view, False
+            yield view, True
+        Z = X.copy()
+        Z[:, -1] = 0.0
+        yield Z, True
+        yield Z[None], False
+
+
+def test_qr_route_is_numpys_wrapper_bit_for_bit():
+    """linalg._qr gives the Q of np.linalg.qr in reduced and complete mode,
+    and the diagonal of its R, bit for bit, on stacked, transposed and
+    Fortran-ordered inputs and on a rank-deficient one, and leaves its
+    input as it was"""
+    from gnewton.linalg import _qr
+    count = 0
+    for A, complete in _qr_inputs():
+        before = A.tobytes()
+        Q, d = _qr(A, complete)
+        Qw, Rw = np.linalg.qr(A, "complete" if complete else "reduced")
+        assert Q.tobytes() == Qw.tobytes() and Q.strides == Qw.strides
+        assert (d.tobytes()
+                == np.diagonal(Rw, axis1=-2, axis2=-1).copy().tobytes())
+        assert A.tobytes() == before
+        count += 1
+    assert count == 9 * 11
+
+
+def test_refused_certificate_warns_nothing_outside_a_run():
+    """a refused Cholesky sets LAPACK's invalid flag: the certificate reads
+    it as False under numpy's own policy, with no RuntimeWarning (which the
+    test settings make an error) under the default error state or any
+    other, and without run_iteration's errstate around it"""
+    from gnewton.linalg import _certified
+    H = np.diag([1.0, -1.0, 2.0])
+    for state in ({}, {"all": "raise"}, {"all": "warn"}, {"all": "ignore"}):
+        with warnings.catch_warnings(record=True) as seen, \
+                np.errstate(**state):
+            warnings.simplefilter("always")
+            assert _certified(H, norm(H)) is False
+            assert np.array_equal(symmetric_solve(H, np.ones(3)),
+                                  [1.0, -1.0, 0.5])
+        assert seen == []
 
 
 def test_row_dots_and_norms_are_dot_and_norm_bit_for_bit():

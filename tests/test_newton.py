@@ -8,6 +8,7 @@ from gnewton.config import near_truth_start
 import gnewton.linalg as linalg_mod
 import gnewton.manifolds as manifolds_mod
 import gnewton.newton as newton_mod
+import gnewton.parametrizations as par_mod
 from gnewton.errors import (ChartDomainViolation, InfeasiblePoint,
                             NotTwiceDifferentiable, OutsideValidityRadius,
                             ProjectionUndefined, SingularHessian)
@@ -155,8 +156,9 @@ def test_recentred_step_completes_the_tangent_basis_once(monkeypatch):
     completes it again, to the same bits"""
     calls = []
     complete = manifolds_mod._complete_unit
-    monkeypatch.setattr(manifolds_mod, "_complete_unit",
-                        lambda p: calls.append(p) or complete(p))
+    for mod in (manifolds_mod, par_mod):
+        monkeypatch.setattr(mod, "_complete_unit",
+                            lambda p: calls.append(p) or complete(p))
     c = Quadratic(np.diag(np.arange(1.0, 7.0)))
     pair = _pair(Recentred(Projection(), 3))
     for seed in range(5):
@@ -789,9 +791,9 @@ def test_frame_step_makes_no_pivoted_completion(monkeypatch, m, kind):
                               "stiefel6x3"])
 def test_one_column_qr_step_makes_no_qr_call(monkeypatch, m):
     """a one-column QR run maps each step by normalisation, with no
-    np.linalg.qr of the map; a Stiefel(6, 3) run still makes one per step
-    that moves. Frames complete their step columns with one complete QR
-    per step, the sphere with none"""
+    LAPACK QR (linalg's `_qr`) of the map; a Stiefel(6, 3) run still makes
+    one per step that moves. Frames complete their step columns with one
+    complete QR per step, the sphere with none"""
     if m.kind == "sphere":
         G = SplitMix64(0).gaussians(m.n * m.n).reshape(m.n, m.n)
         c = Quadratic(G + G.T)
@@ -799,12 +801,13 @@ def test_one_column_qr_step_makes_no_qr_call(monkeypatch, m):
         c = _frame_cost(m, 0)
     p0 = near_truth_start(m, c.truth(m), 0.1, 0)
     calls = []
-    qr = np.linalg.qr
+    qr = linalg_mod._qr
 
-    def counted(a, mode="reduced"):
-        calls.append(mode)
-        return qr(a, mode)
-    monkeypatch.setattr(np.linalg, "qr", counted)
+    def counted(a, complete=False):
+        calls.append("complete" if complete else "reduced")
+        return qr(a, complete)
+    for mod in (manifolds_mod, par_mod):
+        monkeypatch.setattr(mod, "_qr", counted)
     tr = run_iteration(c, Fixed(_pair(QR())), p0, 20, 1e-12)
     steps = len(tr.step_norms)
     moved = sum(q is not p for p, q in zip(tr.points, tr.points[1:]))
@@ -923,14 +926,11 @@ def test_one_value_per_iterate():
 # --- the solve's Cholesky certificate in a step -------------------------------
 
 def _counting(monkeypatch, name):
-    """np.linalg.<name>, wrapped to count its calls"""
+    """linalg's LAPACK route `_<name>` (every gnewton module's binding),
+    wrapped to count its calls"""
     calls = []
-    inner = getattr(np.linalg, name)
-
-    def counted(*args, **kw):
-        calls.append(name)
-        return inner(*args, **kw)
-    monkeypatch.setattr(np.linalg, name, counted)
+    _count_package_calls(monkeypatch, calls, "_" + name,
+                         getattr(linalg_mod, "_" + name))
     return calls
 
 

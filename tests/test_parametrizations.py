@@ -680,8 +680,9 @@ def test_recentred_audit_completes_each_tangent_space_twice(monkeypatch):
     sample, against one for a kind that reads no basis"""
     calls = []
     complete = manifolds_mod._complete_unit
-    monkeypatch.setattr(manifolds_mod, "_complete_unit",
-                        lambda p: calls.append(1) or complete(p))
+    for mod in (manifolds_mod, par_mod):
+        monkeypatch.setattr(mod, "_complete_unit",
+                            lambda p: calls.append(1) or complete(p))
     for kind, per_sample in ((Recentred(Projection(), 0), 2),
                              (Recentred(SphereGeodesic(), 2), 2),
                              (Projection(), 1)):
