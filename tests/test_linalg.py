@@ -502,6 +502,7 @@ def test_lapack_routes_are_numpys_wrappers_bit_for_bit(monkeypatch):
         for k, f in public.items():
             try:
                 out[k] = _wrapped(f, H, b)
+            # IndexError: polar_factor reads s[0] of a 0 x 0 H's spectrum
             except (GnewtonError, ValueError, IndexError) as exc:
                 out[k] = type(exc), str(exc)
         return out
@@ -518,7 +519,7 @@ def test_lapack_routes_are_numpys_wrappers_bit_for_bit(monkeypatch):
             args = (H, b) if name == "_lu_solve" else (H,)
             want = _wrapped(wrapper, *args)
             assert _wrapped(getattr(linalg, name), *args) == want, name
-            refused[name] += isinstance(want, tuple) and want[0] is not bytes
+            refused[name] += isinstance(want, tuple)  # (class, message)
         if all_finite(H):
             got.append(outcomes(H, b))
     # refused and accepted on both sides: the NaN H alone stops eigh

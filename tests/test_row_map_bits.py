@@ -7,8 +7,10 @@ point p, a unit tangent direction u at p, and phi_p(t u) for t = 1e-3,
 too, so the test pins the maps alone, not the sampling that drew them.
 The other map tests compare a kind's stacked path with its one-row path;
 a rewrite that moved the bits of both at once would pass them, and fails
-here. The bits were recorded on numpy 2.4.6 with OpenBLAS, one thread;
-another BLAS build may round a matmul or a QR differently (ROADMAP aim 3).
+here. The bits hold on one platform only (ROADMAP aim 3): another numpy,
+BLAS build or CPU may round a dot product, a matmul or a QR differently.
+So the file records the platform it was made on, and elsewhere each value
+is checked within TOL of its record instead.
 
 Record again only for a change that moves a kind's bits on purpose:
 `PYTHONPATH=src python tests/test_row_map_bits.py > tests/row_map_bits.json`.
@@ -33,6 +35,7 @@ from gnewton.rng import SplitMix64
 BITS = Path(__file__).resolve().with_name("row_map_bits.json")
 SEEDS = range(3)
 STEPS = (1e-3, 1e-2, 1e-1, 1.0)
+TOL = 1e-12  # relative to the row's largest entry, off the platform
 
 
 def _cases():
@@ -51,6 +54,20 @@ def _cases():
             if kind.valid_on(man)}
 
 
+def _platform() -> dict:
+    """What decides the bits: numpy, its BLAS build and the SIMD
+    extensions found on this CPU, by which OpenBLAS picks its kernels
+    ({} on a numpy without the dict form of show_config)"""
+    try:
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        simd = config["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):
+        return {}
+    return {"numpy": np.__version__,
+            "blas": "%s %s" % (blas["name"], blas["version"]), "simd": simd}
+
+
 def _hex(x) -> list:
     return [float(v).hex() for v in x]
 
@@ -60,7 +77,7 @@ def _unhex(h) -> np.ndarray:
 
 
 def _record() -> dict:
-    out = {}
+    out = {"platform": _platform(), "maps": {}}
     for case, (kind, m) in _cases().items():
         pair = ParametrizationPair(kind, kind)
         rows = []
@@ -70,7 +87,7 @@ def _record() -> dict:
             rows.append({"p": _hex(p.ambient), "u": _hex(u), "maps": [
                 _hex(apply_phi(pair, TangentVector(p, t * u)).ambient)
                 for t in STEPS]})
-        out[case] = rows
+        out["maps"][case] = rows
     return out
 
 
@@ -79,23 +96,31 @@ def _recorded() -> dict:
 
 
 def test_the_record_covers_every_case():
-    assert sorted(_recorded()) == sorted(_cases())
+    assert sorted(_recorded()["maps"]) == sorted(_cases())
     assert len(_cases()) == 13
 
 
 @pytest.mark.parametrize("case", sorted(_cases()))
 def test_one_row_map_has_the_recorded_bits(case):
     """apply_phi and apply_psi (both through the kind's `_at` on one row)
-    give the recorded bits of phi_p(t u), every seed and step"""
+    give the recorded bits of phi_p(t u), every seed and step, on the
+    platform of the record; elsewhere they agree within TOL"""
     kind, m = _cases()[case]
     pair = ParametrizationPair(kind, kind)
-    for seed, row in zip(SEEDS, _recorded()[case]):
+    recorded = _recorded()
+    exact = recorded["platform"] == _platform()
+    for seed, row in zip(SEEDS, recorded["maps"][case]):
         p = Point(m, _unhex(row["p"]))
         u = _unhex(row["u"])
         for t, want in zip(STEPS, row["maps"]):
             v = TangentVector(p, t * u)
-            assert _hex(apply_phi(pair, v).ambient) == want, (seed, t)
-            assert _hex(apply_psi(pair, v).ambient) == want, (seed, t)
+            for got in (apply_phi(pair, v).ambient, apply_psi(pair, v).ambient):
+                if exact:
+                    assert _hex(got) == want, (seed, t)
+                else:
+                    w = _unhex(want)
+                    assert (np.abs(got - w).max()
+                            <= TOL * max(1.0, np.abs(w).max())), (seed, t)
 
 
 if __name__ == "__main__":
