@@ -102,14 +102,14 @@ def all_finite(x: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
-def _symmetric(A, label="matrix", finite=True):
-    """A as a float array, checked square, finite (NaN passes symmetry)
-    unless the caller has proved it so, and symmetric within SYM_RTOL
-    relative, with the norm that test takes. -> (A, |A|_F)"""
+def _symmetric(A, label="matrix"):
+    """A as a float array, checked square, finite (NaN passes symmetry) and
+    symmetric within SYM_RTOL relative, with the norm that test takes.
+    -> (A, |A|_F)"""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("%s must be square" % label)
-    if finite and not all_finite(A):
+    if not all_finite(A):
         raise ValueError("%s must be finite" % label)
     a = norm(A)
     if norm(A - A.T) > SYM_RTOL * max(a, _TINY):
@@ -147,7 +147,7 @@ def _eigen_rule(H, b):
     zero-dimensional manifold, whose estimate reads 0), with a message that
     says so, or when the estimate exceeds COND_LIMIT (inf for a singular H,
     so it is refused before LU could raise). The Newton step reaches this
-    rule only for an H that the Cholesky certificate of `solve_finite` refuses.
+    rule only for an H that the Cholesky certificate of `_solve` refuses.
     """
     lmax, _, cond = _spectral_extremes(_eigvalsh(H))
     if lmax == 0.0:
@@ -208,16 +208,11 @@ def symmetric_solve(H, b) -> np.ndarray:
     return _solve(*_symmetric(H), np.asarray(b, dtype=float))
 
 
-def solve_finite(H, b) -> np.ndarray:
-    """symmetric_solve for float arrays proved finite (the Newton step's
-    jet), which skips the finite test."""
-    return _solve(*_symmetric(H, finite=False), b)
-
-
 def _solve(H, h, b) -> np.ndarray:
     """The rhs test, then one Cholesky of the checked H shifted by its norm
     h (_certified) proves the condition limit before the same LU solve;
-    any other H takes the eigenvalue rule."""
+    any other H takes the eigenvalue rule. The Newton step calls it on its
+    jet, finite and symmetric to the bit, with the h the jet took."""
     b = _checked_rhs(b, H.shape[0])
     if _certified(H, h):
         return _lu_solve(H, b)
@@ -234,8 +229,9 @@ def polar_factor(M) -> np.ndarray:
     rank-deficient M raises RankDeficient.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] < M.shape[1]:
-        raise ValueError("expected n x p with n >= p, got shape %r" % (M.shape,))
+    if M.ndim != 2 or not M.shape[0] >= M.shape[1] >= 1:
+        raise ValueError("expected n x p with n >= p >= 1, got shape %r"
+                         % (M.shape,))
     s, Q = _eigh(M.T @ M)
     smin = np.sqrt(max(float(s[0]), 0.0))
     if float(s[-1]) <= 0.0:

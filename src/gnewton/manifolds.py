@@ -65,15 +65,18 @@ class _Record:
 
 
 class _Value(_Record):
-    """A record equal to another of its class with an equal `_key`, and
-    hashed on it: by default the instance dict, which holds the fields
-    alone, compared as it is because many comparisons run per solve
-    (`distance` compares manifolds)."""
+    """A record equal to itself, and to another of its class with an equal
+    `_key`, and hashed on it: by default the instance dict, which holds the
+    fields alone, compared as it is because many comparisons run per solve
+    (`distance` compares manifolds, nearly always one object with
+    itself)."""
 
     def _key(self) -> dict:
         return self.__dict__
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key() == other._key()

@@ -12,11 +12,10 @@ from math import isfinite
 
 import numpy as np
 
-from .costs import value
 from .errors import (ChartDomainViolation, ConfigError, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
                      ProjectionUndefined, SingularHessian)
-from .linalg import all_finite, condition_estimate, norm, solve_finite
+from .linalg import _solve, all_finite, condition_estimate, norm
 from .manifolds import (Point, _basis_columns, _Record, _Value, distance,
                         tangent_basis)
 from .parametrizations import ParametrizationPair, pair_label
@@ -154,36 +153,52 @@ class PathDependent(_Value):
 
 def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
     """2-jet of the cost pulled back through phi at the tangent origin: the
-    record of `_jet` over the basis of p.
+    record of `_jet` over the basis of p. The cost and phi are checked
+    against the manifold at entry.
 
     The gradient needs no correction (D phi_p(0) = I); the Hessian is
     B^T (ambient Hessian) B plus phi's curvature term
     C[i, j] = grad . D^2 phi_p(0)(b_i, b_j), which each kind contracts in
     closed form. A jet that overflows is no usable second derivative.
-    The cost is checked against the manifold once.
     """
+    m = p.manifold
+    c.check_on(m)
+    phi = pair.phi.check_on(m)
     basis = tangent_basis(p)
-    return Jet2(basis, *_jet(c, pair.phi, p, basis.columns))
+    f, grad, H, _ = _jet(c, phi, p, basis.columns)
+    return Jet2(basis, f, grad, H)
 
 
 def _jet(c, phi, p: Point, B):
-    """The jet of `pullback_jet` over the basis columns B at p, on arrays.
-    -> (value, gradient, Hessian)"""
-    m = p.manifold
-    c.check_on(m)
+    """The jet of `pullback_jet` over the basis columns B at p, on arrays,
+    for a cost and phi checked on p's manifold by the caller. H is made
+    symmetric to the bit, and its finite test reads h = |H|_F, as that of
+    the gradient reads its norm: a finite norm proves its array finite, and
+    only a non-finite one, which a finite array can give by overflow, tests
+    the entries. -> (value, gradient, Hessian, h)"""
     g_amb = c.grad(p)
     grad = B.T @ g_amb
     H = B.T @ c.hess_vec(p, B)
-    H = H + phi.check_on(m).curvature(p, B, g_amb)
+    H = H + phi.curvature(p, B, g_amb)
     H = 0.5 * (H + H.T)
-    if not (all_finite(H) and all_finite(grad)):
+    h = norm(H)
+    if not ((isfinite(h) or all_finite(H))
+            and (isfinite(norm(grad)) or all_finite(grad))):
         raise NotTwiceDifferentiable("non-finite pulled-back jet")
-    return c.value(p), grad, H
+    return c.value(p), grad, H, h
+
+
+def _checked_pair(pair: ParametrizationPair, m) -> ParametrizationPair:
+    """The pair, its phi and then its psi checked on m."""
+    pair.phi.check_on(m)
+    pair.psi.check_on(m)
+    return pair
 
 
 def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResult:
     """One step of E_f = psi_p . N_{f o phi_p} at p: the record of the
-    array step `_array_step`, which `run_iteration` calls directly.
+    array step `_array_step`, which `run_iteration` calls directly. The
+    cost, phi and psi are checked against the manifold at entry.
 
     The step does not depend on the orthonormal basis of T_p that carries
     it: with B' = BQ the jet is (Q^T g, Q^T H Q), so w = B's' = Bs. It
@@ -194,7 +209,9 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
     composed over `tangent_basis` within rounding, not bit for bit. Psi
     maps w through `_step_map`: a one-column QR normalises p + w, which is
     `apply_psi`'s LAPACK QR in exact arithmetic."""
-    nxt, step_norm, H, f = _array_step(c, pair, p)
+    m = p.manifold
+    c.check_on(m)
+    nxt, step_norm, H, f = _array_step(c, _checked_pair(pair, m), p)
     return StepResult(nxt, step_norm, H, pair, f)
 
 
@@ -202,12 +219,15 @@ def _array_step(c, pair: ParametrizationPair, p: Point):
     """The step on arrays: the jet over p's checked step columns, the
     solve, the increment w = B s checked tangent as a TangentVector is, and
     psi's step map of w (p itself for a zero w). It builds no record but
-    the next Point.
+    the next Point, and checks no kind: its callers have checked the cost,
+    phi and psi on p's manifold. The jet's H is symmetric to the bit, so it
+    goes to linalg's solve with the norm h the jet took, without the
+    contract's symmetry test.
     -> (next point, |s|, Hessian, f(p))"""
     m = p.manifold
     B = _basis_columns(m, m._step_columns(p))
-    f, grad, H = _jet(c, pair.phi, p, B)
-    s = -solve_finite(H, grad)
+    f, grad, H, h = _jet(c, pair.phi, p, B)
+    s = -_solve(H, h, grad)
     w = B @ s
     m.check_tangent(p.ambient, w[None])
     return pair.psi._step_map(p, w), norm(s), H, f
@@ -224,6 +244,9 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
     value comes from the jet of the step taken from it; the last point,
     from which no step completed, has it taken on its own. A budget out of
     range (max_iter < 1, tol not positive or not finite) is a ConfigError.
+    The manifold is p0's for the whole run, so the cost is checked on it
+    once, and each pair the first time the selector returns it: a
+    ManifoldMismatch propagates from that step.
     """
     if max_iter < 1:
         raise ConfigError("max_iter: must be >= 1")
@@ -231,6 +254,9 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
         raise ConfigError("tol: must be positive")
     if not isfinite(tol):
         raise ConfigError("tol: must be finite")
+    m = p0.manifold
+    c.check_on(m)
+    checked = {}  # id(pair) -> pair, held so that no id is reused
     choose = selector.chooser()
     points = [p0]
     step_norms = []
@@ -239,6 +265,8 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
     termination = "MaxIterations"
     for k in range(max_iter):
         pair = choose(k, points)
+        if id(pair) not in checked:
+            checked[id(pair)] = _checked_pair(pair, m)
         try:
             nxt, step_norm, _, f = _array_step(c, pair, points[-1])
         except SingularHessian:
@@ -260,8 +288,7 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
         if step_norm <= tol:
             termination = "Converged"
             break
-    cost_values.append(value(c, points[-1]))
-    return IterationTrace(points=tuple(points), step_norms=tuple(step_norms),
-                          cost_values=tuple(cost_values), termination=termination,
-                          pairs_used=tuple(pairs_used))
+    cost_values.append(c.value(points[-1]))
+    return IterationTrace(tuple(points), tuple(step_norms), tuple(cost_values),
+                          termination, tuple(pairs_used))
 

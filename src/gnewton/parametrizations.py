@@ -43,9 +43,11 @@ class _Kind(_LivesOn):
     stack takes only elementwise arithmetic, `row_dots`, a call that
     treats each matrix of a stack alone (a stacked `matmul`, `qr`), or a
     loop over the rows.
-    `_step_map(p, w)` is the Newton step's map: `_apply`, unless the kind
-    has a cheaper route equal to its own map in exact arithmetic (`QR` on
-    one column); everything whose bits are published keeps `_apply`.
+    `_step_map(p, w)` is the Newton step's map of the ambient row w at p,
+    unchecked (the run checks each kind once): the row map that `apply`
+    checks and calls, unless the kind has a cheaper route equal to it in
+    exact arithmetic (`QR` on one column); everything whose bits are
+    published keeps the row map.
 
     `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
     matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
@@ -56,17 +58,15 @@ class _Kind(_LivesOn):
     """
 
     def apply(self, v: TangentVector) -> Point:
-        return self._apply(v.base, v.ambient)
-
-    def _apply(self, p: Point, v: np.ndarray) -> Point:
-        """`apply` on the ambient row v of a tangent vector at p."""
-        self.check_on(p.manifold)
-        if norm(v) == 0.0:
-            return p
-        return Point(p.manifold, self._at(p.manifold, p.ambient, v[None])[0])
+        """The row map of v at its base, checked on its manifold: the base
+        class's `_step_map`, never a kind's own route."""
+        self.check_on(v.base.manifold)
+        return _Kind._step_map(self, v.base, v.ambient)
 
     def _step_map(self, p: Point, w: np.ndarray) -> Point:
-        return self._apply(p, w)
+        if norm(w) == 0.0:
+            return p
+        return Point(p.manifold, self._at(p.manifold, p.ambient, w[None])[0])
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         return p.manifold.second_fundamental_form(p, v)
@@ -141,17 +141,17 @@ class QR(_Value, _Kind):
                 .reshape(k, m.n * m.p))
 
     def _step_map(self, p: Point, w: np.ndarray) -> Point:
-        """`_apply`, but one column x = p + w maps to x/|x|, the positive-R
-        QR factor in exact arithmetic, without LAPACK's geqrf and orgqr; an
-        |x| that is 0 or overflows keeps `_apply` (the former raises)."""
+        """The row map, but one column x = p + w maps to x/|x|, the
+        positive-R QR factor in exact arithmetic, without LAPACK's geqrf and
+        orgqr; an |x| that is 0 or overflows keeps the row map (the former
+        raises)."""
         m = p.manifold
-        self.check_on(m)
         if m.p > 1 or norm(w) == 0.0:
-            return self._apply(p, w)
+            return super()._step_map(p, w)
         x = p.ambient + w
         r = norm(x)
         if not 0.0 < r < inf:
-            return self._apply(p, w)
+            return super()._step_map(p, w)
         return Point(m, x / r)
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
@@ -477,7 +477,7 @@ def audit_conditions(pair: ParametrizationPair, m: ManifoldDescriptor,
         for i in range(sample_points):  # the first sample that raises alone
             _sweep(pair, m, P[i:i + 1], G[i:i + 1], steps)
         raise
-    identity_residual = 0.0  # `_Kind._apply` returns p itself at v = 0
+    identity_residual = 0.0  # `_Kind.apply` returns p itself at v = 0
     dphi_residual, alpha_hat = (max([0.0] + v) for v in (dphi, alpha))
     # the ambient subtraction leaves ~1e-16 rounding residue even
     # when psi is exact (p + y computed then re-subtracted); below

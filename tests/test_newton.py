@@ -10,8 +10,9 @@ import gnewton.manifolds as manifolds_mod
 import gnewton.newton as newton_mod
 import gnewton.parametrizations as par_mod
 from gnewton.errors import (ChartDomainViolation, InfeasiblePoint,
-                            NotTwiceDifferentiable, OutsideValidityRadius,
-                            ProjectionUndefined, SingularHessian)
+                            ManifoldMismatch, NotTwiceDifferentiable,
+                            OutsideValidityRadius, ProjectionUndefined,
+                            SingularHessian)
 from gnewton.linalg import condition_estimate, norm, symmetric_solve
 from gnewton.manifolds import (Point, TangentVector, distance, euclidean,
                                grassmann, random_point, sphere, stiefel,
@@ -481,8 +482,6 @@ def test_newton_step_checks_a_hand_built_asymmetric_jet():
         -symmetric_solve(j.hessian, j.gradient)
     with pytest.raises(ValueError, match="symmetric"):
         linalg_mod.symmetric_solve(j.hessian, j.gradient)
-    with pytest.raises(ValueError, match="symmetric"):
-        newton_mod.solve_finite(j.hessian, j.gradient)
 
 
 class _Counting:
@@ -528,11 +527,110 @@ def test_nan_hessian_is_no_jet_and_leaves_the_region():
     assert tr.termination == "LeftValidityRegion" and len(tr.points) == 1
 
 
+class _InfHessian(_Counting):
+    def hess_vec(self, p, direction):
+        return np.inf * super().hess_vec(p, direction)
+
+
+class _NaNGradient(_Counting):
+    def grad(self, p):
+        return np.nan * super().grad(p)
+
+
+class _InfGradient(_Counting):
+    def grad(self, p):
+        return np.inf * super().grad(p)
+
+
+def test_jet_refuses_non_finite_entries_not_an_overflowing_norm():
+    """the jet's finite test reads |H|_F and |grad| and tests the entries
+    only where a norm is not finite: a finite H and gradient whose norms
+    overflow (entries near 1e200) are a jet, which the step solves by the
+    eigenvalue rule, while NaN or inf in H or the gradient raises"""
+    p = Point(euclidean(2), np.ones(2))
+    with np.errstate(over="ignore"):  # each norm of A overflows
+        c = Quadratic(np.diag([1e200, 2e200]))
+        j = pullback_jet(c, PP, p)
+        assert norm(j.hessian) == norm(j.gradient) == np.inf
+        res = generalized_newton_step(c, PP, p)
+    assert np.array_equal(j.hessian, c.A)
+    assert res.next.ambient.tolist() == [0.0, 0.0]
+    assert res.step_norm == norm(np.ones(2))
+    assert run_iteration(c, Fixed(PP), p, 5, 1e-12).termination == \
+        "Converged"
+    q = Point(euclidean(1), np.ones(1))  # B = (1): no inf meets a 0
+    for bad in (_NaNHessian, _InfHessian, _NaNGradient, _InfGradient):
+        c = bad(Quadratic(np.array([[2.0]])))
+        for step in (pullback_jet, generalized_newton_step):
+            with pytest.raises(NotTwiceDifferentiable,
+                               match="^non-finite pulled-back jet$"):
+                step(c, PP, q)
+
+
+def test_public_steps_check_the_cost_and_kinds_at_entry():
+    """pullback_jet checks the cost and phi, generalized_newton_step the
+    cost, phi and psi, before any derivative is taken; run_iteration
+    checks the cost before its first step"""
+    p = random_point(sphere(3), 1)
+    c = Quadratic(np.diag([1.0, 2.0, 3.0]))
+    wrong = _Counting(Quadratic(np.eye(4)))
+    line = Custom1D((0.5,))  # a kind of the line alone
+    for step in (pullback_jet, generalized_newton_step):
+        with pytest.raises(ManifoldMismatch):
+            step(wrong, PP, p)
+        with pytest.raises(ManifoldMismatch):
+            step(c, ParametrizationPair(line, Projection()), p)
+    with pytest.raises(ManifoldMismatch):
+        generalized_newton_step(c, ParametrizationPair(Projection(), line), p)
+    pullback_jet(c, ParametrizationPair(Projection(), line), p)  # no psi
+    with pytest.raises(ManifoldMismatch):
+        run_iteration(wrong, Fixed(PP), p, 5, 1e-12)
+    assert wrong.calls == {"check_on": 3, "value": 0, "grad": 0,
+                           "hess_vec": 0}
+
+
+class _FreshPairs:
+    """A selector whose chooser builds a new pair at every step: a
+    projection pair before step `bad`, then one whose psi is the sphere's
+    geodesic."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def chooser(self):
+        def choose(k, points):
+            psi = Projection() if k < self.bad else SphereGeodesic()
+            return ParametrizationPair(Projection(), psi)
+        return choose
+
+
+def test_run_checks_each_pair_the_first_time_it_is_chosen():
+    """a run checks each pair the first time the selector returns it, so a
+    pair invalid on the manifold raises ManifoldMismatch at the step that
+    chooses it, after the steps before it took their jets: a round robin's
+    second pair at step 1, and a pair built anew at step 3 (an id freed by
+    an earlier pair would pass it unchecked, so the run holds each pair)"""
+    p0 = Point(euclidean(1), np.array([1.0]))
+    geodesic = SphereGeodesic()  # a kind of the sphere alone
+    for selector, steps in (
+            (RoundRobin((PP, ParametrizationPair(Projection(), geodesic))), 1),
+            (RoundRobin((PP, _pair(geodesic))), 1),
+            (_FreshPairs(3), 3)):
+        c = _Counting(ShiftedCubic(0.0))
+        with pytest.raises(ManifoldMismatch):
+            run_iteration(c, selector, p0, 20, 1e-12)
+        assert c.calls["grad"] == steps
+        assert c.calls["check_on"] == 1
+    c = ShiftedCubic(0.0)
+    tr = run_iteration(c, _FreshPairs(20), p0, 20, 1e-12)
+    assert tr.termination == "Converged" and len(tr.step_norms) > 3
+
+
 def test_one_step_checks_each_value_once(monkeypatch):
-    """one certified sphere(6) projection step makes 4 finite tests (the
-    jet's H and gradient, the step w and the next point) and 1
-    orthonormality check (its basis): the solve does not test the jet's H
-    again, and the basis is checked once"""
+    """one certified sphere(6) projection step makes 2 finite tests (the
+    step w and the next point) and 1 orthonormality check (its basis): the
+    jet's H and gradient are proved finite by their norms, the solve does
+    not test H again, and the basis is checked once"""
     import sys
     from gnewton.config import near_truth_start
     c = Quadratic(np.diag(np.arange(1.0, 7.0)))
@@ -551,14 +649,14 @@ def test_one_step_checks_each_value_once(monkeypatch):
     count("_orthonormality_residual", manifolds_mod._orthonormality_residual)
     generalized_newton_step(c, PP, p)
     assert (calls.count("all_finite"),
-            calls.count("_orthonormality_residual")) == (4, 1)
+            calls.count("_orthonormality_residual")) == (2, 1)
     # an uncertified step (the Cholesky certificate refuses its H) takes
-    # the eigenvalue rule on the H already tested: 4 finite tests too
+    # the eigenvalue rule on the H already tested: 2 finite tests too
     q = random_point(sphere(6), 0)
     eig = _counting(monkeypatch, "eigvalsh")
     calls.clear()
     generalized_newton_step(c, PP, q)
-    assert len(eig) == 1 and calls.count("all_finite") == 4
+    assert len(eig) == 1 and calls.count("all_finite") == 2
 
 
 def _count_package_calls(monkeypatch, calls, name, inner):
@@ -577,8 +675,8 @@ def _count_package_calls(monkeypatch, calls, name, inner):
 def test_run_checks_each_value_once_and_builds_one_record_per_iterate(
         monkeypatch):
     """run_iteration takes the array step: a certified sphere(6) projection
-    run makes 4 finite tests and 1 orthonormality check per step, as one
-    generalized_newton_step does, and builds no TangentBasis, Jet2,
+    run makes 2 finite tests (w, and the next point where it moved) and 1
+    orthonormality check per step, as one generalized_newton_step does, and builds no TangentBasis, Jet2,
     TangentVector or StepResult, one Point per accepted iterate (none where
     a zero step returns p itself) and its trace; pullback_jet still checks
     its basis once"""
@@ -603,7 +701,7 @@ def test_run_checks_each_value_once_and_builds_one_record_per_iterate(
     steps = len(tr.step_norms)
     moved = sum(q is not p for p, q in zip(tr.points, tr.points[1:]))
     assert tr.termination == "Converged" and steps >= 3 and not eig
-    assert calls.count("all_finite") == 3 * steps + moved
+    assert calls.count("all_finite") == steps + moved
     assert calls.count("_orthonormality_residual") == steps
     assert sorted(built) == ["IterationTrace"] + ["Point"] * moved
     calls.clear()
@@ -903,7 +1001,8 @@ def test_run_iteration_is_the_public_step_bit_for_bit():
 
 def test_one_value_per_iterate():
     """each iterate's cost value is taken once, from its jet where a step
-    left it, and a jet checks the cost against the manifold once"""
+    left it; a jet checks the cost against the manifold once, and so does
+    a run"""
     A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     c = _Counting(Quadratic(A))
     pullback_jet(c, PP, random_point(sphere(5), 2))
@@ -915,7 +1014,7 @@ def test_one_value_per_iterate():
             tr = run_iteration(c, Fixed(pair), p0, 30, 1e-12)
             assert tr.termination == "Converged" and len(tr.points) > 3
             assert c.calls["value"] == len(tr.points)
-            assert c.calls["check_on"] == len(tr.points)
+            assert c.calls["check_on"] == 1
             assert c.calls["grad"] == len(tr.points) - 1
             ref = run_iteration(Quadratic(A), Fixed(pair), p0, 30, 1e-12)
             assert tr.cost_values == ref.cost_values
@@ -957,7 +1056,8 @@ def test_indefinite_steps_take_the_eigenvalue_rule_with_the_same_iterates(
         monkeypatch):
     """near a middle eigenvector the pulled-back Hessian is indefinite: each
     step's Cholesky fails and the eigenvalue rule solves, giving the
-    iterates of a step that calls solve_with_condition itself"""
+    iterates of a step that calls solve_with_condition itself, patched in
+    for linalg's `_solve` where the step calls it"""
     from oracles import solve_with_condition
     c = Quadratic(np.diag(np.arange(1.0, 7.0)))
     x = np.eye(6)[2] + 0.05 * np.ones(6)
@@ -968,8 +1068,8 @@ def test_indefinite_steps_take_the_eigenvalue_rule_with_the_same_iterates(
     steps = len(tr.step_norms)
     assert tr.termination == "Converged" and steps >= 3
     assert len(eig) == len(chol) == steps
-    monkeypatch.setattr(newton_mod, "solve_finite",
-                        lambda H, b: solve_with_condition(H, b)[0])
+    monkeypatch.setattr(newton_mod, "_solve",
+                        lambda H, h, b: solve_with_condition(H, b)[0])
     ref = run_iteration(c, Fixed(PP), p, 20, 1e-12)
     assert [q.ambient.tobytes() for q in tr.points] == \
         [q.ambient.tobytes() for q in ref.points]

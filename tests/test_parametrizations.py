@@ -186,8 +186,11 @@ def test_qr_step_map_is_apply_within_rounding(seeds):
 
 def test_qr_step_map_keeps_apply_off_the_one_column_path():
     """a zero w returns p itself; a frame of p > 1 columns maps through
-    apply's QR, to the bit; a non-QR manifold is refused first; a zero
-    column raises apply's error"""
+    apply's QR, to the bit; a non-QR manifold is refused before any map,
+    by apply and by the run's and the step's entry checks (the step map
+    itself checks nothing); a zero column raises apply's error"""
+    from gnewton.costs import Quadratic
+    from gnewton.newton import Fixed, generalized_newton_step, run_iteration
     kind = QR()
     for m in (sphere(3), stiefel(5, 1), stiefel(4, 2)):
         p = random_point(m, 0)
@@ -195,9 +198,17 @@ def test_qr_step_map_keeps_apply_off_the_one_column_path():
     w = 0.3 * tangent_basis(p).columns[:, 1]
     assert (kind._step_map(p, w).ambient.tobytes()
             == kind.apply(TangentVector(p, w)).ambient.tobytes())
-    for w in (np.zeros(3), np.ones(3)):
+    c = Quadratic(np.eye(3))
+    for x in (np.zeros(3), np.ones(3)):  # a zero step, and one that moves
+        e = Point(euclidean(3), x)
         with pytest.raises(ManifoldMismatch):
-            kind._step_map(Point(euclidean(3), np.ones(3)), w)
+            kind.apply(TangentVector(e, np.ones(3)))
+        for pair in (ParametrizationPair(Projection(), kind),
+                     ParametrizationPair(kind, kind)):
+            with pytest.raises(ManifoldMismatch):
+                generalized_newton_step(c, pair, e)
+            with pytest.raises(ManifoldMismatch):
+                run_iteration(c, Fixed(pair), e, 5, 1e-12)
     p = random_point(sphere(3), 0)
     with pytest.raises(ProjectionUndefined, match="rank-deficient QR factor"):
         kind._step_map(p, -p.ambient)
