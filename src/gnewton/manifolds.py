@@ -259,16 +259,21 @@ class Sphere(ManifoldDescriptor):
 
     def _step_columns(self, p: "Point") -> np.ndarray:
         """A new array: columns 2..n of the Householder reflector
-        I - 2 v v^T / v^T v with v = p + s e_1, s = sign(p_1) (+1 at 0),
-        which maps e_1 to -s p. As v^T v = 2 (1 + |p_1|) and v_{2..n} =
-        p_{2..n}, they are I[:, 1:] - v p_{2..n}^T / (1 + |p_1|): a few
-        array operations, without the pivoted completion's sort. The
-        Newton step does not depend on which orthonormal basis carries it;
-        every result whose bits are published keeps `tangent_columns`."""
+        I - 2 v v^T / v^T v with v = p + s r e_1, r = |p|, s = sign(p_1)
+        (+1 at 0), which maps e_1 to -s p / r. As v^T v = 2 r (r + |p_1|)
+        and v_{2..n} = p_{2..n}, they are
+        I[:, 1:] - v p_{2..n}^T / (r (r + |p_1|)): a few array operations,
+        without the pivoted completion's sort. r is taken, not read as 1,
+        so the columns stay orthonormal for any feasible p (the residual
+        would be about 2 (r - 1)); at r == 1.0 these are the bits of
+        r = 1. The Newton step does not depend on which orthonormal basis
+        carries it; every result whose bits are published keeps
+        `tangent_columns`."""
         x, n = p.ambient, self.n
+        r = norm(x)
         v = x.copy()
-        v[0] += 1.0 if x[0] >= 0.0 else -1.0
-        B = v[:, None] * (x[1:] / (-1.0 - abs(x[0])))
+        v[0] += r if x[0] >= 0.0 else -r
+        B = v[:, None] * (x[1:] / -(r * (r + abs(x[0]))))
         B.reshape(-1)[n - 1::n] += 1.0  # entry (j + 1, j) is flat j n + n - 1
         return B
 

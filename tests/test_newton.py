@@ -592,15 +592,22 @@ def test_public_steps_check_the_cost_and_kinds_at_entry():
 class _FreshPairs:
     """A selector whose chooser builds a new pair at every step: a
     projection pair before step `bad`, then one whose psi is the sphere's
-    geodesic."""
+    geodesic. Each call asserts that every pair it built is still alive,
+    so that no later pair can take a checked pair's id."""
 
     def __init__(self, bad):
         self.bad = bad
 
     def chooser(self):
+        import weakref
+        built = []
+
         def choose(k, points):
+            assert all(ref() is not None for ref in built)
             psi = Projection() if k < self.bad else SphereGeodesic()
-            return ParametrizationPair(Projection(), psi)
+            pair = ParametrizationPair(Projection(), psi)
+            built.append(weakref.ref(pair))
+            return pair
         return choose
 
 
@@ -608,8 +615,9 @@ def test_run_checks_each_pair_the_first_time_it_is_chosen():
     """a run checks each pair the first time the selector returns it, so a
     pair invalid on the manifold raises ManifoldMismatch at the step that
     chooses it, after the steps before it took their jets: a round robin's
-    second pair at step 1, and a pair built anew at step 3 (an id freed by
-    an earlier pair would pass it unchecked, so the run holds each pair)"""
+    second pair at step 1, and a pair built anew at step 3. The run holds
+    each pair it checked: a freed pair's id, taken by a new pair, would
+    pass that pair unchecked"""
     p0 = Point(euclidean(1), np.array([1.0]))
     geodesic = SphereGeodesic()  # a kind of the sphere alone
     for selector, steps in (
@@ -851,6 +859,51 @@ def test_sphere_step_does_not_depend_on_the_basis(seeds):
             cases, raised = cases + more[0], raised + more[1]
     # every sphere(1) step is singular, and nothing else raised
     assert (cases, raised) == (len(seeds) * 36 * 9, len(seeds) * 36)
+
+
+def _unit_reflector_columns(x):
+    """the sphere's step columns with |x| read as 1: I[:, 1:] minus
+    v x_{2..n}^T / (1 + |x_1|), v = x + sign(x_1) e_1"""
+    n = x.size
+    v = x.copy()
+    v[0] += 1.0 if x[0] >= 0.0 else -1.0
+    B = v[:, None] * (x[1:] / (-1.0 - abs(x[0])))
+    B.reshape(-1)[n - 1::n] += 1.0
+    return B
+
+
+def test_sphere_step_columns_take_the_norm_of_a_feasible_point():
+    """a feasible sphere point has |x| within FEAS_TOL of 1, not 1: at
+    |x| = 1 +- 9e-11 the reflector columns, built from r = |x|, stay
+    orthonormal (read as 1, their residual is about 2 (r - 1)), so the
+    step agrees with the step over tangent_basis and a run converges; at
+    |x| == 1.0 they are the bits of r read as 1"""
+    eps = np.finfo(float).eps
+    m = sphere(6)
+    c = Quadratic(np.diag(np.arange(1.0, 7.0)))
+    for d in (9e-11, -9e-11):
+        # e_2 is the case that read |x| as 1 and refused its own basis
+        assert manifolds_mod._orthonormality_residual(
+            _unit_reflector_columns((1.0 + d) * np.eye(6)[1])) > 1e-10
+        for u in (np.eye(6)[1], random_point(m, 3).ambient,
+                  -random_point(m, 4).ambient):
+            p = Point(m, (1.0 + d) * u)
+            B = m._step_columns(p)
+            assert manifolds_mod._orthonormality_residual(B) <= 8 * eps
+            got = generalized_newton_step(c, PP, p)
+            nxt, s, H = _composed_step(c, PP, p)
+            tol = BASIS_TOL * eps * condition_estimate(H) * max(1.0, norm(s))
+            assert norm(got.next.ambient - nxt.ambient) <= tol
+            assert run_iteration(c, Fixed(PP), p, 20, 1e-12).termination \
+                == "Converged"
+    unit = 0
+    for seed in range(40):
+        p = random_point(m, seed)
+        if norm(p.ambient) == 1.0:
+            unit += 1
+            assert (m._step_columns(p).tobytes()
+                    == _unit_reflector_columns(p.ambient).tobytes())
+    assert unit >= 20
 
 
 @pytest.mark.parametrize("m", [stiefel(6, 3), grassmann(7, 3)],
