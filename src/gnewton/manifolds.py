@@ -65,11 +65,10 @@ class _Record:
 
 
 class _Value(_Record):
-    """A record equal to itself, and to another of its class with an equal
+    """A record equal to itself and to another of its class with an equal
     `_key`, and hashed on it: by default the instance dict, which holds the
     fields alone, compared as it is because many comparisons run per solve
-    (`distance` compares manifolds, nearly always one object with
-    itself)."""
+    (`distance` compares a manifold, nearly always with itself)."""
 
     def _key(self) -> dict:
         return self.__dict__
@@ -261,13 +260,11 @@ class Sphere(ManifoldDescriptor):
         """A new array: columns 2..n of the Householder reflector
         I - 2 v v^T / v^T v with v = p + s r e_1, r = |p|, s = sign(p_1)
         (+1 at 0), which maps e_1 to -s p / r. As v^T v = 2 r (r + |p_1|)
-        and v_{2..n} = p_{2..n}, they are
-        I[:, 1:] - v p_{2..n}^T / (r (r + |p_1|)): a few array operations,
-        without the pivoted completion's sort. r is taken, not read as 1,
-        so the columns stay orthonormal for any feasible p (the residual
-        would be about 2 (r - 1)); at r == 1.0 these are the bits of
-        r = 1. The Newton step does not depend on which orthonormal basis
-        carries it; every result whose bits are published keeps
+        and v_{2..n} = p_{2..n}, they are I[:, 1:] - v p_{2..n}^T /
+        (r (r + |p_1|)): a few array operations, without the pivoted
+        completion's sort, orthonormal for every feasible p (|p| is not
+        read as 1). The Newton step does not depend on which orthonormal
+        basis carries it; every result whose bits are published keeps
         `tangent_columns`."""
         x, n = p.ambient, self.n
         r = norm(x)

@@ -161,21 +161,18 @@ def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
     C[i, j] = grad . D^2 phi_p(0)(b_i, b_j), which each kind contracts in
     closed form. A jet that overflows is no usable second derivative.
     """
-    m = p.manifold
-    c.check_on(m)
-    phi = pair.phi.check_on(m)
+    c.check_on(p.manifold)
     basis = tangent_basis(p)
-    f, grad, H, _ = _jet(c, phi, p, basis.columns)
+    f, grad, H, _ = _jet(c, pair.phi.check_on(p.manifold), p, basis.columns)
     return Jet2(basis, f, grad, H)
 
 
 def _jet(c, phi, p: Point, B):
     """The jet of `pullback_jet` over the basis columns B at p, on arrays,
-    for a cost and phi checked on p's manifold by the caller. H is made
-    symmetric to the bit, and its finite test reads h = |H|_F, as that of
-    the gradient reads its norm: a finite norm proves its array finite, and
-    only a non-finite one, which a finite array can give by overflow, tests
-    the entries. -> (value, gradient, Hessian, h)"""
+    for a cost and phi the caller checked; H symmetric to the bit. A finite
+    h = |H|_F or |grad| proves its array finite; only a non-finite norm,
+    which a finite array can give by overflow, tests the entries.
+    -> (value, gradient, Hessian, h)"""
     g_amb = c.grad(p)
     grad = B.T @ g_amb
     H = B.T @ c.hess_vec(p, B)
@@ -186,13 +183,6 @@ def _jet(c, phi, p: Point, B):
             and (isfinite(norm(grad)) or all_finite(grad))):
         raise NotTwiceDifferentiable("non-finite pulled-back jet")
     return c.value(p), grad, H, h
-
-
-def _checked_pair(pair: ParametrizationPair, m) -> ParametrizationPair:
-    """The pair, its phi and then its psi checked on m."""
-    pair.phi.check_on(m)
-    pair.psi.check_on(m)
-    return pair
 
 
 def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResult:
@@ -209,9 +199,8 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
     composed over `tangent_basis` within rounding, not bit for bit. Psi
     maps w through `_step_map`: a one-column QR normalises p + w, which is
     `apply_psi`'s LAPACK QR in exact arithmetic."""
-    m = p.manifold
-    c.check_on(m)
-    nxt, step_norm, H, f = _array_step(c, _checked_pair(pair, m), p)
+    c.check_on(p.manifold)
+    nxt, step_norm, H, f = _array_step(c, pair.check_on(p.manifold), p)
     return StepResult(nxt, step_norm, H, pair, f)
 
 
@@ -219,10 +208,8 @@ def _array_step(c, pair: ParametrizationPair, p: Point):
     """The step on arrays: the jet over p's checked step columns, the
     solve, the increment w = B s checked tangent as a TangentVector is, and
     psi's step map of w (p itself for a zero w). It builds no record but
-    the next Point, and checks no kind: its callers have checked the cost,
-    phi and psi on p's manifold. The jet's H is symmetric to the bit, so it
-    goes to linalg's solve with the norm h the jet took, without the
-    contract's symmetry test.
+    the next Point, and checks no kind: its callers check the cost and the
+    pair. The solve takes H, symmetric to the bit, with the jet's norm h.
     -> (next point, |s|, Hessian, f(p))"""
     m = p.manifold
     B = _basis_columns(m, m._step_columns(p))
@@ -244,9 +231,8 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
     value comes from the jet of the step taken from it; the last point,
     from which no step completed, has it taken on its own. A budget out of
     range (max_iter < 1, tol not positive or not finite) is a ConfigError.
-    The manifold is p0's for the whole run, so the cost is checked on it
-    once, and each pair the first time the selector returns it: a
-    ManifoldMismatch propagates from that step.
+    The cost is checked on p0's manifold once, and each pair the first
+    time the selector returns it: a ManifoldMismatch propagates from there.
     """
     if max_iter < 1:
         raise ConfigError("max_iter: must be >= 1")
@@ -266,7 +252,7 @@ def run_iteration(c, selector, p0: Point, max_iter: int, tol: float) -> Iteratio
     for k in range(max_iter):
         pair = choose(k, points)
         if id(pair) not in checked:
-            checked[id(pair)] = _checked_pair(pair, m)
+            checked[id(pair)] = pair.check_on(m)
         try:
             nxt, step_norm, _, f = _array_step(c, pair, points[-1])
         except SingularHessian:

@@ -43,11 +43,9 @@ class _Kind(_LivesOn):
     stack takes only elementwise arithmetic, `row_dots`, a call that
     treats each matrix of a stack alone (a stacked `matmul`, `qr`), or a
     loop over the rows.
-    `_step_map(p, w)` is the Newton step's map of the ambient row w at p,
-    unchecked (the run checks each kind once): the row map that `apply`
-    checks and calls, unless the kind has a cheaper route equal to it in
-    exact arithmetic (`QR` on one column); everything whose bits are
-    published keeps the row map.
+    `_step_map(p, w)` is the Newton step's map, unchecked: the row map of
+    `apply`, unless the kind has a cheaper route equal to it in exact
+    arithmetic (`QR` on one column); published bits keep the row map.
 
     `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
     matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
@@ -58,8 +56,7 @@ class _Kind(_LivesOn):
     """
 
     def apply(self, v: TangentVector) -> Point:
-        """The row map of v at its base, checked on its manifold: the base
-        class's `_step_map`, never a kind's own route."""
+        """The base class's row map, checked, never a kind's own route."""
         self.check_on(v.base.manifold)
         return _Kind._step_map(self, v.base, v.ambient)
 
@@ -342,6 +339,12 @@ class Stereographic(_Kind):
 
 class ParametrizationPair(_Value):
     _fields = ("phi", "psi")
+
+    def check_on(self, m: ManifoldDescriptor) -> "ParametrizationPair":
+        """The pair, phi and then psi checked on m."""
+        self.phi.check_on(m)
+        self.psi.check_on(m)
+        return self
 
 
 def pair_label(pair: ParametrizationPair) -> str:
