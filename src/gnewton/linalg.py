@@ -1,4 +1,4 @@
-"""Dense symmetric kernels: solve, polar factor, eigendecomposition, norm.
+"""Dense symmetric kernels: solve, polar factor, eigendecomposition, norms.
 
 Everything here is small (sphere(100) gives a 99 x 99 Hessian) and dense;
 the Newton solve tries one Cholesky factorisation of a shifted H, whose
@@ -13,13 +13,13 @@ symmetric-matrix check (square, finite, symmetric), the one finite test
 (`all_finite`), the condition limit, sign conventions, error taxonomy.
 """
 
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg import _umath_linalg as _lapack
 
-from .errors import RankDeficient, SingularHessian
+from .errors import ProjectionUndefined, RankDeficient, SingularHessian
 
 COND_LIMIT = 1e12
 SYM_RTOL = 1e-10
@@ -94,6 +94,29 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> list:
 def row_norms(X: np.ndarray) -> list:
     """norm(x) for each row x of the 2-d X, to the bit."""
     return [sqrt(s) for s in row_dots(X, X)]
+
+
+def _unit_rows(X: np.ndarray, undefined: str) -> np.ndarray:
+    """x / norm(x) for each row x of the 2-d X, to the bit, where that norm
+    is finite and not 0; one row takes one dot, as `norm` does. A nonzero
+    finite row whose squared norm overflows, or underflows to 0, is first
+    scaled exactly, by the power of 2 of its largest magnitude. A zero row
+    raises ProjectionUndefined(undefined)."""
+    if len(X) == 1:
+        r = norm(X)
+        if 0.0 < r < inf:
+            return X / r
+    norms = row_norms(X)
+    if 0.0 in norms or inf in norms:
+        odd = [i for i, r in enumerate(norms) if r == 0.0 or r == inf]
+        S = np.abs(X[odd]).max(axis=1, keepdims=True)
+        if 0.0 in S:
+            raise ProjectionUndefined(undefined)
+        X = X.copy()
+        X[odd] = np.ldexp(X[odd], -np.frexp(S)[1])
+        for i, r in zip(odd, row_norms(X[odd])):
+            norms[i] = r
+    return X / np.array(norms)[:, None]
 
 
 def all_finite(x: np.ndarray) -> bool:

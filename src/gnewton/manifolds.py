@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import (InfeasiblePoint, ManifoldMismatch, ProjectionUndefined,
                      RankDeficient)
-from .linalg import (_qr, all_finite, norm, polar_factor, row_dots,
-                     row_norms)
+from .linalg import (_qr, _unit_rows, all_finite, norm, polar_factor,
+                     row_dots, row_norms)
 from .rng import SplitMix64
 
 FEAS_TOL = 1e-10
@@ -90,12 +90,12 @@ class ManifoldDescriptor(_Value):
     `intrinsic_dim`, one residual hook per rule on a stack of rows,
     `feasibility_residuals(X)` and `tangency_residuals(X, V)`, each row's
     with the bits of that row alone (`check_feasible` and `check_tangent`
-    make the one rule of each), the `tangent_columns` (a new array each
-    call) and the Newton step's `_step_columns`, `_project` on a stack
-    of rows, and its second fundamental form II_p(v, v), the normal part
-    of the acceleration of every curve through p with velocity v, twice
-    over: `second_fundamental_form(p, v)`, and `weingarten(p, B, g)`, the
-    matrix g . II_p(b_i, b_j) over B's columns.
+    make the one rule of each), `tangent_columns`, the one basis (a new
+    array each call), `_project` on a stack of rows, and its second
+    fundamental form II_p(v, v), the normal part of the acceleration of
+    every curve through p with velocity v, twice over:
+    `second_fundamental_form(p, v)`, and `weingarten(p, B, g)`, the matrix
+    g . II_p(b_i, b_j) over B's columns.
     """
     _fields = ("n", "p")
     name = None
@@ -144,12 +144,6 @@ class ManifoldDescriptor(_Value):
             if resid > FEAS_TOL and resid > FEAS_TOL * norm(v):
                 raise InfeasiblePoint("tangency residual %.3e too large"
                                       % resid)
-
-    def _step_columns(self, p: "Point") -> np.ndarray:
-        """The columns the Newton step solves over: `tangent_columns`,
-        unless the class has a cheaper orthonormal basis (`Sphere`,
-        `_Frame`)."""
-        return self.tangent_columns(p)
 
     def project(self, x: np.ndarray) -> "Point":
         """The closest point to x; see `_project`."""
@@ -237,9 +231,9 @@ class _OnTheLine(_LivesOn):
 
 
 class Sphere(ManifoldDescriptor):
-    """The unit sphere in R^n. Every curve bends along -p,
-    II_p(v, v) = -|v|^2 p, so over an orthonormal basis the contraction is
-    -(g . p) I."""
+    """The unit sphere in R^n, with the tangent columns of one Householder
+    reflector. Every curve bends along -p, II_p(v, v) = -|v|^2 p, so over
+    an orthonormal basis the contraction is -(g . p) I."""
     name = "sphere"
 
     @property
@@ -253,33 +247,12 @@ class Sphere(ManifoldDescriptor):
         return [abs(s) for s in row_dots(V, X)]
 
     def tangent_columns(self, p: "Point") -> np.ndarray:
-        """A new array: the pivoted completion of p."""
-        return _complete_orthonormal(p.ambient[:, None])
-
-    def _step_columns(self, p: "Point") -> np.ndarray:
-        """A new array: columns 2..n of the Householder reflector
-        I - 2 v v^T / v^T v with v = p + s r e_1, r = |p|, s = sign(p_1)
-        (+1 at 0), which maps e_1 to -s p / r. As v^T v = 2 r (r + |p_1|)
-        and v_{2..n} = p_{2..n}, they are I[:, 1:] - v p_{2..n}^T /
-        (r (r + |p_1|)): a few array operations, without the pivoted
-        completion's sort, orthonormal for every feasible p (|p| is not
-        read as 1). The Newton step does not depend on which orthonormal
-        basis carries it; every result whose bits are published keeps
-        `tangent_columns`."""
-        x, n = p.ambient, self.n
-        r = norm(x)
-        v = x.copy()
-        v[0] += r if x[0] >= 0.0 else -r
-        B = v[:, None] * (x[1:] / -(r * (r + abs(x[0]))))
-        B.reshape(-1)[n - 1::n] += 1.0  # entry (j + 1, j) is flat j n + n - 1
-        return B
+        """A new array: `_reflector_columns` of p."""
+        return _reflector_columns(p.ambient)
 
     def _project(self, X: np.ndarray) -> np.ndarray:
-        """Each row over its norm, which must not be 0."""
-        norms = row_norms(X)
-        if 0.0 in norms:
-            raise ProjectionUndefined("cannot project the zero vector")
-        return X / np.array(norms)[:, None]
+        """Each row over its norm, which must not be 0 (`_unit_rows`)."""
+        return _unit_rows(X, "cannot project the zero vector")
 
     def align_signs(self, truth: "Point", final: "Point") -> "Point":
         if float(np.dot(truth.ambient, final.ambient)) < 0.0:
@@ -295,7 +268,8 @@ class Sphere(ManifoldDescriptor):
 
 
 class _Frame(ManifoldDescriptor):
-    """n x p orthonormal frames X^T X = I, shared by Stiefel and Grassmann.
+    """n x p orthonormal frames X^T X = I, shared by Stiefel and Grassmann,
+    with tangent columns over the completion of one Householder QR of X.
     II_X(V, V) = -X V^T V, whose contraction with g is the Weingarten map
     V -> V S, S = -sym(X^T G). As vec(V S) = (S kron I_n) vec(V), over a
     basis B it is one product B^T (S kron I_n) B (`_frame_product`)."""
@@ -311,15 +285,8 @@ class _Frame(ManifoldDescriptor):
         return row_norms(G)
 
     def tangent_columns(self, p: "Point") -> np.ndarray:
-        """A new array: `_columns` over the pivoted completion of X."""
-        X = p.as_matrix()
-        return self._columns(X, _complete_orthonormal(X))
-
-    def _step_columns(self, p: "Point") -> np.ndarray:
-        """A new array: `_columns` over the completion that one Householder
-        QR of X gives. The Newton step does not depend on which orthonormal
-        basis carries it, so the step takes this one LAPACK call; every
-        result whose bits are published keeps `tangent_columns`."""
+        """A new array: `_columns` over the completion of X that one
+        Householder QR gives, the last n - p columns of its complete Q."""
         X = p.as_matrix()
         return self._columns(X, _qr(X, complete=True)[0][:, self.p:])
 
@@ -499,74 +466,19 @@ def _checked_basis(m: ManifoldDescriptor, B: np.ndarray) -> np.ndarray:
     return B
 
 
-def _complete_orthonormal(K: np.ndarray) -> np.ndarray:
-    """Extend the orthonormal columns of the n x k array K to a basis of
-    R^n, returning the n x (n - k) completion.
-
-    Pivoted Gram-Schmidt on the standard basis: each pick takes the e_i
-    with the largest residual, ties to the lowest index. Pivoting matters:
-    a first-axis-above-threshold sweep cancels catastrophically when the
-    existing columns nearly align with coordinate axes, and losses of ~1e-7
-    there poison every pullback gradient downstream. Pivot order is a pure
-    function of the inputs, so the completion is deterministic.
-
-    The squared residual of e_i is the diagonal entry of the projector
-    I - QQ^T onto what is left, so the picks are a pivoted Cholesky of
-    I - KK^T, costing O(n j) for the j-th pick. For a single column p the
-    picks have a closed form, taken without a loop (`_complete_unit`).
-    """
-    n, k = K.shape
-    if k == 1:
-        return _complete_unit(K[:, 0])
-    Q = np.empty((n, n))
-    Q[:, :k] = K
-    d = 1.0 - (K * K).sum(axis=1)  # squared residual of each e_i
-    for j in range(k, n):
-        Qj = Q[:, :j]
-        i = int(d.argmax())  # ties go to the lowest index
-        v = -(Qj @ Qj[i])
-        v[i] += 1.0
-        v -= Qj @ (Qj.T @ v)
-        v /= sqrt(float(v.dot(v)))  # norm(v), without the call
-        Q[:, j] = v
-        d -= v * v
-        d[i] = -np.inf
-    return Q[:, k:]
-
-
-def _complete_unit(p: np.ndarray) -> np.ndarray:
-    """The pivoted completion of one unit vector p, in closed form.
-
-    Once the set S is picked, what is left of the span of p and e_S is
-    along p' = p with S zeroed, so e_l (l not in S) has squared residual
-    1 - p_l^2 / c_S with c_S = |p'|^2. That is monotone in p_l^2: the picks
-    are a stable sort of 1 - p^2, largest first, and column j is
-    (e_i - p_i p'_j / c_j) / sqrt(c_{j+1} / c_j) for the j-th pick i. The
-    sort keys on the rounded 1 - p^2, not on p^2, so squares under the
-    rounding of 1 tie, as in the residual norms. The c_j are tail sums of
-    the sorted p^2, free of cancellation, and the last is max p^2 >= 1/n.
-    The key p^2 - 1 is -(1 - p^2) bitwise.
-    """
-    n = p.size
-    order = np.argsort(p * p - 1.0, kind="stable")
-    ps = p[order]
-    c = np.cumsum((ps * ps)[::-1])[::-1]  # c[j] = sum of ps[j:]**2
-    B = np.where(_lower_mask(n), ps[:, None], 0.0)
-    B *= -ps[:-1] / c[:-1]
-    B.reshape(-1)[::n] += 1.0  # entry (j, j) of the n x (n - 1) B is flat j n
-    B *= np.sqrt(c[:-1] / c[1:])
-    out = np.empty((n, n - 1))
-    out[order] = B
-    return out
-
-
-@lru_cache(maxsize=64)
-def _lower_mask(n: int) -> np.ndarray:
-    """The n x (n - 1) mask of entries (i, j) with i >= j, shared
-    read-only."""
-    lower = np.arange(n)[:, None] >= np.arange(n - 1)
-    lower.setflags(write=False)
-    return lower
+def _reflector_columns(x: np.ndarray) -> np.ndarray:
+    """A new array: columns 2..n of the Householder reflector
+    I - 2 v v^T / v^T v with v = x + s r e_1, r = |x|, s = sign(x_1) (+1 at
+    0), which maps e_1 to -s x / r. As v^T v = 2 r (r + |x_1|) and
+    v_{2..n} = x_{2..n}, they are I[:, 1:] - v x_{2..n}^T / (r (r + |x_1|)),
+    orthonormal for every feasible x (|x| is not read as 1)."""
+    n = x.size
+    r = norm(x)
+    v = x.copy()
+    v[0] += r if x[0] >= 0.0 else -r
+    B = v[:, None] * (x[1:] / -(r * (r + abs(x[0]))))
+    B.reshape(-1)[n - 1::n] += 1.0  # entry (j + 1, j) is flat j n + n - 1
+    return B
 
 
 @lru_cache(maxsize=64)
@@ -579,8 +491,8 @@ def _identity(m: int) -> np.ndarray:
 
 def tangent_basis(p: Point) -> TangentBasis:
     """Deterministic orthonormal basis of the tangent (Grassmann: horizontal)
-    space at p, the published one: the new `tangent_columns` through
-    `_basis_columns`, not copied."""
+    space at p, the one the Newton step solves over: the new
+    `tangent_columns` through `_basis_columns`, not copied."""
     B = _basis_columns(p.manifold, p.manifold.tangent_columns(p))
     return TangentBasis.__new__(TangentBasis)._bind(p, B)
 

@@ -33,12 +33,9 @@ class StepResult(_Record):
     """A step from a point, as `generalized_newton_step` returns it: the
     record of the array step `_array_step`, which `run_iteration` takes
     without it. `base_value` is the cost there and `hessian` the
-    pulled-back Hessian the step solved with, both from its jet, in the
-    step's own orthonormal basis (`_step_columns`): on the line that is
-    `tangent_basis`, so `hessian` is `pullback_jet`'s to the bit; on the
-    sphere, Stiefel and Grassmann it is QᵀHQ for an orthogonal Q, with the
-    jet's spectrum; `next` is psi's `_step_map` of the increment, within
-    rounding of `apply_psi`'s for a one-column QR. The step takes no
+    pulled-back Hessian the step solved with, both from its jet over
+    `tangent_basis`, so `hessian` is `pullback_jet`'s to the bit, and
+    `next` is `apply_psi`'s of the increment. The step takes no
     eigenvalues when its solve's Cholesky certificate holds, so
     `hessian_condition` (condition_estimate of `hessian`) is computed when
     read."""
@@ -191,28 +188,23 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
     cost, phi and psi are checked against the manifold at entry.
 
     The step does not depend on the orthonormal basis of T_p that carries
-    it: with B' = BQ the jet is (Q^T g, Q^T H Q), so w = B's' = Bs. It
-    solves over `_step_columns` instead of the pivoted completion of the
-    published `tangent_basis`: on the sphere the columns of one Householder
-    reflector, on Stiefel and Grassmann the frame completed by one
-    Householder QR. There the next point and |s| agree with the step
-    composed over `tangent_basis` within rounding, not bit for bit. Psi
-    maps w through `_step_map`: a one-column QR normalises p + w, which is
-    `apply_psi`'s LAPACK QR in exact arithmetic."""
+    it: with B' = BQ the jet is (Q^T g, Q^T H Q), so w = B's' = Bs. It is
+    the step composed from `pullback_jet`, `symmetric_solve` and
+    `apply_psi`, to the bit."""
     c.check_on(p.manifold)
     nxt, step_norm, H, f = _array_step(c, pair.check_on(p.manifold), p)
     return StepResult(nxt, step_norm, H, pair, f)
 
 
 def _array_step(c, pair: ParametrizationPair, p: Point):
-    """The step on arrays: the jet over p's checked step columns, the
+    """The step on arrays: the jet over p's checked tangent columns, the
     solve, the increment w = B s checked tangent as a TangentVector is, and
-    psi's step map of w (p itself for a zero w). It builds no record but
+    psi's row map of w (p itself for a zero w). It builds no record but
     the next Point, and checks no kind: its callers check the cost and the
     pair. The solve takes H, symmetric to the bit, with the jet's norm h.
     -> (next point, |s|, Hessian, f(p))"""
     m = p.manifold
-    B = _basis_columns(m, m._step_columns(p))
+    B = _basis_columns(m, m.tangent_columns(p))
     f, grad, H, h = _jet(c, pair.phi, p, B)
     s = -_solve(H, h, grad)
     w = B @ s

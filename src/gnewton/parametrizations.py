@@ -14,17 +14,17 @@ term, if it has one.
 
 from functools import lru_cache
 from itertools import repeat
-from math import cos, inf, isfinite, log, sin
+from math import cos, isfinite, log, sin
 
 import numpy as np
 
 from .errors import ChartDomainViolation, GnewtonError, ProjectionUndefined
 from .manifolds import (ManifoldDescriptor, Point, Sphere, Stiefel,
                         Grassmann, TangentVector, tangent_basis,
-                        tangent_gaussians, _complete_unit, _frame_product,
-                        _LivesOn, _identity, _lower_mask, _OnTheLine, _Value)
-from .linalg import (_qr, all_finite, norm, polar_factor, row_dots,
-                     row_norms)
+                        tangent_gaussians, _frame_product, _LivesOn,
+                        _identity, _OnTheLine, _reflector_columns, _Value)
+from .linalg import (_qr, _unit_rows, all_finite, norm, polar_factor,
+                     row_dots, row_norms)
 from .rates import log_log_fit
 from .rng import SplitMix64
 
@@ -42,10 +42,8 @@ class _Kind(_LivesOn):
     its `apply`. Row i holds the bits a one-row call on V[i] gives, so a
     stack takes only elementwise arithmetic, `row_dots`, a call that
     treats each matrix of a stack alone (a stacked `matmul`, `qr`), or a
-    loop over the rows.
-    `_step_map(p, w)` is the Newton step's map, unchecked: the row map of
-    `apply`, unless the kind has a cheaper route equal to it in exact
-    arithmetic (`QR` on one column); published bits keep the row map.
+    loop over the rows. `_step_map(p, w)` is that map on one ambient row,
+    unchecked: `apply` and the Newton step both map through it.
 
     `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
     matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
@@ -56,14 +54,14 @@ class _Kind(_LivesOn):
     """
 
     def apply(self, v: TangentVector) -> Point:
-        """The base class's row map, checked, never a kind's own route."""
         self.check_on(v.base.manifold)
-        return _Kind._step_map(self, v.base, v.ambient)
+        return self._step_map(v.base, v.ambient)
 
     def _step_map(self, p: Point, w: np.ndarray) -> Point:
         if norm(w) == 0.0:
             return p
-        return Point(p.manifold, self._at(p.manifold, p.ambient, w[None])[0])
+        return Point(p.manifold,
+                     self._at(p.manifold, p.ambient[None], w[None])[0])
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         return p.manifold.second_fundamental_form(p, v)
@@ -122,34 +120,22 @@ class QR(_Value, _Kind):
     Q' = V, and then Q'' = -X (2 triu(M, 1) + diag(M)) with M = V^T V.
     Beside the normal part II = -X M that leaves the tangential term
     T(V, V) = X (tril(M, -1) - triu(M, 1)); with one column (the sphere) it
-    is 0 and QR is normalisation. The Newton step maps one column so
-    (`_step_map`); `apply` and the audit keep LAPACK's QR.
+    is 0 and QR is normalisation, x / |x| (`_unit_rows`).
     """
     name = "qr"
     manifolds = (Sphere, Stiefel, Grassmann)
 
     def _at(self, m, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """One stacked QR; LAPACK factors each matrix of the stack alone."""
+        """One column: each row over its norm. More: one stacked QR, which
+        LAPACK factors each matrix of alone."""
+        if m.p == 1:
+            return _unit_rows(X + V, "rank-deficient QR factor")
         k = V.shape[0]
         Q, d = _qr((X + V).reshape(k, m.p, m.n).transpose(0, 2, 1))
         if np.any(d == 0.0):
             raise ProjectionUndefined("rank-deficient QR factor")
         return ((Q * np.sign(d)[:, None, :]).transpose(0, 2, 1)
                 .reshape(k, m.n * m.p))
-
-    def _step_map(self, p: Point, w: np.ndarray) -> Point:
-        """The row map, but one column x = p + w maps to x/|x|, the
-        positive-R QR factor in exact arithmetic, without LAPACK's geqrf and
-        orgqr; an |x| that is 0 or overflows keeps the row map (the former
-        raises)."""
-        m = p.manifold
-        if m.p > 1 or norm(w) == 0.0:
-            return super()._step_map(p, w)
-        x = p.ambient + w
-        r = norm(x)
-        if not 0.0 < r < inf:
-            return super()._step_map(p, w)
-        return Point(m, x / r)
 
     def second_order(self, p: Point, v: np.ndarray) -> np.ndarray:
         S = super().second_order(p, v)
@@ -169,6 +155,15 @@ class QR(_Value, _Kind):
             return super().curvature(p, B, g)
         N = p.as_matrix().T @ g.reshape(m.n, m.p, order="F")
         return _frame_product(B, -np.where(_lower_mask(m.p + 1)[:-1], N.T, N))
+
+
+@lru_cache(maxsize=64)
+def _lower_mask(n: int) -> np.ndarray:
+    """The n x (n - 1) mask of entries (i, j) with i >= j, shared
+    read-only."""
+    lower = np.arange(n)[:, None] >= np.arange(n - 1)
+    lower.setflags(write=False)
+    return lower
 
 
 def _tril_minus_triu(M: np.ndarray) -> np.ndarray:
@@ -354,7 +349,7 @@ def pair_label(pair: ParametrizationPair) -> str:
 @lru_cache(maxsize=64)
 def _seeded_rotation(seed: int, k: int) -> np.ndarray:
     """Polar factor of a seeded k x k gaussian draw: the rotation of the
-    completion columns, drawn once per (seed, k) and shared read-only."""
+    tangent columns, drawn once per (seed, k) and shared read-only."""
     G = SplitMix64(seed).gaussians(k * k).reshape(k, k, order="F")
     R = polar_factor(G)
     R.setflags(write=False)
@@ -365,18 +360,17 @@ def recentring_rotation(kind: Recentred, p: Point) -> np.ndarray:
     """Orthogonal g with g e1 = p, deterministic in (p, rotation_seed).
 
     The stabiliser of e1 leaves g underdetermined; the seed picks a fixed
-    rotation of the completion columns."""
+    rotation of the tangent columns."""
     return _rotation(kind.rotation_seed, p.ambient)
 
 
 def _rotation(seed: int, x: np.ndarray) -> np.ndarray:
-    """recentring_rotation at the unit row x: x beside its pivoted
-    completion (the sphere's tangent columns at x) turned by the seeded
-    rotation."""
+    """recentring_rotation at the unit row x: x beside the sphere's tangent
+    columns at x (`_reflector_columns`) turned by the seeded rotation."""
     n = x.size
     if n == 1:
         return x.reshape(1, 1).copy()
-    C = _complete_unit(x) @ _seeded_rotation(seed, n - 1)
+    C = _reflector_columns(x) @ _seeded_rotation(seed, n - 1)
     return np.column_stack([x, C])
 
 
@@ -413,8 +407,8 @@ class AuditReport(_Value):
 def _sweep(pair: ParametrizationPair, m: ManifoldDescriptor, P: list,
            G: list, steps: np.ndarray):
     """The audit's stages for the samples at P (gaussians G), each one pass,
-    in one sample's order: each direction d from its point's basis (one
-    completion, which no sample keeps); rows d, +-h d and r d checked; phi
+    in one sample's order: each direction d from its point's basis, which
+    no sample keeps; rows d, +-h d and r d checked; phi
     maps +-h d and psi r d, one `_at` each on the repeated points (one in
     all when phi is psi), the mapped rows checked. -> dphi and alpha
     residuals per sample, psi residuals per row"""

@@ -9,11 +9,17 @@ is derived here on its own, by the quotient rule. `chart_lift_step` is the
 earlier chart-lifted Newton step with its finite-difference jet, and
 `audit_rows` the earlier row-by-row audit, one public call per
 displacement. They are slow and only serve as oracles. `frame_columns`
-and `pivoted_completion` are the frame tangent columns as they were
-assembled before the in-place fill, kept verbatim in code: their bytes
-are the reference. `stacked_curvature` is the frame curvature term as it
-was contracted over a stack of per-direction matrices before the one
-product. `qr_second_order` is QR's second-order term with its tangential
+is the frame tangent columns over a given completion as they were
+assembled before the in-place fill, kept verbatim in code: its bytes are
+the reference. `householder_basis` is the tangent basis from numpy's own
+forms: the columns 2..n of I - 2 v v^T / v^T v on the sphere, and the
+frame columns over `np.linalg.qr(X, "complete")`. `pivoted_basis` is the
+basis the package published before it took the Householder one, over
+`pivoted_completion`, the pivoted Gram-Schmidt with its pick loop, or
+`complete_unit`, its closed form for one column: the reference basis
+that shows a step does not depend on its basis. `stacked_curvature` is
+the frame curvature term as it was contracted over a stack of
+per-direction matrices before the one product. `qr_second_order` is QR's second-order term with its tangential
 matrix formed by np.tril and np.triu, and `mean_log_log_fit` and
 `mean_pooled_rate` are the rate fit with its means taken by `.mean()`:
 kept verbatim in code, their bytes are the reference. `solve_with_condition`
@@ -30,8 +36,7 @@ from gnewton.costs import ambient_gradient, ambient_hessian_vec, value
 from gnewton.errors import ChartDomainViolation, InsufficientData
 from gnewton.linalg import (_checked_rhs, _eigen_rule, _symmetric, norm,
                             symmetric_solve)
-from gnewton.manifolds import (Point, TangentVector, _complete_unit,
-                               random_unit_tangent)
+from gnewton.manifolds import Point, TangentVector, random_unit_tangent
 from gnewton.parametrizations import (QR, AuditReport, Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
                                       Recentred, SphereGeodesic,
@@ -98,11 +103,13 @@ def tangent_basis(p):
 
 
 def pivoted_completion(K):
-    """`manifolds._complete_orthonormal` with its earlier pick loop: the
-    pivoted Gram-Schmidt completion of the orthonormal columns of K."""
+    """The pivoted Gram-Schmidt completion of the orthonormal columns of
+    the n x k array K to a basis of R^n, the n x (n - k) completion: each
+    pick takes the e_i with the largest residual, ties to the lowest index.
+    One column takes the closed form `complete_unit`."""
     n, k = K.shape
     if k == 1:
-        return _complete_unit(K[:, 0])
+        return complete_unit(K[:, 0])
     Q = np.empty((n, n))
     Q[:, :k] = K
     d = 1.0 - (K * K).sum(axis=1)  # squared residual of each e_i
@@ -118,13 +125,70 @@ def pivoted_completion(K):
     return Q[:, k:]
 
 
-def frame_columns(p):
-    """Stiefel or Grassmann tangent columns at p as they were assembled:
-    the skew block (Stiefel only) by triu_indices and fancy indexing, then
-    the horizontal block as kron(I_p, P), joined by hstack."""
+def complete_unit(p):
+    """The pivoted completion of one unit vector p, in closed form.
+
+    Once the set S is picked, what is left of the span of p and e_S is
+    along p' = p with S zeroed, so e_l (l not in S) has squared residual
+    1 - p_l^2 / c_S with c_S = |p'|^2. That is monotone in p_l^2: the picks
+    are a stable sort of 1 - p^2, largest first, and column j is
+    (e_i - p_i p'_j / c_j) / sqrt(c_{j+1} / c_j) for the j-th pick i. The
+    sort keys on the rounded 1 - p^2, not on p^2, so squares under the
+    rounding of 1 tie, as in the residual norms. The c_j are tail sums of
+    the sorted p^2, free of cancellation, and the last is max p^2 >= 1/n.
+    The key p^2 - 1 is -(1 - p^2) bitwise.
+    """
+    n = p.size
+    order = np.argsort(p * p - 1.0, kind="stable")
+    ps = p[order]
+    c = np.cumsum((ps * ps)[::-1])[::-1]  # c[j] = sum of ps[j:]**2
+    B = np.where(np.arange(n)[:, None] >= np.arange(n - 1), ps[:, None], 0.0)
+    B *= -ps[:-1] / c[:-1]
+    B.reshape(-1)[::n] += 1.0  # entry (j, j) of the n x (n - 1) B is flat j n
+    B *= np.sqrt(c[:-1] / c[1:])
+    out = np.empty((n, n - 1))
+    out[order] = B
+    return out
+
+
+def _basis_over(p, completion):
+    """The tangent columns at p over completion(K), K the point's
+    orthonormal columns: its columns on the sphere, the frame columns over
+    it on Stiefel and Grassmann, the identity on the line."""
+    m = p.manifold
+    if m.kind == "euclidean":
+        return np.eye(m.n)
+    if m.kind == "sphere":
+        return completion(p.ambient[:, None])
+    return frame_columns(p, completion(p.as_matrix()))
+
+
+def pivoted_basis(p):
+    """The tangent columns at p over `pivoted_completion`."""
+    return _basis_over(p, pivoted_completion)
+
+
+def householder_basis(p):
+    """The tangent columns at p from numpy's forms: on the sphere columns
+    2..n of I - 2 v v^T / v^T v, v = p + sign(p_1) |p| e_1 (+1 at 0); on
+    Stiefel and Grassmann the frame columns over the last n - p columns of
+    `np.linalg.qr(X, "complete")`."""
+    if p.manifold.kind == "sphere":
+        x = p.ambient
+        v = x + np.copysign(np.linalg.norm(x), x[0] + 0.0) * np.eye(x.size)[0]
+        return (np.eye(x.size) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
+    return _basis_over(p, lambda K: np.linalg.qr(K, "complete")[0]
+                       [:, K.shape[1]:])
+
+
+def frame_columns(p, P):
+    """Stiefel or Grassmann tangent columns at p over the completion P as
+    they were assembled: the skew block (Stiefel only) by triu_indices and
+    fancy indexing, then the horizontal block as kron(I_p, P), joined by
+    hstack."""
     m = p.manifold
     X = p.as_matrix()
-    horizontal = np.kron(np.eye(m.p), pivoted_completion(X))
+    horizontal = np.kron(np.eye(m.p), P)
     if m.kind == "grassmann":
         return horizontal
     n, pp = m.n, m.p

@@ -669,16 +669,22 @@ def test_infinite_tol_is_a_config_error(tmp_path, capsys):
 
 
 def test_near_truth_start_that_overflows_is_a_config_error(tmp_path, capsys):
-    """delta 1e155 overflows the projection's norm, so the start is no
+    """delta 1e155 overflows a frame's polar factor, so the start is no
     point of the manifold: exit 4 with an x0 message, not a traceback;
-    1e154 still runs"""
-    code, out = _run(tmp_path, dict(SPHERE_RUN, x0="near-truth:1e155:3"))
+    1e154 still runs. The sphere's projection scales a row whose squared
+    norm overflows, so there 1e155 and 1e300 start on the sphere and run"""
+    frame = dict(SPHERE_RUN, manifold={"kind": "stiefel", "n": 6, "p": 2},
+                 cost={"kind": "brockett", "A": "diag:1,2,3,4,5,6",
+                       "N": "diag:2,1"})
+    code, out = _run(tmp_path, dict(frame, x0="near-truth:1e155:3"))
     assert code == 4
-    assert "x0: infeasible point" in capsys.readouterr().err
+    assert "x0: non-finite ambient coordinates" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
-    code, _ = _run(tmp_path, dict(SPHERE_RUN, x0="near-truth:1e154:3"),
-                   sub="ok")
-    assert code == 0
+    for run, delta in ((frame, "1e154"), (SPHERE_RUN, "1e155"),
+                       (SPHERE_RUN, "1e300")):
+        code, _ = _run(tmp_path, dict(run, x0="near-truth:%s:3" % delta),
+                       sub="ok-%s-%s" % (run["manifold"]["kind"], delta))
+        assert code == 0
 
 
 PATH_PAIRS = (ParametrizationPair(Projection(), Projection()),)

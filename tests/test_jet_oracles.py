@@ -1,5 +1,6 @@
-"""The closed-form, vectorised jet and basis against the loop-based
-reference implementations in oracles.py, and the analytic QR and
+"""The closed-form, vectorised jet against the loop-based reference
+implementations in oracles.py, the basis against numpy's Householder forms
+there, and the analytic QR and
 stereographic second-order terms against central differences."""
 
 import numpy as np
@@ -11,9 +12,9 @@ from gnewton.config import compute_truth, near_truth_start
 from gnewton.linalg import polar_factor
 from gnewton.costs import (BrockettTrace, GrassmannTrace, Quadratic,
                            ShiftedCubic)
-from gnewton.manifolds import (Point, TangentVector, _complete_orthonormal,
-                               euclidean, grassmann, project_to_manifold,
-                               random_point, sphere, stiefel, tangent_basis)
+from gnewton.manifolds import (Point, TangentVector, euclidean, grassmann,
+                               project_to_manifold, random_point, sphere,
+                               stiefel, tangent_basis)
 from gnewton.newton import pullback_jet
 from gnewton.parametrizations import (QR, Custom1D, ExampleBeta,
                                       ParametrizationPair, Projection,
@@ -211,16 +212,17 @@ def test_coordinate_independence_at_a_critical_point():
 
 def _basis_gap(p):
     return float(np.abs(tangent_basis(p).columns
-                        - oracles.tangent_basis(p)).max(initial=0.0))
+                        - oracles.householder_basis(p)).max(initial=0.0))
 
 
 def test_basis_matches_loop_oracle_on_random_points():
-    # each completion column is one pivot's residual: a different pivot
-    # order would put some column O(1) away, not 1e-14
+    """the basis is numpy's Householder one (`oracles.householder_basis`):
+    a different reflector or completion would put some column O(1) away,
+    not 1e-14"""
     cases = [(m, range(30)) for m in (
         sphere(2), sphere(7), sphere(30), stiefel(6, 2), stiefel(4, 4),
         grassmann(7, 3), stiefel(12, 3), grassmann(20, 4))]
-    cases.append((sphere(100), range(5)))  # the loop oracle is slow here
+    cases.append((sphere(100), range(5)))
     for m, seeds in cases:
         for seed in seeds:
             gap = _basis_gap(random_point(m, seed))
@@ -234,41 +236,26 @@ def test_basis_empty_completion():
     assert np.linalg.norm(B.T @ B - np.eye(6)) <= 1e-14
 
 
-def test_basis_picks_tied_coordinates_lowest_index_first():
-    """With |p_i| all equal every residual ties, and pick j is e_j: column
-    j is zero above row j. The loop oracle's order here is a rounding
-    accident of its summation order, so the basis is not compared to it."""
-    for n in (9, 16, 100):
-        s = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
-        p = Point(sphere(n), s / np.sqrt(n))
-        B = tangent_basis(p).columns
-        assert np.linalg.norm(B.T @ B - np.eye(n - 1)) <= 1e-13
-        assert np.abs(p.ambient @ B).max() <= 1e-13
-        u = np.eye(n)[0] - p.ambient[0] * p.ambient
-        assert np.abs(B[:, 0] - u / np.linalg.norm(u)).max() <= 1e-13
-        assert np.abs(np.triu(B, 1)).max() <= 1e-13
-
-
 def test_basis_matches_loop_oracle_on_axes():
+    """on the axes the basis is numpy's Householder one, value for value"""
     for n in (2, 6, 30):
         for k in range(n):
-            p = Point(sphere(n), np.eye(n)[:, k])
-            assert np.array_equal(tangent_basis(p).columns,
-                                  oracles.tangent_basis(p))
+            for x in (np.eye(n)[:, k], -np.eye(n)[:, k]):
+                p = Point(sphere(n), x)
+                assert np.array_equal(tangent_basis(p).columns,
+                                      oracles.householder_basis(p))
     for m in (stiefel(6, 2), grassmann(6, 2), stiefel(5, 3)):
         X = np.eye(m.n)[:, ::-1][:, :m.p]
         p = Point(m, X.flatten(order="F"))
         assert np.array_equal(tangent_basis(p).columns,
-                              oracles.tangent_basis(p))
+                              oracles.householder_basis(p))
 
 
 def test_basis_matches_loop_oracle_near_axes():
-    """Off-axis offsets whose squares sit well above the rounding of 1 (gaps
-    decide the pivots) or well below it (exact ties, lowest index first).
-    At eps = 1e-9 here the squared offsets (~1e-16) meet that rounding:
-    residual norms then differ by rounding alone, the loop's pivot order
-    is an accident of its summation order, and any order gives a valid
-    basis."""
+    """Off-axis offsets from 1e-4 down to below the rounding of 1, where a
+    completion that chose by comparing residuals would meet ties: the
+    reflector and the QR choose nothing, and match numpy's forms. At
+    eps = 1e-9 the basis is checked orthonormal and tangent."""
     D = np.arange(12.0).reshape(6, 2)
 
     def near_axis(m, eps):
@@ -300,18 +287,17 @@ def _near_axis_frames():
 
 def test_frame_columns_match_kron_oracle_byte_for_byte():
     """the in-place fill gives the bytes of kron(I_p, P) after the hstacked
-    skew block, signed zeros of the off-diagonal blocks included, and the
-    completion the bytes of the earlier pick loop"""
+    skew block, signed zeros of the off-diagonal blocks included, over the
+    completion P of np.linalg.qr(X, "complete")"""
     spaces = (stiefel(12, 3), grassmann(20, 4), stiefel(6, 2), stiefel(4, 4),
               stiefel(5, 1), grassmann(7, 3), grassmann(9, 1))
     points = [random_point(m, seed) for m in spaces for seed in range(50)]
     for p in points + list(_near_axis_frames()):
-        got = p.manifold.tangent_columns(p)
-        want = oracles.frame_columns(p)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), p
         X = p.as_matrix()
-        assert (_complete_orthonormal(X).tobytes()
-                == oracles.pivoted_completion(X).tobytes()), p
+        got = p.manifold.tangent_columns(p)
+        want = oracles.frame_columns(
+            p, np.linalg.qr(X, "complete")[0][:, p.manifold.p:])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), p
 
 
 def _diag(n):

@@ -11,10 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gnewton.errors import GnewtonError, RankDeficient, SingularHessian
-from gnewton.linalg import (COND_LIMIT, all_finite, condition_estimate, norm,
-                            polar_factor, row_dots, row_norms,
-                            symmetric_eigen, symmetric_solve)
+import gnewton.linalg as linalg_mod
+from gnewton.errors import (GnewtonError, ProjectionUndefined, RankDeficient,
+                            SingularHessian)
+from gnewton.linalg import (COND_LIMIT, _unit_rows, all_finite,
+                            condition_estimate, norm, polar_factor, row_dots,
+                            row_norms, symmetric_eigen, symmetric_solve)
 from gnewton.rng import SplitMix64
 from oracles import solve_with_condition
 
@@ -609,3 +611,69 @@ def test_row_dots_and_norms_are_dot_and_norm_bit_for_bit():
             assert row_dots(A, B) == [float(a.dot(b)) for a, b in zip(A, B)]
             assert row_dots(A, x) == [float(a.dot(x)) for a in A]
             assert row_norms(A) == [norm(a) for a in A]
+
+
+# --- the row normaliser -------------------------------------------------------
+
+def _gaussian_rows(seed, k, n):
+    """k seeded gaussian rows of length n, each at its own scale 10^e,
+    |e| <= 100, so that no squared norm leaves the normal range"""
+    rng = SplitMix64(seed)
+    scale = 10.0 ** np.clip(30.0 * rng.gaussians(k), -100.0, 100.0)
+    return rng.gaussians(k * n).reshape(k, n) * scale[:, None]
+
+
+def test_unit_rows_keep_the_bits_of_each_row_over_its_norm():
+    """a row whose norm is finite and not 0 maps to x / norm(x), to the
+    bit, alone or in a stack"""
+    for n in (1, 2, 5, 6, 30, 100):
+        for seed in range(40):
+            X = _gaussian_rows(1000 * n + seed, 1 + seed % 9, n)
+            want = np.array([x / np.linalg.norm(x) for x in X])
+            assert _unit_rows(X, "").tobytes() == want.tobytes()
+            for x, w in zip(X, want):
+                assert _unit_rows(x[None], "").tobytes() == w.tobytes()
+
+
+def test_unit_rows_take_one_dot_for_one_row(monkeypatch):
+    """one row whose norm is finite and not 0 costs `norm`'s one dot and
+    one division: no stacked matmul (`row_norms`) and no array of norms,
+    which a Newton step would pay on every QR or projection map"""
+    def stacked(X):
+        raise AssertionError("a stacked norm for one row")
+    x = _gaussian_rows(7, 1, 6)
+    want = x / norm(x)
+    monkeypatch.setattr(linalg_mod, "row_norms", stacked)
+    assert _unit_rows(x, "").tobytes() == want.tobytes()
+
+
+def test_unit_rows_scale_a_row_whose_square_overflows_or_underflows():
+    """a finite row whose squared norm overflows, or underflows to 0, maps
+    to the unit vector: scaled by a power of 2, exactly, it has the bits
+    of the same row at unit scale, alone or beside rows that keep theirs"""
+    for n in (1, 2, 6, 30):
+        for seed in range(20):
+            X = SplitMix64(seed).gaussians(3 * n).reshape(3, n)
+            want = _unit_rows(X, "")
+            for k in (600, 700, 1020, -600, -800):
+                Y = np.ldexp(X, k)
+                mixed = np.concatenate([Y[:1], X[1:]])
+                with np.errstate(over="ignore", under="ignore"):
+                    got = [_unit_rows(Y, ""), _unit_rows(mixed, "")]
+                    got += [np.concatenate([_unit_rows(y[None], "")
+                                            for y in Y])]
+                for g in got:
+                    assert g.tobytes() == want.tobytes(), (n, seed, k)
+
+
+def test_unit_rows_refuse_a_zero_row_with_the_callers_message():
+    """a zero row raises ProjectionUndefined with the message given, alone
+    or in a stack; a non-finite row maps to a non-finite row"""
+    x = np.ones((1, 4))
+    for X in (np.zeros((1, 4)), np.concatenate([x, np.zeros((1, 4)), x])):
+        with pytest.raises(ProjectionUndefined, match="^no direction$"):
+            _unit_rows(X, "no direction")
+    with np.errstate(invalid="ignore"):
+        for bad in (np.nan, np.inf):
+            y = np.array([[1.0, bad, 2.0]])
+            assert not all_finite(_unit_rows(y, ""))

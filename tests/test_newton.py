@@ -151,29 +151,27 @@ def test_step_result_reports_condition():
 
 
 def test_recentred_step_completes_the_tangent_basis_once(monkeypatch):
-    """the step solves over its own reflector columns, and only psi's
-    recentring rotation completes p's tangent space; p keeps nothing of it
-    and holds its two fields alone, so a second step from the same point
-    completes it again, to the same bits"""
+    """the step's basis and psi's recentring rotation each build p's
+    reflector columns once, through the one function; p keeps nothing of
+    them and holds its two fields alone, so a second step from the same
+    point builds them again, to the same bits"""
     calls = []
-    complete = manifolds_mod._complete_unit
-    for mod in (manifolds_mod, par_mod):
-        monkeypatch.setattr(mod, "_complete_unit",
-                            lambda p: calls.append(p) or complete(p))
+    _count_package_calls(monkeypatch, calls, "_reflector_columns",
+                         manifolds_mod._reflector_columns, keep_args=True)
     c = Quadratic(np.diag(np.arange(1.0, 7.0)))
     pair = _pair(Recentred(Projection(), 3))
     for seed in range(5):
         p = random_point(sphere(6), seed)
         del calls[:]
         first = generalized_newton_step(c, pair, p)
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert list(vars(p)) == ["manifold", "ambient"]
         again = generalized_newton_step(c, pair, p)
-        assert len(calls) == 2
+        assert len(calls) == 4
         assert np.array_equal(first.next.ambient, again.next.ambient)
-        assert all(np.array_equal(x, p.ambient) for x in calls)
+        assert all(np.array_equal(x, p.ambient) for (x,) in calls)
         generalized_newton_step(c, PP, p)  # a map that reads no basis
-        assert len(calls) == 2
+        assert len(calls) == 5
 
 
 def test_affine_invariance():
@@ -667,13 +665,13 @@ def test_one_step_checks_each_value_once(monkeypatch):
     assert len(eig) == 1 and calls.count("all_finite") == 2
 
 
-def _count_package_calls(monkeypatch, calls, name, inner):
-    """Every gnewton module's binding of `inner`, wrapped to append name to
-    calls."""
+def _count_package_calls(monkeypatch, calls, name, inner, keep_args=False):
+    """Every gnewton module's binding of `inner`, wrapped to append name,
+    or with keep_args its arguments, to calls."""
     import sys
 
     def counted(*args):
-        calls.append(name)
+        calls.append(args if keep_args else name)
         return inner(*args)
     for mod in [m for k, m in sys.modules.items() if k.startswith("gnewton.")]:
         if vars(mod).get(name) is inner:
@@ -737,12 +735,23 @@ def _frame_cost(m, seed):
 
 
 def _composed_step(c, pair, p):
-    """the step composed over the published basis: pullback_jet, the solve,
-    psi of w = B s. -> (next point, s, H)"""
+    """the step composed from the public functions: pullback_jet, the
+    solve, psi of w = B s. -> (next point, s, H)"""
     jet = pullback_jet(c, pair, p)
     s = -symmetric_solve(jet.hessian, jet.gradient)
     w = TangentVector(p, jet.basis.columns @ s)
     return apply_psi(pair, w), s, jet.hessian
+
+
+def _pivoted_step(c, pair, p):
+    """the step composed over another orthonormal basis, the pivoted one
+    of `oracles.pivoted_basis`: the jet over it, the solve, psi of
+    w = B s. -> (next point, s, H)"""
+    B = oracles.pivoted_basis(p)
+    c.check_on(p.manifold)
+    _, grad, H, _ = newton_mod._jet(c, pair.phi.check_on(p.manifold), p, B)
+    s = -symmetric_solve(H, grad)
+    return apply_psi(pair, TangentVector(p, B @ s)), s, H
 
 
 def _outcome(f, *args):
@@ -761,7 +770,8 @@ BASIS_TOL = 32.0
 def _step_agrees_across_bases(m, c, seed, pairs, jet_rounding=False):
     """at m's seeded random point and, where m has a tangent direction, a
     near-truth start, for each pair: generalized_newton_step raises the
-    class the step composed over tangent_basis raises, or agrees with it
+    class the step composed over the pivoted basis raises
+    (`_pivoted_step`), or agrees with it
     in the next point and |s| within C cond(H) eps max(1, |s|), in each
     eigenvalue of its Hessian within C cond(H) eps |lambda|_min (Weyl's
     C eps |H|_2) and in hessian_condition within C cond(H)^2 eps.
@@ -783,7 +793,7 @@ def _step_agrees_across_bases(m, c, seed, pairs, jet_rounding=False):
         scales = {}  # by phi, which alone makes the jet: checked once
         for pair in pairs:
             cases += 1
-            ref = _outcome(_composed_step, c, pair, p)
+            ref = _outcome(_pivoted_step, c, pair, p)
             got = _outcome(generalized_newton_step, c, pair, p)
             if isinstance(ref, Exception) or isinstance(got, Exception):
                 assert type(got) is type(ref), (m, seed, pair, got, ref)
@@ -796,7 +806,7 @@ def _step_agrees_across_bases(m, c, seed, pairs, jet_rounding=False):
                 low = np.abs(lam).min()
                 kappa_j, grad_term = kappa, 0.0
                 if jet_rounding:
-                    B, g = tangent_basis(p).columns, c.grad(p)
+                    B, g = oracles.pivoted_basis(p), c.grad(p)
                     kappa_j = (np.linalg.norm(B.T @ c.hess_vec(p, B), 2)
                                + np.linalg.norm(pair.phi.curvature(p, B, g),
                                                 2)) / low
@@ -816,9 +826,9 @@ def _step_agrees_across_bases(m, c, seed, pairs, jet_rounding=False):
 @pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)],
                          ids=["set-on-0-19", "checked-on-20-39"])
 def test_frame_step_does_not_depend_on_the_basis(seeds):
-    """on Stiefel and Grassmann the step solves over its own (Householder)
+    """on Stiefel and Grassmann the step solves over the Householder
     basis, B' = B Q: for every ordered pair of projection and QR it agrees
-    with the step over tangent_basis (`_step_agrees_across_bases`)"""
+    with the step over the pivoted basis (`_step_agrees_across_bases`)"""
     cases = raised = 0
     for m in _FRAMES:
         for seed in seeds:
@@ -846,9 +856,9 @@ def _sphere_pairs(n):
                          ids=["set-on-0-19", "checked-on-20-39"])
 def test_sphere_step_does_not_depend_on_the_basis(seeds):
     """on the sphere the step solves over the columns of one Householder
-    reflector, not the published pivoted completion: for every ordered
-    pair of the sphere kinds, with a seeded symmetric A, it agrees with
-    the step over tangent_basis (`_step_agrees_across_bases`)"""
+    reflector: for every ordered pair of the sphere kinds, with a seeded
+    symmetric A, it agrees with the step over the pivoted basis
+    (`_step_agrees_across_bases`)"""
     cases = raised = 0
     for m in _SPHERES:
         pairs = _sphere_pairs(m.n)
@@ -861,8 +871,52 @@ def test_sphere_step_does_not_depend_on_the_basis(seeds):
     assert (cases, raised) == (len(seeds) * 36 * 9, len(seeds) * 36)
 
 
+def _public_step_cases():
+    """(manifold, cost, pair, point): every ordered pair of projection and
+    QR, and on the sphere of geodesic and recentred too, at the seeded
+    random points 0-19 of sphere 2, 6 and 30, Stiefel(6, 3) and (5, 1) and
+    Grassmann(7, 3) and (4, 1)"""
+    sphere_kinds = (Projection(), SphereGeodesic(), QR(),
+                    Recentred(Projection(), 0))
+    spaces = [(m, sphere_kinds) for m in (sphere(2), sphere(6), sphere(30))]
+    spaces += [(m, (Projection(), QR())) for m in (
+        stiefel(6, 3), stiefel(5, 1), grassmann(7, 3), grassmann(4, 1))]
+    for m, kinds in spaces:
+        for seed in range(20):
+            if m.kind == "sphere":
+                G = SplitMix64(seed).gaussians(m.n * m.n).reshape(m.n, m.n)
+                c = Quadratic(G + G.T)
+            else:
+                c = _frame_cost(m, seed)
+            p = random_point(m, seed)
+            for a in kinds:
+                for b in kinds:
+                    yield m, c, ParametrizationPair(a, b), p
+
+
+def test_composed_public_step_is_the_step_to_the_bit():
+    """pullback_jet, then symmetric_solve, then apply_psi give
+    generalized_newton_step's next point and Hessian byte for byte, or
+    raise its error, class and message: one basis and one map each"""
+    cases = raised = 0
+    for m, c, pair, p in _public_step_cases():
+        cases += 1
+        ref = _outcome(_composed_step, c, pair, p)
+        got = _outcome(generalized_newton_step, c, pair, p)
+        case = (m, pair_label(pair), p.ambient.tolist())
+        if isinstance(ref, Exception) or isinstance(got, Exception):
+            assert (type(got), str(got)) == (type(ref), str(ref)), case
+            raised += 1
+            continue
+        nxt, s, H = ref
+        assert got.next.ambient.tobytes() == nxt.ambient.tobytes(), case
+        assert got.hessian.tobytes() == H.tobytes(), case
+        assert got.step_norm == norm(s), case
+    assert (cases, raised) == (1280, 0)
+
+
 def _unit_reflector_columns(x):
-    """the sphere's step columns with |x| read as 1: I[:, 1:] minus
+    """the sphere's tangent columns with |x| read as 1: I[:, 1:] minus
     v x_{2..n}^T / (1 + |x_1|), v = x + sign(x_1) e_1"""
     n = x.size
     v = x.copy()
@@ -872,15 +926,19 @@ def _unit_reflector_columns(x):
     return B
 
 
-def test_sphere_step_columns_take_the_norm_of_a_feasible_point():
+def test_sphere_step_columns_take_the_norm_of_a_feasible_point(monkeypatch):
     """a feasible sphere point has |x| within FEAS_TOL of 1, not 1: at
     |x| = 1 +- 9e-11 the reflector columns, built from r = |x|, stay
     orthonormal (read as 1, their residual is about 2 (r - 1)), so the
-    step agrees with the step over tangent_basis and a run converges; at
-    |x| == 1.0 they are the bits of r read as 1"""
+    step agrees with the step over the pivoted basis and a run converges;
+    at |x| == 1.0 they are the bits of r read as 1. Each step builds them
+    once, through the one basis function"""
     eps = np.finfo(float).eps
     m = sphere(6)
     c = Quadratic(np.diag(np.arange(1.0, 7.0)))
+    calls = []
+    _count_package_calls(monkeypatch, calls, "_reflector_columns",
+                         manifolds_mod._reflector_columns)
     for d in (9e-11, -9e-11):
         # e_2 is the case that read |x| as 1 and refused its own basis
         assert manifolds_mod._orthonormality_residual(
@@ -888,10 +946,12 @@ def test_sphere_step_columns_take_the_norm_of_a_feasible_point():
         for u in (np.eye(6)[1], random_point(m, 3).ambient,
                   -random_point(m, 4).ambient):
             p = Point(m, (1.0 + d) * u)
-            B = m._step_columns(p)
+            B = m.tangent_columns(p)
             assert manifolds_mod._orthonormality_residual(B) <= 8 * eps
+            calls.clear()
             got = generalized_newton_step(c, PP, p)
-            nxt, s, H = _composed_step(c, PP, p)
+            assert calls == ["_reflector_columns"]
+            nxt, s, H = _pivoted_step(c, PP, p)
             tol = BASIS_TOL * eps * condition_estimate(H) * max(1.0, norm(s))
             assert norm(got.next.ambient - nxt.ambient) <= tol
             assert run_iteration(c, Fixed(PP), p, 20, 1e-12).termination \
@@ -901,7 +961,7 @@ def test_sphere_step_columns_take_the_norm_of_a_feasible_point():
         p = random_point(m, seed)
         if norm(p.ambient) == 1.0:
             unit += 1
-            assert (m._step_columns(p).tobytes()
+            assert (m.tangent_columns(p).tobytes()
                     == _unit_reflector_columns(p.ambient).tobytes())
     assert unit >= 20
 
@@ -910,30 +970,33 @@ def test_sphere_step_columns_take_the_norm_of_a_feasible_point():
                          ids=["stiefel", "grassmann"])
 @pytest.mark.parametrize("kind", [Projection(), QR()], ids=lambda k: k.name)
 def test_frame_step_makes_no_pivoted_completion(monkeypatch, m, kind):
-    """a frame run completes each iterate's frame with one Householder QR:
-    no pivoted completion, and one basis check per step; pullback_jet,
-    near_truth_start and audit_conditions, whose bits are published, each
-    still take the pivoted completion once per point"""
+    """the package has no pivoted completion: a frame run, pullback_jet,
+    near_truth_start and audit_conditions each complete a point's frame
+    through the one basis function, `tangent_columns` over one Householder
+    QR, once per point, and a run checks one basis per step"""
+    assert not hasattr(manifolds_mod, "_complete_orthonormal")
     c = _frame_cost(m, 0)
     calls = []
-    for name in ("_complete_orthonormal", "_checked_basis"):
-        _count_package_calls(monkeypatch, calls, name,
-                             getattr(manifolds_mod, name))
+    _count_package_calls(monkeypatch, calls, "_checked_basis",
+                         manifolds_mod._checked_basis)
+    columns = manifolds_mod._Frame.tangent_columns
+    monkeypatch.setattr(manifolds_mod._Frame, "tangent_columns",
+                        lambda self, p: calls.append("tangent_columns")
+                        or columns(self, p))
     p0 = near_truth_start(m, c.truth(m), 0.1, 0)
-    assert calls == ["_complete_orthonormal", "_checked_basis"]
+    assert calls == ["tangent_columns", "_checked_basis"]
     calls.clear()
     tr = run_iteration(c, Fixed(_pair(kind)), p0, 20, 1e-12)
     steps = len(tr.step_norms)
     assert tr.termination == "Converged" and steps >= 3
-    assert (calls.count("_complete_orthonormal"),
-            calls.count("_checked_basis")) == (0, steps)
+    assert calls == ["tangent_columns", "_checked_basis"] * steps
     calls.clear()
     for p in tr.points:
         pullback_jet(c, _pair(kind), p)
-    assert calls.count("_complete_orthonormal") == len(tr.points)
+    assert calls.count("tangent_columns") == len(tr.points)
     calls.clear()
     audit_conditions(_pair(kind), m, 5, [0.1, 0.01], 0)
-    assert calls.count("_complete_orthonormal") == 5
+    assert calls.count("tangent_columns") == 5
 
 
 @pytest.mark.parametrize("m", [sphere(6), stiefel(5, 1), grassmann(4, 1),

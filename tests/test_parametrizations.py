@@ -159,19 +159,12 @@ def test_qr_on_sphere_matches_projection():
         assert np.linalg.norm(a.ambient - b.ambient) <= 1e-14
 
 
-# C in the bound C eps between QR's one-column step map and its apply:
-# the largest ratio on seeds 0-19 was 1.5, and seeds 20-39 were not looked
-# at while choosing it
-STEP_MAP_TOL = 4.0
-
-
 @pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)],
                          ids=["set-on-0-19", "checked-on-20-39"])
 def test_qr_step_map_is_apply_within_rounding(seeds):
-    """on one column the Newton step maps p + w to (p + w)/|p + w|, which
-    agrees with QR's apply (LAPACK's QR) within C eps in each coordinate,
-    for steps from 1e-3 to 1e2 in length"""
-    eps = np.finfo(float).eps
+    """on one column the Newton step's map and QR's apply are one map:
+    p + w to (p + w)/|p + w|, byte for byte, for steps from 1e-3 to 1e2 in
+    length"""
     for m in (sphere(2), sphere(3), sphere(6), sphere(30), sphere(100),
               stiefel(5, 1), grassmann(4, 1)):
         for seed in seeds:
@@ -181,14 +174,17 @@ def test_qr_step_map_is_apply_within_rounding(seeds):
             w = random_unit_tangent(p, rng) * length
             got = QR()._step_map(p, w).ambient
             want = QR().apply(TangentVector(p, w)).ambient
-            assert np.abs(got - want).max() <= STEP_MAP_TOL * eps, (m, seed)
+            x = p.ambient + w
+            assert got.tobytes() == want.tobytes(), (m, seed)
+            assert got.tobytes() == (x / np.linalg.norm(x)).tobytes()
 
 
 def test_qr_step_map_keeps_apply_off_the_one_column_path():
-    """a zero w returns p itself; a frame of p > 1 columns maps through
-    apply's QR, to the bit; a non-QR manifold is refused before any map,
-    by apply and by the run's and the step's entry checks (the step map
-    itself checks nothing); a zero column raises apply's error"""
+    """QR's step map is apply's row map: a zero w returns p itself; a frame
+    of p > 1 columns maps through LAPACK's QR, to the bit; a non-QR
+    manifold is refused before any map, by apply and by the run's and the
+    step's entry checks (the step map itself checks nothing); a zero
+    column raises apply's error"""
     from gnewton.costs import Quadratic
     from gnewton.newton import Fixed, generalized_newton_step, run_iteration
     kind = QR()
@@ -212,6 +208,46 @@ def test_qr_step_map_keeps_apply_off_the_one_column_path():
     p = random_point(sphere(3), 0)
     with pytest.raises(ProjectionUndefined, match="rank-deficient QR factor"):
         kind._step_map(p, -p.ambient)
+
+
+def test_one_column_maps_agree_with_lapack_past_overflow():
+    """at |w| = 1e160, 1e200 and 1e300 the squared norm of p + w overflows:
+    QR and projection still map to the unit vector, within 2 ulp of
+    np.linalg.qr's Q (positive R) in each coordinate, both as maps of the
+    row and as the checked apply"""
+    m = sphere(6)
+    ulp = np.spacing(1.0)
+    for seed in range(20):
+        p = random_point(m, seed)
+        u = random_unit_tangent(p, SplitMix64(100 + seed))
+        for length in (1e160, 1e200, 1e300):
+            w = length * u
+            Q, R = np.linalg.qr((p.ambient + w)[:, None])
+            want = Q[:, 0] * np.sign(R[0, 0])
+            for kind in (QR(), Projection()):
+                with np.errstate(over="ignore"):
+                    mapped = kind._at(m, p.ambient, w[None])[0]
+                    applied = kind.apply(TangentVector(p, w)).ambient
+                assert mapped.tobytes() == applied.tobytes()
+                assert np.abs(mapped - want).max() <= 2 * ulp, (seed, length)
+
+
+@pytest.mark.parametrize("m", [sphere(3), stiefel(5, 1), grassmann(4, 1)],
+                         ids=["sphere3", "stiefel5x1", "grassmann4x1"])
+def test_a_zero_row_keeps_each_kinds_refusal(m):
+    """p + w = 0 is refused with each kind's ProjectionUndefined message,
+    for one row and in a stack: projection's on the sphere, QR's on every
+    one-column manifold"""
+    p = random_point(m, 0)
+    W = np.stack([np.zeros(m.ambient_dim), -p.ambient])
+    kinds = [(QR(), "rank-deficient QR factor")]
+    if m.kind == "sphere":
+        kinds.append((Projection(), "cannot project the zero vector"))
+    for kind, message in kinds:
+        with pytest.raises(ProjectionUndefined, match="^%s$" % message):
+            kind._step_map(p, -p.ambient)
+        with pytest.raises(ProjectionUndefined, match="^%s$" % message):
+            kind._at(m, p.ambient, W)
 
 
 def test_qr_deterministic():
@@ -666,7 +702,7 @@ class _Tilted(Sphere):
 
     def tangent_columns(self, p):
         q = p.ambient + 1e-3 * np.eye(self.n)[0]
-        return manifolds_mod._complete_unit(q / np.linalg.norm(q))
+        return manifolds_mod._reflector_columns(q / np.linalg.norm(q))
 
 
 def test_sweep_raises_the_tangent_rule_of_the_first_bad_row():
@@ -686,14 +722,15 @@ def test_sweep_raises_the_tangent_rule_of_the_first_bad_row():
 
 
 def test_recentred_audit_completes_each_tangent_space_twice(monkeypatch):
-    """the sweep completes each sample's basis for its direction, and
-    Recentred's rotation completes it once more: two completions per
-    sample, against one for a kind that reads no basis"""
+    """the sweep builds each sample's basis for its direction, and
+    Recentred's rotation builds it once more, both through the one basis
+    function: two per sample, against one for a kind that reads no
+    basis"""
     calls = []
-    complete = manifolds_mod._complete_unit
+    columns = manifolds_mod._reflector_columns
     for mod in (manifolds_mod, par_mod):
-        monkeypatch.setattr(mod, "_complete_unit",
-                            lambda p: calls.append(1) or complete(p))
+        monkeypatch.setattr(mod, "_reflector_columns",
+                            lambda x: calls.append(1) or columns(x))
     for kind, per_sample in ((Recentred(Projection(), 0), 2),
                              (Recentred(SphereGeodesic(), 2), 2),
                              (Projection(), 1)):
