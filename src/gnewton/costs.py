@@ -3,9 +3,9 @@
 Each kind is one class that owns its maths: the manifold classes it lives
 on (`manifolds`, checked with its dims by `valid_on`), value, ambient
 gradient, ambient Hessian-times-vector (`hess_vec`), and its closed-form
-minimiser (`truth`). Exposing the Hessian only through its action keeps
-matrix costs cheap: a pullback jet needs H applied to tangent-basis
-columns, never the full (np x np) operator.
+minimiser (`truth`). A jet over frame columns applies the Hessian to them
+(`hess_vec`); the sphere's and Euclidean space's read it whole, as one
+exactly symmetric matrix (`hessian`).
 """
 
 from math import isfinite
@@ -16,7 +16,8 @@ from .errors import NotTwiceDifferentiable, SingularHessian
 from .linalg import (_eigvalsh, _symmetric, all_finite, symmetric_eigen,
                      symmetric_solve)
 from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
-                        Sphere, Stiefel, _LivesOn, _OnTheLine, _Value)
+                        Sphere, Stiefel, _identity, _LivesOn, _OnTheLine,
+                        _Value)
 
 
 def _trace_hess_vec(A, weights, p: Point, direction: np.ndarray) -> np.ndarray:
@@ -38,7 +39,15 @@ def _frozen_symmetric(A) -> np.ndarray:
     return A
 
 
-class _MatrixCost(_LivesOn):
+class _Cost:
+    """Base of the costs: `hessian`, by default hess_vec on I, symmetrised."""
+
+    def hessian(self, p: Point) -> np.ndarray:
+        H = self.hess_vec(p, _identity(p.manifold.ambient_dim))
+        return 0.5 * (H + H.T)
+
+
+class _MatrixCost(_LivesOn, _Cost):
     """Base of the costs on a symmetric n x n matrix A, each of which binds
     `_frozen_symmetric(A)` and fits a manifold of that n."""
 
@@ -50,7 +59,8 @@ class Quadratic(_MatrixCost):
     """f(x) = 1/2 x^T A x + b^T x on Euclidean space or the sphere."""
     name = "quadratic"
     manifolds = (Euclidean, Sphere)
-    _fields = ("A", "b")
+    _fields = ("A", "b", "M")
+    _defaults = {"M": None}  # M = (A + A^T) / 2, derived, never given
 
     def __init__(self, A, b=None):
         A = _frozen_symmetric(A)
@@ -61,7 +71,9 @@ class Quadratic(_MatrixCost):
         if not all_finite(b):
             raise ValueError("b must be finite")
         b.setflags(write=False)
-        super().__init__(A, b)
+        M = 0.5 * (A + A.T)
+        M.setflags(write=False)
+        super().__init__(A, b, M)
 
     def value(self, p: Point) -> float:
         x = p.ambient
@@ -72,6 +84,9 @@ class Quadratic(_MatrixCost):
 
     def hess_vec(self, p: Point, direction: np.ndarray) -> np.ndarray:
         return self.A @ direction
+
+    def hessian(self, p: Point) -> np.ndarray:
+        return self.M
 
     def truth(self, m: ManifoldDescriptor):
         """Rayleigh (on the sphere, b = 0): eigenvector of the smallest
@@ -167,7 +182,7 @@ class GrassmannTrace(_MatrixCost):
         return Point(m, V[:, :m.p].flatten(order="F"))
 
 
-class AbsPower(_Value, _OnTheLine):
+class AbsPower(_Value, _OnTheLine, _Cost):
     """f(x) = x^2 + |x|^{5/2} on the line; C^2 but not C^3 at the minimiser."""
     name = "abs_power"
 
@@ -191,7 +206,7 @@ class AbsPower(_Value, _OnTheLine):
         return Point(m, np.zeros(1))
 
 
-class ShiftedCubic(_Value, _OnTheLine):
+class ShiftedCubic(_Value, _OnTheLine, _Cost):
     """f(x) = (x - z)^2 + 2 (x - z)^3 with critical point at the shift z."""
     name = "shifted_cubic"
     _fields = ("z",)

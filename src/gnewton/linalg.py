@@ -127,15 +127,20 @@ def all_finite(x: np.ndarray) -> bool:
 
 def _symmetric(A, label="matrix"):
     """A as a float array, checked square, finite (NaN passes symmetry) and
-    symmetric within SYM_RTOL relative, with the norm that test takes.
-    -> (A, |A|_F)"""
+    symmetric within SYM_RTOL relative, with the norm that test takes; an
+    |A|_F that overflows or underflows to 0 tests A scaled exactly, as
+    `_unit_rows` scales a row. -> (A, |A|_F)"""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("%s must be square" % label)
     if not all_finite(A):
         raise ValueError("%s must be finite" % label)
-    a = norm(A)
-    if norm(A - A.T) > SYM_RTOL * max(a, _TINY):
+    a = t = norm(A)
+    T = A
+    if not 0.0 < a < inf and A.size:
+        T = np.ldexp(A, -np.frexp(np.abs(A).max())[1])
+        t = norm(T)
+    if norm(T - T.T) > SYM_RTOL * max(t, _TINY):
         raise ValueError("%s must be symmetric" % label)
     return A, a
 

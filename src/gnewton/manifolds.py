@@ -90,10 +90,10 @@ class ManifoldDescriptor(_Value):
     `intrinsic_dim`, one residual hook per rule on a stack of rows,
     `feasibility_residuals(X)` and `tangency_residuals(X, V)`, each row's
     with the bits of that row alone (`check_feasible` and `check_tangent`
-    make the one rule of each), `tangent_columns`, the one basis (a new
-    array each call), `_project` on a stack of rows, and its second
-    fundamental form II_p(v, v), the normal part of the acceleration of
-    every curve through p with velocity v, twice over:
+    make the one rule of each), `tangent_columns`, the one basis (new each
+    call), `step_coordinates`, the step's, `_project` on a stack of rows,
+    and its second fundamental form II_p(v, v), the normal part of the
+    acceleration of every curve through p with velocity v, twice over:
     `second_fundamental_form(p, v)`, and `weingarten(p, B, g)`, the matrix
     g . II_p(b_i, b_j) over B's columns.
     """
@@ -145,6 +145,10 @@ class ManifoldDescriptor(_Value):
                 raise InfeasiblePoint("tangency residual %.3e too large"
                                       % resid)
 
+    def step_coordinates(self, p: "Point", basis=None) -> "TangentBasis":
+        """The Newton step's at p: its `tangent_basis`, or the one given."""
+        return tangent_basis(p) if basis is None else basis
+
     def project(self, x: np.ndarray) -> "Point":
         """The closest point to x; see `_project`."""
         return Point(self, self._project(x[None])[0])
@@ -190,7 +194,7 @@ class _LivesOn(_Record):
 
 
 class Euclidean(ManifoldDescriptor):
-    """R^n, flat: every tangent space is R^n and II = 0."""
+    """R^n: flat (II = 0), its own tangent space and step coordinates."""
     name = "euclidean"
 
     @property
@@ -206,6 +210,15 @@ class Euclidean(ManifoldDescriptor):
     def tangent_columns(self, p: "Point") -> np.ndarray:
         """A new array: the identity."""
         return np.eye(self.n)
+
+    def step_coordinates(self, p: "Point", basis=None) -> "Euclidean":
+        return self
+
+    def pullback(self, c, phi, p: "Point", g: np.ndarray):
+        return g, c.hessian(p) + phi.curvature(p, _identity(self.n), g)
+
+    def lift(self, s: np.ndarray) -> np.ndarray:
+        return s
 
     def _project(self, X: np.ndarray) -> np.ndarray:
         return X
@@ -250,6 +263,9 @@ class Sphere(ManifoldDescriptor):
         """A new array: `_reflector_columns` of p."""
         return _reflector_columns(p.ambient)
 
+    def step_coordinates(self, p: "Point", basis=None) -> "_Reflector":
+        return _Reflector(p.ambient)
+
     def _project(self, X: np.ndarray) -> np.ndarray:
         """Each row over its norm, which must not be 0 (`_unit_rows`)."""
         return _unit_rows(X, "cannot project the zero vector")
@@ -263,8 +279,10 @@ class Sphere(ManifoldDescriptor):
         nv = norm(v)
         return -(nv * nv) * p.ambient
 
-    def weingarten(self, p: "Point", B: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return -float(g @ p.ambient) * _identity(B.shape[1])
+    def weingarten(self, p: "Point", B, g: np.ndarray):
+        """B None: the diagonal shift's float, in `_Reflector`'s steps."""
+        k = -float(g.dot(p.ambient))
+        return k if B is None else k * _identity(B.shape[1])
 
 
 class _Frame(ManifoldDescriptor):
@@ -443,7 +461,8 @@ class TangentVector(_Record):
 
 
 class TangentBasis(_Record):
-    """`columns`: ambient_dim x intrinsic_dim, orthonormal (a copy)."""
+    """`columns` B: ambient_dim x intrinsic_dim, orthonormal (a copy); as
+    step coordinates, (B^T g, sym(B^T hess_vec(B) + C)) and w = B s."""
     _fields = ("base", "columns")
 
     def __init__(self, base: Point, columns):
@@ -454,10 +473,20 @@ class TangentBasis(_Record):
         super().__init__(base, B)
         return self
 
+    def pullback(self, c, phi, p: Point, g: np.ndarray):
+        B = self.columns
+        grad = B.T @ g
+        H = B.T @ c.hess_vec(p, B) + phi.curvature(p, B, g)
+        return grad, 0.5 * (H + H.T)
+
+    def lift(self, s: np.ndarray) -> np.ndarray:
+        return self.columns @ s
+
 
 def _checked_basis(m: ManifoldDescriptor, B: np.ndarray) -> np.ndarray:
-    """B, checked to be m's ambient_dim x intrinsic_dim with orthonormal
-    columns: the one rule of every basis."""
+    """B, frozen in place, checked m's ambient_dim x intrinsic_dim with
+    orthonormal columns: the one rule of every basis."""
+    B.setflags(write=False)
     if B.shape != (m.ambient_dim, m.intrinsic_dim):
         raise ValueError("basis shape %r, expected %r"
                          % (B.shape, (m.ambient_dim, m.intrinsic_dim)))
@@ -467,18 +496,57 @@ def _checked_basis(m: ManifoldDescriptor, B: np.ndarray) -> np.ndarray:
 
 
 def _reflector_columns(x: np.ndarray) -> np.ndarray:
-    """A new array: columns 2..n of the Householder reflector
-    I - 2 v v^T / v^T v with v = x + s r e_1, r = |x|, s = sign(x_1) (+1 at
-    0), which maps e_1 to -s x / r. As v^T v = 2 r (r + |x_1|) and
-    v_{2..n} = x_{2..n}, they are I[:, 1:] - v x_{2..n}^T / (r (r + |x_1|)),
-    orthonormal for every feasible x (|x| is not read as 1)."""
+    """A new array: `_Reflector`'s columns 2..n, I[:, 1:] - v x_{2..n}^T / d,
+    orthonormal for every feasible x."""
     n = x.size
-    r = norm(x)
-    v = x.copy()
-    v[0] += r if x[0] >= 0.0 else -r
-    B = v[:, None] * (x[1:] / -(r * (r + abs(x[0]))))
+    R = _Reflector(x)
+    B = R.v[:, None] * (x[1:] / -R.d)
     B.reshape(-1)[n - 1::n] += 1.0  # entry (j + 1, j) is flat j n + n - 1
     return B
+
+
+class _Reflector(_Record):
+    """The sphere's step coordinates at x: Q = I - beta v v^T, v = x + s r e_1,
+    r = |x| (not read as 1), s = sign(x_1) (+1 at 0), beta = 1 / d,
+    d = r (r + |x_1|) = v^T v / 2, applied in factored form and checked as
+    that operator, |Q^T Q - I|_F = |t (t - 2)| <= FEAS_TOL, t = beta v^T v.
+    Q e_1 = -s x / r, and its columns 2..n are `tangent_columns`."""
+    _fields = ("v", "d", "beta")
+
+    def __init__(self, x: np.ndarray):
+        r, x1 = norm(x), float(x[0])
+        v = x.copy()
+        v[0] = x1 + r if x1 >= 0.0 else x1 - r
+        d = r * (r + abs(x1))
+        beta = 1.0 / d
+        t = beta * float(v.dot(v))
+        if abs(t * (t - 2.0)) > FEAS_TOL:
+            raise ValueError("basis columns not orthonormal")
+        super().__init__(v, d, beta)
+
+    def pullback(self, c, phi, p: Point, g: np.ndarray):
+        """With M = c.hessian(p), x' = v_{2..n}, u = M v, z = beta u -
+        beta^2 (v . u) v / 2: grad = g' - beta (v . g) x', H = M' - (x' z'^T
+        + z' x'^T) + C, C phi's diagonal shift or matrix over the columns."""
+        v, beta = self.v, self.beta
+        x = v[1:]
+        grad = g[1:] - (beta * float(v.dot(g))) * x
+        M = c.hessian(p)
+        u = M.dot(v)
+        z = beta * u[1:] - (0.5 * beta * beta * float(v.dot(u))) * x
+        T = x[:, None] * z
+        H = M[1:, 1:] - (T + T.T)
+        C = phi.curvature(p, None, g)
+        if isinstance(C, float):
+            H.reshape(-1)[::x.size + 1] += C
+        else:
+            H += 0.5 * (C + C.T)
+        return grad, H
+
+    def lift(self, s: np.ndarray) -> np.ndarray:  # (0, s) - beta (x'.s) v
+        w = -(self.beta * float(self.v[1:].dot(s))) * self.v
+        w[1:] += s
+        return w
 
 
 @lru_cache(maxsize=64)
@@ -492,15 +560,9 @@ def _identity(m: int) -> np.ndarray:
 def tangent_basis(p: Point) -> TangentBasis:
     """Deterministic orthonormal basis of the tangent (Grassmann: horizontal)
     space at p, the one the Newton step solves over: the new
-    `tangent_columns` through `_basis_columns`, not copied."""
-    B = _basis_columns(p.manifold, p.manifold.tangent_columns(p))
+    `tangent_columns` through `_checked_basis`, not copied."""
+    B = _checked_basis(p.manifold, p.manifold.tangent_columns(p))
     return TangentBasis.__new__(TangentBasis)._bind(p, B)
-
-
-def _basis_columns(m: ManifoldDescriptor, B: np.ndarray) -> np.ndarray:
-    """The new columns B of a basis on m, frozen in place and checked once."""
-    B.setflags(write=False)
-    return _checked_basis(m, B)
 
 
 def random_unit_tangent(p: Point, rng: SplitMix64) -> np.ndarray:

@@ -16,8 +16,7 @@ from .errors import (ChartDomainViolation, ConfigError, InfeasiblePoint,
                      NotTwiceDifferentiable, OutsideValidityRadius,
                      ProjectionUndefined, SingularHessian)
 from .linalg import _solve, all_finite, condition_estimate, norm
-from .manifolds import (Point, _basis_columns, _Record, _Value, distance,
-                        tangent_basis)
+from .manifolds import Point, _Record, _Value, distance, tangent_basis
 from .parametrizations import ParametrizationPair, pair_label
 from .rng import SplitMix64
 
@@ -150,8 +149,8 @@ class PathDependent(_Value):
 
 def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
     """2-jet of the cost pulled back through phi at the tangent origin: the
-    record of `_jet` over the basis of p. The cost and phi are checked
-    against the manifold at entry.
+    record of `_jet` over the basis of p, in the step's coordinates. The
+    cost and phi are checked against the manifold at entry.
 
     The gradient needs no correction (D phi_p(0) = I); the Hessian is
     B^T (ambient Hessian) B plus phi's curvature term
@@ -160,21 +159,18 @@ def pullback_jet(c, pair: ParametrizationPair, p: Point) -> Jet2:
     """
     c.check_on(p.manifold)
     basis = tangent_basis(p)
-    f, grad, H, _ = _jet(c, pair.phi.check_on(p.manifold), p, basis.columns)
+    f, grad, H, _ = _jet(c, pair.phi.check_on(p.manifold), p,
+                         p.manifold.step_coordinates(p, basis))
     return Jet2(basis, f, grad, H)
 
 
-def _jet(c, phi, p: Point, B):
-    """The jet of `pullback_jet` over the basis columns B at p, on arrays,
-    for a cost and phi the caller checked; H symmetric to the bit. A finite
+def _jet(c, phi, p: Point, coordinates):
+    """The jet of `pullback_jet` by the step coordinates' `pullback`, for
+    a cost and phi the caller checked; H symmetric to the bit. A finite
     h = |H|_F or |grad| proves its array finite; only a non-finite norm,
     which a finite array can give by overflow, tests the entries.
     -> (value, gradient, Hessian, h)"""
-    g_amb = c.grad(p)
-    grad = B.T @ g_amb
-    H = B.T @ c.hess_vec(p, B)
-    H = H + phi.curvature(p, B, g_amb)
-    H = 0.5 * (H + H.T)
+    grad, H = coordinates.pullback(c, phi, p, c.grad(p))
     h = norm(H)
     if not ((isfinite(h) or all_finite(H))
             and (isfinite(norm(grad)) or all_finite(grad))):
@@ -197,17 +193,17 @@ def generalized_newton_step(c, pair: ParametrizationPair, p: Point) -> StepResul
 
 
 def _array_step(c, pair: ParametrizationPair, p: Point):
-    """The step on arrays: the jet over p's checked tangent columns, the
-    solve, the increment w = B s checked tangent as a TangentVector is, and
-    psi's row map of w (p itself for a zero w). It builds no record but
+    """The step on arrays: the jet in p's checked step coordinates, the
+    solve, their increment w = B s checked tangent as a TangentVector is,
+    and psi's row map of w (p itself for a zero w). It builds no record but
     the next Point, and checks no kind: its callers check the cost and the
     pair. The solve takes H, symmetric to the bit, with the jet's norm h.
     -> (next point, |s|, Hessian, f(p))"""
     m = p.manifold
-    B = _basis_columns(m, m.tangent_columns(p))
-    f, grad, H, h = _jet(c, pair.phi, p, B)
+    coordinates = m.step_coordinates(p)
+    f, grad, H, h = _jet(c, pair.phi, p, coordinates)
     s = -_solve(H, h, grad)
-    w = B @ s
+    w = coordinates.lift(s)
     m.check_tangent(p.ambient, w[None])
     return pair.psi._step_map(p, w), norm(s), H, f
 

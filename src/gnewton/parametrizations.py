@@ -47,10 +47,11 @@ class _Kind(_LivesOn):
 
     `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
     matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
-    Hessian needs of it. As D phi_p(0) = I, the normal part is the
-    manifold's second fundamental form for every kind, so that is the
-    default; the second-order retractions (projection, geodesic, recentred)
-    have no tangential part, and other kinds add theirs.
+    Hessian needs of it; on the sphere B may be None, the step's own
+    coordinates (`Sphere.weingarten`). As D phi_p(0) = I, the normal part
+    is the manifold's second fundamental form for every kind, so that is
+    the default; the second-order retractions (projection, geodesic,
+    recentred) have no tangential part, and other kinds add theirs.
     """
 
     def apply(self, v: TangentVector) -> Point:
@@ -318,11 +319,12 @@ class Stereographic(_Kind):
                 + 16.0 * yu * yu * w / r ** 3)
 
     def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """With U = Ds(p) B, a = U^T g, b = U^T y and gamma = g . (y - q):
+        """With U = Ds(p) B (B None: `tangent_columns`), a = U^T g,
+        b = U^T y and gamma = g . (y - q):
         C = -4 (a b^T + b a^T) / r^2 - 4 gamma U^T U / r^2
         + 16 gamma b b^T / r^3."""
         (y,), (D,) = self._chart(p.ambient[None])
-        U = D @ B
+        U = D @ (p.manifold.tangent_columns(p) if B is None else B)
         a = U.T @ g
         b = U.T @ y
         gamma = float(g @ (y - self.pole))

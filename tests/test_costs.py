@@ -32,6 +32,34 @@ def test_quadratic_defaults_b_to_zero():
 def test_quadratic_rejects_asymmetric():
     with pytest.raises(ValueError):
         Quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # also where |A|_F overflows or underflows to 0
+    for scale in (1e200, 1e-170):
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="^A must be symmetric$"):
+            Quadratic(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_hessian_is_one_exactly_symmetric_matrix():
+    """Quadratic's is (A + A^T) / 2, made once and shared read-only; the
+    default, every other cost's, is hess_vec on the identity,
+    symmetrised"""
+    A = np.array([[1.0, 2.0], [2.0 + 1e-12, 3.0]])
+    c = Quadratic(A)
+    p = Point(euclidean(2), np.array([1.0, 2.0]))
+    M = c.hessian(p)
+    assert M is c.hessian(p) and not M.flags.writeable
+    assert np.array_equal(M, M.T) and np.array_equal(M, 0.5 * (A + A.T))
+    for cost, m in ((ShiftedCubic(0.5), euclidean(1)),
+                    (AbsPower(), euclidean(1))):
+        q = Point(m, np.array([0.25]))
+        assert cost.hessian(q).tolist() == [
+            [float(cost.hess_vec(q, np.ones(1))[0])]]
+    B = BrockettTrace(E6, np.diag([3.0, 2.0, 1.0]))
+    q = Point(stiefel(6, 3), np.eye(6)[:, :3].flatten(order="F"))
+    H = B.hessian(q)
+    assert np.array_equal(H, H.T)
+    assert np.array_equal(H, 0.5 * (B.hess_vec(q, np.eye(18))
+                                    + B.hess_vec(q, np.eye(18)).T))
 
 
 def test_brockett_value_at_swapped_eigenvectors():

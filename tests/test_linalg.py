@@ -360,6 +360,28 @@ def test_symmetric_contract_messages():
     assert _symmetric(A)[0] is A
 
 
+def test_symmetric_contract_holds_where_the_norm_overflows_or_underflows():
+    """|A|_F overflows at 1e200 and underflows to 0 at 1e-170, which made
+    the relative bound inf or 0 and let these asymmetric matrices through
+    (to answers off by 1e170); they are tested at unit scale, exactly
+    scaled by a power of 2, and refused, while symmetric ones at those
+    scales still pass, returned as given with their norm"""
+    from gnewton.linalg import _symmetric
+    for scale in (1e200, 1e-170):
+        A = scale * np.array([[1.0, 1.0], [0.0, 1.0]])
+        S = scale * np.array([[1.0, 2.0], [2.0, 3.0]])
+        with np.errstate(over="ignore"):  # |A|_F overflows at 1e200
+            with pytest.raises(ValueError,
+                               match="^matrix must be symmetric$"):
+                symmetric_solve(A, np.ones(2))
+            with pytest.raises(ValueError, match="^A must be symmetric$"):
+                _symmetric(A, "A")
+            got, a = _symmetric(S)
+            assert got is S and a == norm(S) in (np.inf, 0.0)
+            assert _symmetric(np.diag([1.0, 2.0]) * scale)[1] == norm(
+                np.diag([1.0, 2.0]) * scale)
+
+
 @pytest.mark.parametrize("H, broken", [
     (np.array([[1.0, 5.0], [0.0, 1.0]]), "symmetric"),
     (np.array([[1.0, np.nan], [np.nan, 1.0]]), "finite"),

@@ -151,10 +151,11 @@ def test_step_result_reports_condition():
 
 
 def test_recentred_step_completes_the_tangent_basis_once(monkeypatch):
-    """the step's basis and psi's recentring rotation each build p's
-    reflector columns once, through the one function; p keeps nothing of
-    them and holds its two fields alone, so a second step from the same
-    point builds them again, to the same bits"""
+    """psi's recentring rotation builds p's reflector columns once, through
+    the one function, and the step, which applies the reflector in factored
+    form, builds none; p keeps nothing of them and holds its two fields
+    alone, so a second step from the same point builds them again, to the
+    same bits"""
     calls = []
     _count_package_calls(monkeypatch, calls, "_reflector_columns",
                          manifolds_mod._reflector_columns, keep_args=True)
@@ -164,14 +165,14 @@ def test_recentred_step_completes_the_tangent_basis_once(monkeypatch):
         p = random_point(sphere(6), seed)
         del calls[:]
         first = generalized_newton_step(c, pair, p)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert list(vars(p)) == ["manifold", "ambient"]
         again = generalized_newton_step(c, pair, p)
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert np.array_equal(first.next.ambient, again.next.ambient)
         assert all(np.array_equal(x, p.ambient) for (x,) in calls)
         generalized_newton_step(c, PP, p)  # a map that reads no basis
-        assert len(calls) == 5
+        assert len(calls) == 2
 
 
 def test_affine_invariance():
@@ -488,7 +489,8 @@ class _Counting:
     def __init__(self, cost):
         self.cost = cost
         self.name = cost.name
-        self.calls = {"check_on": 0, "value": 0, "grad": 0, "hess_vec": 0}
+        self.calls = {"check_on": 0, "value": 0, "grad": 0, "hess_vec": 0,
+                      "hessian": 0}
 
     def check_on(self, m):
         self.calls["check_on"] += 1
@@ -507,10 +509,17 @@ class _Counting:
         self.calls["hess_vec"] += 1
         return self.cost.hess_vec(p, direction)
 
+    def hessian(self, p):
+        self.calls["hessian"] += 1
+        return self.cost.hessian(p)
+
 
 class _NaNHessian(_Counting):
     def hess_vec(self, p, direction):
         return np.nan * super().hess_vec(p, direction)
+
+    def hessian(self, p):
+        return np.nan * super().hessian(p)
 
 
 def test_nan_hessian_is_no_jet_and_leaves_the_region():
@@ -528,6 +537,9 @@ def test_nan_hessian_is_no_jet_and_leaves_the_region():
 class _InfHessian(_Counting):
     def hess_vec(self, p, direction):
         return np.inf * super().hess_vec(p, direction)
+
+    def hessian(self, p):
+        return np.inf * super().hessian(p)
 
 
 class _NaNGradient(_Counting):
@@ -584,7 +596,7 @@ def test_public_steps_check_the_cost_and_kinds_at_entry():
     with pytest.raises(ManifoldMismatch):
         run_iteration(wrong, Fixed(PP), p, 5, 1e-12)
     assert wrong.calls == {"check_on": 3, "value": 0, "grad": 0,
-                           "hess_vec": 0}
+                           "hess_vec": 0, "hessian": 0}
 
 
 class _FreshPairs:
@@ -634,9 +646,9 @@ def test_run_checks_each_pair_the_first_time_it_is_chosen():
 
 def test_one_step_checks_each_value_once(monkeypatch):
     """one certified sphere(6) projection step makes 2 finite tests (the
-    step w and the next point) and 1 orthonormality check (its basis): the
-    jet's H and gradient are proved finite by their norms, the solve does
-    not test H again, and the basis is checked once"""
+    step w and the next point) and no Gram check: the jet's H and gradient
+    are proved finite by their norms, the solve does not test H again, and
+    the reflector is checked as an operator, by one dot product"""
     import sys
     from gnewton.config import near_truth_start
     c = Quadratic(np.diag(np.arange(1.0, 7.0)))
@@ -655,7 +667,7 @@ def test_one_step_checks_each_value_once(monkeypatch):
     count("_orthonormality_residual", manifolds_mod._orthonormality_residual)
     generalized_newton_step(c, PP, p)
     assert (calls.count("all_finite"),
-            calls.count("_orthonormality_residual")) == (2, 1)
+            calls.count("_orthonormality_residual")) == (2, 0)
     # an uncertified step (the Cholesky certificate refuses its H) takes
     # the eigenvalue rule on the H already tested: 2 finite tests too
     q = random_point(sphere(6), 0)
@@ -681,11 +693,12 @@ def _count_package_calls(monkeypatch, calls, name, inner, keep_args=False):
 def test_run_checks_each_value_once_and_builds_one_record_per_iterate(
         monkeypatch):
     """run_iteration takes the array step: a certified sphere(6) projection
-    run makes 2 finite tests (w, and the next point where it moved) and 1
-    orthonormality check per step, as one generalized_newton_step does, and builds no TangentBasis, Jet2,
-    TangentVector or StepResult, one Point per accepted iterate (none where
-    a zero step returns p itself) and its trace; pullback_jet still checks
-    its basis once"""
+    run makes 2 finite tests (w, and the next point where it moved) and no
+    Gram check per step, as one generalized_newton_step does, and builds
+    no TangentBasis, Jet2, TangentVector or StepResult, one Point per
+    accepted iterate (none where a zero step returns p itself), one record
+    of its coordinates per step (`_Reflector`) and its trace; pullback_jet
+    still checks its written-out basis once"""
     from gnewton.config import near_truth_start
     from gnewton.manifolds import _Record
     c = Quadratic(np.diag(np.arange(1.0, 7.0)))
@@ -708,13 +721,15 @@ def test_run_checks_each_value_once_and_builds_one_record_per_iterate(
     moved = sum(q is not p for p, q in zip(tr.points, tr.points[1:]))
     assert tr.termination == "Converged" and steps >= 3 and not eig
     assert calls.count("all_finite") == steps + moved
-    assert calls.count("_orthonormality_residual") == steps
-    assert sorted(built) == ["IterationTrace"] + ["Point"] * moved
+    assert calls.count("_orthonormality_residual") == 0
+    assert sorted(built) == (["IterationTrace"] + ["Point"] * moved
+                             + ["_Reflector"] * steps)
     calls.clear()
     built.clear()
     pullback_jet(c, PP, p0)
     assert calls.count("_orthonormality_residual") == 1
-    assert sorted(built) == ["Jet2", "TangentBasis"]
+    # the reflector of the written-out basis, and the step's
+    assert sorted(built) == ["Jet2", "TangentBasis"] + ["_Reflector"] * 2
 
 
 # every frame shape the basis tests draw: p = 1, 1 < p < n and p = n (a
@@ -736,10 +751,11 @@ def _frame_cost(m, seed):
 
 def _composed_step(c, pair, p):
     """the step composed from the public functions: pullback_jet, the
-    solve, psi of w = B s. -> (next point, s, H)"""
+    solve, psi of w = B s, lifted by the manifold's step_coordinates.
+    -> (next point, s, H)"""
     jet = pullback_jet(c, pair, p)
     s = -symmetric_solve(jet.hessian, jet.gradient)
-    w = TangentVector(p, jet.basis.columns @ s)
+    w = TangentVector(p, p.manifold.step_coordinates(p).lift(s))
     return apply_psi(pair, w), s, jet.hessian
 
 
@@ -749,7 +765,8 @@ def _pivoted_step(c, pair, p):
     w = B s. -> (next point, s, H)"""
     B = oracles.pivoted_basis(p)
     c.check_on(p.manifold)
-    _, grad, H, _ = newton_mod._jet(c, pair.phi.check_on(p.manifold), p, B)
+    _, grad, H, _ = newton_mod._jet(c, pair.phi.check_on(p.manifold), p,
+                                    manifolds_mod.TangentBasis(p, B))
     s = -symmetric_solve(H, grad)
     return apply_psi(pair, TangentVector(p, B @ s)), s, H
 
@@ -767,11 +784,12 @@ def _outcome(f, *args):
 BASIS_TOL = 32.0
 
 
-def _step_agrees_across_bases(m, c, seed, pairs, jet_rounding=False):
+def _step_agrees_across_bases(m, c, seed, pairs, jet_rounding=False,
+                              reference=None):
     """at m's seeded random point and, where m has a tangent direction, a
     near-truth start, for each pair: generalized_newton_step raises the
-    class the step composed over the pivoted basis raises
-    (`_pivoted_step`), or agrees with it
+    class the reference step raises (by default `_pivoted_step`, the step
+    composed over the pivoted basis), or agrees with it
     in the next point and |s| within C cond(H) eps max(1, |s|), in each
     eigenvalue of its Hessian within C cond(H) eps |lambda|_min (Weyl's
     C eps |H|_2) and in hessian_condition within C cond(H)^2 eps.
@@ -793,10 +811,11 @@ def _step_agrees_across_bases(m, c, seed, pairs, jet_rounding=False):
         scales = {}  # by phi, which alone makes the jet: checked once
         for pair in pairs:
             cases += 1
-            ref = _outcome(_pivoted_step, c, pair, p)
+            ref = _outcome(reference or _pivoted_step, c, pair, p)
             got = _outcome(generalized_newton_step, c, pair, p)
             if isinstance(ref, Exception) or isinstance(got, Exception):
                 assert type(got) is type(ref), (m, seed, pair, got, ref)
+                assert reference is None or str(got) == str(ref)
                 raised += 1
                 continue
             nxt, s, H = ref
@@ -931,8 +950,8 @@ def test_sphere_step_columns_take_the_norm_of_a_feasible_point(monkeypatch):
     |x| = 1 +- 9e-11 the reflector columns, built from r = |x|, stay
     orthonormal (read as 1, their residual is about 2 (r - 1)), so the
     step agrees with the step over the pivoted basis and a run converges;
-    at |x| == 1.0 they are the bits of r read as 1. Each step builds them
-    once, through the one basis function"""
+    at |x| == 1.0 they are the bits of r read as 1. A step builds none: it
+    applies the same reflector in factored form"""
     eps = np.finfo(float).eps
     m = sphere(6)
     c = Quadratic(np.diag(np.arange(1.0, 7.0)))
@@ -950,7 +969,7 @@ def test_sphere_step_columns_take_the_norm_of_a_feasible_point(monkeypatch):
             assert manifolds_mod._orthonormality_residual(B) <= 8 * eps
             calls.clear()
             got = generalized_newton_step(c, PP, p)
-            assert calls == ["_reflector_columns"]
+            assert calls == []
             nxt, s, H = _pivoted_step(c, PP, p)
             tol = BASIS_TOL * eps * condition_estimate(H) * max(1.0, norm(s))
             assert norm(got.next.ambient - nxt.ambient) <= tol
@@ -1028,6 +1047,140 @@ def test_one_column_qr_step_makes_no_qr_call(monkeypatch, m):
     assert tr.termination == "Converged" and steps >= 3
     assert calls.count("reduced") == (0 if m.p == 1 else moved)
     assert calls.count("complete") == (0 if m.kind == "sphere" else steps)
+
+
+def _written_out_step(c, pair, p):
+    """the step over p's written-out `tangent_columns` B: the jet over
+    them, the solve, psi of w = B s. -> (next point, s, H)"""
+    B = p.manifold.tangent_columns(p)
+    c.check_on(p.manifold)
+    _, grad, H, _ = newton_mod._jet(c, pair.phi.check_on(p.manifold), p,
+                                    manifolds_mod.TangentBasis(p, B))
+    s = -symmetric_solve(H, grad)
+    return apply_psi(pair, TangentVector(p, B @ s)), s, H
+
+
+def _step_cases(sizes, seeds, kinds):
+    """(cost, pair, point): a seeded symmetric A on sphere(n) and its
+    seeded random point, for each pair (k, k) of kinds"""
+    for n in sizes:
+        for seed in seeds:
+            G = SplitMix64(seed).gaussians(n * n).reshape(n, n)
+            p = random_point(sphere(n), seed)
+            for kind in kinds:
+                yield Quadratic(G + G.T), _pair(kind), p
+
+
+_REFLECTOR_KINDS = (Projection(), QR(), SphereGeodesic(),
+                    Recentred(Projection(), 0))
+
+
+def test_reflector_step_agrees_with_the_written_out_step():
+    """the step applies the reflector in factored form; over its
+    written-out columns (`_written_out_step`) it is the same step to
+    rounding: on sphere 2-12, 30 and 100 with a seeded symmetric A, for
+    the projection, QR, geodesic and recentred pairs, both raise the same
+    error, class and message, or they agree within the bounds of
+    `_step_agrees_across_bases`, whose cond(H) reads the jet's rounding.
+    Seeds 0-39, stated before the first run"""
+    cases = raised = 0
+    for n in [*range(2, 13), 30, 100]:
+        m = sphere(n)
+        for seed in range(40):
+            G = SplitMix64(seed).gaussians(n * n).reshape(n, n)
+            more = _step_agrees_across_bases(
+                m, Quadratic(G + G.T), seed,
+                [_pair(k) for k in _REFLECTOR_KINDS], jet_rounding=True,
+                reference=_written_out_step)
+            cases, raised = cases + more[0], raised + more[1]
+    assert (cases, raised) == (13 * 40 * 2 * 4, 0)
+
+
+def _line_cases():
+    """(cost, pair, point): each line cost at points on both sides of its
+    critical point, 0 included, with every ordered pair of the line kinds;
+    then Quadratic on R^2, R^3 and R^6 with seeded A and b"""
+    kinds = (Projection(), Custom1D((0.0, -1.0)), Custom1D((0.3, 0.2, 1.0)),
+             ExampleBeta(0.7), ExampleBeta(-0.5))
+    line = euclidean(1)
+    for cost in (AbsPower(), ShiftedCubic(0.0), ShiftedCubic(0.75)):
+        for x in (0.0, 0.01, -0.3, 0.9, 2.5, -1e-9):
+            for a in kinds:
+                for b in kinds:
+                    yield cost, ParametrizationPair(a, b), Point(
+                        line, np.array([x]))
+    for n in (2, 3, 6):
+        for seed in range(10):
+            rng = SplitMix64(seed)
+            G = rng.gaussians(n * n).reshape(n, n)
+            p = Point(euclidean(n), rng.gaussians(n))
+            yield Quadratic(G + G.T, rng.gaussians(n)), PP, p
+
+
+def test_euclidean_step_is_the_identity_basis_step_to_the_bit():
+    """Euclidean space steps in its ambient coordinates, which form no
+    identity: next point, |s| and H are the bytes of the step over
+    np.eye(n), or it raises that step's error, class and message"""
+    cases = raised = 0
+    for c, pair, p in _line_cases():
+        cases += 1
+        ref = _outcome(_written_out_step, c, pair, p)
+        got = _outcome(generalized_newton_step, c, pair, p)
+        case = (c, pair_label(pair), p.ambient.tolist())
+        if isinstance(ref, Exception) or isinstance(got, Exception):
+            assert (type(got), str(got)) == (type(ref), str(ref)), case
+            raised += 1
+            continue
+        nxt, s, H = ref
+        assert got.next.ambient.tobytes() == nxt.ambient.tobytes(), case
+        assert got.hessian.tobytes() == H.tobytes(), case
+        assert got.step_norm == norm(s), case
+    assert cases == 480 and 0 < raised < cases
+
+
+def test_step_reads_the_hessian_once_and_writes_out_no_basis(monkeypatch):
+    """a sphere step reads the cost's ambient Hessian once, as one matrix,
+    and neither applies hess_vec nor writes out or Gram-checks the
+    reflector's columns; a Euclidean step builds no tangent columns"""
+    calls = []
+    for name in ("_reflector_columns", "_orthonormality_residual"):
+        _count_package_calls(monkeypatch, calls, name,
+                             getattr(manifolds_mod, name))
+    columns = manifolds_mod.Euclidean.tangent_columns
+    monkeypatch.setattr(manifolds_mod.Euclidean, "tangent_columns",
+                        lambda self, p: calls.append("tangent_columns")
+                        or columns(self, p))
+    for raw, pair, p in _step_cases([2, 6, 30], range(3), _REFLECTOR_KINDS):
+        c = _Counting(raw)
+        generalized_newton_step(c, ParametrizationPair(pair.phi,
+                                                       Projection()), p)
+        assert (c.calls["hessian"], c.calls["hess_vec"]) == (1, 0)
+    for raw, pair, p in _line_cases():
+        c = _Counting(raw)
+        _outcome(generalized_newton_step, c, pair, p)
+        assert (c.calls["hessian"], c.calls["hess_vec"]) == (1, 0)
+    assert calls == []
+
+
+def test_reflector_check_is_the_operators_residual():
+    """the step checks the operator it applies, Q = I - beta v v^T, by one
+    dot: |t (t - 2)|, t = beta v^T v, is |Q^T Q - I|_F to rounding, and a
+    beta off by one part in 1e6 reads about 4e-6, far over FEAS_TOL; the
+    reflector of a point scaled off the sphere (x / |x| times 1 + 1e-6)
+    passes it, as |x| is not read as 1"""
+    eps = np.finfo(float).eps
+    for n in (2, 6, 30):
+        for seed in range(10):
+            x = random_point(sphere(n), seed).ambient
+            for y in (x, (1.0 + 1e-6) * x):
+                R = manifolds_mod._Reflector(y)
+                assert R.beta == 1.0 / R.d
+                for beta in (R.beta, R.beta * (1.0 + 1e-6)):
+                    Q = np.eye(n) - beta * np.outer(R.v, R.v)
+                    t = beta * (R.v @ R.v)
+                    resid = norm(Q.T @ Q - np.eye(n))
+                    assert abs(abs(t * (t - 2.0)) - resid) <= 8 * n * eps
+                    assert (resid > 1e-10) == (beta != R.beta)
 
 
 # how run_iteration names the end that each typed step error makes
@@ -1122,7 +1275,8 @@ def test_one_value_per_iterate():
     A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     c = _Counting(Quadratic(A))
     pullback_jet(c, PP, random_point(sphere(5), 2))
-    assert c.calls == {"check_on": 1, "value": 1, "grad": 1, "hess_vec": 1}
+    assert c.calls == {"check_on": 1, "value": 1, "grad": 1, "hess_vec": 0,
+                       "hessian": 1}
     for pair in (PP, _pair(SphereGeodesic())):
         for seed in range(3):
             c = _Counting(Quadratic(A))
