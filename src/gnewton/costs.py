@@ -2,10 +2,9 @@
 
 Each kind is one class that owns its maths: the manifold classes it lives
 on (`manifolds`, checked with its dims by `valid_on`), value, ambient
-gradient, ambient Hessian-times-vector (`hess_vec`), and its closed-form
-minimiser (`truth`). A jet over frame columns applies the Hessian to them
-(`hess_vec`); the sphere's and Euclidean space's read it whole, as one
-exactly symmetric matrix (`hessian`).
+gradient, ambient Hessian (`hessian`, one exactly symmetric matrix that
+callers only read), and its closed-form minimiser (`truth`). Every
+Newton step reads that one matrix, whatever coordinates carry it.
 """
 
 from math import isfinite
@@ -16,38 +15,30 @@ from .errors import NotTwiceDifferentiable, SingularHessian
 from .linalg import (_eigvalsh, _symmetric, all_finite, symmetric_eigen,
                      symmetric_solve)
 from .manifolds import (Euclidean, Grassmann, ManifoldDescriptor, Point,
-                        Sphere, Stiefel, _identity, _LivesOn, _OnTheLine,
-                        _Value)
-
-
-def _trace_hess_vec(A, weights, p: Point, direction: np.ndarray) -> np.ndarray:
-    """2 A Z W applied to every n x p direction matrix Z of the block,
-    W = diag(weights) (the identity when weights is None)."""
-    # column-major n x p matrices: Z[b] is column b of every direction
-    n, pp = p.manifold.n, p.manifold.p
-    Z = direction.reshape(pp, n, direction.size // (n * pp))
-    HZ = 2.0 * A @ Z
-    if weights is not None:
-        HZ = HZ * weights[:, None, None]
-    return HZ.reshape(direction.shape)
+                        Sphere, Stiefel, _LivesOn, _OnTheLine, _sym, _Value)
 
 
 def _frozen_symmetric(A) -> np.ndarray:
-    """A frozen copy of A that passes linalg's symmetric-matrix contract."""
+    """A frozen copy of A that passes linalg's symmetric-matrix contract
+    and is not empty."""
     A = _symmetric(np.array(A, dtype=float), "A")[0]
+    if not A.size:
+        raise ValueError("A must not be empty")
     A.setflags(write=False)
     return A
 
 
-class _Cost:
-    """Base of the costs: `hessian`, by default hess_vec on I, symmetrised."""
+def _block_diagonal(blocks, k: int) -> np.ndarray:
+    """The kn x kn matrix whose k diagonal n x n blocks are `blocks` (one
+    n x n matrix for all, or a stack of k), zero elsewhere: the Hessian of
+    a sum of quadratics in the column-major columns of an n x k matrix."""
+    n = blocks.shape[-1]
+    H = np.zeros((k, n, k, n))
+    np.einsum("aiaj->aij", H)[...] = blocks  # a writeable view of the blocks
+    return H.reshape(k * n, k * n)
 
-    def hessian(self, p: Point) -> np.ndarray:
-        H = self.hess_vec(p, _identity(p.manifold.ambient_dim))
-        return 0.5 * (H + H.T)
 
-
-class _MatrixCost(_LivesOn, _Cost):
+class _MatrixCost(_LivesOn):
     """Base of the costs on a symmetric n x n matrix A, each of which binds
     `_frozen_symmetric(A)` and fits a manifold of that n."""
 
@@ -71,7 +62,7 @@ class Quadratic(_MatrixCost):
         if not all_finite(b):
             raise ValueError("b must be finite")
         b.setflags(write=False)
-        M = 0.5 * (A + A.T)
+        M = _sym(A)
         M.setflags(write=False)
         super().__init__(A, b, M)
 
@@ -81,9 +72,6 @@ class Quadratic(_MatrixCost):
 
     def grad(self, p: Point) -> np.ndarray:
         return self.A @ p.ambient + self.b
-
-    def hess_vec(self, p: Point, direction: np.ndarray) -> np.ndarray:
-        return self.A @ direction
 
     def hessian(self, p: Point) -> np.ndarray:
         return self.M
@@ -110,7 +98,8 @@ class BrockettTrace(_MatrixCost):
     (up to column signs)."""
     name = "brockett"
     manifolds = (Stiefel,)
-    _fields = ("A", "N")
+    _fields = ("A", "N", "M")
+    _defaults = {"M": None}  # M = kron(N, A + A^T), derived, never given
 
     def __init__(self, A, N):
         A = _frozen_symmetric(A)
@@ -125,7 +114,9 @@ class BrockettTrace(_MatrixCost):
         if np.any(d <= 0.0) or len(set(d.tolist())) != d.size:
             raise ValueError("N diagonal must be distinct and positive")
         N.setflags(write=False)
-        super().__init__(A, N)
+        M = _block_diagonal(d[:, None, None] * (A + A.T), d.size)
+        M.setflags(write=False)
+        super().__init__(A, N, M)
 
     def valid_on(self, m: ManifoldDescriptor) -> bool:
         return super().valid_on(m) and m.p == self.N.shape[0]
@@ -137,8 +128,8 @@ class BrockettTrace(_MatrixCost):
     def grad(self, p: Point) -> np.ndarray:
         return (2.0 * self.A @ p.as_matrix() @ self.N).flatten(order="F")
 
-    def hess_vec(self, p: Point, direction: np.ndarray) -> np.ndarray:
-        return _trace_hess_vec(self.A, np.diag(self.N), p, direction)
+    def hessian(self, p: Point) -> np.ndarray:
+        return self.M
 
     def truth(self, m: ManifoldDescriptor):
         """Eigenvectors assigned so the largest N weight pairs with the
@@ -162,7 +153,7 @@ class GrassmannTrace(_MatrixCost):
         A = _frozen_symmetric(A)
         lam = _eigvalsh(A)
         scale = max(abs(lam[0]), abs(lam[-1]), np.finfo(float).tiny)
-        if np.min(np.diff(lam)) <= 1e-10 * scale:
+        if lam.size > 1 and np.min(np.diff(lam)) <= 1e-10 * scale:
             raise ValueError("A must have distinct eigenvalues")
         super().__init__(A)
 
@@ -173,8 +164,8 @@ class GrassmannTrace(_MatrixCost):
     def grad(self, p: Point) -> np.ndarray:
         return (2.0 * self.A @ p.as_matrix()).flatten(order="F")
 
-    def hess_vec(self, p: Point, direction: np.ndarray) -> np.ndarray:
-        return _trace_hess_vec(self.A, None, p, direction)
+    def hessian(self, p: Point) -> np.ndarray:
+        return _block_diagonal(self.A + self.A.T, p.manifold.p)
 
     def truth(self, m: ManifoldDescriptor):
         """The minor subspace."""
@@ -182,7 +173,7 @@ class GrassmannTrace(_MatrixCost):
         return Point(m, V[:, :m.p].flatten(order="F"))
 
 
-class AbsPower(_Value, _OnTheLine, _Cost):
+class AbsPower(_Value, _OnTheLine):
     """f(x) = x^2 + |x|^{5/2} on the line; C^2 but not C^3 at the minimiser."""
     name = "abs_power"
 
@@ -194,19 +185,19 @@ class AbsPower(_Value, _OnTheLine, _Cost):
         x = p.ambient[0]
         return np.array([2.0 * x + 2.5 * abs(x) ** 1.5 * np.sign(x)])
 
-    def hess_vec(self, p: Point, direction: np.ndarray) -> np.ndarray:
+    def hessian(self, p: Point) -> np.ndarray:
         x = p.ambient[0]
         if x == 0.0:
             # refuse the boundary case: the curvature model 2 + (15/4)sqrt|x|
             # is only meaningful away from the kink of the 5/2-power term
             raise NotTwiceDifferentiable("AbsPower hessian evaluated at exactly 0")
-        return (2.0 + 3.75 * np.sqrt(abs(x))) * direction
+        return np.array([[2.0 + 3.75 * np.sqrt(abs(x))]])
 
     def truth(self, m: ManifoldDescriptor):
         return Point(m, np.zeros(1))
 
 
-class ShiftedCubic(_Value, _OnTheLine, _Cost):
+class ShiftedCubic(_Value, _OnTheLine):
     """f(x) = (x - z)^2 + 2 (x - z)^3 with critical point at the shift z."""
     name = "shifted_cubic"
     _fields = ("z",)
@@ -224,8 +215,8 @@ class ShiftedCubic(_Value, _OnTheLine, _Cost):
         d = p.ambient[0] - self.z
         return np.array([2.0 * d + 6.0 * d * d])
 
-    def hess_vec(self, p: Point, direction: np.ndarray) -> np.ndarray:
-        return (2.0 + 12.0 * (p.ambient[0] - self.z)) * direction
+    def hessian(self, p: Point) -> np.ndarray:
+        return np.array([[2.0 + 12.0 * (p.ambient[0] - self.z)]])
 
     def truth(self, m: ManifoldDescriptor):
         return Point(m, np.array([self.z]))
@@ -241,6 +232,5 @@ def ambient_gradient(c, p: Point) -> np.ndarray:
 
 def ambient_hessian_vec(c, p: Point, direction) -> np.ndarray:
     """Ambient Hessian applied to one direction, or to each column of an
-    (ambient_dim x k) block of directions."""
-    direction = np.asarray(direction, dtype=float)
-    return c.check_on(p.manifold).hess_vec(p, direction)
+    (ambient_dim x k) block of directions: `hessian(p)` times it."""
+    return c.check_on(p.manifold).hessian(p) @ np.asarray(direction, dtype=float)

@@ -462,7 +462,8 @@ class TangentVector(_Record):
 
 class TangentBasis(_Record):
     """`columns` B: ambient_dim x intrinsic_dim, orthonormal (a copy); as
-    step coordinates, (B^T g, sym(B^T hess_vec(B) + C)) and w = B s."""
+    step coordinates, (B^T g, sym(B^T (M B) + C)) with M = c.hessian(p),
+    and w = B s."""
     _fields = ("base", "columns")
 
     def __init__(self, base: Point, columns):
@@ -476,8 +477,7 @@ class TangentBasis(_Record):
     def pullback(self, c, phi, p: Point, g: np.ndarray):
         B = self.columns
         grad = B.T @ g
-        H = B.T @ c.hess_vec(p, B) + phi.curvature(p, B, g)
-        return grad, 0.5 * (H + H.T)
+        return grad, _sym(B.T @ (c.hessian(p) @ B) + phi.curvature(p, B, g))
 
     def lift(self, s: np.ndarray) -> np.ndarray:
         return self.columns @ s
@@ -540,7 +540,7 @@ class _Reflector(_Record):
         if isinstance(C, float):
             H.reshape(-1)[::x.size + 1] += C
         else:
-            H += 0.5 * (C + C.T)
+            H += _sym(C)
         return grad, H
 
     def lift(self, s: np.ndarray) -> np.ndarray:  # (0, s) - beta (x'.s) v
@@ -574,15 +574,15 @@ def random_unit_tangent(p: Point, rng: SplitMix64) -> np.ndarray:
 
 def tangent_gaussians(p: Point, rng: SplitMix64) -> np.ndarray:
     """Gaussians g for a direction B g at p (B the basis columns), drawn
-    again while |B g| is under 1e-12; ManifoldMismatch if m has none."""
+    again while |g| is at most 1e-12 (B's orthonormal columns keep |B g|
+    = |g| within FEAS_TOL relative); ManifoldMismatch if m has none."""
     m = p.manifold
     if m.intrinsic_dim == 0:
         raise ManifoldMismatch("%s(n=%d, p=%d) is zero-dimensional: no unit "
                                "tangent direction" % (m.kind, m.n, m.p))
     while True:
         g = rng.gaussians(m.intrinsic_dim)
-        # orthonormal columns keep |B g| over |g| / 2: only a tiny g needs B
-        if norm(g) > 2e-12 or norm(tangent_basis(p).columns @ g) > 1e-12:
+        if norm(g) > 1e-12:
             return g
 
 

@@ -550,6 +550,22 @@ def test_run_on_zero_dimensional_manifold_exits_singular(tmp_path):
     assert s["termination"] == "SingularHessian"
 
 
+@pytest.mark.parametrize("manifold, cost", [
+    ({"kind": "stiefel", "n": 1, "p": 1},
+     {"kind": "brockett", "A": "diag:2", "N": "diag:1"}),
+    ({"kind": "grassmann", "n": 1, "p": 1},
+     {"kind": "grassmann_trace", "A": "diag:2"})],
+    ids=["stiefel-1-1", "grassmann-1-1"])
+def test_run_on_a_one_by_one_frame_exits_singular(tmp_path, manifold, cost):
+    """a 1 x 1 frame is zero-dimensional too: its run ends SingularHessian,
+    exit 2, on Stiefel and on Grassmann alike"""
+    cfg = dict(SPHERE_RUN, manifold=manifold, cost=cost, x0=[1.0])
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    s = json.loads((out / "summary.json").read_text())
+    assert s["termination"] == "SingularHessian"
+
+
 NAN, INF = float("nan"), float("inf")
 LINE_RUN = dict(CUBIC_RUN, cost={"kind": "shifted_cubic", "z": 0.3})
 PROJ_PAIR = {"kind": "projection"}

@@ -40,26 +40,62 @@ def test_quadratic_rejects_asymmetric():
 
 
 def test_hessian_is_one_exactly_symmetric_matrix():
-    """Quadratic's is (A + A^T) / 2, made once and shared read-only; the
-    default, every other cost's, is hess_vec on the identity,
-    symmetrised"""
+    """every cost's one Hessian hook against its closed form: (A + A^T) / 2
+    for Quadratic, kron(diag(w), A + A^T) for the trace costs (w the
+    diagonal of N, or ones) and the line costs' 1 x 1 second derivatives;
+    each exactly symmetric, and a bound one shared read-only"""
     A = np.array([[1.0, 2.0], [2.0 + 1e-12, 3.0]])
     c = Quadratic(A)
     p = Point(euclidean(2), np.array([1.0, 2.0]))
-    M = c.hessian(p)
-    assert M is c.hessian(p) and not M.flags.writeable
-    assert np.array_equal(M, M.T) and np.array_equal(M, 0.5 * (A + A.T))
-    for cost, m in ((ShiftedCubic(0.5), euclidean(1)),
-                    (AbsPower(), euclidean(1))):
-        q = Point(m, np.array([0.25]))
-        assert cost.hessian(q).tolist() == [
-            [float(cost.hess_vec(q, np.ones(1))[0])]]
-    B = BrockettTrace(E6, np.diag([3.0, 2.0, 1.0]))
-    q = Point(stiefel(6, 3), np.eye(6)[:, :3].flatten(order="F"))
-    H = B.hessian(q)
-    assert np.array_equal(H, H.T)
-    assert np.array_equal(H, 0.5 * (B.hess_vec(q, np.eye(18))
-                                    + B.hess_vec(q, np.eye(18)).T))
+    A6 = E6 + np.diag([1e-13] * 5, 1)  # symmetric within SYM_RTOL only
+    w = np.array([3.0, 2.0, 1.0])
+    B = BrockettTrace(A6, np.diag(w))
+    G = GrassmannTrace(A6)
+    X = np.eye(6)[:, :3].flatten(order="F")
+    q, r = Point(stiefel(6, 3), X), Point(grassmann(6, 3), X)
+    x = 0.25
+    line = Point(euclidean(1), np.array([x]))
+    cases = ((c, p, 0.5 * (A + A.T)),
+             (B, q, np.kron(np.diag(w), A6 + A6.T)),
+             (G, r, np.kron(np.diag(np.ones(3)), A6 + A6.T)),
+             (ShiftedCubic(0.5), line, [[2.0 + 12.0 * (x - 0.5)]]),
+             (AbsPower(), line, [[2.0 + 3.75 * np.sqrt(x)]]))
+    for cost, point, expected in cases:
+        H = cost.hessian(point)
+        assert np.array_equal(H, expected), cost.name
+        assert np.array_equal(H, H.T), cost.name
+    for cost, point in ((c, p), (B, q)):
+        M = cost.hessian(point)
+        assert M is cost.hessian(point) and not M.flags.writeable
+
+
+def test_hessian_vec_is_the_hessian_times_the_directions():
+    """ambient_hessian_vec is hessian(p) @ D to the bit, for one direction
+    and for a block of them"""
+    rng = SplitMix64(3)
+    S = np.array(rng.gaussians(36)).reshape(6, 6)
+    S = S + S.T
+    cases = ((Quadratic(S), random_point(sphere(6), 1)),
+             (BrockettTrace(S, np.diag([2.0, 1.0])),
+              random_point(stiefel(6, 2), 1)),
+             (GrassmannTrace(E6), random_point(grassmann(6, 2), 1)),
+             (ShiftedCubic(0.5), Point(euclidean(1), np.array([0.25]))),
+             (AbsPower(), Point(euclidean(1), np.array([0.25]))))
+    for c, p in cases:
+        N = p.manifold.ambient_dim
+        for D in (np.array(rng.gaussians(N)),
+                  np.array(rng.gaussians(3 * N)).reshape(N, 3)):
+            got = ambient_hessian_vec(c, p, D)
+            assert got.tobytes() == (c.hessian(p) @ D).tobytes(), c.name
+
+
+def test_matrix_costs_refuse_an_empty_a():
+    """a 0 x 0 A fits no manifold: each matrix cost names it"""
+    A = np.zeros((0, 0))
+    for build in (Quadratic, lambda A: BrockettTrace(A, np.eye(1)),
+                  GrassmannTrace):
+        with pytest.raises(ValueError, match="^A must not be empty$"):
+            build(A)
 
 
 def test_brockett_value_at_swapped_eigenvectors():

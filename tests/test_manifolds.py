@@ -319,13 +319,14 @@ class _Scripted:
 
 
 def test_tangent_gaussians_draw_again_under_the_floor():
-    """a draw whose direction B g has norm at or under 1e-12 is drawn
-    again, one just over it is kept, whatever the size of g alone"""
+    """a draw g of norm at or under 1e-12 is drawn again, one just over
+    it is kept; orthonormal columns keep |B g| = |g| within FEAS_TOL"""
     for m in ALL + [sphere(2)]:
         p = random_point(m, 1)
         k = m.intrinsic_dim
         e = np.eye(k)[0]
-        rng = _Scripted(0.0 * e, 1e-13 * e, 5e-13 * e, 3e-12 * e, e)
+        rng = _Scripted(0.0 * e, 1e-13 * e, 5e-13 * e, 1e-12 * e, 3e-12 * e,
+                        e)
         assert np.array_equal(tangent_gaussians(p, rng), 3e-12 * e)
         assert len(rng.draws) == 1
         rng = _Scripted(1.2e-12 * e)

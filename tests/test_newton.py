@@ -113,12 +113,15 @@ def test_generalized_step_beta_half_singular():
 
 
 def test_zero_dimensional_step_names_the_empty_hessian():
-    """sphere(1) has a 0 x 0 jet: the step says the Hessian has no nonzero
-    eigenvalue"""
-    with pytest.raises(SingularHessian,
-                       match=r"no nonzero eigenvalue \(0 x 0\)"):
-        generalized_newton_step(Quadratic(np.array([[2.0]])), PP,
-                                Point(sphere(1), np.array([1.0])))
+    """sphere(1), stiefel(1, 1) and grassmann(1, 1) have a 0 x 0 jet: the
+    step says the Hessian has no nonzero eigenvalue"""
+    A = np.array([[2.0]])
+    for c, m in ((Quadratic(A), sphere(1)),
+                 (BrockettTrace(A, np.eye(1)), stiefel(1, 1)),
+                 (GrassmannTrace(A), grassmann(1, 1))):
+        with pytest.raises(SingularHessian,
+                           match=r"no nonzero eigenvalue \(0 x 0\)"):
+            generalized_newton_step(c, PP, Point(m, np.array([1.0])))
 
 
 def test_fixed_point_property():
@@ -489,8 +492,7 @@ class _Counting:
     def __init__(self, cost):
         self.cost = cost
         self.name = cost.name
-        self.calls = {"check_on": 0, "value": 0, "grad": 0, "hess_vec": 0,
-                      "hessian": 0}
+        self.calls = {"check_on": 0, "value": 0, "grad": 0, "hessian": 0}
 
     def check_on(self, m):
         self.calls["check_on"] += 1
@@ -505,19 +507,12 @@ class _Counting:
         self.calls["grad"] += 1
         return self.cost.grad(p)
 
-    def hess_vec(self, p, direction):
-        self.calls["hess_vec"] += 1
-        return self.cost.hess_vec(p, direction)
-
     def hessian(self, p):
         self.calls["hessian"] += 1
         return self.cost.hessian(p)
 
 
 class _NaNHessian(_Counting):
-    def hess_vec(self, p, direction):
-        return np.nan * super().hess_vec(p, direction)
-
     def hessian(self, p):
         return np.nan * super().hessian(p)
 
@@ -535,9 +530,6 @@ def test_nan_hessian_is_no_jet_and_leaves_the_region():
 
 
 class _InfHessian(_Counting):
-    def hess_vec(self, p, direction):
-        return np.inf * super().hess_vec(p, direction)
-
     def hessian(self, p):
         return np.inf * super().hessian(p)
 
@@ -596,7 +588,7 @@ def test_public_steps_check_the_cost_and_kinds_at_entry():
     with pytest.raises(ManifoldMismatch):
         run_iteration(wrong, Fixed(PP), p, 5, 1e-12)
     assert wrong.calls == {"check_on": 3, "value": 0, "grad": 0,
-                           "hess_vec": 0, "hessian": 0}
+                           "hessian": 0}
 
 
 class _FreshPairs:
@@ -826,7 +818,7 @@ def _step_agrees_across_bases(m, c, seed, pairs, jet_rounding=False,
                 kappa_j, grad_term = kappa, 0.0
                 if jet_rounding:
                     B, g = oracles.pivoted_basis(p), c.grad(p)
-                    kappa_j = (np.linalg.norm(B.T @ c.hess_vec(p, B), 2)
+                    kappa_j = (np.linalg.norm(B.T @ (c.hessian(p) @ B), 2)
                                + np.linalg.norm(pair.phi.curvature(p, B, g),
                                                 2)) / low
                     grad_term = norm(g) / low
@@ -1139,9 +1131,10 @@ def test_euclidean_step_is_the_identity_basis_step_to_the_bit():
 
 
 def test_step_reads_the_hessian_once_and_writes_out_no_basis(monkeypatch):
-    """a sphere step reads the cost's ambient Hessian once, as one matrix,
-    and neither applies hess_vec nor writes out or Gram-checks the
-    reflector's columns; a Euclidean step builds no tangent columns"""
+    """every step reads the cost's ambient Hessian once, as one matrix: a
+    sphere step neither writes out nor Gram-checks the reflector's columns,
+    a Euclidean step builds no tangent columns, and a Stiefel or Grassmann
+    step applies it to its one basis"""
     calls = []
     for name in ("_reflector_columns", "_orthonormality_residual"):
         _count_package_calls(monkeypatch, calls, name,
@@ -1154,12 +1147,18 @@ def test_step_reads_the_hessian_once_and_writes_out_no_basis(monkeypatch):
         c = _Counting(raw)
         generalized_newton_step(c, ParametrizationPair(pair.phi,
                                                        Projection()), p)
-        assert (c.calls["hessian"], c.calls["hess_vec"]) == (1, 0)
+        assert c.calls["hessian"] == 1
     for raw, pair, p in _line_cases():
         c = _Counting(raw)
         _outcome(generalized_newton_step, c, pair, p)
-        assert (c.calls["hessian"], c.calls["hess_vec"]) == (1, 0)
+        assert c.calls["hessian"] == 1
     assert calls == []
+    for m in (stiefel(6, 3), grassmann(7, 3)):
+        c = _Counting(_frame_cost(m, 0))
+        for pair in _FRAME_PAIRS:
+            c.calls["hessian"] = 0
+            generalized_newton_step(c, pair, random_point(m, 0))
+            assert c.calls["hessian"] == 1, (m, pair)
 
 
 def test_reflector_check_is_the_operators_residual():
@@ -1275,8 +1274,7 @@ def test_one_value_per_iterate():
     A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     c = _Counting(Quadratic(A))
     pullback_jet(c, PP, random_point(sphere(5), 2))
-    assert c.calls == {"check_on": 1, "value": 1, "grad": 1, "hess_vec": 0,
-                       "hessian": 1}
+    assert c.calls == {"check_on": 1, "value": 1, "grad": 1, "hessian": 1}
     for pair in (PP, _pair(SphereGeodesic())):
         for seed in range(3):
             c = _Counting(Quadratic(A))
