@@ -16,7 +16,7 @@ from .costs import (AbsPower, BrockettTrace, GrassmannTrace, Quadratic,
 from .errors import (ChartDomainViolation, ConfigError, GnewtonError,
                      InfeasiblePoint, InsufficientData, ManifoldMismatch,
                      NotTwiceDifferentiable, OutsideValidityRadius,
-                     ProjectionUndefined, RankDeficient, SingularHessian)
+                     ProjectionUndefined, SingularHessian)
 from .config import (Experiment, build_experiment, compute_truth, load_config,
                      match_truth_signs, near_truth_start)
 from .linalg import polar_factor, symmetric_eigen, symmetric_solve

@@ -299,8 +299,8 @@ def _build_x0(cfg, m, truth, seed_override) -> Point:
             raise ConfigError("x0: near-truth needs a cost with closed-form "
                               "truth")
         try:
-            # a delta so large that the projection overflows gives a point
-            # that Point refuses; that refusal is the report, not a warning
+            # the sphere's projection scales a row whose dot overflows, and
+            # Point refuses a Euclidean sum that overflows: no warning
             with np.errstate(over="ignore", invalid="ignore"):
                 return near_truth_start(m, truth, delta, seed)
         except (ManifoldMismatch, InfeasiblePoint) as exc:

@@ -106,6 +106,8 @@ class BrockettTrace(_MatrixCost):
         N = np.array(N, dtype=float)
         if N.ndim != 2 or N.shape[0] != N.shape[1]:
             raise ValueError("N must be square")
+        if not 1 <= N.shape[0] <= A.shape[0]:
+            raise ValueError("N must have 1 to n = %d columns" % A.shape[0])
         if not all_finite(N):
             raise ValueError("N must be finite")
         if np.any(N - np.diag(np.diag(N)) != 0.0):

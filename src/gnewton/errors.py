@@ -18,10 +18,6 @@ class SingularHessian(GnewtonError):
     """Hessian is singular or too ill-conditioned for a trustworthy solve."""
 
 
-class RankDeficient(GnewtonError):
-    """Matrix does not have full column rank; polar factor is non-unique."""
-
-
 class ManifoldMismatch(GnewtonError):
     """Operands live on different manifolds (or the wrong one)."""
 

@@ -1,4 +1,4 @@
-"""Dense symmetric kernels: solve, polar factor, eigendecomposition, norms.
+"""Dense kernels: symmetric solve, polar factor, eigendecomposition, norms.
 
 Everything here is small (sphere(100) gives a 99 x 99 Hessian) and dense;
 the Newton solve tries one Cholesky factorisation of a shifted H, whose
@@ -19,7 +19,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg import _umath_linalg as _lapack
 
-from .errors import ProjectionUndefined, RankDeficient, SingularHessian
+from .errors import ProjectionUndefined, SingularHessian
 
 COND_LIMIT = 1e12
 SYM_RTOL = 1e-10
@@ -60,6 +60,12 @@ def _eigvalsh(A):
 def _eigh(A):
     """np.linalg.eigh of a float A. -> (eigenvalues, eigenvectors)"""
     return _lapack.eigh_lo(A, signature="d->dd")
+
+
+@_policy("SVD did not converge")
+def _svd(A):
+    """np.linalg.svd, full_matrices=False, of A or a stack. -> (W, s, V^T)"""
+    return _lapack.svd_s(A, signature="d->ddd")
 
 
 @_policy("Incorrect argument found while performing QR factorization")
@@ -248,26 +254,25 @@ def _solve(H, h, b) -> np.ndarray:
 
 
 def polar_factor(M) -> np.ndarray:
-    """Orthonormal polar factor U = M (M^T M)^{-1/2} of an n x p matrix.
-
-    U is the Frobenius-closest matrix with orthonormal columns. Computed
-    through the eigendecomposition of M^T M, which squares M's condition:
-    for M = X + V, a frame moved by a step, U's orthonormality residual can
-    grow as about eps |V|^2, past FEAS_TOL near |V| = 1e3. A numerically
-    rank-deficient M raises RankDeficient.
-    """
+    """Orthonormal polar factor U = W V^T of an n x p matrix M = W S V^T,
+    or of each of a (k, n, p) stack, from one stacked SVD (each matrix gets
+    the bits of its own call): the Frobenius-closest orthonormal columns,
+    backward stable (Higham, Functions of Matrices, 2008, ch. 8), so a
+    frame moved by a step of any length stays orthonormal to rounding.
+    ValueError on a non-finite M, ProjectionUndefined on the first
+    numerically rank-deficient matrix."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or not M.shape[0] >= M.shape[1] >= 1:
+    if M.ndim not in (2, 3) or not M.shape[-2] >= M.shape[-1] >= 1:
         raise ValueError("expected n x p with n >= p >= 1, got shape %r"
                          % (M.shape,))
-    s, Q = _eigh(M.T @ M)
-    smin = np.sqrt(max(float(s[0]), 0.0))
-    if float(s[-1]) <= 0.0:
-        raise RankDeficient("matrix has no positive singular value")
-    if smin <= 1e-12 * np.sqrt(float(s[-1])):
-        raise RankDeficient(
-            "smallest singular value %.3e below rank threshold" % smin)
-    return M @ (Q * (1.0 / np.sqrt(s))) @ Q.T
+    if not all_finite(M):
+        raise ValueError("matrix must be finite")
+    W, s, Vt = _svd(M)
+    low = s[..., -1][s[..., -1] <= 1e-12 * s[..., 0]]
+    if low.size:
+        raise ProjectionUndefined("smallest singular value %.3e below rank "
+                                  "threshold" % low[0])
+    return W @ Vt
 
 
 def symmetric_eigen(A):

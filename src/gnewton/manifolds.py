@@ -13,8 +13,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import (InfeasiblePoint, ManifoldMismatch, ProjectionUndefined,
-                     RankDeficient)
+from .errors import InfeasiblePoint, ManifoldMismatch, ProjectionUndefined
 from .linalg import (_qr, _unit_rows, all_finite, norm, polar_factor,
                      row_dots, row_norms)
 from .rng import SplitMix64
@@ -159,12 +158,11 @@ class ManifoldDescriptor(_Value):
 
     def draw(self, rng: SplitMix64) -> "Point":
         """A seeded gaussian draw, projected; drawn again where the
-        projection is undefined or, on an ill-conditioned frame draw,
-        misses FEAS_TOL."""
+        projection is undefined."""
         while True:
             try:
                 return self.project(rng.gaussians(self.ambient_dim))
-            except (ProjectionUndefined, InfeasiblePoint):
+            except ProjectionUndefined:
                 continue
 
     def sample_point(self, rng: SplitMix64) -> "Point":
@@ -328,15 +326,12 @@ class _Frame(ManifoldDescriptor):
         return out
 
     def _project(self, X: np.ndarray) -> np.ndarray:
-        """The polar factor of each row's frame, one row at a time."""
-        out = np.empty_like(X)
-        for row, x in zip(out, X):
-            try:
-                U = polar_factor(x.reshape(self.n, self.p, order="F"))
-            except RankDeficient as exc:
-                raise ProjectionUndefined(str(exc)) from exc
-            row[:] = U.flatten(order="F")
-        return out
+        """The polar factor of each row's frame, in one stacked call over
+        the transposed (k, p, n) view; a non-finite row is no point."""
+        if not all_finite(X):
+            raise InfeasiblePoint("non-finite ambient coordinates")
+        U = polar_factor(X.reshape(-1, self.p, self.n).transpose(0, 2, 1))
+        return U.transpose(0, 2, 1).reshape(X.shape)
 
     def second_fundamental_form(self, p: "Point", v: np.ndarray) -> np.ndarray:
         V = v.reshape(self.n, self.p, order="F")

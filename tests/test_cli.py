@@ -685,22 +685,26 @@ def test_infinite_tol_is_a_config_error(tmp_path, capsys):
 
 
 def test_near_truth_start_that_overflows_is_a_config_error(tmp_path, capsys):
-    """delta 1e155 overflows a frame's polar factor, so the start is no
-    point of the manifold: exit 4 with an x0 message, not a traceback;
-    1e154 still runs. The sphere's projection scales a row whose squared
-    norm overflows, so there 1e155 and 1e300 start on the sphere and run"""
-    frame = dict(SPHERE_RUN, manifold={"kind": "stiefel", "n": 6, "p": 2},
-                 cost={"kind": "brockett", "A": "diag:1,2,3,4,5,6",
-                       "N": "diag:2,1"})
-    code, out = _run(tmp_path, dict(frame, x0="near-truth:1e155:3"))
+    """a near-truth start whose sum overflows is no point: on the line,
+    1.5e308 plus delta 1e308 is inf, so exit 4 with an x0 message, not a
+    traceback. A finite start far out projects: the sphere scales a row
+    whose squared norm overflows, and a frame's SVD factor scales its
+    matrix, so 1e155 and 1e300 start on both and run"""
+    line = dict(SPHERE_RUN, manifold={"kind": "euclidean", "n": 1},
+                cost={"kind": "quadratic", "A": [[1.0]], "b": [1.5e308]},
+                x0="near-truth:1e308:3")
+    code, out = _run(tmp_path, line)
     assert code == 4
     assert "x0: non-finite ambient coordinates" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
-    for run, delta in ((frame, "1e154"), (SPHERE_RUN, "1e155"),
-                       (SPHERE_RUN, "1e300")):
-        code, _ = _run(tmp_path, dict(run, x0="near-truth:%s:3" % delta),
-                       sub="ok-%s-%s" % (run["manifold"]["kind"], delta))
-        assert code == 0
+    frame = dict(SPHERE_RUN, manifold={"kind": "stiefel", "n": 6, "p": 2},
+                 cost={"kind": "brockett", "A": "diag:1,2,3,4,5,6",
+                       "N": "diag:2,1"})
+    for run in (frame, SPHERE_RUN):
+        for delta in ("1e155", "1e300"):
+            code, _ = _run(tmp_path, dict(run, x0="near-truth:%s:3" % delta),
+                           sub="ok-%s-%s" % (run["manifold"]["kind"], delta))
+            assert code == 0
 
 
 PATH_PAIRS = (ParametrizationPair(Projection(), Projection()),)

@@ -124,6 +124,9 @@ def test_brockett_constructor_validation():
         BrockettTrace(E6, np.diag([2.0, 2.0]))  # repeated weights
     with pytest.raises(ValueError):
         BrockettTrace(E6, np.diag([1.0, -1.0]))  # non-positive weight
+    for N in (np.zeros((0, 0)), np.diag(np.arange(1.0, 8.0))):
+        with pytest.raises(ValueError, match="^N must have 1 to n = 6 col"):
+            BrockettTrace(E6, N)  # fits no manifold: p = 0, or p > n
 
 
 def test_grassmann_trace_value_and_invariance():

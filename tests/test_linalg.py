@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import gnewton.linalg as linalg_mod
-from gnewton.errors import (GnewtonError, ProjectionUndefined, RankDeficient,
-                            SingularHessian)
+from gnewton.errors import GnewtonError, ProjectionUndefined, SingularHessian
 from gnewton.linalg import (COND_LIMIT, _unit_rows, all_finite,
                             condition_estimate, norm, polar_factor, row_dots,
                             row_norms, symmetric_eigen, symmetric_solve)
@@ -198,7 +197,7 @@ def test_polar_positive_diagonal():
 
 def test_polar_rank_deficient_raises():
     M = np.column_stack([np.ones(3), np.ones(3)])
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ProjectionUndefined):
         polar_factor(M)
 
 
@@ -231,7 +230,7 @@ def test_polar_closest_orthonormal():
         M = rng.gaussians(n * p).reshape(n, p)
         try:
             U = polar_factor(M)
-        except RankDeficient:
+        except ProjectionUndefined:
             continue  # vanishingly rare for Gaussian draws; not the property under test
         dU = np.linalg.norm(M - U)
         # one draw for the 100 Q: n p is even, so these are the gaussians
@@ -242,6 +241,58 @@ def test_polar_closest_orthonormal():
         assert np.all(np.linalg.norm(Q.transpose(0, 2, 1) @ Q - np.eye(p),
                                      axis=(1, 2)) <= 1e-12)
         assert np.all(dU <= np.linalg.norm(M - Q, axis=(1, 2)) + 1e-12)
+
+
+def test_stacked_polar_factor_gives_each_matrix_its_own_bits():
+    """one call over a stack of 60 gives each matrix the bytes of its own
+    call, in five frame shapes, square ones included"""
+    rng = SplitMix64(314)
+    for n, p in ((12, 3), (20, 4), (7, 3), (5, 5), (6, 2)):
+        M = rng.gaussians(60 * n * p).reshape(60, n, p)
+        U = polar_factor(M)
+        assert U.shape == M.shape
+        for Uk, Mk in zip(U, M):
+            assert Uk.tobytes() == polar_factor(Mk).tobytes()
+
+
+def test_polar_factor_of_a_long_step_is_orthonormal_to_rounding():
+    """M = X + V with V tangent at a frame X: a normal part of norm 1e3 or
+    1e6 and rank p - 1, which leaves M a singular value near 1 and a
+    condition near |V|, plus a unit skew part. U^T U = I within 1e-14,
+    where a factor through M^T M loses eps cond^2"""
+    rng = SplitMix64(77)
+    for n, p in ((7, 3), (12, 3), (20, 4)):
+        for scale in (1e3, 1e6):
+            for _ in range(10):
+                X = np.linalg.qr(rng.gaussians(n * p).reshape(n, p))[0]
+                P = np.linalg.qr(X, "complete")[0][:, p:]
+                K = (rng.gaussians((n - p) * (p - 1)).reshape(n - p, p - 1)
+                     @ rng.gaussians((p - 1) * p).reshape(p - 1, p))
+                W = rng.gaussians(p * p).reshape(p, p)
+                V = scale * P @ K / np.linalg.norm(K) + X @ (W - W.T)
+                U = polar_factor(X + V)
+                assert np.linalg.norm(U.T @ U - np.eye(p)) <= 1e-14
+
+
+def test_polar_factor_refuses_non_finite_and_rank_deficient_matrices():
+    """a NaN or inf entry is a ValueError before LAPACK sees it, alone or
+    anywhere in a stack; in a stack the first rank-deficient matrix raises
+    the ProjectionUndefined of its own call"""
+    M = SplitMix64(3).gaussians(4 * 5 * 2).reshape(4, 5, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        A = M.copy()
+        A[2, 1, 0] = bad
+        for arg in (A, A[2]):
+            with pytest.raises(ValueError, match="must be finite"):
+                polar_factor(arg)
+    A = M.copy()
+    A[1, :, 1] = A[1, :, 0]
+    A[3] = 0.0
+    with pytest.raises(ProjectionUndefined) as alone:
+        polar_factor(A[1])
+    with pytest.raises(ProjectionUndefined, match="rank threshold") as got:
+        polar_factor(A)
+    assert str(got.value) == str(alone.value)
 
 
 # --- symmetric_eigen ------------------------------------------------------------
@@ -516,12 +567,13 @@ def test_lapack_routes_are_numpys_wrappers_bit_for_bit(monkeypatch):
     """on the certificate sweep's H (n = 1..16, 29 and 99, certified and
     refused), a 0 x 0 H and non-finite ones, each LAPACK route of linalg
     gives np.linalg's bits, or raises its LinAlgError with its message:
-    a non-positive-definite Cholesky, a singular LU, an eigensolver that
-    meets NaN. With those wrappers patched in, the certificate and every
-    public solve and eigen route give the same outcome"""
+    a non-positive-definite Cholesky, a singular LU, an eigensolver or an
+    SVD that meets NaN. With those wrappers patched in, the certificate and
+    every public solve, eigen and polar route give the same outcome"""
     from gnewton import linalg
     routes = {"_cholesky": np.linalg.cholesky, "_lu_solve": np.linalg.solve,
-              "_eigvalsh": np.linalg.eigvalsh, "_eigh": np.linalg.eigh}
+              "_eigvalsh": np.linalg.eigvalsh, "_eigh": np.linalg.eigh,
+              "_svd": lambda A: np.linalg.svd(A, full_matrices=False)}
     public = {"certified": lambda H, b: linalg._certified(H, norm(H)),
               "symmetric_solve": lambda H, b: symmetric_solve(H, b),
               "condition_estimate": lambda H, b: np.array(
@@ -553,9 +605,10 @@ def test_lapack_routes_are_numpys_wrappers_bit_for_bit(monkeypatch):
             refused[name] += isinstance(want, tuple)  # (class, message)
         if all_finite(H):
             got.append(outcomes(H, b))
-    # refused and accepted on both sides: the NaN H alone stops eigh
+    # refused and accepted on both sides: the NaN H alone stops eigh and
+    # the SVD
     assert refused["_cholesky"] > 100 and refused["_lu_solve"] > 10
-    assert refused["_eigvalsh"] == refused["_eigh"] == 1
+    assert refused["_eigvalsh"] == refused["_eigh"] == refused["_svd"] == 1
     assert sum(g["certified"] == [np.True_.tobytes()] for g in got) > 50
     for name, wrapper in routes.items():
         monkeypatch.setattr(linalg, name, wrapper)

@@ -140,6 +140,22 @@ def test_project_rank_deficient_undefined():
         project_to_manifold(stiefel(3, 2), M.flatten(order="F"))
 
 
+def test_frame_projection_refuses_non_finite_coordinates():
+    """a NaN or inf coordinate is no frame: InfeasiblePoint with the
+    message Point gives, raised before the SVD sees it, for one row and
+    for a stack"""
+    for m in (stiefel(4, 2), stiefel(3, 3), grassmann(5, 2), grassmann(4, 1)):
+        X = np.array([random_point(m, s).ambient for s in range(3)])
+        for bad in (np.nan, np.inf, -np.inf):
+            Y = X.copy()
+            Y[1, -1] = bad
+            for call in (lambda: project_to_manifold(m, Y[1]),
+                         lambda: m._project(Y)):
+                with pytest.raises(InfeasiblePoint,
+                                   match="^non-finite ambient coordinates$"):
+                    call()
+
+
 def test_project_idempotent():
     for m in ALL:
         for seed in range(30):
@@ -252,19 +268,17 @@ def test_orthonormality_residual_is_gram_minus_identity_bit_for_bit():
         assert _orthonormality_residual(A) == old(A) > 0.1
 
 
-def test_random_point_redraws_ill_conditioned_frames():
-    """a frame draw so ill-conditioned that its polar factor misses
-    FEAS_TOL is drawn again, like an undefined projection, not raised;
-    every other seed keeps its first draw"""
-    from gnewton.manifolds import FEAS_TOL
+def test_random_point_projects_ill_conditioned_frames_on_the_first_draw():
+    """square Stiefel draws with condition 1e3 to 1e5, where a factor
+    through M^T M would lose eps cond^2 and miss FEAS_TOL: the SVD factor
+    is orthonormal to rounding, so random_point returns the first draw's
+    projection, as it does at every other seed"""
     for m, seeds in ((stiefel(3, 3), (121, 156, 185, 306, 559)),
                      (stiefel(2, 2), (645, 681))):
         for s in seeds:
-            with pytest.raises(InfeasiblePoint):
-                m.project(SplitMix64(s).gaussians(m.ambient_dim))
-            p = random_point(m, s)
-            assert m.feasibility_residuals(p.ambient[None])[0] <= FEAS_TOL
-            assert np.array_equal(p.ambient, random_point(m, s).ambient)
+            first = m.project(SplitMix64(s).gaussians(m.ambient_dim))
+            assert m.feasibility_residuals(first.ambient[None])[0] <= 1e-14
+            assert np.array_equal(random_point(m, s).ambient, first.ambient)
         for s in range(50):
             first = m.project(SplitMix64(s).gaussians(m.ambient_dim))
             assert np.array_equal(random_point(m, s).ambient, first.ambient)

@@ -834,8 +834,10 @@ def _step_agrees_across_bases(m, c, seed, pairs, jet_rounding=False,
     return cases, raised
 
 
-@pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)],
-                         ids=["set-on-0-19", "checked-on-20-39"])
+@pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40),
+                                   range(40, 80)],
+                         ids=["set-on-0-19", "checked-on-20-39",
+                              "checked-on-40-79"])
 def test_frame_step_does_not_depend_on_the_basis(seeds):
     """on Stiefel and Grassmann the step solves over the Householder
     basis, B' = B Q: for every ordered pair of projection and QR it agrees
@@ -848,6 +850,22 @@ def test_frame_step_does_not_depend_on_the_basis(seeds):
             cases, raised = cases + more[0], raised + more[1]
     # every Grassmann(4, 4) step is singular, and nothing else raised
     assert (cases, raised) == (len(seeds) * 4 * 11, len(seeds) * 4)
+
+
+def test_long_frame_steps_return_orthonormal_frames():
+    """Grassmann(7, 3) at seeds 128, 163 and 198 steps 779 to 2,211 from
+    its random point: every projection/QR pair returns and agrees with the
+    step over the pivoted basis, and each next frame is orthonormal within
+    1e-14, far inside FEAS_TOL"""
+    m = grassmann(7, 3)
+    for seed in (128, 163, 198):
+        c = _frame_cost(m, seed)
+        assert _step_agrees_across_bases(m, c, seed, _FRAME_PAIRS) == (8, 0)
+        p = random_point(m, seed)
+        for pair in _FRAME_PAIRS:
+            step = generalized_newton_step(c, pair, p)
+            assert step.step_norm > 700.0
+            assert m.feasibility_residuals(step.next.ambient[None])[0] <= 1e-14
 
 
 # sphere(1) has a 1 x 0 basis: its every step is a SingularHessian
