@@ -149,7 +149,10 @@ class GrassmannTrace(_MatrixCost):
     quotient); A symmetric with distinct eigenvalues."""
     name = "grassmann_trace"
     manifolds = (Grassmann,)
-    _fields = ("A",)
+    _fields = ("A", "M")
+    # M: p -> kron(I_p, A + A^T), each bound read-only on its first read;
+    # derived, never given
+    _defaults = {"M": None}
 
     def __init__(self, A):
         A = _frozen_symmetric(A)
@@ -157,7 +160,7 @@ class GrassmannTrace(_MatrixCost):
         scale = max(abs(lam[0]), abs(lam[-1]), np.finfo(float).tiny)
         if lam.size > 1 and np.min(np.diff(lam)) <= 1e-10 * scale:
             raise ValueError("A must have distinct eigenvalues")
-        super().__init__(A)
+        super().__init__(A, {})
 
     def value(self, p: Point) -> float:
         X = p.as_matrix()
@@ -167,7 +170,12 @@ class GrassmannTrace(_MatrixCost):
         return (2.0 * self.A @ p.as_matrix()).flatten(order="F")
 
     def hessian(self, p: Point) -> np.ndarray:
-        return _block_diagonal(self.A + self.A.T, p.manifold.p)
+        k = p.manifold.p
+        M = self.M.get(k)
+        if M is None:
+            M = self.M[k] = _block_diagonal(self.A + self.A.T, k)
+            M.setflags(write=False)
+        return M
 
     def truth(self, m: ManifoldDescriptor):
         """The minor subspace."""

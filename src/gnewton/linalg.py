@@ -19,7 +19,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg import _umath_linalg as _lapack
 
-from .errors import ProjectionUndefined, SingularHessian
+from .errors import InfeasiblePoint, ProjectionUndefined, SingularHessian
 
 COND_LIMIT = 1e12
 SYM_RTOL = 1e-10
@@ -107,7 +107,8 @@ def _unit_rows(X: np.ndarray, undefined: str) -> np.ndarray:
     is finite and not 0; one row takes one dot, as `norm` does. A nonzero
     finite row whose squared norm overflows, or underflows to 0, is first
     scaled exactly, by the power of 2 of its largest magnitude. A zero row
-    raises ProjectionUndefined(undefined)."""
+    raises ProjectionUndefined(undefined), and a row with an inf entry
+    InfeasiblePoint, as a Point does, before anything is divided."""
     if len(X) == 1:
         r = norm(X)
         if 0.0 < r < inf:
@@ -116,6 +117,8 @@ def _unit_rows(X: np.ndarray, undefined: str) -> np.ndarray:
     if 0.0 in norms or inf in norms:
         odd = [i for i, r in enumerate(norms) if r == 0.0 or r == inf]
         S = np.abs(X[odd]).max(axis=1, keepdims=True)
+        if inf in S:
+            raise InfeasiblePoint("non-finite ambient coordinates")
         if 0.0 in S:
             raise ProjectionUndefined(undefined)
         X = X.copy()
@@ -260,13 +263,19 @@ def polar_factor(M) -> np.ndarray:
     backward stable (Higham, Functions of Matrices, 2008, ch. 8), so a
     frame moved by a step of any length stays orthonormal to rounding.
     ValueError on a non-finite M, ProjectionUndefined on the first
-    numerically rank-deficient matrix."""
+    numerically rank-deficient matrix (`_polar`)."""
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or not M.shape[-2] >= M.shape[-1] >= 1:
         raise ValueError("expected n x p with n >= p >= 1, got shape %r"
                          % (M.shape,))
     if not all_finite(M):
         raise ValueError("matrix must be finite")
+    return _polar(M)
+
+
+def _polar(M) -> np.ndarray:
+    """`polar_factor` of a float M or stack that its caller has checked
+    shaped and finite: one SVD, the rank test, W V^T."""
     W, s, Vt = _svd(M)
     low = s[..., -1][s[..., -1] <= 1e-12 * s[..., 0]]
     if low.size:

@@ -14,8 +14,8 @@ from math import sqrt
 import numpy as np
 
 from .errors import InfeasiblePoint, ManifoldMismatch, ProjectionUndefined
-from .linalg import (_qr, _unit_rows, all_finite, norm, polar_factor,
-                     row_dots, row_norms)
+from .linalg import (_polar, _qr, _unit_rows, all_finite, norm, row_dots,
+                     row_norms)
 from .rng import SplitMix64
 
 FEAS_TOL = 1e-10
@@ -301,10 +301,14 @@ class _Frame(ManifoldDescriptor):
         return row_norms(G)
 
     def tangent_columns(self, p: "Point") -> np.ndarray:
-        """A new array: `_columns` over the completion of X that one
-        Householder QR gives, the last n - p columns of its complete Q."""
+        """A new array: `_columns` over X's `_completion`."""
         X = p.as_matrix()
-        return self._columns(X, _qr(X, complete=True)[0][:, self.p:])
+        return self._columns(X, self._completion(X))
+
+    def _completion(self, X: np.ndarray) -> np.ndarray:
+        """The completion of X that one Householder QR gives, the last
+        n - p columns of its complete Q."""
+        return _qr(X, complete=True)[0][:, self.p:]
 
     def _columns(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """The tangent columns at X over its orthonormal completion P: the
@@ -327,19 +331,21 @@ class _Frame(ManifoldDescriptor):
 
     def _project(self, X: np.ndarray) -> np.ndarray:
         """The polar factor of each row's frame, in one stacked call over
-        the transposed (k, p, n) view; a non-finite row is no point."""
+        the transposed (k, p, n) view; a non-finite row is no point, and the
+        factor tests finiteness no more (`_polar`)."""
         if not all_finite(X):
             raise InfeasiblePoint("non-finite ambient coordinates")
-        U = polar_factor(X.reshape(-1, self.p, self.n).transpose(0, 2, 1))
+        U = _polar(X.reshape(-1, self.p, self.n).transpose(0, 2, 1))
         return U.transpose(0, 2, 1).reshape(X.shape)
 
     def second_fundamental_form(self, p: "Point", v: np.ndarray) -> np.ndarray:
         V = v.reshape(self.n, self.p, order="F")
         return (-p.as_matrix() @ (V.T @ V)).flatten(order="F")
 
-    def weingarten(self, p: "Point", B: np.ndarray, g: np.ndarray) -> np.ndarray:
-        N = p.as_matrix().T @ g.reshape(self.n, self.p, order="F")
-        return _frame_product(B, -_sym(N))
+    def weingarten(self, p: "Point", B, g: np.ndarray) -> np.ndarray:
+        """B None: S itself, in `_Completion`'s steps."""
+        S = -_sym(p.as_matrix().T @ g.reshape(self.n, self.p, order="F"))
+        return S if B is None else _frame_product(B, S)
 
 
 class Stiefel(_Frame):
@@ -393,6 +399,9 @@ class Grassmann(_Frame):
         A, B = (Y.reshape(-1, self.p, self.n) for Y in (X, V))
         S = np.matmul(A, B.transpose(0, 2, 1))
         return row_norms(S.reshape(len(V), -1))
+
+    def step_coordinates(self, p: "Point", basis=None) -> "_Completion":
+        return _Completion(self._completion(p.as_matrix()), self.p)
 
     def distance(self, x: "Point", y: "Point") -> float:
         X, Y = x.as_matrix(), y.as_matrix()
@@ -542,6 +551,47 @@ class _Reflector(_Record):
         w = -(self.beta * float(self.v[1:].dot(s))) * self.v
         w[1:] += s
         return w
+
+
+class _Completion(_Record):
+    """Grassmann's step coordinates at X: B = I_p kron P over the
+    completion P of X (n x q, q = n - p), the horizontal lift V = P K of
+    K in R^{q x p}, with s the rows of K^T; applied blockwise and checked
+    as that operator, |B^T B - I|_F = sqrt(p) |P^T P - I|_F <= FEAS_TOL.
+    Written out, B is the Grassmann basis of `tangent_basis`."""
+    _fields = ("P", "p")
+
+    def __init__(self, P: np.ndarray, p: int):
+        if sqrt(p) * _orthonormality_residual(P) > FEAS_TOL:
+            raise ValueError("basis columns not orthonormal")
+        super().__init__(P, p)
+
+    def pullback(self, c, phi, x: Point, g: np.ndarray):
+        """With G^T the (p, n) view of g: grad = G^T P flattened, and
+        H = sym(B^T M' B), M' = c.hessian(x) plus phi's curvature S kron I_n
+        at its block diagonals, as one (p^2 n x n) (n x q) product and one
+        P^T stacked over the p block rows."""
+        P, p = self.P, self.p
+        n, q = P.shape
+        grad = (g.reshape(p, n) @ P).ravel()
+        M = c.hessian(x).copy()
+        M.reshape(-1)[_block_diagonals(p, n)] += np.repeat(
+            phi.curvature(x, None, g), n)
+        T = (M.reshape(p * n * p, n) @ P).reshape(p, n, p * q)
+        return grad, _sym(np.matmul(P.T, T).reshape(p * q, p * q))
+
+    def lift(self, s: np.ndarray) -> np.ndarray:  # vec(P K), by rows of K^T
+        return (s.reshape(self.p, -1) @ self.P.T).ravel()
+
+
+@lru_cache(maxsize=64)
+def _block_diagonals(p: int, n: int) -> np.ndarray:
+    """The flat indices of a pn x pn matrix's n x n block diagonals, block
+    (b, b') row-major, then i: (b n + i) pn + b' n + i, shared read-only."""
+    b, i = np.arange(p), np.arange(n)
+    flat = ((b[:, None, None] * n + i) * (p * n) + b[:, None] * n + i).ravel()
+    flat.setflags(write=False)
+    return flat
 
 
 @lru_cache(maxsize=64)

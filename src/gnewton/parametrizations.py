@@ -47,9 +47,11 @@ class _Kind(_LivesOn):
 
     `second_order(p, v)` is D^2 phi_p(0)(v, v) and `curvature(p, B, g)` the
     matrix g . D^2 phi_p(0)(b_i, b_j) over B's columns, all a pullback
-    Hessian needs of it; on the sphere B may be None, the step's own
-    coordinates (`Sphere.weingarten`). As D phi_p(0) = I, the normal part
-    is the manifold's second fundamental form for every kind, so that is
+    Hessian needs of it; on the sphere and on Grassmann B may be None, the
+    step's own coordinates, which take the sphere's diagonal shift as a
+    float and a frame's V -> V S as its p x p S (`Sphere.weingarten`,
+    `_Frame.weingarten`). As D phi_p(0) = I, the normal part is the
+    manifold's second fundamental form for every kind, so that is
     the default; the second-order retractions (projection, geodesic,
     recentred) have no tangential part, and other kinds add theirs.
     """
@@ -150,12 +152,14 @@ class QR(_Value, _Kind):
     def curvature(self, p: Point, B: np.ndarray, g: np.ndarray) -> np.ndarray:
         """g . T(V, V) = <N, tril(M, -1) - triu(M, 1)> with N = X^T G, and
         with the Weingarten term -<N, M> it is -<S, M>, S = N's upper
-        triangle mirrored (i >= j from N^T): V -> -V S, one frame product."""
+        triangle mirrored (i >= j from N^T): V -> -V S, one frame product
+        (B None: that map's p x p matrix, -S)."""
         m = p.manifold
         if m.p == 1:
             return super().curvature(p, B, g)
         N = p.as_matrix().T @ g.reshape(m.n, m.p, order="F")
-        return _frame_product(B, -np.where(_lower_mask(m.p + 1)[:-1], N.T, N))
+        S = -np.where(_lower_mask(m.p + 1)[:-1], N.T, N)
+        return S if B is None else _frame_product(B, S)
 
 
 @lru_cache(maxsize=64)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gnewton.costs import (AbsPower, BrockettTrace, GrassmannTrace, Quadratic,
-                           ShiftedCubic, ambient_gradient, ambient_hessian_vec,
-                           value)
+                           ShiftedCubic, _block_diagonal, ambient_gradient,
+                           ambient_hessian_vec, value)
 from gnewton.errors import ManifoldMismatch, NotTwiceDifferentiable
 from gnewton.linalg import symmetric_eigen
 from gnewton.manifolds import (Point, euclidean, grassmann, random_point,
@@ -141,6 +141,19 @@ def test_grassmann_trace_value_and_invariance():
         Q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         pq = Point(m, (X @ Q).flatten(order="F"))
         assert abs(value(c, pq) - value(c, p)) <= 1e-12
+
+
+def test_grassmann_trace_binds_one_hessian_per_p():
+    """hessian(p) is kron(I_p, A + A^T), bound read-only on its first read
+    for each p and the same array on every later one"""
+    c = GrassmannTrace(E6)
+    for k in (1, 2, 6, 2):
+        m = grassmann(6, k)
+        M = c.hessian(random_point(m, k))
+        assert M is c.hessian(random_point(m, k + 1))
+        assert not M.flags.writeable
+        assert M.tobytes() == _block_diagonal(E6 + E6.T, k).tobytes()
+    assert sorted(c.M) == [1, 2, 6]
 
 
 def test_grassmann_trace_rejects_degenerate_spectrum():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import gnewton.linalg as linalg_mod
-from gnewton.errors import GnewtonError, ProjectionUndefined, SingularHessian
+from gnewton.errors import (GnewtonError, InfeasiblePoint, ProjectionUndefined,
+                            SingularHessian)
 from gnewton.linalg import (COND_LIMIT, _unit_rows, all_finite,
                             condition_estimate, norm, polar_factor, row_dots,
                             row_norms, symmetric_eigen, symmetric_solve)
@@ -743,12 +744,13 @@ def test_unit_rows_scale_a_row_whose_square_overflows_or_underflows():
 
 def test_unit_rows_refuse_a_zero_row_with_the_callers_message():
     """a zero row raises ProjectionUndefined with the message given, alone
-    or in a stack; a non-finite row maps to a non-finite row"""
+    or in a stack; a NaN row maps to a non-finite row, and a row with an
+    inf entry raises InfeasiblePoint before it divides (no warning)"""
     x = np.ones((1, 4))
     for X in (np.zeros((1, 4)), np.concatenate([x, np.zeros((1, 4)), x])):
         with pytest.raises(ProjectionUndefined, match="^no direction$"):
             _unit_rows(X, "no direction")
-    with np.errstate(invalid="ignore"):
-        for bad in (np.nan, np.inf):
-            y = np.array([[1.0, bad, 2.0]])
-            assert not all_finite(_unit_rows(y, ""))
+    assert not all_finite(_unit_rows(np.array([[1.0, np.nan, 2.0]]), ""))
+    with pytest.raises(InfeasiblePoint,
+                       match="^non-finite ambient coordinates$"):
+        _unit_rows(np.array([[1.0, -np.inf, 2.0]]), "")

@@ -1,8 +1,11 @@
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
 
+import gnewton.linalg as linalg_mod
+import gnewton.manifolds as manifolds_mod
 from gnewton.errors import (InfeasiblePoint, ManifoldMismatch,
                             ProjectionUndefined)
 from gnewton.manifolds import (Point, TangentVector, distance, euclidean,
@@ -10,6 +13,7 @@ from gnewton.manifolds import (Point, TangentVector, distance, euclidean,
                                sphere, stiefel, tangent_basis,
                                tangent_gaussians,
                                _orthonormality_residual)
+from gnewton.parametrizations import QR
 from gnewton.rng import SplitMix64
 
 ALL = [euclidean(4), sphere(5), stiefel(4, 2), grassmann(5, 2)]
@@ -154,6 +158,45 @@ def test_frame_projection_refuses_non_finite_coordinates():
                 with pytest.raises(InfeasiblePoint,
                                    match="^non-finite ambient coordinates$"):
                     call()
+
+
+def test_unit_row_maps_refuse_an_inf_entry_before_they_divide():
+    """the sphere's projection and one-column QR refuse a row with an inf
+    entry as a frame does, InfeasiblePoint with the message Point gives,
+    for one row and in a stack, and no RuntimeWarning comes first"""
+    for m in (sphere(3), stiefel(3, 1), grassmann(3, 1)):
+        X = np.array([random_point(m, s).ambient for s in range(3)])
+        for bad in (np.inf, -np.inf):
+            Y = np.ones_like(X)
+            Y[1, 0] = bad
+            calls = [lambda: m._project(X + Y), lambda: m._project(Y[1:2]),
+                     lambda: QR()._at(m, X, Y),
+                     lambda: QR()._at(m, X[1:2], Y[1:2])]
+            if m.kind == "sphere":
+                calls.append(lambda: project_to_manifold(m, Y[1]))
+            for call in calls:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    with pytest.raises(
+                            InfeasiblePoint,
+                            match="^non-finite ambient coordinates$"):
+                        call()
+
+
+def test_frame_projection_tests_finiteness_once(monkeypatch):
+    """a frame projection tests its rows finite once, in `_project`, and
+    its polar factor does not test them again"""
+    calls = []
+    finite = linalg_mod.all_finite
+    for mod in (linalg_mod, manifolds_mod):
+        monkeypatch.setattr(mod, "all_finite",
+                            lambda x: calls.append(x.shape) or finite(x))
+    for m in (stiefel(12, 3), grassmann(20, 4)):
+        X = np.array([random_point(m, s).ambient for s in range(3)])
+        for rows in (X[:1], X):
+            calls.clear()
+            m._project(rows)
+            assert calls == [rows.shape]
 
 
 def test_project_idempotent():

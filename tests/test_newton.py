@@ -999,10 +999,11 @@ def test_sphere_step_columns_take_the_norm_of_a_feasible_point(monkeypatch):
                          ids=["stiefel", "grassmann"])
 @pytest.mark.parametrize("kind", [Projection(), QR()], ids=lambda k: k.name)
 def test_frame_step_makes_no_pivoted_completion(monkeypatch, m, kind):
-    """the package has no pivoted completion: a frame run, pullback_jet,
+    """the package has no pivoted completion: pullback_jet,
     near_truth_start and audit_conditions each complete a point's frame
     through the one basis function, `tangent_columns` over one Householder
-    QR, once per point, and a run checks one basis per step"""
+    QR, once per point; a Stiefel run writes out and checks one basis per
+    step, and a Grassmann run none, as it applies I_p kron P blockwise"""
     assert not hasattr(manifolds_mod, "_complete_orthonormal")
     c = _frame_cost(m, 0)
     calls = []
@@ -1018,7 +1019,8 @@ def test_frame_step_makes_no_pivoted_completion(monkeypatch, m, kind):
     tr = run_iteration(c, Fixed(_pair(kind)), p0, 20, 1e-12)
     steps = len(tr.step_norms)
     assert tr.termination == "Converged" and steps >= 3
-    assert calls == ["tangent_columns", "_checked_basis"] * steps
+    assert calls == ["tangent_columns", "_checked_basis"] * (
+        steps if m.kind == "stiefel" else 0)
     calls.clear()
     for p in tr.points:
         pullback_jet(c, _pair(kind), p)
@@ -1104,6 +1106,105 @@ def test_reflector_step_agrees_with_the_written_out_step():
                 reference=_written_out_step)
             cases, raised = cases + more[0], raised + more[1]
     assert (cases, raised) == (13 * 40 * 2 * 4, 0)
+
+
+# every Grassmann shape the factored step is checked on: p = 1, 1 < p < n,
+# the solve-ladder's (20, 4) and p = n (zero-dimensional, every step singular)
+_GRASSMANNS = (grassmann(5, 1), grassmann(7, 3), grassmann(8, 2),
+               grassmann(20, 4), grassmann(4, 4))
+
+
+def test_completion_step_agrees_with_the_written_out_step():
+    """Grassmann's step applies I_p kron P blockwise; over its written-out
+    columns (`_written_out_step`) it is the same step to rounding: on
+    Grassmann (5,1), (7,3), (8,2), (20,4) and (4,4) with the seeded trace
+    cost, for every ordered projection/QR pair, both raise the same error,
+    class and message, or they agree within the bounds of
+    `_step_agrees_across_bases`. Seeds 0-39, stated before the first run"""
+    cases = raised = 0
+    for m in _GRASSMANNS:
+        for seed in range(40):
+            more = _step_agrees_across_bases(
+                m, _frame_cost(m, seed), seed, _FRAME_PAIRS,
+                reference=_written_out_step)
+            cases, raised = cases + more[0], raised + more[1]
+    # every Grassmann(4, 4) step is singular, and nothing else raised
+    assert (cases, raised) == (40 * 4 * (2 * 4 + 1), 40 * 4)
+
+
+def test_completion_check_is_the_operators_residual():
+    """the step checks the operator it applies, B = I_p kron P, by P alone:
+    sqrt(p) |P^T P - I|_F is |B^T B - I|_F of the written-out columns to
+    rounding, and a P off by one part in 1e6 raises the basis error"""
+    eps = np.finfo(float).eps
+    points = 0
+    for m in _GRASSMANNS[:4]:
+        for seed in range(30):
+            p = random_point(m, seed)
+            C = m.step_coordinates(p)
+            assert C.p == m.p and C.P.shape == (m.n, m.n - m.p)
+            resid = np.sqrt(m.p) * manifolds_mod._orthonormality_residual(C.P)
+            full = manifolds_mod._orthonormality_residual(m.tangent_columns(p))
+            assert abs(resid - full) <= 4 * eps
+            with pytest.raises(ValueError,
+                               match="^basis columns not orthonormal$"):
+                type(C)((1.0 + 1e-6) * C.P, m.p)
+            points += 1
+    assert points == 120
+
+
+@pytest.mark.parametrize("kind", [Projection(), QR()], ids=lambda k: k.name)
+def test_frame_curvature_of_the_step_coordinates_is_s(kind):
+    """on Grassmann, curvature(p, None, g) is the p x p S of V -> V S,
+    and its frame product over the written-out columns is curvature(p, B,
+    g) byte for byte"""
+    for m in _GRASSMANNS:
+        for seed in range(5):
+            c = _frame_cost(m, seed)
+            p = random_point(m, seed)
+            g = c.grad(p)
+            S = kind.curvature(p, None, g)
+            assert S.shape == (m.p, m.p)
+            B = m.tangent_columns(p)
+            assert (manifolds_mod._frame_product(B, S).tobytes()
+                    == kind.curvature(p, B, g).tobytes())
+
+
+def test_grassmann_run_builds_no_basis(monkeypatch):
+    """a Grassmann run builds one `_Completion` per step and no
+    TangentBasis, and each step takes one complete QR and reads the
+    cost's Hessian once"""
+    from gnewton.manifolds import _Record
+    m = grassmann(20, 4)
+    c = _Counting(_frame_cost(m, 0))
+    p0 = near_truth_start(m, c.cost.truth(m), 0.1, 0)
+    selectors = [Fixed(_pair(kind)) for kind in (Projection(), QR())]
+    built, shapes = [], []
+    bind = _Record.__init__
+
+    def counted_bind(self, *args, **kw):
+        built.append(type(self).__name__)
+        bind(self, *args, **kw)
+    monkeypatch.setattr(_Record, "__init__", counted_bind)
+    qr = linalg_mod._qr
+
+    def counted_qr(a, complete=False):
+        q, d = qr(a, complete)
+        shapes.append((complete, q.shape))
+        return q, d
+    monkeypatch.setattr(manifolds_mod, "_qr", counted_qr)
+    for selector in selectors:
+        built.clear()
+        shapes.clear()
+        c.calls["hessian"] = 0
+        tr = run_iteration(c, selector, p0, 20, 1e-12)
+        steps = len(tr.step_norms)
+        moved = sum(q is not p for p, q in zip(tr.points, tr.points[1:]))
+        assert tr.termination == "Converged" and steps >= 3
+        assert sorted(built) == (["IterationTrace"] + ["Point"] * moved
+                                 + ["_Completion"] * steps)
+        assert shapes == [(True, (20, 20))] * steps
+        assert c.calls["hessian"] == steps
 
 
 def _line_cases():
